@@ -43,9 +43,10 @@ from .special_poly import (
     jacobi_poly,
     pochhammer,
 )
-from .quadrature import build_rule
+from .quadrature import build_rule, integrate
 from .term_algebra import (
     ExactnessError,
+    ParseError,
     QQi,
     base_poly,
     equal,
@@ -425,10 +426,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
                 def run(a=a, b=b, ell=ell):
                     rule = build_rule("jacobi", cfg.order, alpha=float(a), beta=float(b))
                     poly = jacobi_poly(ell, a, b)
-                    quad = sum(
-                        w * float(poly(x)) ** 2
-                        for x, w in zip(rule.nodes, rule.weights)
-                    )
+                    quad = integrate(lambda x: float(poly(x)) ** 2, rule)
                     return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
 
                 cases.append(Case(key, params, run))
@@ -444,9 +442,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
                     "jacobi", cfg.order, alpha=float(a) - 0.5, beta=float(a) - 0.5
                 )
                 poly = gegenbauer_poly(ell, a)
-                quad = sum(
-                    w * float(poly(x)) ** 2 for x, w in zip(rule.nodes, rule.weights)
-                )
+                quad = integrate(lambda x: float(poly(x)) ** 2, rule)
                 return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
 
             cases.append(Case(key, params, run))
@@ -901,43 +897,11 @@ def _parse_point(text: str) -> tuple:
     return tuple(_point_scalar(p) for p in parts)
 
 
-def _token_position(text: str, exc: BaseException):
-    """Character offset of the token a textual-sum parse failed on,
-    recovered from the tokenizer state captured in the traceback."""
-    idx = None
-    tb = exc.__traceback__
-    while tb is not None:
-        for obj in tb.tb_frame.f_locals.values():
-            if hasattr(obj, "toks") and hasattr(obj, "pos"):
-                idx = obj.pos
-        tb = tb.tb_next
-    if idx is None:
-        return None
-    spaced = text.replace("(", " ( ").replace(")", " ) ")
-    offsets = []
-    cursor = 0
-    for tok in spaced.split():
-        j = text.find(tok, cursor)
-        if j < 0:
-            return None
-        offsets.append(j)
-        cursor = j + len(tok)
-    if idx > len(offsets):
-        idx = len(offsets)
-    if idx >= len(offsets) + 1 or not offsets:
-        return None
-    # take() advances past the offending token before the check fires
-    return offsets[max(idx - 1, 0)] if idx <= len(offsets) else None
-
-
 def _parse_sum(text: str):
     try:
         return from_text(text)
-    except ValueError as exc:
-        pos = _token_position(text, exc)
-        if pos is None:
-            raise ConfigError(f"parse error: {exc}") from exc
-        raise ConfigError(f"parse error at character {pos}: {exc}") from exc
+    except ParseError as exc:
+        raise ConfigError(f"parse error at character {exc.pos}: {exc}") from exc
 
 
 def _eval_int(tok: str, what: str) -> int:

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .l2_model import i_power
 from .quadrature import (
     build_rule,
     geometric_panels,
+    integrate,
     integrate_adaptive,
     integrate_region,
 )
@@ -48,6 +49,7 @@ from .term_algebra import (
     BranchCutError,
     ExactnessError,
     HoloSum,
+    _expand_base_power,
     add,
     base_poly,
     canonical_form,
@@ -255,21 +257,6 @@ def _wave_base(n: int):
     return base_poly(n, entries)
 
 
-def _entries_power(entries, j: int, arity: int):
-    """Monomial expansion of (sum of entries)^j as an exponent -> QQi dict."""
-    acc = {(0,) * arity: qqi(1)}
-    for _ in range(j):
-        nxt = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in entries:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = s_mul(c1, c2)
-                prev = nxt.get(e)
-                nxt[e] = v if prev is None else s_add(prev, v)
-        acc = {k: v for k, v in nxt.items() if not s_is_zero(v)}
-    return acc
-
-
 def bernstein_sato_verify(params: JuhlParams):
     """Apply the operator to Q^(-lam) without restriction and resolve the
     result against the ladder z_n^(ell-2j) Q^(-lam-ell+j).
@@ -317,7 +304,7 @@ def bernstein_sato_verify(params: JuhlParams):
         extracted[j] = c
         shift = [0] * n
         shift[-1] = ell - 2 * j
-        for e, w in _entries_power(q_base.entries, j, n).items():
+        for e, w in _expand_base_power(q_base, j).items():
             key = tuple(a + b for a, b in zip(e, shift))
             prev = remaining.get(key, qqi(0))
             nxt = s_add(prev, s_neg(s_mul(c, w)))
@@ -595,26 +582,21 @@ def holographic_integral(
     consts = cone_constants(params)
     rule_x = build_rule("legendre", order, a=-radius, b=radius)
     rule_st = build_rule("jacobi", order, alpha=0.0, beta=nu - 2.0)
-    cone_nodes = [0.5 * radius * (1.0 + u) for u in rule_st.nodes]
+    rule_st = replace(rule_st, nodes=0.5 * radius * (1.0 + rule_st.nodes))
     edge_scale = (0.5 * radius) ** (nu - 1.0)
 
     z1, z2, z3 = zeta
     z3_pow = z3**params.ell
     z3_sq = z3 * z3
-    total = 0.0j
-    for s_val, ws in zip(cone_nodes, rule_st.weights):
-        for t_val, wt in zip(cone_nodes, rule_st.weights):
-            eta1 = 0.5 * (s_val + t_val)
-            eta2 = 0.5 * (s_val - t_val)
-            w_st = ws * wt
-            for x1, w1 in zip(rule_x.nodes, rule_x.weights):
-                tau1 = complex(x1, eta1)
-                d1 = z1 - tau1.conjugate()
-                for x2, w2 in zip(rule_x.nodes, rule_x.weights):
-                    tau2 = complex(x2, eta2)
-                    d2 = z2 - tau2.conjugate()
-                    kern = _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu)
-                    total += w_st * w1 * w2 * kern * g((tau1, tau2))
+
+    def integrand(s_val, t_val, x1, x2):
+        tau1 = complex(x1, 0.5 * (s_val + t_val))
+        tau2 = complex(x2, 0.5 * (s_val - t_val))
+        d1 = z1 - tau1.conjugate()
+        d2 = z2 - tau2.conjugate()
+        return _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu) * g((tau1, tau2))
+
+    total = integrate(integrand, rule_st, rule_st, rule_x, rule_x)
     return consts["adjoint_const"] * z3_pow * 0.5 * edge_scale**2 * total
 
 

@@ -10,11 +10,18 @@ Three weight families cover every integral in the package:
 - ``legendre``: plain dx on a finite interval (a, b)
 
 An n-point rule integrates polynomials through degree 2n-1; the test suite
-pins that at 1e-13 relative.  Adaptive wrappers double the order until two
-successive estimates agree, and report failure honestly instead of raising.
+pins that at 1e-13 relative.
+
+Every sum against rule nodes goes through `integrate`, which walks the
+tensor product of one or more rules.  The integrand contract is scalar: f
+receives one Python float per axis and returns a real or complex number.
+The adaptive wrappers `integrate_adaptive` and `integrate_region` share one
+order-doubling loop; they stop when two successive estimates agree, and
+report failure honestly instead of raising.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -119,11 +126,21 @@ def build_rule(family: str, order: int, **params) -> QuadratureRule:
     raise DomainError(f"unknown rule family {family!r}")
 
 
-def integrate(f: Callable, rule: QuadratureRule):
-    """Sum f against the rule; f sees one scalar node at a time."""
+def integrate(f: Callable, *rules: QuadratureRule):
+    """Sum f against the tensor product of one or more rules.
+
+    f receives one Python float per rule, in rule order.  Points are visited
+    in C order (last rule fastest) and each point's weight is the product of
+    its axis weights taken from the left, so the sum is reproducible bit for
+    bit.
+    """
+    if not rules:
+        raise DomainError("integrate needs at least one rule")
+    nodes = [r.nodes.tolist() for r in rules]
+    weights = map(math.prod, itertools.product(*[r.weights.tolist() for r in rules]))
     total = 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        total = total + w * f(x)
+    for w, xs in zip(weights, itertools.product(*nodes)):
+        total = total + w * f(*xs)
     return total
 
 
@@ -144,6 +161,28 @@ def _rel_delta(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _order_doubling(
+    f: Callable, rules_at: Callable, tol: float, start_order: int, max_order: int
+) -> IntegralResult:
+    """Integrate f on the rules rules_at(order) returns, doubling order from
+    start_order up to max_order; the stopping rule is integrate_adaptive's."""
+    order = start_order
+    prev = None
+    err = float("inf")
+    evals = 0
+    while order <= max_order:
+        rules = rules_at(order)
+        cur = integrate(f, *rules)
+        evals += math.prod(r.order for r in rules)
+        if prev is not None:
+            err = _rel_delta(cur, prev)
+            if err < tol:
+                return IntegralResult(cur, err, True, evals)
+        prev = cur
+        order *= 2
+    return IntegralResult(prev, err, False, evals)
+
+
 def integrate_adaptive(
     f: Callable,
     family: str,
@@ -154,24 +193,13 @@ def integrate_adaptive(
 ) -> IntegralResult:
     """Order-doubling integration against one weight family.
 
-    Stops when two successive doublings agree to tol (relative, floored at
-    scale 1).  Exhausting max_order returns the last value with
-    converged=False rather than raising.
+    f receives one Python float.  Stops when two successive doublings agree
+    to tol (relative, floored at scale 1).  Exhausting max_order returns the
+    last value with converged=False rather than raising.
     """
-    order = start_order
-    prev = None
-    err = float("inf")
-    evals = 0
-    while order <= max_order:
-        cur = integrate(f, build_rule(family, order, **params))
-        evals += order
-        if prev is not None:
-            err = _rel_delta(cur, prev)
-            if err < tol:
-                return IntegralResult(cur, err, True, evals)
-        prev = cur
-        order *= 2
-    return IntegralResult(prev, err, False, evals)
+    return _order_doubling(
+        f, lambda order: [build_rule(family, order, **params)], tol, start_order, max_order
+    )
 
 
 def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
@@ -192,41 +220,24 @@ def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
     return [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
 
 
-def _axis_points(spec, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_rule(spec, order: int) -> QuadratureRule:
     kind = spec[0]
     if kind == "legendre":
-        r = build_rule("legendre", order, a=spec[1], b=spec[2])
-        return r.nodes, r.weights
+        return build_rule("legendre", order, a=spec[1], b=spec[2])
     if kind == "jacobi":
-        r = build_rule("jacobi", order, alpha=spec[1], beta=spec[2])
-        return r.nodes, r.weights
+        return build_rule("jacobi", order, alpha=spec[1], beta=spec[2])
     if kind == "laguerre":
         scale = spec[2] if len(spec) > 2 else 1.0
-        r = build_rule("laguerre", order, gamma=spec[1], scale=scale)
-        return r.nodes, r.weights
+        return build_rule("laguerre", order, gamma=spec[1], scale=scale)
     if kind == "panels":
-        xs, ws = [], []
-        for a, b in spec[1]:
-            r = build_rule("legendre", order, a=a, b=b)
-            xs.append(r.nodes)
-            ws.append(r.weights)
-        return np.concatenate(xs), np.concatenate(ws)
+        panels = [build_rule("legendre", order, a=a, b=b) for a, b in spec[1]]
+        return QuadratureRule(
+            "panels",
+            tuple(spec[1]),
+            np.concatenate([r.nodes for r in panels]),
+            np.concatenate([r.weights for r in panels]),
+        )
     raise DomainError(f"unknown axis spec {spec!r}")
-
-
-def _tensor_pass(f: Callable, axes: Sequence, order: int):
-    pts = [_axis_points(spec, order) for spec in axes]
-    grids = np.meshgrid(*[p[0] for p in pts], indexing="ij")
-    wgrids = np.meshgrid(*[p[1] for p in pts], indexing="ij")
-    wtot = wgrids[0]
-    for wg in wgrids[1:]:
-        wtot = wtot * wg
-    total = 0.0
-    it = np.nditer([g for g in grids] + [wtot], flags=["refs_ok"])
-    for entry in it:
-        xs = tuple(float(v) for v in entry[:-1])
-        total = total + float(entry[-1]) * f(*xs)
-    return total, int(wtot.size)
 
 
 def integrate_region(
@@ -240,22 +251,12 @@ def integrate_region(
 
     Each axis spec is ("legendre", a, b), ("jacobi", alpha, beta),
     ("laguerre", gamma[, scale]), or ("panels", [(a, b), ...]); f receives
-    one scalar per axis.  Truncation of infinite regions is the caller's
-    job (the conventional default truncation radius is 1e3).
+    one Python float per axis, in axis order.  Truncation of infinite
+    regions is the caller's job (the conventional default truncation radius
+    is 1e3).
     """
     if not 1 <= len(axes) <= 4:
         raise DomainError("integrate_region supports 1 to 4 axes")
-    order = start_order
-    prev = None
-    err = float("inf")
-    evals = 0
-    while order <= max_order:
-        cur, n = _tensor_pass(f, axes, order)
-        evals += n
-        if prev is not None:
-            err = _rel_delta(cur, prev)
-            if err < tol:
-                return IntegralResult(cur, err, True, evals)
-        prev = cur
-        order *= 2
-    return IntegralResult(prev, err, False, evals)
+    return _order_doubling(
+        f, lambda order: [_axis_rule(spec, order) for spec in axes], tol, start_order, max_order
+    )

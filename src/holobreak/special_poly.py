@@ -283,7 +283,7 @@ def jacobi_poly(ell: int, alpha, beta_) -> PolyOneVar:
             alpha + j + 1, ell - j
         )
         den = math.factorial(j) * math.factorial(ell - j) * 2**j
-        term = num / den if exact else num / den
+        term = num / den
         # ((t-1)/2)^j contributes C(j, m) (-1)^(j-m) t^m / 2^j, folded above
         for m in range(j + 1):
             coeffs[m] = coeffs[m] + term * math.comb(j, m) * (-1) ** (j - m)

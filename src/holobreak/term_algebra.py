@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,6 +41,15 @@ class BranchCutError(ValueError):
 
 class ExactnessError(ValueError):
     """Exact-mode operation received non-rational data."""
+
+
+class ParseError(ValueError):
+    """Malformed holosum text.  `pos` is the character offset of the last
+    token the parser took (the last token, at end of input)."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(message)
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +139,6 @@ def s_is_zero(a) -> bool:
 
 
 def s_to_complex(a) -> complex:
-    if isinstance(a, QQi):
-        return complex(a)
     return complex(a)
 
 
@@ -818,10 +826,19 @@ def to_text(f: HoloSum) -> str:
     return "\n".join(parts)
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 class _Tokens:
     def __init__(self, text: str):
-        self.toks = text.replace("(", " ( ").replace(")", " ) ").split()
+        matches = list(_TOKEN.finditer(text))
+        self.toks = [m.group() for m in matches]
+        self.offsets = [m.start() for m in matches]
         self.pos = 0
+
+    def last_offset(self) -> int:
+        """Character offset of the last token taken (0 for empty text)."""
+        return self.offsets[self.pos - 1] if self.pos else 0
 
     def peek(self):
         if self.pos >= len(self.toks):
@@ -870,8 +887,19 @@ def _parse_exponent(ts: _Tokens):
 
 
 def from_text(text: str) -> HoloSum:
-    """Parse the s-expression format produced by to_text."""
+    """Parse the s-expression format produced by to_text.
+
+    Any failure raises ParseError; its `pos` is the character offset of the
+    last token taken.
+    """
     ts = _Tokens(text)
+    try:
+        return _parse_sum(ts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(str(exc), ts.last_offset()) from exc
+
+
+def _parse_sum(ts: _Tokens) -> HoloSum:
     ts.take("(")
     ts.take("sum")
     arity = int(ts.take())

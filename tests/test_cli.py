@@ -402,6 +402,12 @@ def test_eval_parse_error_reports_position(capsys):
     assert "parse error at character 13" in err
 
 
+def test_eval_zero_denominator_is_parse_error(capsys):
+    code = main(["eval", "(sum 1 (term 1/0 (mono 1)))", "--at", "1j"])
+    assert code == 2
+    assert "parse error at character 13" in capsys.readouterr().err
+
+
 def test_eval_pole_surfaces_verbatim(capsys):
     code = main(["eval", "c_ell", "-1", "2", "0"])
     assert code == 2

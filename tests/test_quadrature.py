@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from holobreak.juhl import JuhlParams, _power_positive_cut, cone_constants, holographic_integral
 from holobreak.quadrature import (
     IntegralResult,
     build_rule,
@@ -156,3 +157,130 @@ def test_geometric_panels_cover_halfline_tail():
     )
     assert res.converged
     assert rel(res.value, 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the single tensor-sum loop against the hand-written loops it replaced
+
+
+def _nested_sum(f, rules):
+    """Reference: explicit nested loops, last rule innermost, weights
+    multiplied from the left, one running sum."""
+    acc = 0.0
+
+    def visit(k, xs, w):
+        nonlocal acc
+        if k == len(rules):
+            acc = acc + w * f(*xs)
+            return
+        for x, wk in zip(rules[k].nodes.tolist(), rules[k].weights.tolist()):
+            visit(k + 1, xs + (x,), wk if w is None else w * wk)
+
+    visit(0, (), None)
+    return acc
+
+
+def test_integrate_equals_nested_loops_bit_for_bit():
+    rules = [
+        build_rule("jacobi", 7, alpha=0.5, beta=-0.25),
+        build_rule("laguerre", 5, gamma=1.5, scale=2.0),
+        build_rule("legendre", 4, a=-1.0, b=3.0),
+    ]
+
+    def f(*xs):
+        return complex(math.cos(sum(xs)), xs[0] * xs[-1]) / (1.0 + xs[0] ** 2)
+
+    for k in (1, 2, 3):
+        got = integrate(f, *rules[:k])
+        assert got == _nested_sum(f, rules[:k])
+        assert type(got) is complex
+
+
+def test_integrate_needs_a_rule():
+    with pytest.raises(DomainError):
+        integrate(lambda: 1.0)
+
+
+def _meshgrid_region(f, axes, tol, start_order, max_order):
+    """Reference: the meshgrid/nditer tensor pass and its order doubling."""
+    def axis_points(spec, order):
+        if spec[0] == "panels":
+            rs = [build_rule("legendre", order, a=a, b=b) for a, b in spec[1]]
+            return (np.concatenate([r.nodes for r in rs]),
+                    np.concatenate([r.weights for r in rs]))
+        if spec[0] == "jacobi":
+            r = build_rule("jacobi", order, alpha=spec[1], beta=spec[2])
+        else:
+            r = build_rule("laguerre", order, gamma=spec[1], scale=spec[2])
+        return r.nodes, r.weights
+
+    def tensor_pass(order):
+        pts = [axis_points(spec, order) for spec in axes]
+        grids = np.meshgrid(*[p[0] for p in pts], indexing="ij")
+        wgrids = np.meshgrid(*[p[1] for p in pts], indexing="ij")
+        wtot = wgrids[0]
+        for wg in wgrids[1:]:
+            wtot = wtot * wg
+        total = 0.0
+        for entry in np.nditer(list(grids) + [wtot], flags=["refs_ok"]):
+            xs = tuple(float(v) for v in entry[:-1])
+            total = total + float(entry[-1]) * f(*xs)
+        return total, int(wtot.size)
+
+    order, prev, evals = start_order, None, 0
+    while order <= max_order:
+        cur, n = tensor_pass(order)
+        evals += n
+        if prev is not None and rel(cur, prev) < tol:
+            return cur, evals
+        prev = cur
+        order *= 2
+    return prev, evals
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-14])
+def test_region_equals_meshgrid_pass(tol):
+    axes = [
+        ("panels", [(0.0, 1.0), (1.0, 3.0), (3.0, 7.0)]),
+        ("jacobi", 0.5, 1.5),
+        ("laguerre", 0.5, 2.0),
+    ]
+
+    def f(a, b, c):
+        return math.exp(-a) * complex(1.0 + b * c, a * b) / (1.0 + a * b * b)
+
+    res = integrate_region(f, axes, tol=tol, start_order=2, max_order=8)
+    want, evals = _meshgrid_region(f, axes, tol, 2, 8)
+    assert res.value == want
+    assert res.evaluations == evals
+
+
+def test_holographic_integral_equals_four_loop_sum():
+    params, order, radius = JuhlParams(3, 3.0, 1), 6, 20.0
+    zeta = (0.4 + 2.0j, -0.3 + 0.3j, 0.1 - 0.2j)
+
+    def g(tau):
+        return 1.0 / ((tau[0] + 1j) ** 2 - tau[1] ** 2) ** 3
+
+    nu = float(params.nu)
+    rule_x = build_rule("legendre", order, a=-radius, b=radius)
+    rule_st = build_rule("jacobi", order, alpha=0.0, beta=nu - 2.0)
+    cone_nodes = [0.5 * radius * (1.0 + u) for u in rule_st.nodes]
+    z1, z2, z3 = zeta
+    total = 0.0j
+    for s_val, ws in zip(cone_nodes, rule_st.weights):
+        for t_val, wt in zip(cone_nodes, rule_st.weights):
+            eta1, eta2 = 0.5 * (s_val + t_val), 0.5 * (s_val - t_val)
+            for x1, w1 in zip(rule_x.nodes, rule_x.weights):
+                tau1 = complex(x1, eta1)
+                d1 = z1 - tau1.conjugate()
+                for x2, w2 in zip(rule_x.nodes, rule_x.weights):
+                    tau2 = complex(x2, eta2)
+                    d2 = z2 - tau2.conjugate()
+                    kern = _power_positive_cut(d1 * d1 - d2 * d2 - z3 * z3, -nu)
+                    total += ws * wt * w1 * w2 * kern * g((tau1, tau2))
+    edge_scale = (0.5 * radius) ** (nu - 1.0)
+    want = cone_constants(params)["adjoint_const"] * z3**params.ell * 0.5 * edge_scale**2 * total
+
+    got = holographic_integral(params, g, zeta, radius=radius, order=order)
+    assert abs(got - want) <= 1e-13 * abs(want)

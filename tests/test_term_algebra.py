@@ -9,6 +9,7 @@ from holobreak.special_poly import DomainError, PoleError
 from holobreak.term_algebra import (
     BranchCutError,
     ExactnessError,
+    ParseError,
     SingularRestrictionError,
     add,
     base_poly,
@@ -382,3 +383,20 @@ def test_text_rejects_garbage():
         from_text("(sum 1 (term")
     with pytest.raises(ValueError):
         from_text("(sum 1) trailing")
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("(sum 1 (term x (mono 1)))", 13),  # bad number
+        ("(sum 1 (term 1/0 (mono 1)))", 13),  # zero denominator
+        ("(sum 1 (term 1 (mono 1)))  )", 24),  # trailing token: the sum's ")"
+        ("(sum 1\n  (term 1 (mono 1)\n  ", 24),  # end of input: the last token
+        ("(sum 1 (term 1 (mono 1) (pow (base ((3) 1)) 2)))", 45),  # degree-3 base
+        ("", 0),
+    ],
+)
+def test_parse_error_carries_offset(text, pos):
+    with pytest.raises(ParseError) as info:
+        from_text(text)
+    assert info.value.pos == pos
