@@ -49,6 +49,7 @@ from .term_algebra import (
     ParseError,
     QQi,
     base_poly,
+    default_tube_points,
     equal,
     evaluate,
     from_text,
@@ -106,7 +107,8 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 def parse_value(text: str):
     """One grid entry: "p/q" and integer strings stay exact Fractions,
-    anything with a decimal point or exponent becomes a float."""
+    anything with a decimal point or exponent becomes a float.  Non-finite
+    numbers (inf, nan, or a literal too large for a float) are rejected."""
     t = text.strip()
     if not t:
         raise ConfigError("empty parameter value")
@@ -116,9 +118,12 @@ def parse_value(text: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot read number {text!r}") from exc
     try:
-        return float(t)
+        x = float(t)
     except ValueError as exc:
         raise ConfigError(f"cannot read number {text!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"number {text!r} is not finite")
+    return x
 
 
 def parse_grid(text: str, flag: str) -> tuple:
@@ -461,20 +466,10 @@ def _rc_library() -> list:
     ]
 
 
-def _tube_points(rng, arity: int, count: int = 12) -> list:
-    return [
-        tuple(
-            complex(rng.uniform(-0.7, 0.7), rng.uniform(0.4, 1.6))
-            for _ in range(arity)
-        )
-        for _ in range(count)
-    ]
-
-
 def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
     cases = []
-    pts2 = _tube_points(rng, 2)
-    pts1 = _tube_points(rng, 1)
+    pts2 = default_tube_points(2, 12, rng)
+    pts1 = default_tube_points(1, 12, rng)
     library = _rc_library()
     for l1 in cfg.need("lam1"):
         for l2 in cfg.need("lam2"):
@@ -1049,6 +1044,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, PoleError, ExactnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow ({exc})", file=sys.stderr)
         return 2
 
 

@@ -54,7 +54,6 @@ from .term_algebra import (
     base_poly,
     canonical_form,
     differentiate,
-    e_key,
     holo_sum,
     qqi,
     restrict,
@@ -288,7 +287,7 @@ def bernstein_sato_verify(params: JuhlParams):
         elif sig != floor_sig:
             raise ArithmeticError("mixed base exponents after canonicalization")
         remaining[mono] = coeff
-    if floor_sig is not None and floor_sig[0][1] != e_key(-lam - ell):
+    if floor_sig is not None and floor_sig[0][1] != -lam - ell:
         raise ArithmeticError(f"unexpected floor exponent {floor_sig!r}")
 
     extracted = {}

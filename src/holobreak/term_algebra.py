@@ -24,7 +24,7 @@ import cmath
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -175,12 +175,33 @@ def e_key(p):
 # base polynomials (degree <= 2, exact coefficients), interned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasePoly:
-    """Exact polynomial of degree <= 2 in `arity` variables."""
+    """Exact polynomial of degree <= 2 in `arity` variables.
+
+    Equality, hash and order read `key`, (arity, ((e, (re, im)), ...)), built
+    once here: bases compare by value, so interning through `base_poly` is an
+    economy, not a correctness condition.
+    """
 
     arity: int
     entries: tuple  # sorted ((e1, ..., en), QQi) pairs
+    key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        key = (self.arity, tuple((e, (c.re, c.im)) for e, c in self.entries))
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, BasePoly) and self.key == other.key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        return self.key < other.key
 
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.entries), default=0)
@@ -239,10 +260,11 @@ _REGISTRY: dict = {}
 
 
 def base_poly(arity: int, mapping) -> BasePoly:
-    """Intern an exact degree-<=2 polynomial as a base.
+    """Build an exact degree-<=2 polynomial as a base, interned.
 
-    The registry is append-only: the first construction of a given
-    (arity, entries) key wins and every later request returns it.
+    The registry is append-only and keyed by the base itself: the first
+    construction of a given value wins and every later request returns it.
+    Interning saves objects; equality never depends on it.
     """
     entries = []
     for e, c in dict(mapping).items():
@@ -259,10 +281,8 @@ def base_poly(arity: int, mapping) -> BasePoly:
     entries = tuple(sorted(entries))
     if not entries:
         raise DomainError("the zero polynomial cannot be a base")
-    key = (arity, entries)
-    if key not in _REGISTRY:
-        _REGISTRY[key] = BasePoly(arity, entries)
-    return _REGISTRY[key]
+    b = BasePoly(arity, entries)
+    return _REGISTRY.setdefault(b, b)
 
 
 def registered_bases() -> tuple:
@@ -296,10 +316,6 @@ class HoloSum:
         return not self.terms
 
 
-def _base_sort_key(b: BasePoly):
-    return (b.arity, tuple((e, (c.re, c.im)) for e, c in b.entries))
-
-
 def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     """Normalize one term: merge duplicate bases, fold monomial bases.
 
@@ -318,12 +334,9 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
         if b.arity != arity:
             raise DomainError("base arity mismatch")
         p = e_coerce(p)
-        if id(b) not in merged:
-            merged[id(b)] = [b, p]
-        else:
-            merged[id(b)][1] = e_add(merged[id(b)][1], p)
+        merged[b] = e_add(merged[b], p) if b in merged else p
     out_bases = []
-    for b, p in merged.values():
+    for b, p in merged.items():
         if e_is_zero(p):
             continue
         if _is_single_monomial(b):
@@ -341,33 +354,30 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
                     coeff = s_mul(coeff, _principal_power(s_to_complex(c), p))
                 continue
         out_bases.append((b, p))
-    out_bases.sort(key=lambda bp: (_base_sort_key(bp[0]), e_key(bp[1])))
+    out_bases.sort(key=lambda bp: bp[0])
     return HoloTerm(coeff, mono, tuple(out_bases))
 
 
-def _sig(t: HoloTerm):
-    return (t.monomial, tuple((_base_sort_key(b), e_key(p)) for b, p in t.bases))
-
-
 def holo_sum(arity: int, terms: Iterable[HoloTerm]) -> HoloSum:
-    acc: dict = {}
-    keep: dict = {}
+    """Collect like terms and drop those whose coefficients cancel.
+
+    Terms come out sorted by signature: monomial, then bases (in base key
+    order), then each base's exponent as `e_key` orders it.
+    """
+    acc: dict = {}  # signature -> [coefficient, first term]
     for t in terms:
         if len(t.monomial) != arity:
             raise DomainError("term arity mismatch")
-        k = _sig(t)
+        k = (t.monomial, tuple((b, e_key(p)) for b, p in t.bases))
         if k in acc:
-            acc[k] = s_add(acc[k], t.coefficient)
+            acc[k][0] = s_add(acc[k][0], t.coefficient)
         else:
-            acc[k] = t.coefficient
-            keep[k] = t
+            acc[k] = [t.coefficient, t]
     out = []
-    for k, c in acc.items():
-        if s_is_zero(c):
-            continue
-        t = keep[k]
-        out.append(HoloTerm(c, t.monomial, t.bases))
-    out.sort(key=lambda t: _sig(t))
+    for k in sorted(acc):
+        c, t = acc[k]
+        if not s_is_zero(c):
+            out.append(HoloTerm(c, t.monomial, t.bases))
     return HoloSum(arity, tuple(out))
 
 
@@ -594,13 +604,10 @@ def canonical_form(f: HoloSum) -> dict:
     _require_exact(f)
     # collect integer-class minima per base; integer classes are capped at
     # zero so that a sum of purely positive powers expands completely
-    minima: dict = {}  # (base key, frac part) -> min exponent
-    base_of: dict = {}
+    minima: dict = {}  # (base, frac part) -> min exponent
     for t in f.terms:
         for b, p in t.bases:
-            frac = p - math.floor(p)
-            key = (_base_sort_key(b), frac)
-            base_of[key] = b
+            key = (b, p - math.floor(p))
             if key not in minima or p < minima[key]:
                 minima[key] = p
     for key in list(minima):
@@ -613,27 +620,22 @@ def canonical_form(f: HoloSum) -> dict:
 
     out: dict = {}
     for t in f.terms:
-        present = {_base_sort_key(b) for b, _ in t.bases}
+        present = {b for b, _ in t.bases}
         residual = []
         expanders = []
         for b, p in t.bases:
-            frac = p - math.floor(p)
-            key = (_base_sort_key(b), frac)
-            pmin = minima[key]
+            pmin = minima[(b, p - math.floor(p))]
             surplus = p - pmin
             if not e_is_zero(pmin):
                 residual.append((b, pmin))
             if surplus > 0:
                 expanders.append((b, int(surplus)))
-        for key, pmin in int_keys.items():
-            bkey, _ = key
-            if bkey in present:
+        for (b, _), pmin in int_keys.items():
+            if b in present:
                 continue
-            b = base_of[key]
             residual.append((b, pmin))
             expanders.append((b, int(-pmin)))
-        residual.sort(key=lambda bp: (_base_sort_key(bp[0]), e_key(bp[1])))
-        sig = tuple((_base_sort_key(b), e_key(p)) for b, p in residual)
+        sig = tuple(sorted(residual))
         pieces = {t.monomial: exactify(t.coefficient)}
         for b, n in expanders:
             expanded = _expand_base_power(b, n)
@@ -655,18 +657,18 @@ def canonical_form(f: HoloSum) -> dict:
 _SAMPLE_SEED = 20260822
 
 
-def default_tube_points(arity: int, count: int = 20) -> list:
-    """Fixed pseudo-random points with each coordinate in a safe tube strip."""
-    rng = random.Random(_SAMPLE_SEED)
-    pts = []
-    for _ in range(count):
-        pts.append(
-            tuple(
-                complex(rng.uniform(-0.7, 0.7), rng.uniform(0.4, 1.6))
-                for _ in range(arity)
-            )
+def default_tube_points(arity: int, count: int = 20, rng=None) -> list:
+    """Pseudo-random points with each coordinate in a safe tube strip, drawn
+    from `rng` or, by default, from a fresh generator with a fixed seed."""
+    if rng is None:
+        rng = random.Random(_SAMPLE_SEED)
+    return [
+        tuple(
+            complex(rng.uniform(-0.7, 0.7), rng.uniform(0.4, 1.6))
+            for _ in range(arity)
         )
-    return pts
+        for _ in range(count)
+    ]
 
 
 def equal(

@@ -58,7 +58,7 @@ def test_parse_value_tiers():
 
 
 def test_parse_value_rejects_garbage():
-    for bad in ("", "x", "1/0", "2..5"):
+    for bad in ("", "x", "1/0", "2..5", "inf", "-inf", "nan", "1e400"):
         with pytest.raises(ConfigError):
             parse_value(bad)
 
@@ -412,6 +412,12 @@ def test_eval_pole_surfaces_verbatim(capsys):
     code = main(["eval", "c_ell", "-1", "2", "0"])
     assert code == 2
     assert "pole" in capsys.readouterr().err
+
+
+def test_eval_overflow_is_an_error_not_a_traceback(capsys):
+    code = main(["eval", "c_ell", "90.5", "90.5", "1"])
+    assert code == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_eval_point_arity_mismatch(capsys):

@@ -1,12 +1,15 @@
 """Exact term calculus: construction, derivations, restriction, equality."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from holobreak.special_poly import DomainError, PoleError
 from holobreak.term_algebra import (
+    _SAMPLE_SEED,
+    BasePoly,
     BranchCutError,
     ExactnessError,
     ParseError,
@@ -102,6 +105,17 @@ def test_base_interning_and_registry_append_only():
     assert after >= before
     base_poly(2, {(1, 0): 1, (0, 1): -1})
     assert len(registered_bases()) == after
+
+
+def test_base_identity_is_by_value():
+    b = base_poly(2, {(1, 0): 1, (0, 1): -1, (0, 0): qqi(0, 1)})
+    twin = BasePoly(b.arity, b.entries)
+    assert twin is not b
+    assert twin == b and hash(twin) == hash(b)
+    assert base_poly(2, dict(twin.entries)) is b
+    t = term(2, 1, None, [(b, F(1, 2)), (twin, F(1, 2))])
+    assert len(t.bases) == 1
+    assert t.bases[0][1] == 1
 
 
 def test_base_rejects_degree_three_and_zero():
@@ -309,6 +323,15 @@ def test_sampled_equality():
     assert default_tube_points(2) == default_tube_points(2)
 
 
+def test_tube_points_draw_from_a_given_rng():
+    rng = random.Random(_SAMPLE_SEED)
+    first = default_tube_points(2, 5, rng)
+    assert first == default_tube_points(2, 5)
+    second = default_tube_points(2, 5, rng)
+    assert second != first
+    assert second == default_tube_points(2, 10)[5:]
+
+
 def test_canonical_form_empty_iff_zero():
     f = ktype(F(2), F(3), 1)
     assert canonical_form(sub(f, f)) == {}
@@ -370,6 +393,30 @@ def test_text_round_trip_exact():
     back = from_text(text)
     assert equal(f, back)
     assert to_text(back) == text
+
+
+def test_text_term_order_is_pinned():
+    # bases sort by coefficient value (1/3 before 1/2); exponents of one base
+    # sort by (numerator, denominator), so 1/2 comes before 1/3
+    half = base_poly(1, {(1,): 1, (0,): F(1, 2)})
+    third = base_poly(1, {(1,): 1, (0,): F(1, 3)})
+    f = holo_sum(1, [
+        term(1, 2, (1,), [(half, F(-1)), (third, F(1, 2))]),
+        term(1, 1, None, [(half, F(-1, 2))]),
+        term(1, 1, None, [(third, F(-1, 2))]),
+        term(1, F(-3), None, [(half, F(1, 3))]),
+        term(1, F(1, 5), None, [(half, F(1, 2))]),
+    ])
+    assert to_text(f) == "\n".join([
+        "(sum 1",
+        "  (term 1 (mono 0) (pow (base ((0) 1/3) ((1) 1)) -1/2))",
+        "  (term 1 (mono 0) (pow (base ((0) 1/2) ((1) 1)) -1/2))",
+        "  (term 1/5 (mono 0) (pow (base ((0) 1/2) ((1) 1)) 1/2))",
+        "  (term -3 (mono 0) (pow (base ((0) 1/2) ((1) 1)) 1/3))",
+        "  (term 2 (mono 1) (pow (base ((0) 1/3) ((1) 1)) 1/2)"
+        " (pow (base ((0) 1/2) ((1) 1)) -1))",
+        ")",
+    ])
 
 
 def test_text_round_trip_float_coefficient():
