@@ -21,6 +21,7 @@ configurable one.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv as csv_mod
 import hashlib
 import io
@@ -56,10 +57,6 @@ from .term_algebra import (
     holo_sum,
     monomial,
     qqi,
-    s_add,
-    s_is_zero,
-    s_neg,
-    s_to_complex,
     scale,
     term,
 )
@@ -399,9 +396,9 @@ def _close(computed, reference, tol, note="") -> CaseResult:
 
 
 def _exact_eq(computed, reference, note="") -> CaseResult:
-    diff = s_add(computed, s_neg(reference))
-    passed = s_is_zero(diff)
-    abs_err = 0.0 if passed else abs(s_to_complex(diff))
+    diff = computed - reference
+    passed = not diff
+    abs_err = 0.0 if passed else abs(complex(diff))
     return CaseResult(_encode(computed), _encode(reference), abs_err, None, passed, note)
 
 
@@ -873,16 +870,16 @@ def _cmd_verify(args) -> int:
 
 
 def _point_scalar(tok: str) -> complex:
+    """One coordinate of an evaluation point.  Non-finite numbers (inf, nan,
+    or a literal too large for a float) are rejected, as in parse_value."""
     t = tok.strip()
-    if "/" in t:
-        try:
-            return complex(float(Fraction(t)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot read coordinate {tok!r}") from exc
     try:
-        return complex(t)
-    except ValueError as exc:
+        z = complex(float(Fraction(t))) if "/" in t else complex(t)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot read coordinate {tok!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"coordinate {tok!r} is not finite")
+    return z
 
 
 def _parse_point(text: str) -> tuple:

@@ -57,10 +57,6 @@ from .term_algebra import (
     holo_sum,
     qqi,
     restrict,
-    s_add,
-    s_is_zero,
-    s_mul,
-    s_neg,
     scale,
     sub,
     term,
@@ -136,15 +132,26 @@ def in_cone(y) -> bool:
     return y[0] > 0 and q_form(y) > 0
 
 
+def _cone_point(y, what: str, dim: int | None = None):
+    """(y, Q(y)) for a real point of the open cone, converted once; raises
+    DomainError naming `what` when y is outside the cone or, when `dim` is
+    given, has another length."""
+    y = _real_vector(y)
+    if dim is None or len(y) == dim:
+        q = q_form(y)
+        if y[0] > 0 and q > 0:
+            return y, q
+    cone = "the cone" if dim is None else f"the {dim}-dimensional cone"
+    raise DomainError(f"{what} {y!r} is not in {cone}")
+
+
 def iota_cone(y_prime, v):
     """Fiber chart (y', v) -> (y', -sqrt(Q(y')) v) over the one-lower cone."""
-    y_prime = _real_vector(y_prime)
-    if not in_cone(y_prime):
-        raise DomainError(f"base point {y_prime!r} is not in the cone")
+    y_prime, q_prime = _cone_point(y_prime, "base point")
     v = float(v)
     if not -1.0 < v < 1.0:
         raise DomainError(f"fiber coordinate must lie in (-1, 1), got {v}")
-    return y_prime + (-math.sqrt(q_form(y_prime)) * v,)
+    return y_prime + (-math.sqrt(q_prime) * v,)
 
 
 def weight_M_cone(params: JuhlParams, y_prime, v) -> float:
@@ -154,9 +161,7 @@ def weight_M_cone(params: JuhlParams, y_prime, v) -> float:
     1 - v^2 is rejected rather than returned as infinity.
     """
     lam = _real_scalar(params.lam, "weight exponent")
-    y_prime = _real_vector(y_prime)
-    if not in_cone(y_prime):
-        raise DomainError(f"base point {y_prime!r} is not in the cone")
+    y_prime, q_prime = _cone_point(y_prime, "base point")
     v = float(v)
     if not -1.0 <= v <= 1.0:
         raise DomainError(f"fiber coordinate must lie in [-1, 1], got {v}")
@@ -168,16 +173,14 @@ def weight_M_cone(params: JuhlParams, y_prime, v) -> float:
         fiber = 1.0 if expo == 0 else 0.0
     else:
         fiber = edge**expo
-    return q_form(y_prime) ** (0.5 * (params.ell + 1)) * fiber
+    return q_prime ** (0.5 * (params.ell + 1)) * fiber
 
 
 def cone_density(lam, y) -> float:
     """Weight Q(y)^(k/2 - lam) of the cone measure in dimension k = len(y)."""
     lam = _real_scalar(lam, "density exponent")
-    y = _real_vector(y)
-    if not in_cone(y):
-        raise DomainError(f"point {y!r} is not in the cone")
-    return q_form(y) ** (len(y) / 2.0 - lam)
+    y, q = _cone_point(y, "point")
+    return q ** (len(y) / 2.0 - lam)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +215,10 @@ def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSu
             coeff = gegenbauer_a(ell, k, alpha)
         else:
             # substitute u -> -wave, v -> i d/dz_n into the two-variable form
-            coeff = s_mul(inflated.coeff(k, ell - 2 * k), _I_QQI[(ell - 2 * k) % 4])
-            coeff = s_mul(coeff, _I_QQI[(-ell) % 4])
+            coeff = inflated.coeff(k, ell - 2 * k) * _I_QQI[(ell - 2 * k) % 4]
+            coeff = coeff * _I_QQI[(-ell) % 4]
             if k % 2:
-                coeff = s_neg(coeff)
+                coeff = -coeff
         total = add(total, scale(piece, coeff))
         if 2 * (k + 1) <= ell:
             wave_k = lorentz_laplacian(wave_k, n - 1)
@@ -297,7 +300,7 @@ def bernstein_sato_verify(params: JuhlParams):
         probe[-1] = ell - 2 * j
         probe = tuple(probe)
         c = remaining.get(probe)
-        if c is None or s_is_zero(c):
+        if not c:
             extracted[j] = qqi(0)
             continue
         extracted[j] = c
@@ -306,14 +309,14 @@ def bernstein_sato_verify(params: JuhlParams):
         for e, w in _expand_base_power(q_base, j).items():
             key = tuple(a + b for a, b in zip(e, shift))
             prev = remaining.get(key, qqi(0))
-            nxt = s_add(prev, s_neg(s_mul(c, w)))
-            if s_is_zero(nxt):
+            nxt = prev - c * w
+            if not nxt:
                 remaining.pop(key, None)
             else:
                 remaining[key] = nxt
     if remaining:
         raise ArithmeticError(f"residue outside the ladder: {sorted(remaining)[:4]}")
-    higher = [(j, c) for j, c in sorted(extracted.items()) if j >= 1 and not s_is_zero(c)]
+    higher = [(j, c) for j, c in sorted(extracted.items()) if j >= 1 and c]
     return extracted[0], higher
 
 
@@ -358,12 +361,10 @@ def phi_cone_apply(params: JuhlParams, h):
     profile = gegenbauer_inflated(ell, float(params.alpha))
 
     def lifted(y):
-        y = _real_vector(y)
-        if len(y) != n or not in_cone(y):
-            raise DomainError(f"point {y!r} is not in the {n}-dimensional cone")
+        y, q = _cone_point(y, "point", n)
         y_prime, y_n = y[:-1], y[-1]
         q_prime = q_form(y_prime)
-        ratio = q_form(y) / q_prime
+        ratio = q / q_prime
         return (
             q_prime ** (-(ell + 0.5))
             * ratio ** (lam - n / 2.0)
@@ -383,13 +384,11 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi", tol: 
     function; `legendre` integrates the bare fiber restriction and suits
     profiles without that boundary decay.  Non-convergence raises.
     """
-    y_prime = _real_vector(y_prime)
-    if not in_cone(y_prime):
-        raise DomainError(f"base point {y_prime!r} is not in the cone")
+    y_prime, q_prime = _cone_point(y_prime, "base point")
     ell = params.ell
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
     poly = gegenbauer_poly(ell, alpha)
-    root = math.sqrt(q_form(y_prime))
+    root = math.sqrt(q_prime)
 
     def along(v: float):
         return F(y_prime + (-root * v,)) * poly(v)
@@ -407,7 +406,7 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi", tol: 
         raise DomainError(f"unknown fiber method {method!r}")
     if not res.converged:
         raise DomainError(f"fiber integral did not converge (err {res.error:.2e})")
-    return i_power(-ell) * q_form(y_prime) ** (0.5 * (ell + 1)) * res.value
+    return i_power(-ell) * q_prime ** (0.5 * (ell + 1)) * res.value
 
 
 def phi_isometry_ratio(params: JuhlParams, h, y_prime, tol: float = 1e-10) -> float:
@@ -420,9 +419,9 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime, tol: float = 1e-10) -> fl
     """
     lam = _real_scalar(params.lam, "weight")
     n = params.n
-    y_prime = _real_vector(y_prime)
+    y_prime, q_prime = _cone_point(y_prime, "base point")
     lifted = phi_cone_apply(params, h)
-    root = math.sqrt(q_form(y_prime))
+    root = math.sqrt(q_prime)
     a_w = lam - n / 2.0
 
     def g(v):
@@ -432,7 +431,7 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime, tol: float = 1e-10) -> fl
     res = integrate_adaptive(g, "jacobi", tol=tol, alpha=a_w, beta=a_w)
     if not res.converged:
         raise DomainError(f"fiber integral did not converge (err {res.error:.2e})")
-    numer = q_form(y_prime) ** ((n + 1) / 2.0 - lam) * res.value
+    numer = q_prime ** ((n + 1) / 2.0 - lam) * res.value
     denom = abs(h(y_prime)) ** 2 * cone_density(params.nu, y_prime)
     if denom == 0.0:
         raise DomainError("h vanishes at the probe point")

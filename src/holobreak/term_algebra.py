@@ -15,6 +15,10 @@ integer power is expanded into monomials, and the result must vanish
 identically.  Sampled mode compares values at a fixed pseudo-random set of
 tube-domain points.
 
+Scalars are exact Gaussian rationals (`QQi`) where the data allow and
+machine complex numbers otherwise.  Arithmetic on a QQi stays exact against
+an int, Fraction or QQi and degrades to complex against a float or complex.
+
 The textual s-expression format round-trips exact sums; see
 docs/holosum-format.md for the grammar.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import random
 import re
 from dataclasses import dataclass, field
@@ -58,7 +63,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class QQi:
-    """Gaussian rational re + im*i with Fraction parts."""
+    """Gaussian rational re + im*i with Fraction parts, closed under `+`,
+    `-`, `*` and `** int` (a negative power inverts) as the module
+    docstring describes."""
 
     re: Fraction
     im: Fraction
@@ -66,11 +73,69 @@ class QQi:
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __neg__(self) -> "QQi":
+        return QQi(-self.re, -self.im)
+
+    def __add__(self, other):
+        if isinstance(other, QQi):
+            return QQi(self.re + other.re, self.im + other.im)
+        if is_exact(other):
+            return QQi(self.re + other, self.im)
+        if isinstance(other, numbers.Complex):
+            return complex(self) + complex(other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, QQi):
+            return QQi(self.re - other.re, self.im - other.im)
+        if is_exact(other):
+            return QQi(self.re - other, self.im)
+        if isinstance(other, numbers.Complex):
+            return complex(self) - complex(other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if is_exact(other):
+            return QQi(other - self.re, -self.im)
+        if isinstance(other, numbers.Complex):
+            return complex(other) - complex(self)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, QQi):
+            return QQi(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if is_exact(other):
+            return QQi(self.re * other, self.im * other)
+        if isinstance(other, numbers.Complex):
+            return complex(self) * complex(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        base = self
+        if n < 0:
+            norm = self.re * self.re + self.im * self.im
+            if not norm:
+                raise ZeroDivisionError("inverse of exact zero")
+            base = QQi(self.re / norm, -self.im / norm)
+        out = QQI_ONE
+        for _ in range(abs(n)):
+            out = out * base
+        return out
 
 
 def qqi(re, im=0) -> QQi:
@@ -90,58 +155,6 @@ def exactify(x):
     return None
 
 
-def s_add(a, b):
-    ea, eb = exactify(a), exactify(b)
-    if ea is not None and eb is not None:
-        return QQi(ea.re + eb.re, ea.im + eb.im)
-    return s_to_complex(a) + s_to_complex(b)
-
-
-def s_mul(a, b):
-    ea, eb = exactify(a), exactify(b)
-    if ea is not None and eb is not None:
-        return QQi(ea.re * eb.re - ea.im * eb.im, ea.re * eb.im + ea.im * eb.re)
-    return s_to_complex(a) * s_to_complex(b)
-
-
-def s_neg(a):
-    ea = exactify(a)
-    if ea is not None:
-        return QQi(-ea.re, -ea.im)
-    return -s_to_complex(a)
-
-
-def s_inv(a):
-    ea = exactify(a)
-    if ea is not None:
-        n = ea.re * ea.re + ea.im * ea.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of exact zero")
-        return QQi(ea.re / n, -ea.im / n)
-    return 1.0 / s_to_complex(a)
-
-
-def s_pow_int(a, n: int):
-    if n == 0:
-        return QQI_ONE
-    base = a if n > 0 else s_inv(a)
-    out = QQI_ONE
-    for _ in range(abs(n)):
-        out = s_mul(out, base)
-    return out
-
-
-def s_is_zero(a) -> bool:
-    ea = exactify(a)
-    if ea is not None:
-        return ea.is_zero()
-    return s_to_complex(a) == 0
-
-
-def s_to_complex(a) -> complex:
-    return complex(a)
-
-
 # exponents: Fraction when exact, complex/float otherwise
 
 
@@ -153,16 +166,6 @@ def e_coerce(p):
     if isinstance(p, (float, complex)):
         return complex(p)
     raise TypeError(f"bad exponent {p!r}")
-
-
-def e_add(p, q):
-    if isinstance(p, Fraction) and isinstance(q, Fraction):
-        return p + q
-    return complex(p) + complex(q)
-
-
-def e_is_zero(p) -> bool:
-    return p == 0
 
 
 def e_key(p):
@@ -209,7 +212,7 @@ class BasePoly:
     def evaluate(self, point) -> complex:
         out = 0j
         for e, c in self.entries:
-            v = s_to_complex(c)
+            v = complex(c)
             for z, k in zip(point, e):
                 if k:
                     v = v * complex(z) ** k
@@ -223,8 +226,8 @@ class BasePoly:
             if e[var] == 0:
                 continue
             ne = e[:var] + (e[var] - 1,) + e[var + 1 :]
-            m[ne] = s_add(m.get(ne, qqi(0)), s_mul(c, e[var]))
-        return {k: v for k, v in m.items() if not s_is_zero(v)}
+            m[ne] = m.get(ne, 0) + c * e[var]
+        return {k: v for k, v in m.items() if v}
 
     def substitute_last_zero(self):
         """Set the last variable to zero; returns ('zero'|'const'|'poly', payload)."""
@@ -242,13 +245,12 @@ class BasePoly:
         m: dict = {}
         for (i, j), c in self.entries:
             key = (i + j,)
-            m[key] = s_add(m.get(key, qqi(0)), c)
-        m = {k: v for k, v in m.items() if not s_is_zero(v)}
+            m[key] = m.get(key, 0) + c
         return _classify_entries(1, m)
 
 
 def _classify_entries(arity: int, mapping: dict):
-    mapping = {k: v for k, v in mapping.items() if not s_is_zero(v)}
+    mapping = {k: v for k, v in mapping.items() if v}
     if not mapping:
         return ("zero", None)
     if set(mapping) == {(0,) * arity}:
@@ -276,7 +278,7 @@ def base_poly(arity: int, mapping) -> BasePoly:
         ec = exactify(c)
         if ec is None:
             raise ExactnessError(f"base coefficient {c!r} is not exact")
-        if not ec.is_zero():
+        if ec:
             entries.append((e, ec))
     entries = tuple(sorted(entries))
     if not entries:
@@ -325,7 +327,7 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     """
     coeff = exactify(coefficient)
     if coeff is None:
-        coeff = s_to_complex(coefficient)
+        coeff = complex(coefficient)
     mono = tuple(int(m) for m in (monomial or (0,) * arity))
     if len(mono) != arity or any(m < 0 for m in mono):
         raise DomainError(f"bad monomial {mono!r}")
@@ -334,24 +336,24 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
         if b.arity != arity:
             raise DomainError("base arity mismatch")
         p = e_coerce(p)
-        merged[b] = e_add(merged[b], p) if b in merged else p
+        merged[b] = merged[b] + p if b in merged else p
     out_bases = []
     for b, p in merged.items():
-        if e_is_zero(p):
+        if not p:
             continue
         if _is_single_monomial(b):
             e, c = b.entries[0]
             if isinstance(p, Fraction) and p.denominator == 1 and p > 0:
                 n = int(p)
-                coeff = s_mul(coeff, s_pow_int(c, n))
+                coeff = coeff * c**n
                 mono = tuple(m + n * ei for m, ei in zip(mono, e))
                 continue
             if sum(e) == 0:
                 # constant base under an arbitrary exponent
                 if isinstance(p, Fraction) and p.denominator == 1:
-                    coeff = s_mul(coeff, s_pow_int(c, int(p)))
+                    coeff = coeff * c ** int(p)
                 else:
-                    coeff = s_mul(coeff, _principal_power(s_to_complex(c), p))
+                    coeff = coeff * _principal_power(complex(c), p)
                 continue
         out_bases.append((b, p))
     out_bases.sort(key=lambda bp: bp[0])
@@ -370,13 +372,13 @@ def holo_sum(arity: int, terms: Iterable[HoloTerm]) -> HoloSum:
             raise DomainError("term arity mismatch")
         k = (t.monomial, tuple((b, e_key(p)) for b, p in t.bases))
         if k in acc:
-            acc[k][0] = s_add(acc[k][0], t.coefficient)
+            acc[k][0] += t.coefficient
         else:
             acc[k] = [t.coefficient, t]
     out = []
     for k in sorted(acc):
         c, t = acc[k]
-        if not s_is_zero(c):
+        if c:
             out.append(HoloTerm(c, t.monomial, t.bases))
     return HoloSum(arity, tuple(out))
 
@@ -398,7 +400,7 @@ def add(f: HoloSum, g: HoloSum) -> HoloSum:
 def scale(f: HoloSum, s) -> HoloSum:
     return holo_sum(
         f.arity,
-        [term(f.arity, s_mul(t.coefficient, s), t.monomial, t.bases) for t in f.terms],
+        [term(f.arity, t.coefficient * s, t.monomial, t.bases) for t in f.terms],
     )
 
 
@@ -417,7 +419,7 @@ def multiply_expanded(f: HoloSum, mapping) -> HoloSum:
         e = tuple(int(k) for k in e)
         for t in f.terms:
             mono = tuple(m + k for m, k in zip(t.monomial, e))
-            out.append(term(f.arity, s_mul(t.coefficient, c), mono, t.bases))
+            out.append(term(f.arity, t.coefficient * c, mono, t.bases))
     return holo_sum(f.arity, out)
 
 
@@ -432,24 +434,17 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
             m = t.monomial[var]
             if m:
                 mono = t.monomial[:var] + (m - 1,) + t.monomial[var + 1 :]
-                out.append(term(cur.arity, s_mul(t.coefficient, m), mono, t.bases))
+                out.append(term(cur.arity, t.coefficient * m, mono, t.bases))
             for i, (b, p) in enumerate(t.bases):
                 db = b.differentiate(var)
                 if not db:
                     continue
                 rest = t.bases[:i] + t.bases[i + 1 :]
-                new_p = e_add(p, Fraction(-1))
-                newbases = rest if e_is_zero(new_p) else rest + ((b, new_p),)
+                new_p = p - 1
+                newbases = rest + ((b, new_p),) if new_p else rest
                 for e, c in db.items():
                     mono = tuple(mm + ee for mm, ee in zip(t.monomial, e))
-                    out.append(
-                        term(
-                            cur.arity,
-                            s_mul(s_mul(t.coefficient, p), c),
-                            mono,
-                            newbases,
-                        )
-                    )
+                    out.append(term(cur.arity, t.coefficient * p * c, mono, newbases))
         cur = holo_sum(cur.arity, out)
     return cur
 
@@ -504,11 +499,9 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
                 )
             if tag == "const":
                 if isinstance(p, Fraction) and p.denominator == 1:
-                    coeff = s_mul(coeff, s_pow_int(payload, int(p)))
+                    coeff = coeff * payload ** int(p)
                 else:
-                    coeff = s_mul(
-                        coeff, _principal_power(s_to_complex(payload), p)
-                    )
+                    coeff = coeff * _principal_power(complex(payload), p)
                 continue
             newbases.append((payload, p))
         if dead:
@@ -554,7 +547,7 @@ def evaluate(f: HoloSum, point) -> complex:
     pt = tuple(complex(z) for z in point)
     total = 0j
     for t in f.terms:
-        v = s_to_complex(t.coefficient)
+        v = complex(t.coefficient)
         for z, m in zip(pt, t.monomial):
             if m:
                 v = v * z**m
@@ -586,9 +579,9 @@ def _expand_base_power(b: BasePoly, n: int) -> dict:
             for e2, c2 in b.entries:
                 e = tuple(a + bb for a, bb in zip(e1, e2))
                 prev = nxt.get(e)
-                v = s_mul(c1, c2)
-                nxt[e] = v if prev is None else s_add(prev, v)
-        acc = {k: v for k, v in nxt.items() if not s_is_zero(v)}
+                v = c1 * c2
+                nxt[e] = v if prev is None else prev + v
+        acc = {k: v for k, v in nxt.items() if v}
     return acc
 
 
@@ -626,7 +619,7 @@ def canonical_form(f: HoloSum) -> dict:
         for b, p in t.bases:
             pmin = minima[(b, p - math.floor(p))]
             surplus = p - pmin
-            if not e_is_zero(pmin):
+            if pmin:
                 residual.append((b, pmin))
             if surplus > 0:
                 expanders.append((b, int(surplus)))
@@ -643,15 +636,15 @@ def canonical_form(f: HoloSum) -> dict:
             for m1, c1 in pieces.items():
                 for m2, c2 in expanded.items():
                     m = tuple(a + bb for a, bb in zip(m1, m2))
-                    v = s_mul(c1, c2)
+                    v = c1 * c2
                     prev = nxt.get(m)
-                    nxt[m] = v if prev is None else s_add(prev, v)
+                    nxt[m] = v if prev is None else prev + v
             pieces = nxt
         for m, c in pieces.items():
             k = (m, sig)
             prev = out.get(k)
-            out[k] = c if prev is None else s_add(prev, c)
-    return {k: v for k, v in out.items() if not s_is_zero(v)}
+            out[k] = c if prev is None else prev + c
+    return {k: v for k, v in out.items() if v}
 
 
 _SAMPLE_SEED = 20260822
@@ -723,7 +716,7 @@ def sl2_action(generator: str, lam, f: HoloSum) -> HoloSum:
         raise DomainError("sl2_action needs a one-variable sum")
     df = differentiate(f, 0)
     if generator == "H":
-        return add(scale(f, s_neg(lam)), _shift(df, (1,), -2))
+        return add(scale(f, -lam), _shift(df, (1,), -2))
     if generator == "X":
         return scale(df, qqi(-1))
     if generator == "Y":
@@ -744,7 +737,7 @@ def casimir_sl2(lam, f: HoloSum) -> HoloSum:
 def _diag_h(lam1, lam2, f: HoloSum) -> HoloSum:
     d1 = _shift(differentiate(f, 0), (1, 0), -2)
     d2 = _shift(differentiate(f, 1), (0, 1), -2)
-    return add(scale(f, s_neg(s_add(lam1, lam2))), add(d1, d2))
+    return add(scale(f, -(lam1 + lam2)), add(d1, d2))
 
 
 def _diag_x(f: HoloSum) -> HoloSum:
@@ -793,7 +786,7 @@ def _scalar_text(c) -> str:
         if e.im == 0:
             return str(e.re)
         return f"(c {e.re} {e.im})"
-    z = s_to_complex(c)
+    z = complex(c)
     if z.imag == 0.0:
         return _float_text(z.real)
     return f"(c {_float_text(z.real)} {_float_text(z.imag)})"

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import holobreak
 from holobreak.cli import (
     ConfigError,
     SuiteConfig,
@@ -426,6 +429,13 @@ def test_eval_point_arity_mismatch(capsys):
     assert "arity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "1e400", "1+nanj"])
+def test_eval_rejects_non_finite_point(capsys, coord):
+    code = main(["eval", "(sum 1 (term 2 (mono 1)))", "--at", coord])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_eval_unknown_form_lists_choices(capsys):
     code = main(["eval", "frobnicate", "1"])
     assert code == 2
@@ -433,9 +443,13 @@ def test_eval_unknown_form_lists_choices(capsys):
 
 
 def test_module_entry_point():
+    # the child imports holobreak from wherever this process found it
+    src = str(Path(holobreak.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "holobreak.cli", "eval", "constant", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

@@ -48,10 +48,6 @@ from holobreak.term_algebra import (
     equal,
     holo_sum,
     qqi,
-    s_add,
-    s_is_zero,
-    s_mul,
-    s_neg,
     scale,
     term,
 )
@@ -82,15 +78,15 @@ def shifted_wave(arity, shifts, extra=None):
         e2 = [0] * arity
         e2[i] = 2
         entries[tuple(e2)] = sign
-        lin = s_mul(qqi(-2 * sign), c)
-        if not s_is_zero(lin):
+        lin = -2 * sign * c
+        if lin:
             e1 = [0] * arity
             e1[i] = 1
             entries[tuple(e1)] = lin
-        const = s_add(const, s_mul(qqi(sign), s_mul(c, c)))
+        const = const + sign * c * c
     if extra is not None:
-        const = s_add(const, extra)
-    if not s_is_zero(const):
+        const = const + extra
+    if const:
         entries[(0,) * arity] = const
     return base_poly(arity, entries)
 
@@ -231,8 +227,8 @@ def test_operator_on_shifted_kernel_power():
         lhs = juhl_sbo_apply(JuhlParams(n, lam, ell), f)
         coeff = qqi(q_constant(n, ell, lam))
         for _ in range(ell):
-            coeff = s_mul(coeff, s_neg(c_last))
-        rhs_base = shifted_wave(n - 1, shifts[:-1], extra=s_neg(s_mul(c_last, c_last)))
+            coeff = coeff * -c_last
+        rhs_base = shifted_wave(n - 1, shifts[:-1], extra=-c_last * c_last)
         rhs = holo_sum(n - 1, [term(n - 1, coeff, None, [(rhs_base, -lam - ell)])])
         assert equal(lhs, rhs, "exact"), (n, ell, lam)
 
@@ -325,6 +321,19 @@ def test_lift_matches_weighted_fiber_profile():
             assert rel(lhs, rhs) < 1e-12, (n, lam, ell, v)
 
 
+def test_lift_rejects_points_off_the_cone():
+    lift = phi_cone_apply(JuhlParams(3, 2.5, 1), lambda yp: 1.0)
+    assert lift(X3A) != 0.0
+    for bad, message in [
+        ((1.0, 2.0, 0.0), "is not in the 3-dimensional cone"),
+        ((-2.0, 0.3, -0.2), "is not in the 3-dimensional cone"),
+        (P2A, "is not in the 3-dimensional cone"),
+        ((2.0, 0.3 + 0.1j, -0.2), "must be real"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            lift(bad)
+
+
 def test_lift_isometry_ratio_pointwise():
     for n, lam, ells, pts in [
         (3, 2.5, (0, 1, 2, 3, 4), (P2A, P2B)),
@@ -368,6 +377,8 @@ def test_fiber_transform_errors():
     p = JuhlParams(3, 2.5, 0)
     with pytest.raises(DomainError):
         juhl_hat_apply(p, lambda y: 1.0, (1.0, 2.0))
+    with pytest.raises(DomainError, match="is not in the cone"):
+        phi_isometry_ratio(p, lambda y: 1.0, (1.0, 2.0))
     with pytest.raises(DomainError):
         juhl_hat_apply(p, lambda y: 1.0, P2A, method="simpson")
     jump = lambda y: 1.0 if y[2] > 0.1234 * y[0] else 0.0

@@ -1,10 +1,13 @@
 """Exact term calculus: construction, derivations, restriction, equality."""
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobreak.special_poly import DomainError, PoleError
 from holobreak.term_algebra import (
@@ -13,6 +16,7 @@ from holobreak.term_algebra import (
     BranchCutError,
     ExactnessError,
     ParseError,
+    QQi,
     SingularRestrictionError,
     add,
     base_poly,
@@ -31,9 +35,6 @@ from holobreak.term_algebra import (
     qqi,
     registered_bases,
     restrict,
-    s_inv,
-    s_mul,
-    s_pow_int,
     scale,
     sl2_action,
     sub,
@@ -82,15 +83,62 @@ def ktype(lam1, lam2, ell):
 def test_gaussian_rational_arithmetic():
     a = qqi(F(1, 2), F(3, 2))
     b = qqi(2, -1)
-    prod = s_mul(a, b)
+    prod = a * b
     assert (prod.re, prod.im) == (F(5, 2), F(5, 2))
-    inv = s_inv(a)
-    assert s_mul(a, inv) == qqi(1)
-    assert s_pow_int(qqi(0, 1), -3) == qqi(0, 1)  # i^(-3) = i
+    assert a * a**-1 == qqi(1)
+    assert qqi(0, 1) ** -3 == qqi(0, 1)  # i^(-3) = i
+    with pytest.raises(ZeroDivisionError):
+        qqi(0) ** -1
 
 
 def test_scalar_mixed_degrades_to_complex():
-    assert s_mul(qqi(1, 1), 0.5) == 0.5 + 0.5j
+    assert qqi(1, 1) * 0.5 == 0.5 + 0.5j
+
+
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+gaussian = st.builds(qqi, small_fractions, small_fractions)
+exact_numbers = st.one_of(st.integers(-20, 20), small_fractions)
+inexact_numbers = st.one_of(
+    st.floats(-10, 10),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+ARITHMETIC = (operator.add, operator.sub, operator.mul)
+
+
+def close(x: complex, y: complex) -> bool:
+    return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+
+@given(gaussian, st.one_of(gaussian, exact_numbers, inexact_numbers))
+@settings(max_examples=150)
+def test_qqi_operators_follow_complex_arithmetic(a, b):
+    assert close(complex(-a), -complex(a))
+    for op in ARITHMETIC:
+        assert close(complex(op(a, b)), op(complex(a), complex(b)))
+        assert close(complex(op(b, a)), op(complex(b), complex(a)))
+
+
+@given(gaussian, exact_numbers, inexact_numbers)
+@settings(max_examples=100)
+def test_qqi_exact_operands_stay_exact(a, x, y):
+    for op in ARITHMETIC:
+        assert isinstance(op(a, x), QQi) and isinstance(op(x, a), QQi)
+        assert type(op(a, y)) is complex and type(op(y, a)) is complex
+
+
+@given(gaussian, st.integers(0, 6))
+@settings(max_examples=100)
+def test_qqi_negative_power_inverts(a, n):
+    if a:
+        assert a**n * a**-n == qqi(1)
+    elif n:
+        with pytest.raises(ZeroDivisionError):
+            a**-n
+
+
+@given(gaussian)
+def test_qqi_truth_is_nonzero(a):
+    assert bool(a) == (complex(a) != 0)
 
 
 # --- bases -----------------------------------------------------------------
