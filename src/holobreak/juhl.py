@@ -82,7 +82,7 @@ class JuhlParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise DomainError(f"need integer dimension n >= 3, got {self.n!r}")
-        if not isinstance(self.ell, int) or self.ell < 0:
+        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
             raise DomainError(f"need integer ell >= 0, got {self.ell!r}")
 
     @property
@@ -129,7 +129,7 @@ def _real_vector(y):
 def in_cone(y) -> bool:
     """Membership in the open time-like cone: positive form, positive y1."""
     y = _real_vector(y)
-    return y[0] > 0 and q_form(y) > 0
+    return q_form(y) > 0 and y[0] > 0
 
 
 def _cone_point(y, what: str, dim: int | None = None):
@@ -607,7 +607,6 @@ def cone_fourier_laplace(
     tol: float = 1e-6,
     start_order: int = 8,
     max_order: int = 48,
-    strict: bool = True,
 ):
     """Fourier-Laplace transform of F over the n-dimensional cone, n in {3, 4}.
 
@@ -616,7 +615,8 @@ def cone_fourier_laplace(
     power of (1 - rho^2); it is folded into the radial Jacobi weight, so a
     lifted integrand with fractional boundary decay still converges at
     spectral rate.  The imaginary part of zeta must lie in the open cone,
-    which is what makes the oscillatory factor decay.
+    which is what makes the oscillatory factor decay.  Raises DomainError
+    when the quadrature does not converge.
     """
     if n not in (3, 4):
         raise DomainError("cone transform implemented for n in {3, 4}")
@@ -649,7 +649,7 @@ def cone_fourier_laplace(
     res = integrate_region(
         integrand, axes, tol=tol, start_order=start_order, max_order=max_order
     )
-    if strict and not res.converged:
+    if not res.converged:
         raise DomainError(f"cone transform did not converge (err {res.error:.2e})")
     return res.value
 

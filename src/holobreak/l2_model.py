@@ -202,101 +202,67 @@ def _guarded(g):
     return safe
 
 
-def _fold_one(fn, lam):
-    # integrand against the Laguerre weight z^(lam-1) e^(-2z): the extra
-    # z^(2-2 lam) e^(2z) restores |f|^2 z^(1-lam)
-    expo = 2.0 - 2.0 * float(lam)
+def _weighted_integral(pointwise, weights, tol: float, what: str):
+    """Integral of pointwise(*xs) against the product of x^(1-lam) dx over
+    the axes, one per weight, through scaled Laguerre rules with the weight
+    x^(lam-1) e^(-2x): the integrand puts back x^(2-2 lam) e^(2x) on each
+    axis.  Raises DomainError when the quadrature does not converge."""
+    expos = [2.0 - 2.0 * float(lam) for lam in weights]
 
-    def g(zval):
-        val = fn(zval)
-        return abs(val) ** 2 * zval**expo * math.exp(2 * zval)
+    @_guarded
+    def g(*xs):
+        v = pointwise(*xs)
+        for x, e in zip(xs, expos):
+            v = v * x**e
+        return v * math.exp(2 * sum(xs))
 
-    return _guarded(g)
+    if len(weights) == 1:
+        gamma = float(weights[0]) - 1
+        res = integrate_adaptive(g, "laguerre", tol=tol, gamma=gamma, scale=2.0)
+    else:
+        axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
+        res = integrate_region(g, axes, tol=tol)
+    if not res.converged:
+        raise DomainError(f"{what} quadrature did not converge")
+    return res.value
 
 
-def weighted_norm_sq(f: L2Fn, tol: float = 1e-10, strict: bool = True) -> float:
+def weighted_norm_sq(f: L2Fn, tol: float = 1e-10) -> float:
     """Squared norm of a declared-weight function by adaptive quadrature
-    with the weight folded into a scaled Laguerre rule."""
+    with the weight folded into a scaled Laguerre rule.  Raises DomainError
+    when the quadrature does not converge."""
     if not isinstance(f, L2Fn):
         raise DomainError("weighted_norm_sq needs a declared-weight function")
-    if f.arity == 1:
-        lam = f.weights[0]
-        res = integrate_adaptive(
-            _fold_one(f.func, lam), "laguerre", tol=tol,
-            gamma=float(lam) - 1, scale=2.0,
-        )
-        if strict and not res.converged:
-            raise DomainError("norm quadrature did not converge")
-        return float(res.value)
-    lam1, lam2 = f.weights
-    e1 = 2.0 - 2.0 * float(lam1)
-    e2 = 2.0 - 2.0 * float(lam2)
-
-    def g(x, y):
-        return abs(f.func(x, y)) ** 2 * x**e1 * y**e2 * math.exp(2 * (x + y))
-
-    res = integrate_region(
-        _guarded(g),
-        [("laguerre", float(lam1) - 1, 2.0), ("laguerre", float(lam2) - 1, 2.0)],
-        tol=tol,
-    )
-    if strict and not res.converged:
-        raise DomainError("norm quadrature did not converge")
-    return float(res.value)
+    fn = f.func
+    return float(_weighted_integral(lambda *xs: abs(fn(*xs)) ** 2, f.weights, tol, "norm"))
 
 
-def weighted_inner(f: L2Fn, g: L2Fn, tol: float = 1e-10, strict: bool = True):
+def weighted_inner(f: L2Fn, g: L2Fn, tol: float = 1e-10):
     """Weighted inner product <f, g>, conjugate-linear in g; both arguments
-    must declare the same weights."""
+    must declare the same weights.  Raises DomainError when the quadrature
+    does not converge."""
     if not isinstance(f, L2Fn) or not isinstance(g, L2Fn):
         raise DomainError("weighted_inner needs declared-weight functions")
     if f.weights != g.weights:
         raise DomainError("weighted_inner needs matching weights")
-    if f.arity == 1:
-        lam = f.weights[0]
-        expo = 2.0 - 2.0 * float(lam)
-
-        def prod(z):
-            return f.func(z) * complex(g.func(z)).conjugate() * z**expo * math.exp(2 * z)
-
-        res = integrate_adaptive(
-            _guarded(prod), "laguerre", tol=tol, gamma=float(lam) - 1, scale=2.0
-        )
-    else:
-        lam1, lam2 = f.weights
-        e1 = 2.0 - 2.0 * float(lam1)
-        e2 = 2.0 - 2.0 * float(lam2)
-
-        def prod2(x, y):
-            return (
-                f.func(x, y)
-                * complex(g.func(x, y)).conjugate()
-                * x**e1
-                * y**e2
-                * math.exp(2 * (x + y))
-            )
-
-        res = integrate_region(
-            _guarded(prod2),
-            [("laguerre", float(lam1) - 1, 2.0), ("laguerre", float(lam2) - 1, 2.0)],
-            tol=tol,
-        )
-    if strict and not res.converged:
-        raise DomainError("inner-product quadrature did not converge")
-    return res.value
+    fn, gn = f.func, g.func
+    return _weighted_integral(
+        lambda *xs: fn(*xs) * complex(gn(*xs)).conjugate(), f.weights, tol, "inner-product"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Fourier-Laplace bridge
 
 
-def fourier_laplace(F, zeta, tol: float = 1e-10, strict: bool = True, zmax: float = 40.0):
+def fourier_laplace(F, zeta, tol: float = 1e-10, zmax: float = 40.0):
     """Boundary transform integral of F(z) e^(i zeta z) over (0, inf) for
     zeta in the upper half plane.
 
     The half line is truncated at zmax and split into geometrically growing
     panels, the smallest at the origin so fractional-power behavior of F is
-    resolved; F must be negligible past zmax.
+    resolved; F must be negligible past zmax.  Raises DomainError when the
+    quadrature does not converge.
     """
     if complex(zeta).imag <= 0:
         raise DomainError("fourier_laplace needs Im zeta > 0")
@@ -312,7 +278,7 @@ def fourier_laplace(F, zeta, tol: float = 1e-10, strict: bool = True, zmax: floa
         start_order=16,
         max_order=128,
     )
-    if strict and not res.converged:
+    if not res.converged:
         raise DomainError("fourier_laplace quadrature did not converge")
     return res.value
 

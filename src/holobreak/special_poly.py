@@ -384,9 +384,9 @@ def gegenbauer_inflated(ell: int, alpha) -> PolyTwoVar:
 
 def gegenbauer_norm_sq(ell: int, alpha):
     """L2 norm squared against (1-v^2)^(alpha-1/2) on (-1, 1); alpha > -1/2."""
-    a = float(alpha)
     if isinstance(alpha, complex):
         raise DomainError("gegenbauer_norm_sq needs a real parameter")
+    a = float(alpha)
     if a <= -0.5:
         raise DomainError("gegenbauer_norm_sq needs alpha > -1/2")
     if a == 0.0:

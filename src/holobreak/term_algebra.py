@@ -7,6 +7,8 @@ arbitrary complex number.  Sums of terms are closed under exactly the
 operations the transforms need -- differentiation, restriction to a
 hyperplane or the diagonal, pointwise evaluation, the sl2 actions -- and
 nothing else: there is deliberately no general term-times-term product.
+Restriction is an exponent substitution: one map on exponent tuples,
+applied to the term monomial and to every base entry.
 
 Two equality modes are provided.  Exact mode decides equality of sums with
 rational data by canonicalizing the difference: within each base, exponents
@@ -229,34 +231,6 @@ class BasePoly:
             m[ne] = m.get(ne, 0) + c * e[var]
         return {k: v for k, v in m.items() if v}
 
-    def substitute_last_zero(self):
-        """Set the last variable to zero; returns ('zero'|'const'|'poly', payload)."""
-        m: dict = {}
-        for e, c in self.entries:
-            if e[-1] != 0:
-                continue
-            m[e[:-1]] = c
-        return _classify_entries(self.arity - 1, m)
-
-    def substitute_diagonal(self):
-        """Identify the two variables of an arity-2 base."""
-        if self.arity != 2:
-            raise DomainError("diagonal substitution needs arity 2")
-        m: dict = {}
-        for (i, j), c in self.entries:
-            key = (i + j,)
-            m[key] = m.get(key, 0) + c
-        return _classify_entries(1, m)
-
-
-def _classify_entries(arity: int, mapping: dict):
-    mapping = {k: v for k, v in mapping.items() if v}
-    if not mapping:
-        return ("zero", None)
-    if set(mapping) == {(0,) * arity}:
-        return ("const", mapping[(0,) * arity])
-    return ("poly", base_poly(arity, mapping))
-
 
 _REGISTRY: dict = {}
 
@@ -283,7 +257,10 @@ def base_poly(arity: int, mapping) -> BasePoly:
     entries = tuple(sorted(entries))
     if not entries:
         raise DomainError("the zero polynomial cannot be a base")
-    b = BasePoly(arity, entries)
+    return _intern(BasePoly(arity, entries))
+
+
+def _intern(b: BasePoly) -> BasePoly:
     return _REGISTRY.setdefault(b, b)
 
 
@@ -322,8 +299,9 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     """Normalize one term: merge duplicate bases, fold monomial bases.
 
     A base that is a single monomial raised to a positive integer power is
-    folded into the term monomial; a constant base folds into the
-    coefficient.  Exponent-zero factors drop.
+    folded into the term monomial.  A constant base folds into the
+    coefficient: exactly under an integer exponent, by the principal power
+    otherwise.  Exponent-zero factors drop.
     """
     coeff = exactify(coefficient)
     if coeff is None:
@@ -449,14 +427,23 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     return cur
 
 
-def _exp_is_pos_int(p) -> bool:
-    return isinstance(p, Fraction) and p.denominator == 1 and p > 0
+def _cut_last(e):
+    return None if e[-1] else e[:-1]
+
+
+def _join_pair(e):
+    return (e[0] + e[1],)
 
 
 def restrict(f: HoloSum, kind: str) -> HoloSum:
-    """Restrict to a boundary: kind 'last-zero' sets the final variable to
-    zero (arity drops by one), kind 'diagonal' identifies the two variables
-    of an arity-2 sum (arity drops to one).
+    """Restrict to a boundary by substituting exponents.
+
+    Kind 'last-zero' sets the final variable to zero: an exponent tuple with
+    a nonzero last entry vanishes, any other loses that entry.  Kind
+    'diagonal' identifies the two variables of an arity-2 sum:
+    (i, j) -> (i + j,).  Either way the arity drops by one.  The one map is
+    applied to the term monomial and to every base entry, and `term` folds
+    the bases that became constants or single monomials.
 
     A base that vanishes identically under the substitution kills its term
     when its exponent is a positive integer and raises
@@ -465,49 +452,38 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     if kind == "last-zero":
         if f.arity < 1:
             raise DomainError("nothing to restrict")
-        new_arity = f.arity - 1
+        cut = _cut_last
     elif kind == "diagonal":
         if f.arity != 2:
             raise DomainError("diagonal restriction needs arity 2")
-        new_arity = 1
+        cut = _join_pair
     else:
         raise DomainError(f"unknown restriction {kind!r}")
-
+    arity = f.arity - 1
     out = []
     for t in f.terms:
-        if kind == "last-zero":
-            if t.monomial[-1] > 0:
-                continue
-            mono = t.monomial[:-1]
-        else:
-            mono = (t.monomial[0] + t.monomial[1],)
-        coeff = t.coefficient
-        newbases = []
-        dead = False
+        mono = cut(t.monomial)
+        if mono is None:
+            continue
+        bases = []
         for b, p in t.bases:
-            tag, payload = (
-                b.substitute_last_zero()
-                if kind == "last-zero"
-                else b.substitute_diagonal()
-            )
-            if tag == "zero":
-                if _exp_is_pos_int(p):
-                    dead = True
-                    break
+            m: dict = {}
+            for e, c in b.entries:
+                e = cut(e)
+                if e is not None:
+                    m[e] = m[e] + c if e in m else c
+            entries = tuple(sorted((e, c) for e, c in m.items() if c))
+            if entries:
+                bases.append((_intern(BasePoly(arity, entries)), p))
+            elif isinstance(p, Fraction) and p.denominator == 1 and p > 0:
+                break  # the term vanishes
+            else:
                 raise SingularRestrictionError(
                     f"base vanishes under {kind} with exponent {p!r}"
                 )
-            if tag == "const":
-                if isinstance(p, Fraction) and p.denominator == 1:
-                    coeff = coeff * payload ** int(p)
-                else:
-                    coeff = coeff * _principal_power(complex(payload), p)
-                continue
-            newbases.append((payload, p))
-        if dead:
-            continue
-        out.append(term(new_arity, coeff, mono, newbases))
-    return holo_sum(new_arity, out)
+        else:
+            out.append(term(arity, t.coefficient, mono, bases))
+    return holo_sum(arity, out)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +546,24 @@ def _require_exact(f: HoloSum):
                 raise ExactnessError(f"exponent {p!r} is not exact")
 
 
+def _sparse_product(p: dict, q) -> dict:
+    """Product of two sparse polynomials, `p` an exponent->coefficient dict
+    and `q` its (exponent, coefficient) pairs; zero sums are kept."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = c1 * c2
+            prev = out.get(e)
+            out[e] = v if prev is None else prev + v
+    return out
+
+
 def _expand_base_power(b: BasePoly, n: int) -> dict:
     """Entries of b**n as an exponent->QQi mapping (n >= 0)."""
     acc = {(0,) * b.arity: QQI_ONE}
     for _ in range(n):
-        nxt: dict = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in b.entries:
-                e = tuple(a + bb for a, bb in zip(e1, e2))
-                prev = nxt.get(e)
-                v = c1 * c2
-                nxt[e] = v if prev is None else prev + v
-        acc = {k: v for k, v in nxt.items() if v}
+        acc = {k: v for k, v in _sparse_product(acc, b.entries).items() if v}
     return acc
 
 
@@ -631,15 +613,7 @@ def canonical_form(f: HoloSum) -> dict:
         sig = tuple(sorted(residual))
         pieces = {t.monomial: exactify(t.coefficient)}
         for b, n in expanders:
-            expanded = _expand_base_power(b, n)
-            nxt: dict = {}
-            for m1, c1 in pieces.items():
-                for m2, c2 in expanded.items():
-                    m = tuple(a + bb for a, bb in zip(m1, m2))
-                    v = c1 * c2
-                    prev = nxt.get(m)
-                    nxt[m] = v if prev is None else prev + v
-            pieces = nxt
+            pieces = _sparse_product(pieces, _expand_base_power(b, n).items())
         for m, c in pieces.items():
             k = (m, sig)
             prev = out.get(k)

@@ -110,6 +110,8 @@ def test_params_validation():
         JuhlParams(2, 2, 0)
     with pytest.raises(DomainError):
         JuhlParams(3, 2, -1)
+    with pytest.raises(DomainError):
+        JuhlParams(3, 2, True)
     p = JuhlParams(3, F(5, 2), 2)
     assert p.alpha == F(3, 2) and isinstance(p.alpha, F)
     assert p.nu == F(9, 2)
@@ -131,6 +133,8 @@ def test_in_cone_membership():
     assert in_cone(P2A) and in_cone(P2B)
     assert not in_cone((1.0, 2.0, 0.0))
     assert not in_cone((-1.0, 0.0, 0.0))
+    with pytest.raises(DomainError):
+        in_cone(())
 
 
 def test_iota_cone_values_and_errors():

@@ -413,8 +413,6 @@ def test_weighted_norm_unconverged_paths():
     wild = l2fn(lambda z: z * math.cos(200.0 * z * z), 2.0)
     with pytest.raises(DomainError):
         weighted_norm_sq(wild)
-    value = weighted_norm_sq(wild, strict=False)
-    assert isinstance(value, float)
 
 
 def test_fourier_laplace_pairs():

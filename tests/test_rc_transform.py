@@ -45,6 +45,7 @@ from holobreak.term_algebra import (
     sl2_action_pair,
     sub,
     term,
+    to_text,
 )
 
 
@@ -122,6 +123,50 @@ def test_rc_order_one_explicit():
             scale(differentiate(f, 1), F(2)),
         )
         assert equal(rc_apply(p, f), restrict(manual, "diagonal"))
+
+
+def test_rc_apply_text_pinned_at_float_and_complex_weights():
+    # the constant base z1 - z2 + 2 restricts to 2 and folds by the
+    # principal power 2^(1/3); every float of the output is pinned
+    b1 = var_plus_i(2, 0)
+    b2 = base_poly(2, {(0, 1): 1, (0, 0): qqi(0, 2)})
+    b3 = base_poly(2, {(1, 0): 1, (0, 1): -1, (0, 0): 2})
+    got = []
+    for lam1, lam2 in ((2.3, 1.7), (1.3 + 0.4j, 2.1 - 0.7j)):
+        f = holo_sum(2, [term(2, 1, (0, 1), [(b1, -lam1), (b2, -lam2), (b3, F(1, 3))])])
+        got.append(to_text(rc_apply(RCParams(lam1, lam2, 1), f)))
+    assert got[0] == "\n".join([
+        "(sum 1",
+        "  (term -2.8978184147582082 (mono 0)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) -2.3)"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) -1.7))",
+        "  (term -4.926291305088954 (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) -3.3)"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) -1.7))",
+        "  (term 4.926291305088954 (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) -2.3)"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) -2.7))",
+        "  (term 0.8399473665965821 (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) -2.3)"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) -1.7))",
+        ")",
+    ])
+    assert got[1] == "\n".join([
+        "(sum 1",
+        "  (term (c -1.6378973648633348 -0.5039684199579493) (mono 0)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) (c -1.3 -0.4))"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) (c -2.1 0.7)))",
+        "  (term (c -3.7923623601835685 0.08819447349264092) (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) (c -2.3 -0.4))"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) (c -2.1 0.7)))",
+        "  (term (c 3.7923623601835676 -0.08819447349264078) (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) (c -1.3 -0.4))"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) (c -3.1 0.7)))",
+        "  (term (c 0.7139552616070948 -0.06299605249474365) (mono 1)"
+        " (pow (base ((0) (c 0 1)) ((1) 1)) (c -1.3 -0.4))"
+        " (pow (base ((0) (c 0 2)) ((1) 1)) (c -2.1 0.7)))",
+        ")",
+    ])
 
 
 def test_rc_rejects_bad_input():

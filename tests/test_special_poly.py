@@ -306,6 +306,8 @@ def test_norm_domain_errors():
         jacobi_norm_sq(0, 1 + 1j, 0)
     with pytest.raises(DomainError):
         gegenbauer_norm_sq(2, -0.6)
+    with pytest.raises(DomainError):
+        gegenbauer_norm_sq(2, 1 + 1j)
 
 
 # --- containers ------------------------------------------------------------

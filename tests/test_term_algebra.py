@@ -298,6 +298,34 @@ def test_restrict_base_becoming_constant_folds():
     assert equal(r, monomial(1, (1,), F(1, 4)))
 
 
+def test_restrict_diagonal_constant_base_fractional_exponent():
+    b = base_poly(2, {(1, 0): 1, (0, 1): -1, (0, 0): qqi(-2, 2)})  # z1 - z2 - 2 + 2i
+    f = holo_sum(2, [term(2, 3, (1, 1), [(b, F(1, 3))])])
+    (t,) = restrict(f, "diagonal").terms
+    assert t.monomial == (2,) and t.bases == ()
+    assert isinstance(t.coefficient, complex)
+    # the principal cube root of -2 + 2i = sqrt 8 e^(3 pi i / 4) is 1 + i
+    assert abs(t.coefficient - (3 + 3j)) < 1e-14
+
+
+def test_restrict_diagonal_constant_base_negative_integer_exponent():
+    b = base_poly(2, {(1, 0): 1, (0, 1): -1, (0, 0): qqi(1, 1)})  # z1 - z2 + 1 + i
+    f = holo_sum(2, [term(2, 3, (1, 1), [(b, F(-2))])])
+    (t,) = restrict(f, "diagonal").terms
+    assert t.monomial == (2,) and t.bases == ()
+    assert t.coefficient == qqi(0, F(-3, 2))  # 3 / (1 + i)^2 = 3 / (2i)
+
+
+def test_restrict_rejects_bad_kind_and_arity():
+    f = monomial(2, (1, 0))
+    with pytest.raises(DomainError, match="unknown restriction 'sideways'"):
+        restrict(f, "sideways")
+    with pytest.raises(DomainError, match="diagonal restriction needs arity 2"):
+        restrict(monomial(3, (1, 0, 0)), "diagonal")
+    with pytest.raises(DomainError, match="nothing to restrict"):
+        restrict(restrict(monomial(1, (0,)), "last-zero"), "last-zero")
+
+
 # --- evaluation ------------------------------------------------------------
 
 
