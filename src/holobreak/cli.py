@@ -76,6 +76,7 @@ from .rc_transform import (
 from .l2_model import fourier_laplace, halfplane_norm_sq, l2fn, phi_apply, weighted_norm_sq
 from .juhl import (
     JuhlParams,
+    adjoint_constant,
     bernstein_sato_verify,
     cone_constants,
     kernel_normalization,
@@ -689,11 +690,7 @@ def _build_kernels(cfg: SuiteConfig, rng) -> list:
                 params = {"n": n, "lam": _encode(lam), "ell": ell}
 
                 def run(n=n, lam=lam, ell=ell):
-                    p = JuhlParams(n, float(lam), ell)
-                    try:
-                        got = cone_constants(p)["adjoint_const"]
-                    except PoleError as exc:
-                        return _reported("pole", f"{exc}, reported only")
+                    got = adjoint_constant(JuhlParams(n, float(lam), ell))
                     want = (
                         (-1) ** ell
                         * kernel_normalization(n, float(lam)).conjugate()

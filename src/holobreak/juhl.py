@@ -50,15 +50,13 @@ from .term_algebra import (
     ExactnessError,
     HoloSum,
     _expand_base_power,
-    add,
     base_poly,
     canonical_form,
+    combine,
     differentiate,
     holo_sum,
     qqi,
     restrict,
-    scale,
-    sub,
     term,
 )
 
@@ -194,10 +192,8 @@ def lorentz_laplacian(f: HoloSum, nvars: int) -> HoloSum:
     """Signature (1, nvars-1) wave operator acting on the leading variables."""
     if not 1 <= nvars <= f.arity:
         raise DomainError(f"laplacian over {nvars} of {f.arity} variables")
-    out = differentiate(f, 0, 2)
-    for j in range(1, nvars):
-        out = sub(out, differentiate(f, j, 2))
-    return out
+    pieces = [(1 if j == 0 else -1, differentiate(f, j, 2)) for j in range(nvars)]
+    return combine(f.arity, pieces)
 
 
 def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSum:
@@ -207,7 +203,7 @@ def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSu
     if route not in JUHL_ROUTES:
         raise DomainError(f"unknown route {route!r}; pick one of {JUHL_ROUTES}")
     inflated = gegenbauer_inflated(ell, alpha) if route == "inflated" else None
-    total = holo_sum(n, [])
+    pieces = []
     wave_k = f
     for k in range(ell // 2 + 1):
         piece = differentiate(wave_k, n - 1, ell - 2 * k)
@@ -219,10 +215,10 @@ def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSu
             coeff = coeff * _I_QQI[(-ell) % 4]
             if k % 2:
                 coeff = -coeff
-        total = add(total, scale(piece, coeff))
+        pieces.append((coeff, piece))
         if 2 * (k + 1) <= ell:
             wave_k = lorentz_laplacian(wave_k, n - 1)
-    return total
+    return combine(n, pieces)
 
 
 def juhl_sbo_apply(
@@ -474,9 +470,8 @@ def cone_constants(params: JuhlParams) -> dict:
 
     Keys: `c_ell` (fiber Gegenbauer norm), `r_ell` (transform-constant
     ratio), `b_n` and `b_prev` (Fourier-Laplace isometry constants of the
-    two cone levels), `kernel_const`, and `adjoint_const` (the scalar in
-    front of the kernel realization of the adjoint).  Gamma poles surface
-    as PoleError.
+    two cone levels), `kernel_const`, and `adjoint_const` (see
+    `adjoint_constant`).  Gamma poles surface as PoleError.
     """
     lam = _real_scalar(params.lam, "weight")
     n, ell = params.n, params.ell
@@ -493,20 +488,27 @@ def cone_constants(params: JuhlParams) -> dict:
         * complex_gamma(lam - n + 1.0)
     )
     r_ell = (num / den).real
-    adjoint = (
-        2.0 ** (2 * lam - n + ell - 1)
-        * complex(pochhammer(lam - n + 1.0, n + ell - 1))
-        * complex(pochhammer(2.0 * lam - n, ell + 1))
-        / (cmath.exp(1j * math.pi * (lam + ell)) * math.pi**n * math.factorial(ell))
-    )
     return {
         "c_ell": float(c_ell.real if isinstance(c_ell, complex) else c_ell),
         "r_ell": r_ell,
         "b_n": _fourier_norm_const(n, lam),
         "b_prev": _fourier_norm_const(n - 1, nu),
         "kernel_const": kernel_normalization(n, lam),
-        "adjoint_const": adjoint,
+        "adjoint_const": adjoint_constant(params),
     }
+
+
+def adjoint_constant(params: JuhlParams) -> complex:
+    """Scalar in front of the kernel realization of the adjoint.  A product
+    of Pochhammer symbols, so finite where `cone_constants` meets a pole."""
+    lam = _real_scalar(params.lam, "weight")
+    n, ell = params.n, params.ell
+    return (
+        2.0 ** (2 * lam - n + ell - 1)
+        * complex(pochhammer(lam - n + 1.0, n + ell - 1))
+        * complex(pochhammer(2.0 * lam - n, ell + 1))
+        / (cmath.exp(1j * math.pi * (lam + ell)) * math.pi**n * math.factorial(ell))
+    )
 
 
 def juhl_operator_norm_sq(params: JuhlParams) -> float:
@@ -577,7 +579,6 @@ def holographic_integral(
         raise DomainError("the kernel integral is only implemented for n = 3")
     zeta = _require_tube(zeta, 3, "evaluation point")
     nu = _real_scalar(params.nu, "target weight")
-    consts = cone_constants(params)
     rule_x = build_rule("legendre", order, a=-radius, b=radius)
     rule_st = build_rule("jacobi", order, alpha=0.0, beta=nu - 2.0)
     rule_st = replace(rule_st, nodes=0.5 * radius * (1.0 + rule_st.nodes))
@@ -595,7 +596,7 @@ def holographic_integral(
         return _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu) * g((tau1, tau2))
 
     total = integrate(integrand, rule_st, rule_st, rule_x, rule_x)
-    return consts["adjoint_const"] * z3_pow * 0.5 * edge_scale**2 * total
+    return adjoint_constant(params) * z3_pow * 0.5 * edge_scale**2 * total
 
 
 def cone_fourier_laplace(

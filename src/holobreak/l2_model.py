@@ -22,6 +22,8 @@ from .special_poly import DomainError, jacobi_poly
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
+_TOL = 1e-10  # order-doubling tolerance of the half-line integrals
+
 
 def i_power(k: int) -> complex:
     """Exact integer power of the imaginary unit."""
@@ -128,7 +130,7 @@ def phi_apply(params, h) -> L2Fn:
     return L2Fn(lifted, (params.lam1, params.lam2))
 
 
-def rchat_apply(params, F, z, method: str = "legendre", tol: float = 1e-10):
+def rchat_apply(params, F, z, method: str = "legendre"):
     """Integrate a quarter-plane function down to one variable:
 
         z^(ell+1)/(2 i^ell) * integral of P(v) F(iota(z, v)) over (-1, 1).
@@ -148,7 +150,7 @@ def rchat_apply(params, F, z, method: str = "legendre", tol: float = 1e-10):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
             return float(poly(v)) * fn(x, y)
 
-        res = integrate_adaptive(integrand, "legendre", tol=tol, a=-1.0, b=1.0)
+        res = integrate_adaptive(integrand, "legendre", tol=_TOL, a=-1.0, b=1.0)
     elif method == "jacobi":
         a = float(params.alpha)
         b = float(params.beta)
@@ -157,9 +159,7 @@ def rchat_apply(params, F, z, method: str = "legendre", tol: float = 1e-10):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
             return float(poly(v)) * fn(x, y) * (1 - v) ** -a * (1 + v) ** -b
 
-        res = integrate_adaptive(
-            integrand, "jacobi", tol=tol, alpha=a, beta=b
-        )
+        res = integrate_adaptive(integrand, "jacobi", tol=_TOL, alpha=a, beta=b)
     else:
         raise DomainError(f"unknown rchat_apply method {method!r}")
     if not res.converged:
@@ -202,7 +202,7 @@ def _guarded(g):
     return safe
 
 
-def _weighted_integral(pointwise, weights, tol: float, what: str):
+def _weighted_integral(pointwise, weights, what: str):
     """Integral of pointwise(*xs) against the product of x^(1-lam) dx over
     the axes, one per weight, through scaled Laguerre rules with the weight
     x^(lam-1) e^(-2x): the integrand puts back x^(2-2 lam) e^(2x) on each
@@ -218,26 +218,26 @@ def _weighted_integral(pointwise, weights, tol: float, what: str):
 
     if len(weights) == 1:
         gamma = float(weights[0]) - 1
-        res = integrate_adaptive(g, "laguerre", tol=tol, gamma=gamma, scale=2.0)
+        res = integrate_adaptive(g, "laguerre", tol=_TOL, gamma=gamma, scale=2.0)
     else:
         axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
-        res = integrate_region(g, axes, tol=tol)
+        res = integrate_region(g, axes, tol=_TOL)
     if not res.converged:
         raise DomainError(f"{what} quadrature did not converge")
     return res.value
 
 
-def weighted_norm_sq(f: L2Fn, tol: float = 1e-10) -> float:
+def weighted_norm_sq(f: L2Fn) -> float:
     """Squared norm of a declared-weight function by adaptive quadrature
     with the weight folded into a scaled Laguerre rule.  Raises DomainError
     when the quadrature does not converge."""
     if not isinstance(f, L2Fn):
         raise DomainError("weighted_norm_sq needs a declared-weight function")
     fn = f.func
-    return float(_weighted_integral(lambda *xs: abs(fn(*xs)) ** 2, f.weights, tol, "norm"))
+    return float(_weighted_integral(lambda *xs: abs(fn(*xs)) ** 2, f.weights, "norm"))
 
 
-def weighted_inner(f: L2Fn, g: L2Fn, tol: float = 1e-10):
+def weighted_inner(f: L2Fn, g: L2Fn):
     """Weighted inner product <f, g>, conjugate-linear in g; both arguments
     must declare the same weights.  Raises DomainError when the quadrature
     does not converge."""
@@ -247,7 +247,7 @@ def weighted_inner(f: L2Fn, g: L2Fn, tol: float = 1e-10):
         raise DomainError("weighted_inner needs matching weights")
     fn, gn = f.func, g.func
     return _weighted_integral(
-        lambda *xs: fn(*xs) * complex(gn(*xs)).conjugate(), f.weights, tol, "inner-product"
+        lambda *xs: fn(*xs) * complex(gn(*xs)).conjugate(), f.weights, "inner-product"
     )
 
 
@@ -255,13 +255,13 @@ def weighted_inner(f: L2Fn, g: L2Fn, tol: float = 1e-10):
 # Fourier-Laplace bridge
 
 
-def fourier_laplace(F, zeta, tol: float = 1e-10, zmax: float = 40.0):
+def fourier_laplace(F, zeta):
     """Boundary transform integral of F(z) e^(i zeta z) over (0, inf) for
     zeta in the upper half plane.
 
-    The half line is truncated at zmax and split into geometrically growing
+    The half line is truncated at 40 and split into geometrically growing
     panels, the smallest at the origin so fractional-power behavior of F is
-    resolved; F must be negligible past zmax.  Raises DomainError when the
+    resolved; F must be negligible past 40.  Raises DomainError when the
     quadrature does not converge.
     """
     if complex(zeta).imag <= 0:
@@ -273,8 +273,8 @@ def fourier_laplace(F, zeta, tol: float = 1e-10, zmax: float = 40.0):
 
     res = integrate_region(
         g,
-        [("panels", geometric_panels(0.0, zmax, first=1.0 / 64.0))],
-        tol=tol,
+        [("panels", geometric_panels(0.0, 40.0, first=1.0 / 64.0))],
+        tol=_TOL,
         start_order=16,
         max_order=128,
     )
@@ -283,32 +283,34 @@ def fourier_laplace(F, zeta, tol: float = 1e-10, zmax: float = 40.0):
     return res.value
 
 
-def halfplane_norm_sq(
-    G,
-    lam,
-    xmax: float = 60.0,
-    ymax: float = 60.0,
-    tol: float = 1e-7,
-) -> float:
+def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
     """Truncated squared norm of a half-plane function against the weight
     (Im zeta)^(lam-2): panels cover |Re zeta| <= xmax, 0 < Im zeta <= ymax.
-    Truncation error falls with the decay of G, so xmax/ymax set the floor."""
+
+    The first Im zeta panel (0, h) is a Gauss-Jacobi edge panel: with
+    Im zeta = h(1+u)/2 the singular weight becomes the rule weight
+    (1+u)^(lam-2) and the integrand |G|^2 (h/2)^(lam-1).  The other panels
+    are plain Legendre.  Raises DomainError, with the error estimate, when
+    either part does not converge to 1e-7.  Truncation error falls with the
+    decay of G, so xmax/ymax set the floor."""
     if not float(lam) > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
     fn = _as_callable(G)
     expo = float(lam) - 2
-
-    def density(xi, eta):
-        return abs(fn(complex(xi, eta))) ** 2 * eta**expo
-
     right = geometric_panels(0.0, xmax, first=1.0)
-    xi_panels = [(-b, -a) for a, b in reversed(right)] + right
+    xi_axis = ("panels", [(-b, -a) for a, b in reversed(right)] + right)
     eta_panels = geometric_panels(0.0, ymax, first=0.5)
-    res = integrate_region(
-        density,
-        [("panels", xi_panels), ("panels", eta_panels)],
-        tol=tol,
-        start_order=8,
-        max_order=32,
-    )
-    return float(res.value)
+    half = 0.5 * eta_panels[0][1]
+    edge = half ** (expo + 1)
+    parts = [(lambda xi, u: abs(fn(complex(xi, half * (1.0 + u)))) ** 2 * edge,
+              ("jacobi", 0.0, expo))]
+    if len(eta_panels) > 1:
+        parts.append((lambda xi, eta: abs(fn(complex(xi, eta))) ** 2 * eta**expo,
+                      ("panels", eta_panels[1:])))
+    total = 0.0
+    for density, eta_axis in parts:
+        res = integrate_region(density, [xi_axis, eta_axis], tol=1e-7, start_order=8, max_order=32)
+        if not res.converged:
+            raise DomainError(f"halfplane_norm_sq did not converge (err {res.error:.2e})")
+        total += res.value
+    return float(total)

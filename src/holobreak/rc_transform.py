@@ -31,16 +31,16 @@ from .special_poly import (
 )
 from .term_algebra import (
     HoloSum,
-    add,
     base_poly,
+    combine,
     differentiate,
     evaluate,
     holo_sum,
-    multiply_expanded,
     qqi,
     restrict,
     scale,
     term,
+    times_monomial,
 )
 
 RC_ROUTES = ("coefficients", "inflated", "variant")
@@ -108,16 +108,17 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
 
     All three routes build the same operator; "coefficients" writes the
     two-index coefficient sum directly, "inflated" and "variant" substitute
-    the partial derivatives into the two bivariate Jacobi forms.
+    the partial derivatives into the two bivariate Jacobi forms.  Each
+    d1^i f is built once, and the sum is normalized once before restriction.
     """
     if f.arity != 2:
         raise DomainError("rc_apply needs a two-variable sum")
-    pieces = []
-    for (i, j), c in _operator_coefficients(params, route).items():
-        g = differentiate(differentiate(f, 0, i), 1, j)
-        pieces.append(scale(g, c))
-    total = holo_sum(2, [t for p in pieces for t in p.terms])
-    return restrict(total, "diagonal")
+    coeffs = _operator_coefficients(params, route)
+    ladder, top = {}, 0  # i -> d1^i f, each rung built from the one below
+    for i in sorted({i for i, _ in coeffs}):
+        ladder[i], top = differentiate(ladder.get(top, f), 0, i - top), i
+    pieces = [(c, differentiate(ladder[i], 1, j)) for (i, j), c in coeffs.items()]
+    return restrict(combine(2, pieces), "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +273,10 @@ def psi_ktype_closed_form(params: RCParams) -> HoloSum:
     return scale(ktype_generator(params), coeff)
 
 
-def psi_quadrature(params: RCParams, g, z1, z2, order: int = 80):
+def psi_quadrature(params: RCParams, g, z1, z2):
     """Backward (holographic) transform of an evaluable one-variable
     function at the point (z1, z2): a weighted integral over the segment
-    joining z1 and z2, by Gauss-Jacobi quadrature.
+    joining z1 and z2, by 80-point Gauss-Jacobi quadrature.
 
     Needs real weights with lam1 + ell > 0 and lam2 + ell > 0 for the
     weight exponents to be integrable.
@@ -287,7 +288,7 @@ def psi_quadrature(params: RCParams, g, z1, z2, order: int = 80):
     b = float(p.lam2 + p.ell - 1)
     if a <= -1 or b <= -1:
         raise DomainError("psi_quadrature needs lam1 + ell > 0 and lam2 + ell > 0")
-    rule = build_rule("jacobi", order, alpha=a, beta=b)
+    rule = build_rule("jacobi", 80, alpha=a, beta=b)
     acc = integrate(lambda v: g(((z2 - z1) * v + (z1 + z2)) / 2), rule)
     pref = (z1 - z2) ** p.ell / (
         2.0 ** float(p.lam1 + p.lam2 + 2 * p.ell - 1) * math.factorial(p.ell)
@@ -313,30 +314,32 @@ def casimir_P(lam1, lam2, f: HoloSum) -> HoloSum:
     d1 = differentiate(f, 0)
     d2 = differentiate(f, 1)
     d12 = differentiate(d1, 1)
-    square = {(2, 0): 1, (1, 1): -2, (0, 2): 1}
-    linear = {(1, 0): 1, (0, 1): -1}
-    out = multiply_expanded(d12, square)
-    out = add(out, scale(multiply_expanded(d1, linear), -_exp(lam2)))
-    return add(out, scale(multiply_expanded(d2, linear), _exp(lam1)))
+    l1, l2 = _exp(lam1), _exp(lam2)
+    pieces = [
+        (1, d12, (2, 0)), (-2, d12, (1, 1)), (1, d12, (0, 2)),
+        (-l2, d1, (1, 0)), (l2, d1, (0, 1)),
+        (l1, d2, (1, 0)), (-l1, d2, (0, 1)),
+    ]
+    return combine(2, [(c, times_monomial(g, e)) for c, g, e in pieces])
 
 
 # ---------------------------------------------------------------------------
 # projection, inversion, zero set
 
 
-def project(params: RCParams, f: HoloSum, order: int = 80):
+def project(params: RCParams, f: HoloSum):
     """Projector (1/c_ell) backward-after-forward onto the order-ell
     summand, returned as an evaluable function of (z1, z2)."""
     g = rc_apply(params, f)
     weight = 1 / c_ell(params.lam1, params.lam2, params.ell)
 
     def component(z1, z2):
-        return weight * psi_quadrature(params, lambda z: evaluate(g, (z,)), z1, z2, order)
+        return weight * psi_quadrature(params, lambda z: evaluate(g, (z,)), z1, z2)
 
     return component
 
 
-def invert_rc(lam1, lam2, components, L=None, order: int = 80):
+def invert_rc(lam1, lam2, components, L=None):
     """Reassemble a two-variable function from its one-variable pieces:
     sum over ell of (1/c_ell) times the backward transform of components[ell],
     truncated at L when given.  Each component must be evaluable on segments
@@ -349,7 +352,7 @@ def invert_rc(lam1, lam2, components, L=None, order: int = 80):
         chosen.append((1 / c_ell(lam1, lam2, ell), p, components[ell]))
 
     def reassembled(z1, z2):
-        return sum(w * psi_quadrature(p, g, z1, z2, order) for w, p, g in chosen)
+        return sum(w * psi_quadrature(p, g, z1, z2) for w, p, g in chosen)
 
     return reassembled
 

@@ -8,7 +8,10 @@ operations the transforms need -- differentiation, restriction to a
 hyperplane or the diagonal, pointwise evaluation, the sl2 actions -- and
 nothing else: there is deliberately no general term-times-term product.
 Restriction is an exponent substitution: one map on exponent tuples,
-applied to the term monomial and to every base entry.
+applied to the term monomial and to every base entry.  Composite operators
+(the sl2 actions and Casimirs here, the Rankin-Cohen, Casimir and Juhl
+operators built on them) collect their pieces with `combine` and normalize
+once, through a single `holo_sum` pass.
 
 Two equality modes are provided.  Exact mode decides equality of sums with
 rational data by canonicalizing the difference: within each base, exponents
@@ -77,9 +80,6 @@ class QQi:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
 
     def __neg__(self) -> "QQi":
         return QQi(-self.re, -self.im)
@@ -208,9 +208,6 @@ class BasePoly:
     def __lt__(self, other):
         return self.key < other.key
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.entries), default=0)
-
     def evaluate(self, point) -> complex:
         out = 0j
         for e, c in self.entries:
@@ -223,13 +220,11 @@ class BasePoly:
 
     def differentiate(self, var: int):
         """Return the derivative as a (possibly empty) entry mapping."""
-        m: dict = {}
-        for e, c in self.entries:
-            if e[var] == 0:
-                continue
-            ne = e[:var] + (e[var] - 1,) + e[var + 1 :]
-            m[ne] = m.get(ne, 0) + c * e[var]
-        return {k: v for k, v in m.items() if v}
+        return {
+            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+            for e, c in self.entries
+            if e[var]
+        }
 
 
 _REGISTRY: dict = {}
@@ -268,10 +263,6 @@ def registered_bases() -> tuple:
     return tuple(_REGISTRY.values())
 
 
-def _is_single_monomial(b: BasePoly) -> bool:
-    return len(b.entries) == 1
-
-
 # ---------------------------------------------------------------------------
 # terms and sums
 
@@ -281,9 +272,6 @@ class HoloTerm:
     coefficient: object  # QQi or complex
     monomial: tuple
     bases: tuple  # sorted ((BasePoly, exponent), ...), unique bases
-
-    def arity(self) -> int:
-        return len(self.monomial)
 
 
 @dataclass(frozen=True)
@@ -301,7 +289,8 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     A base that is a single monomial raised to a positive integer power is
     folded into the term monomial.  A constant base folds into the
     coefficient: exactly under an integer exponent, by the principal power
-    otherwise.  Exponent-zero factors drop.
+    otherwise, also on the cut (a negative constant is exact, so the
+    evaluation guard does not apply).  Exponent-zero factors drop.
     """
     coeff = exactify(coefficient)
     if coeff is None:
@@ -319,7 +308,7 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     for b, p in merged.items():
         if not p:
             continue
-        if _is_single_monomial(b):
+        if len(b.entries) == 1:
             e, c = b.entries[0]
             if isinstance(p, Fraction) and p.denominator == 1 and p > 0:
                 n = int(p)
@@ -327,11 +316,11 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
                 mono = tuple(m + n * ei for m, ei in zip(mono, e))
                 continue
             if sum(e) == 0:
-                # constant base under an arbitrary exponent
+                # an exact constant: its principal power needs no cut guard
                 if isinstance(p, Fraction) and p.denominator == 1:
                     coeff = coeff * c ** int(p)
                 else:
-                    coeff = coeff * _principal_power(complex(c), p)
+                    coeff = coeff * complex(c) ** (float(p) if isinstance(p, Fraction) else p)
                 continue
         out_bases.append((b, p))
     out_bases.sort(key=lambda bp: bp[0])
@@ -375,30 +364,37 @@ def add(f: HoloSum, g: HoloSum) -> HoloSum:
     return holo_sum(f.arity, list(f.terms) + list(g.terms))
 
 
+def combine(arity: int, pieces) -> HoloSum:
+    """The linear combination of c * f over the (c, f) pairs, normalized by
+    one holo_sum pass.  Each f is already normal, so its terms are only
+    rescaled; like terms meet in piece order."""
+    terms = []
+    for c, f in pieces:
+        if f.arity != arity:
+            raise DomainError("arity mismatch in combine")
+        terms += [HoloTerm(t.coefficient * c, t.monomial, t.bases) for t in f.terms]
+    return holo_sum(arity, terms)
+
+
 def scale(f: HoloSum, s) -> HoloSum:
-    return holo_sum(
-        f.arity,
-        [term(f.arity, t.coefficient * s, t.monomial, t.bases) for t in f.terms],
-    )
+    return combine(f.arity, [(s, f)])
 
 
 def sub(f: HoloSum, g: HoloSum) -> HoloSum:
-    return add(f, scale(g, qqi(-1)))
+    return combine(f.arity, [(1, f), (-1, g)])
 
 
-def multiply_expanded(f: HoloSum, mapping) -> HoloSum:
-    """Multiply by an explicit exponent->coefficient polynomial.
-
-    This is the only sanctioned product: the multiplier arrives already
-    expanded into monomials, so the result stays in normal term shape.
-    """
-    out = []
-    for e, c in dict(mapping).items():
-        e = tuple(int(k) for k in e)
-        for t in f.terms:
-            mono = tuple(m + k for m, k in zip(t.monomial, e))
-            out.append(term(f.arity, t.coefficient * c, mono, t.bases))
-    return holo_sum(f.arity, out)
+def times_monomial(f: HoloSum, exponents) -> HoloSum:
+    """f times z^exponents, the one sanctioned product (a polynomial factor
+    is a `combine` of these).  Shifting every monomial alike keeps the terms
+    distinct and in order, so the product is already normal."""
+    e = tuple(int(k) for k in exponents)
+    if len(e) != f.arity or any(k < 0 for k in e):
+        raise DomainError(f"bad monomial {e!r}")
+    return HoloSum(f.arity, tuple(
+        HoloTerm(t.coefficient, tuple(m + k for m, k in zip(t.monomial, e)), t.bases)
+        for t in f.terms
+    ))
 
 
 def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
@@ -676,8 +672,38 @@ def equal(
 # sl2 actions
 
 
-def _shift(f: HoloSum, exponents, coeff=1) -> HoloSum:
-    return multiply_expanded(f, {tuple(exponents): coeff})
+def _sl2(generator: str, weights, f: HoloSum) -> HoloSum:
+    """Sum over the variables z_k of the one-variable action with weight
+    weights[k]: H acts by -lam - 2 z d/dz, X by -d/dz, Y by lam z + z^2 d/dz.
+    H takes its scalar parts as one piece after the derivative parts, Y its
+    scalar parts first; that order fixes how float coefficients round."""
+    if generator not in ("H", "X", "Y"):
+        raise DomainError(f"unknown sl2 generator {generator!r}")
+    n = f.arity
+
+    def z(k, p, g):  # z_k^p g
+        return times_monomial(g, [p * (i == k) for i in range(n)])
+
+    derivs = [differentiate(f, k) for k in range(n)]
+    if generator == "H":
+        pieces = [(-2, z(k, 1, d)) for k, d in enumerate(derivs)] + [(-sum(weights), f)]
+    elif generator == "X":
+        pieces = [(-1, d) for d in derivs]
+    else:
+        pieces = [(lam, z(k, 1, f)) for k, lam in enumerate(weights)]
+        pieces += [(1, z(k, 2, d)) for k, d in enumerate(derivs)]
+    return combine(n, pieces)
+
+
+def _casimir(weights, f: HoloSum) -> HoloSum:
+    """(H^2 + 2XY + 2YX)/8 of the action `_sl2` gives, normalized once;
+    XY and YX come first, so float sums group as H^2 + (2XY + 2YX)."""
+    h2 = _sl2("H", weights, _sl2("H", weights, f))
+    xy = _sl2("X", weights, _sl2("Y", weights, f))
+    yx = _sl2("Y", weights, _sl2("X", weights, f))
+    return combine(
+        f.arity, [(Fraction(1, 4), xy), (Fraction(1, 4), yx), (Fraction(1, 8), h2)]
+    )
 
 
 def sl2_action(generator: str, lam, f: HoloSum) -> HoloSum:
@@ -688,40 +714,15 @@ def sl2_action(generator: str, lam, f: HoloSum) -> HoloSum:
     """
     if f.arity != 1:
         raise DomainError("sl2_action needs a one-variable sum")
-    df = differentiate(f, 0)
-    if generator == "H":
-        return add(scale(f, -lam), _shift(df, (1,), -2))
-    if generator == "X":
-        return scale(df, qqi(-1))
-    if generator == "Y":
-        return add(scale(_shift(f, (1,)), lam), _shift(df, (2,)))
-    raise DomainError(f"unknown sl2 generator {generator!r}")
+    return _sl2(generator, (lam,), f)
 
 
 def casimir_sl2(lam, f: HoloSum) -> HoloSum:
-    """(H^2 + 2XY + 2YX)/8 through sl2_action; scalar lam(lam-2)/8 on
+    """(H^2 + 2XY + 2YX)/8 through the sl2 action; scalar lam(lam-2)/8 on
     one-variable sums."""
-    h2 = sl2_action("H", lam, sl2_action("H", lam, f))
-    xy = sl2_action("X", lam, sl2_action("Y", lam, f))
-    yx = sl2_action("Y", lam, sl2_action("X", lam, f))
-    out = add(h2, add(scale(xy, 2), scale(yx, 2)))
-    return scale(out, Fraction(1, 8))
-
-
-def _diag_h(lam1, lam2, f: HoloSum) -> HoloSum:
-    d1 = _shift(differentiate(f, 0), (1, 0), -2)
-    d2 = _shift(differentiate(f, 1), (0, 1), -2)
-    return add(scale(f, -(lam1 + lam2)), add(d1, d2))
-
-
-def _diag_x(f: HoloSum) -> HoloSum:
-    return scale(add(differentiate(f, 0), differentiate(f, 1)), qqi(-1))
-
-
-def _diag_y(lam1, lam2, f: HoloSum) -> HoloSum:
-    out = add(scale(_shift(f, (1, 0)), lam1), scale(_shift(f, (0, 1)), lam2))
-    out = add(out, _shift(differentiate(f, 0), (2, 0)))
-    return add(out, _shift(differentiate(f, 1), (0, 2)))
+    if f.arity != 1:
+        raise DomainError("casimir_sl2 needs a one-variable sum")
+    return _casimir((lam,), f)
 
 
 def sl2_action_pair(generator: str, lam1, lam2, f: HoloSum) -> HoloSum:
@@ -729,13 +730,7 @@ def sl2_action_pair(generator: str, lam1, lam2, f: HoloSum) -> HoloSum:
     sum, each slot carrying its own weight."""
     if f.arity != 2:
         raise DomainError("sl2_action_pair needs a two-variable sum")
-    if generator == "H":
-        return _diag_h(lam1, lam2, f)
-    if generator == "X":
-        return _diag_x(f)
-    if generator == "Y":
-        return _diag_y(lam1, lam2, f)
-    raise DomainError(f"unknown sl2 generator {generator!r}")
+    return _sl2(generator, (lam1, lam2), f)
 
 
 def casimir_diag(lam1, lam2, f: HoloSum) -> HoloSum:
@@ -743,11 +738,7 @@ def casimir_diag(lam1, lam2, f: HoloSum) -> HoloSum:
     generators."""
     if f.arity != 2:
         raise DomainError("casimir_diag needs a two-variable sum")
-    h2 = _diag_h(lam1, lam2, _diag_h(lam1, lam2, f))
-    xy = _diag_x(_diag_y(lam1, lam2, f))
-    yx = _diag_y(lam1, lam2, _diag_x(f))
-    out = add(h2, add(scale(xy, 2), scale(yx, 2)))
-    return scale(out, Fraction(1, 8))
+    return _casimir((lam1, lam2), f)
 
 
 # ---------------------------------------------------------------------------

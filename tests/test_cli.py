@@ -126,6 +126,20 @@ def test_record_fields_complete():
         assert r["suite"] == "ortho-poly"
 
 
+def test_kernels_adjoint_checked_where_b_has_a_pole():
+    # n = 4, lam = 3 puts Gamma(0) in b_n; the adjoint constant and its
+    # reference are both a finite 0 and are compared, not reported
+    cfg = small_config("kernels", n=(4,), lam=(Fraction(3),), ell_max=2, tol=1e-10)
+    report = run_suite(cfg)
+    cases = [r for r in report.records if r["case"].startswith("adjoint-factorization/")]
+    assert [r["case"] for r in cases] == [
+        f"adjoint-factorization/n=4/lam=3/ell=0{ell}" for ell in range(3)
+    ]
+    for r in cases:
+        assert r["pass"] and not r.get("note")
+        assert r["reference"] is not None and r["abs_err"] == 0
+
+
 def test_summary_counts_consistent():
     cfg = small_config("kernels", lam1=(Fraction(2),), lam2=(Fraction(2),), ell_max=1)
     report = run_suite(cfg)

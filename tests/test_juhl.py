@@ -10,6 +10,7 @@ import pytest
 from holobreak.juhl import (
     JUHL_ROUTES,
     JuhlParams,
+    adjoint_constant,
     bernstein_sato_verify,
     coefficient_ladder,
     cone_constants,
@@ -50,6 +51,7 @@ from holobreak.term_algebra import (
     qqi,
     scale,
     term,
+    to_text,
 )
 
 # interior sample points, checked once here so every later use is safe
@@ -767,3 +769,61 @@ def test_plancherel_sum_three_levels():
 
     got = _norm_sq_slanted(F_fn, lam)
     assert rel(got, expect) < 1e-6
+
+
+# juhl_sbo_apply at n = 3, ell = 2 on Q^(-lam), recorded for lam = 3.3
+# (index 0) and 2.1+0.3j (index 1); every float of the text is pinned
+JUHL_TEXT = {
+    ("coefficients", 0): [
+        '(sum 2',
+        '  (term 130.54799999999997 (mono 0 0) (pow (base ((0 2) -1) ((2 0) 1)) -4.3))',
+        '  (term 130.54799999999997 (mono 0 2) (pow (base ((0 2) -1) ((2 0) 1)) -5.3))',
+        '  (term -130.54799999999997 (mono 2 0) (pow (base ((0 2) -1) ((2 0) 1)) -5.3))',
+        ')',
+    ],
+    ("inflated", 0): [
+        '(sum 2',
+        '  (term 130.54799999999997 (mono 0 0) (pow (base ((0 2) -1) ((2 0) 1)) -4.3))',
+        '  (term 130.54799999999997 (mono 0 2) (pow (base ((0 2) -1) ((2 0) 1)) -5.3))',
+        '  (term -130.54799999999997 (mono 2 0) (pow (base ((0 2) -1) ((2 0) 1)) -5.3))',
+        ')',
+    ],
+    ("coefficients", 1): [
+        '(sum 2',
+        '  (term (c 26.37600000000001 14.568000000000001) (mono 0 0) (pow (base ((0 2) -1) ((2 0) 1)) (c -3.1 -0.3)))',
+        '  (term (c 26.376000000000005 14.568000000000001) (mono 0 2) (pow (base ((0 2) -1) ((2 0) 1)) (c -4.1 -0.3)))',
+        '  (term (c -26.376000000000005 -14.568000000000001) (mono 2 0) (pow (base ((0 2) -1) ((2 0) 1)) (c -4.1 -0.3)))',
+        ')',
+    ],
+    ("inflated", 1): [
+        '(sum 2',
+        '  (term (c 26.37600000000001 14.568000000000001) (mono 0 0) (pow (base ((0 2) -1) ((2 0) 1)) (c -3.1 -0.3)))',
+        '  (term (c 26.376000000000005 14.568000000000001) (mono 0 2) (pow (base ((0 2) -1) ((2 0) 1)) (c -4.1 -0.3)))',
+        '  (term (c -26.376000000000005 -14.568000000000001) (mono 2 0) (pow (base ((0 2) -1) ((2 0) 1)) (c -4.1 -0.3)))',
+        ')',
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(JUHL_TEXT), ids=str)
+def test_juhl_sbo_apply_text_pinned(key):
+    route, i = key
+    lam = (3.3, 2.1 + 0.3j)[i]
+    q = base_poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
+    f = holo_sum(3, [term(3, 1, None, [(q, -lam)])])
+    got = juhl_sbo_apply(JuhlParams(3, lam, 2), f, route)
+    assert to_text(got).split("\n") == JUHL_TEXT[key]
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_adjoint_constant_is_finite_at_a_transform_constant_pole(ell):
+    # at n = 4, lam = 3 the Fourier-Laplace constant b_n hits Gamma(0), but
+    # the adjoint constant is a Pochhammer product with the factor (0)_(n+ell-1)
+    p = JuhlParams(4, 3.0, ell)
+    with pytest.raises(PoleError):
+        cone_constants(p)
+    assert adjoint_constant(p) == 0
+    want = (-1) ** ell * kernel_normalization(4, 3.0).conjugate() * complex(q_constant(4, ell, 3.0))
+    assert want == 0
+    p = JuhlParams(4, 3.5, ell)
+    assert adjoint_constant(p) == cone_constants(p)["adjoint_const"]

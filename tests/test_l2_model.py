@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holobreak import l2_model
 from holobreak.l2_model import (
     L2Fn,
     fourier_laplace,
@@ -449,6 +450,43 @@ def test_fourier_laplace_isometry_ratio():
     num = halfplane_norm_sq(G, lam)
     den = math.gamma(lam) / 2**lam
     assert rel(num / den, b_const(lam)) < 1e-3
+
+
+def test_halfplane_norm_converges_at_half_integer_weight(monkeypatch):
+    # the Jacobi edge panel absorbs the eta^(lam - 2) singularity, so both
+    # parts converge by order 16; the gap to b_const is the truncation
+    results = []
+
+    def recording(*args, **kwargs):
+        res = integrate_region(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(l2_model, "integrate_region", recording)
+    lam = 2.5
+    gamma = math.gamma(lam)
+    num = halfplane_norm_sq(lambda zeta: gamma * (1 - 1j * zeta) ** (-lam), lam)
+    assert len(results) == 2 and all(r.converged for r in results)
+    assert rel(num / (gamma / 2**lam), b_const(lam)) < 1e-3
+
+
+def test_halfplane_norm_raises_when_unconverged():
+    def jump(zeta):
+        return (1 - 1j * zeta) ** -3 if zeta.real > 0.3 else 0.0
+
+    with pytest.raises(DomainError, match="did not converge"):
+        halfplane_norm_sq(jump, 3.0)
+
+
+def test_halfplane_norm_edge_panel_alone():
+    # ymax inside the first eta panel leaves only the Jacobi edge part
+    gamma = math.gamma(3.0)
+
+    def G(zeta):
+        return gamma * (1 - 1j * zeta) ** -3.0
+
+    thin, edge, full = (halfplane_norm_sq(G, 3.0, ymax=y) for y in (0.4, 0.5, 60.0))
+    assert 0 < thin < edge < full
 
 
 def test_halfplane_norm_domain():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holobreak import rc_transform
 from holobreak.quadrature import build_rule
 from holobreak.rc_transform import (
     RC_ROUTES,
@@ -123,6 +124,26 @@ def test_rc_order_one_explicit():
             scale(differentiate(f, 1), F(2)),
         )
         assert equal(rc_apply(p, f), restrict(manual, "diagonal"))
+
+
+@pytest.mark.parametrize("route", RC_ROUTES)
+def test_rc_apply_climbs_one_derivative_ladder(monkeypatch, route):
+    # at ell = 8 each d1^i f is built once: 8 passes in z1 up the ladder and
+    # 0 + 1 + ... + 8 = 36 in z2 off its rungs, 44 single-derivative passes
+    passes = []
+
+    def counting(f, var, times=1):
+        passes.append((var, times))
+        return differentiate(f, var, times)
+
+    monkeypatch.setattr(rc_transform, "differentiate", counting)
+    p = RCParams(F(5, 2), F(3), 8)
+    f = ktype_generator(RCParams(F(5, 2), F(3), 1))
+    got = rc_apply(p, f, route)
+    monkeypatch.undo()
+    assert sum(t for v, t in passes if v == 0) == 8
+    assert sum(t for v, t in passes if v == 1) == 36
+    assert equal(got, rc_apply(p, f, "coefficients"))
 
 
 def test_rc_apply_text_pinned_at_float_and_complex_weights():

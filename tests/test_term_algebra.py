@@ -1,6 +1,7 @@
 """Exact term calculus: construction, derivations, restriction, equality."""
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from holobreak.term_algebra import (
     canonical_form,
     casimir_diag,
     casimir_sl2,
+    combine,
     constant,
     default_tube_points,
     differentiate,
@@ -31,14 +33,15 @@ from holobreak.term_algebra import (
     from_text,
     holo_sum,
     monomial,
-    multiply_expanded,
     qqi,
     registered_bases,
     restrict,
     scale,
     sl2_action,
+    sl2_action_pair,
     sub,
     term,
+    times_monomial,
     to_text,
 )
 
@@ -316,6 +319,20 @@ def test_restrict_diagonal_constant_base_negative_integer_exponent():
     assert t.coefficient == qqi(0, F(-3, 2))  # 3 / (1 + i)^2 = 3 / (2i)
 
 
+@pytest.mark.parametrize("p", [F(1, 2), F(-1, 2)])
+def test_restrict_diagonal_constant_base_on_the_cut(p):
+    # z1 - z2 - 2 restricts to the exact constant -2: its principal power is
+    # |2|^p e^(i pi p), with no cut guard (i sqrt 2 at p = 1/2)
+    b = base_poly(2, {(1, 0): 1, (0, 1): -1, (0, 0): -2})
+    f = holo_sum(2, [term(2, 1, (0, 0), [(b, p)])])
+    (t,) = restrict(f, "diagonal").terms
+    assert t.monomial == (0,) and t.bases == ()
+    want = 2 ** float(p) * complex(math.cos(math.pi * p), math.sin(math.pi * p))
+    assert abs(t.coefficient - want) < 1e-15
+    if p == F(1, 2):
+        assert abs(t.coefficient - 1j * math.sqrt(2)) < 1e-15
+
+
 def test_restrict_rejects_bad_kind_and_arity():
     f = monomial(2, (1, 0))
     with pytest.raises(DomainError, match="unknown restriction 'sideways'"):
@@ -442,7 +459,7 @@ def test_sl2_h_action_on_ktype():
     f = holo_sum(1, [term(1, 1, (0,), [(b, -lam)])])
     got = sl2_action("H", lam, f)
     df = differentiate(f, 0)
-    want = add(scale(f, -lam), scale(multiply_expanded(df, {(1,): 1}), F(-2)))
+    want = add(scale(f, -lam), scale(times_monomial(df, (1,)), F(-2)))
     assert equal(got, want)
 
 
@@ -455,6 +472,144 @@ def test_diag_casimir_scalar_on_embedded_ktype(lam1, lam2, ell):
     f = ktype(lam1, lam2, ell)
     got = casimir_diag(lam1, lam2, f)
     assert equal(got, scale(f, lam3 * (lam3 - 2) / 8))
+
+
+def test_combine_normalizes_one_linear_combination():
+    f = ktype(F(5, 2), F(3), 1)
+    g = holo_sum(2, [term(2, F(1, 3), (2, 1)), term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))])])
+    h = times_monomial(g, (0, 1))
+    got = combine(2, [(F(2), f), (qqi(0, 1), g), (-3, h)])
+    want = add(add(scale(f, F(2)), scale(g, qqi(0, 1))), scale(h, -3))
+    assert to_text(got) == to_text(want)
+    assert to_text(combine(2, [(1, g), (-1, g)])) == to_text(holo_sum(2, []))
+    with pytest.raises(DomainError):
+        combine(2, [(1, monomial(1, (1,)))])
+
+
+def test_times_monomial_shifts_every_term():
+    g = holo_sum(2, [term(2, F(1, 3), (2, 1)), term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))])])
+    got = times_monomial(g, (1, 2))
+    assert [t.monomial for t in got.terms] == [(2, 2), (3, 3)]
+    assert [t.coefficient for t in got.terms] == [t.coefficient for t in g.terms]
+    assert to_text(got) == to_text(holo_sum(2, got.terms))
+    for bad in ((1,), (0, -1)):
+        with pytest.raises(DomainError):
+            times_monomial(g, bad)
+
+
+# outputs recorded for one float and one complex weight: index 0 is
+# (2.3, 1.7) for the pair and 2.3 for one variable, index 1 is
+# (1.3+0.4j, 2.1-0.7j) and 1.3+0.4j.  Every float of the text is pinned, so
+# the order in which like terms are summed is pinned too.
+SL2_TEXT = {
+    ("pair", "H", 0): [
+        '(sum 2',
+        '  (term -6.0 (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3 (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term -3.333333333333333 (mono 2 1))',
+        '  (term -2.8571428571428568 (mono 3 0))',
+        ')',
+    ],
+    ("pair", "X", 0): [
+        '(sum 2',
+        '  (term -1 (mono 0 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3/2 (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term -2/3 (mono 1 1))',
+        '  (term -25/21 (mono 2 0))',
+        ')',
+    ],
+    ("pair", "Y", 0): [
+        '(sum 2',
+        '  (term 1.7 (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term -3/2 (mono 1 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term 3.3 (mono 2 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 0.8999999999999999 (mono 2 2))',
+        '  (term 1.919047619047619 (mono 3 1))',
+        '  (term 1.5142857142857142 (mono 4 0))',
+        ')',
+    ],
+    ("casimir_diag", None, 0): [
+        '(sum 2',
+        '  (term -0.85 (mono 0 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3/4 (mono 0 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term 1.8500000000000005 (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term -3.225 (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term -0.8999999999999999 (mono 1 2))',
+        '  (term 2.4749999999999996 (mono 2 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term 1.221428571428571 (mono 2 1))',
+        '  (term 0.297619047619047 (mono 3 0))',
+        ')',
+    ],
+    ("pair", "H", 1): [
+        '(sum 2',
+        '  (term (c -5.4 0.29999999999999993) (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3 (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term (c -3.1333333333333333 0.09999999999999998) (mono 2 1))',
+        '  (term (c -2.685714285714286 0.08571428571428569) (mono 3 0))',
+        ')',
+    ],
+    ("pair", "X", 1): [
+        '(sum 2',
+        '  (term -1 (mono 0 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3/2 (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term -2/3 (mono 1 1))',
+        '  (term -25/21 (mono 2 0))',
+        ')',
+    ],
+    ("pair", "Y", 1): [
+        '(sum 2',
+        '  (term (c 2.1 -0.7) (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term -3/2 (mono 1 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term (c 2.3 0.4) (mono 2 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term (c 1.0333333333333332 -0.2333333333333333) (mono 2 2))',
+        '  (term (c 1.6999999999999997 -0.06666666666666665) (mono 3 1))',
+        '  (term (c 1.2285714285714286 0.11428571428571428) (mono 4 0))',
+        ')',
+    ],
+    ("casimir_diag", None, 1): [
+        '(sum 2',
+        '  (term (c -1.05 0.35) (mono 0 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term 3/4 (mono 0 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term (c 1.6337500000000007 -0.5299999999999999) (mono 1 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
+        '  (term (c -2.4750000000000005 -0.29999999999999993) (mono 1 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term (c -1.0333333333333332 0.2333333333333333) (mono 1 2))',
+        '  (term (c 1.725 0.30000000000000004) (mono 2 0) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
+        '  (term (c 0.8779166666666671 0.07333333333333333) (mono 2 1))',
+        '  (term (c 0.5167857142857146 -0.4180952380952381) (mono 3 0))',
+        ')',
+    ],
+    ("casimir_sl2", None, 0): [
+        '(sum 1',
+        '  (term 0.08625000000000016 (mono 1) (pow (base ((0) (c 0 1)) ((1) 1)) -5/2))',
+        '  (term 0.028750000000000053 (mono 2))',
+        ')',
+    ],
+    ("casimir_sl2", None, 1): [
+        '(sum 1',
+        '  (term (c -0.1337499999999998 0.02999999999999997) (mono 1) (pow (base ((0) (c 0 1)) ((1) 1)) -5/2))',
+        '  (term (c -0.04458333333333342 0.009999999999999981) (mono 2))',
+        ')',
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(SL2_TEXT), ids=str)
+def test_sl2_actions_and_casimirs_text_pinned(key):
+    op, gen, i = key
+    g2 = holo_sum(2, [
+        term(2, F(1, 3), (2, 1)),
+        term(2, F(2, 7), (3, 0)),
+        term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))]),
+    ])
+    g1 = holo_sum(1, [term(1, F(1, 3), (2,)), term(1, 1, (1,), [(zeta_plus_i(1, 0), F(-5, 2))])])
+    pair = ((2.3, 1.7), (1.3 + 0.4j, 2.1 - 0.7j))[i]
+    if op == "pair":
+        got = sl2_action_pair(gen, *pair, g2)
+    elif op == "casimir_diag":
+        got = casimir_diag(*pair, g2)
+    else:
+        got = casimir_sl2((2.3, 1.3 + 0.4j)[i], g1)
+    assert to_text(got).split("\n") == SL2_TEXT[key]
 
 
 # --- textual format --------------------------------------------------------
