@@ -78,6 +78,7 @@ from .juhl import (
     JuhlParams,
     adjoint_constant,
     bernstein_sato_verify,
+    cone_c_ell,
     cone_constants,
     kernel_normalization,
     phi_isometry_ratio,
@@ -427,7 +428,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
                 params = {"alpha": _encode(a), "beta": _encode(b), "ell": ell}
 
                 def run(a=a, b=b, ell=ell):
-                    rule = build_rule("jacobi", cfg.order, alpha=float(a), beta=float(b))
+                    rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
                     poly = jacobi_poly(ell, a, b)
                     quad = integrate(lambda x: float(poly(x)) ** 2, rule)
                     return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
@@ -441,9 +442,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
             params = {"alpha": _encode(a), "ell": ell}
 
             def run(a=a, ell=ell):
-                rule = build_rule(
-                    "jacobi", cfg.order, alpha=float(a) - 0.5, beta=float(a) - 0.5
-                )
+                rule = build_rule(("jacobi", float(a) - 0.5, float(a) - 0.5), cfg.order)
                 poly = gegenbauer_poly(ell, a)
                 quad = integrate(lambda x: float(poly(x)) ** 2, rule)
                 return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
@@ -634,7 +633,7 @@ def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
                     ratio = phi_isometry_ratio(
                         p, lambda y: math.exp(-y[0]), _CONE_PROBE[: n - 1]
                     )
-                    return _close(ratio, cone_constants(p)["c_ell"], cfg.tol)
+                    return _close(ratio, cone_c_ell(p), cfg.tol)
 
                 cases.append(Case(f"cone-isometry/{tag}", dict(params), run_ratio))
 

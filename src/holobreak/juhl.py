@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .l2_model import i_power
@@ -61,6 +61,7 @@ from .term_algebra import (
 )
 
 _I_QQI = (qqi(1), qqi(0, 1), qqi(-1), qqi(0, -1))
+_TOL = 1e-10  # order-doubling tolerance of the fiber integrals
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def phi_cone_apply(params: JuhlParams, h):
     return lifted
 
 
-def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi", tol: float = 1e-10):
+def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     """Fiber Gegenbauer coefficient of F over the base point y'.
 
     Integrates F along the fiber against C_ell and scales by
@@ -395,9 +396,9 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi", tol: 
         def g(v):
             return along(v) * (1.0 - v * v) ** (-a_w)
 
-        res = integrate_adaptive(g, "jacobi", tol=tol, alpha=a_w, beta=a_w)
+        res = integrate_adaptive(g, ("jacobi", a_w, a_w), tol=_TOL)
     elif method == "legendre":
-        res = integrate_adaptive(along, "legendre", tol=tol, a=-1.0, b=1.0)
+        res = integrate_adaptive(along, ("legendre", -1.0, 1.0), tol=_TOL)
     else:
         raise DomainError(f"unknown fiber method {method!r}")
     if not res.converged:
@@ -405,7 +406,7 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi", tol: 
     return i_power(-ell) * q_prime ** (0.5 * (ell + 1)) * res.value
 
 
-def phi_isometry_ratio(params: JuhlParams, h, y_prime, tol: float = 1e-10) -> float:
+def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     """Fiber-factorized isometry ratio of the lift at one base point.
 
     The squared lift integrated over the fiber, against the slice of the
@@ -424,7 +425,7 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime, tol: float = 1e-10) -> fl
         val = lifted(y_prime + (-root * v,))
         return abs(val) ** 2 * (1.0 - v * v) ** (n - 2.0 * lam)
 
-    res = integrate_adaptive(g, "jacobi", tol=tol, alpha=a_w, beta=a_w)
+    res = integrate_adaptive(g, ("jacobi", a_w, a_w), tol=_TOL)
     if not res.converged:
         raise DomainError(f"fiber integral did not converge (err {res.error:.2e})")
     numer = q_prime ** ((n + 1) / 2.0 - lam) * res.value
@@ -465,18 +466,18 @@ def _fourier_norm_const(m: int, s: float) -> float:
     return (2.0 * math.pi) ** (1.5 * m - 1.0) * 2.0 ** (-0.5 * m) * (g1 * g2).real
 
 
-def cone_constants(params: JuhlParams) -> dict:
-    """All scalar constants of one (n, lam, ell) level, by closed form.
+def cone_c_ell(params: JuhlParams) -> float:
+    """Fiber Gegenbauer norm c_ell of one level: the squared norm of C_ell
+    at alpha = lam - (n-1)/2 against (1-v^2)^(alpha - 1/2)."""
+    c = gegenbauer_norm_sq(params.ell, _real_scalar(params.alpha, "Gegenbauer parameter"))
+    return float(c.real if isinstance(c, complex) else c)
 
-    Keys: `c_ell` (fiber Gegenbauer norm), `r_ell` (transform-constant
-    ratio), `b_n` and `b_prev` (Fourier-Laplace isometry constants of the
-    two cone levels), `kernel_const`, and `adjoint_const` (see
-    `adjoint_constant`).  Gamma poles surface as PoleError.
-    """
+
+def cone_r_ell(params: JuhlParams) -> float:
+    """Transform-constant ratio r_ell = b_prev / b_n of one level, by its
+    Gamma closed form.  Gamma poles surface as PoleError."""
     lam = _real_scalar(params.lam, "weight")
     n, ell = params.n, params.ell
-    nu = lam + ell
-    c_ell = gegenbauer_norm_sq(ell, float(params.alpha))
     num = (
         math.sqrt(2.0)
         * complex_gamma(lam + ell - (n - 1) / 2.0)
@@ -487,12 +488,25 @@ def cone_constants(params: JuhlParams) -> dict:
         * complex_gamma(lam - n / 2.0)
         * complex_gamma(lam - n + 1.0)
     )
-    r_ell = (num / den).real
+    return (num / den).real
+
+
+def cone_constants(params: JuhlParams) -> dict:
+    """All scalar constants of one (n, lam, ell) level, by closed form.
+
+    Keys: `c_ell` (`cone_c_ell`), `r_ell` (`cone_r_ell`), `b_n` and
+    `b_prev` (Fourier-Laplace isometry constants of the two cone levels),
+    `kernel_const`, and `adjoint_const` (see `adjoint_constant`).  Gamma
+    poles of any of them surface as PoleError; a caller that reads one
+    constant calls its own function.
+    """
+    lam = _real_scalar(params.lam, "weight")
+    n = params.n
     return {
-        "c_ell": float(c_ell.real if isinstance(c_ell, complex) else c_ell),
-        "r_ell": r_ell,
+        "c_ell": cone_c_ell(params),
+        "r_ell": cone_r_ell(params),
         "b_n": _fourier_norm_const(n, lam),
-        "b_prev": _fourier_norm_const(n - 1, nu),
+        "b_prev": _fourier_norm_const(n - 1, lam + params.ell),
         "kernel_const": kernel_normalization(n, lam),
         "adjoint_const": adjoint_constant(params),
     }
@@ -513,8 +527,7 @@ def adjoint_constant(params: JuhlParams) -> complex:
 
 def juhl_operator_norm_sq(params: JuhlParams) -> float:
     """Squared operator norm of the breaking operator: r_ell * c_ell."""
-    consts = cone_constants(params)
-    return consts["r_ell"] * consts["c_ell"]
+    return cone_r_ell(params) * cone_c_ell(params)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +581,11 @@ def holographic_integral(
 ):
     """Adjoint realization as a kernel integral over the lower tube (n = 3).
 
-    Fixed-order product quadrature: Legendre in both real parts on
-    (-radius, radius), and in the imaginary parts light-cone coordinates
-    s, t on (0, radius) with the measure weight (st)^(nu - 2) folded into
-    Jacobi rules.  The result is the kernel pairing times the adjoint
+    Fixed-order product quadrature: ``("legendre", -radius, radius)`` in
+    both real parts, and in the imaginary parts light-cone coordinates
+    s, t, each on ``("jacobi", 0, nu - 2, 0, radius)``, whose weight is the
+    measure factor s^(nu - 2) (t^(nu - 2)) itself; the 1/2 left over is the
+    Jacobian of (s, t).  The result is the kernel pairing times the adjoint
     constant.  Accuracy is the documented smoke-test level (about 1e-2 at
     the defaults), not a converged integral.
     """
@@ -579,10 +593,8 @@ def holographic_integral(
         raise DomainError("the kernel integral is only implemented for n = 3")
     zeta = _require_tube(zeta, 3, "evaluation point")
     nu = _real_scalar(params.nu, "target weight")
-    rule_x = build_rule("legendre", order, a=-radius, b=radius)
-    rule_st = build_rule("jacobi", order, alpha=0.0, beta=nu - 2.0)
-    rule_st = replace(rule_st, nodes=0.5 * radius * (1.0 + rule_st.nodes))
-    edge_scale = (0.5 * radius) ** (nu - 1.0)
+    rule_x = build_rule(("legendre", -radius, radius), order)
+    rule_st = build_rule(("jacobi", 0.0, nu - 2.0, 0.0, radius), order)
 
     z1, z2, z3 = zeta
     z3_pow = z3**params.ell
@@ -596,7 +608,7 @@ def holographic_integral(
         return _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu) * g((tau1, tau2))
 
     total = integrate(integrand, rule_st, rule_st, rule_x, rule_x)
-    return adjoint_constant(params) * z3_pow * 0.5 * edge_scale**2 * total
+    return adjoint_constant(params) * z3_pow * 0.5 * total
 
 
 def cone_fourier_laplace(
@@ -691,8 +703,7 @@ def invert_juhl(
         plan = []
         for ell, comp in items:
             p = JuhlParams(n, lam, ell)
-            consts = cone_constants(p)
-            plan.append((p, comp, 1.0 / (consts["r_ell"] * consts["c_ell"])))
+            plan.append((p, comp, 1.0 / (cone_r_ell(p) * cone_c_ell(p))))
 
         def assembled(zeta):
             total = 0.0j
@@ -708,7 +719,7 @@ def invert_juhl(
         for ell, comp in items:
             p = JuhlParams(n, lam, ell)
             lift = phi_cone_apply(p, comp)
-            w = i_power(ell) / cone_constants(p)["c_ell"]
+            w = i_power(ell) / cone_c_ell(p)
             plan.append((lift, w))
         boundary = lam_f - n / 2.0
 

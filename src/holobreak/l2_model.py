@@ -150,7 +150,7 @@ def rchat_apply(params, F, z, method: str = "legendre"):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
             return float(poly(v)) * fn(x, y)
 
-        res = integrate_adaptive(integrand, "legendre", tol=_TOL, a=-1.0, b=1.0)
+        res = integrate_adaptive(integrand, ("legendre", -1.0, 1.0), tol=_TOL)
     elif method == "jacobi":
         a = float(params.alpha)
         b = float(params.beta)
@@ -159,7 +159,7 @@ def rchat_apply(params, F, z, method: str = "legendre"):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
             return float(poly(v)) * fn(x, y) * (1 - v) ** -a * (1 + v) ** -b
 
-        res = integrate_adaptive(integrand, "jacobi", tol=_TOL, alpha=a, beta=b)
+        res = integrate_adaptive(integrand, ("jacobi", a, b), tol=_TOL)
     else:
         raise DomainError(f"unknown rchat_apply method {method!r}")
     if not res.converged:
@@ -216,11 +216,10 @@ def _weighted_integral(pointwise, weights, what: str):
             v = v * x**e
         return v * math.exp(2 * sum(xs))
 
-    if len(weights) == 1:
-        gamma = float(weights[0]) - 1
-        res = integrate_adaptive(g, "laguerre", tol=_TOL, gamma=gamma, scale=2.0)
+    axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
+    if len(axes) == 1:
+        res = integrate_adaptive(g, axes[0], tol=_TOL)
     else:
-        axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
         res = integrate_region(g, axes, tol=_TOL)
     if not res.converged:
         raise DomainError(f"{what} quadrature did not converge")
@@ -287,12 +286,12 @@ def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
     """Truncated squared norm of a half-plane function against the weight
     (Im zeta)^(lam-2): panels cover |Re zeta| <= xmax, 0 < Im zeta <= ymax.
 
-    The first Im zeta panel (0, h) is a Gauss-Jacobi edge panel: with
-    Im zeta = h(1+u)/2 the singular weight becomes the rule weight
-    (1+u)^(lam-2) and the integrand |G|^2 (h/2)^(lam-1).  The other panels
-    are plain Legendre.  Raises DomainError, with the error estimate, when
-    either part does not converge to 1e-7.  Truncation error falls with the
-    decay of G, so xmax/ymax set the floor."""
+    The first Im zeta panel (0, h) is the Gauss-Jacobi axis
+    ("jacobi", 0, lam - 2, 0, h), whose rule weight is the singular
+    (Im zeta)^(lam-2) itself, so the integrand there is |G|^2.  The other
+    panels are plain Legendre.  Raises DomainError, with the error
+    estimate, when either part does not converge to 1e-7.  Truncation error
+    falls with the decay of G, so xmax/ymax set the floor."""
     if not float(lam) > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
     fn = _as_callable(G)
@@ -300,10 +299,8 @@ def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
     right = geometric_panels(0.0, xmax, first=1.0)
     xi_axis = ("panels", [(-b, -a) for a, b in reversed(right)] + right)
     eta_panels = geometric_panels(0.0, ymax, first=0.5)
-    half = 0.5 * eta_panels[0][1]
-    edge = half ** (expo + 1)
-    parts = [(lambda xi, u: abs(fn(complex(xi, half * (1.0 + u)))) ** 2 * edge,
-              ("jacobi", 0.0, expo))]
+    parts = [(lambda xi, eta: abs(fn(complex(xi, eta))) ** 2,
+              ("jacobi", 0.0, expo, 0.0, eta_panels[0][1]))]
     if len(eta_panels) > 1:
         parts.append((lambda xi, eta: abs(fn(complex(xi, eta))) ** 2 * eta**expo,
                       ("panels", eta_panels[1:])))

@@ -3,21 +3,30 @@
 Rules are built by the eigenvalue route: the three-term recurrence of the
 orthogonal family is symmetrized into a Jacobi matrix, whose eigenvalues are
 the nodes and whose first eigenvector components square to the weights.
-Three weight families cover every integral in the package:
 
-- ``jacobi``:   (1-x)^alpha (1+x)^beta on (-1, 1),  alpha, beta > -1
-- ``laguerre``: x^gamma e^(-s x) on (0, inf),        gamma > -1, s > 0
-- ``legendre``: plain dx on a finite interval (a, b)
+Every rule is named by an axis spec, and `build_rule(spec, order)` is the
+one constructor:
 
-An n-point rule integrates polynomials through degree 2n-1; the test suite
-pins that at 1e-13 relative.
+- ``("jacobi", alpha, beta)``:       (1-x)^alpha (1+x)^beta on (-1, 1),
+  alpha, beta > -1
+- ``("jacobi", alpha, beta, a, b)``: (b-x)^alpha (x-a)^beta on (a, b)
+- ``("legendre", a, b)``:            plain dx on a finite interval (a, b)
+- ``("laguerre", gamma, scale)``:    x^gamma e^(-scale x) on (0, inf),
+  gamma > -1, scale > 0
+- ``("panels", [(a, b), ...])``:     one Legendre rule per panel, all of
+  them moved from one base rule
+
+A rule on an interval is the rule on (-1, 1) moved by the affine map
+x = a + (b-a)(1+u)/2, which scales the weights by ((b-a)/2)^(alpha+beta+1).
+An n-point rule integrates polynomials through degree 2n-1 against its
+weight; the test suite pins that at 1e-13 relative.
 
 Every sum against rule nodes goes through `integrate`, which walks the
 tensor product of one or more rules.  The integrand contract is scalar: f
 receives one Python float per axis and returns a real or complex number.
-The adaptive wrappers `integrate_adaptive` and `integrate_region` share one
-order-doubling loop; they stop when two successive estimates agree, and
-report failure honestly instead of raising.
+`integrate_region` holds the one order-doubling loop over a list of specs,
+and `integrate_adaptive` is its one-axis case; they stop when two successive
+estimates agree, and report failure honestly instead of raising.
 """
 from __future__ import annotations
 
@@ -33,8 +42,7 @@ from .special_poly import DomainError, beta as beta_fn
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    family: str
-    params: tuple
+    spec: tuple
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -53,7 +61,7 @@ def _from_recurrence(diag, offdiag_sq, mu0) -> tuple[np.ndarray, np.ndarray]:
     return vals, mu0 * vecs[0] ** 2
 
 
-def _jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
+def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if alpha <= -1 or beta <= -1:
         raise DomainError("jacobi rule needs alpha, beta > -1")
     s = alpha + beta
@@ -73,11 +81,10 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
             den = (2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)
             off.append(num / den)
     mu0 = 2.0 ** (s + 1) * float(beta_fn(float(alpha) + 1, float(beta) + 1))
-    nodes, weights = _from_recurrence(diag, off, mu0)
-    return QuadratureRule("jacobi", (float(alpha), float(beta)), nodes, weights)
+    return _from_recurrence(diag, off, mu0)
 
 
-def _laguerre_rule(n: int, gamma: float, scale: float) -> QuadratureRule:
+def _laguerre_rule(n: int, gamma: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     if gamma <= -1:
         raise DomainError("laguerre rule needs gamma > -1")
     if scale <= 0:
@@ -87,43 +94,41 @@ def _laguerre_rule(n: int, gamma: float, scale: float) -> QuadratureRule:
     mu0 = math.gamma(gamma + 1.0)
     nodes, weights = _from_recurrence(diag, off, mu0)
     # substitute u = scale * x in the unit-scale rule
-    return QuadratureRule(
-        "laguerre",
-        (float(gamma), float(scale)),
-        nodes / scale,
-        weights * scale ** (-gamma - 1.0),
-    )
+    return nodes / scale, weights * scale ** (-gamma - 1.0)
 
 
-def _legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    if not b > a:
-        raise DomainError("legendre rule needs b > a")
-    base = _jacobi_rule(n, 0.0, 0.0)
+def _on_interval(base, alpha: float, beta: float, a: float, b: float):
+    """Move a (1-u)^alpha (1+u)^beta rule on (-1, 1) onto (a, b)."""
+    if not -math.inf < a < b < math.inf:
+        raise DomainError("rule interval needs finite a < b")
+    nodes, weights = base
     half = 0.5 * (b - a)
-    return QuadratureRule(
-        "legendre",
-        (float(a), float(b)),
-        a + half * (base.nodes + 1.0),
-        half * base.weights,
-    )
+    return a + half * (nodes + 1.0), half ** (alpha + beta + 1.0) * weights
 
 
-def build_rule(family: str, order: int, **params) -> QuadratureRule:
-    """Build an n-point Gaussian rule for one of the three weight families.
-
-    jacobi:   alpha=, beta=
-    laguerre: gamma=, scale=1.0
-    legendre: a=, b=
-    """
+def build_rule(spec, order: int) -> QuadratureRule:
+    """Build the n-point Gaussian rule an axis spec names (see the module
+    docstring for the spec forms).  A `panels` spec builds its Legendre base
+    rule once and moves it onto every panel."""
     if order < 1:
         raise DomainError("rule order must be >= 1")
-    if family == "jacobi":
-        return _jacobi_rule(order, params["alpha"], params["beta"])
-    if family == "laguerre":
-        return _laguerre_rule(order, params["gamma"], params.get("scale", 1.0))
-    if family == "legendre":
-        return _legendre_rule(order, params["a"], params["b"])
-    raise DomainError(f"unknown rule family {family!r}")
+    match spec:
+        case ("jacobi", alpha, beta):
+            nodes, weights = _jacobi_rule(order, alpha, beta)
+        case ("jacobi", alpha, beta, a, b):
+            nodes, weights = _on_interval(_jacobi_rule(order, alpha, beta), alpha, beta, a, b)
+        case ("legendre", a, b):
+            nodes, weights = _on_interval(_jacobi_rule(order, 0.0, 0.0), 0.0, 0.0, a, b)
+        case ("laguerre", gamma, scale):
+            nodes, weights = _laguerre_rule(order, gamma, scale)
+        case ("panels", panels) if panels:
+            base = _jacobi_rule(order, 0.0, 0.0)
+            moved = [_on_interval(base, 0.0, 0.0, a, b) for a, b in panels]
+            nodes = np.concatenate([m[0] for m in moved])
+            weights = np.concatenate([m[1] for m in moved])
+        case _:
+            raise DomainError(f"unknown rule spec {spec!r}")
+    return QuadratureRule(spec, nodes, weights)
 
 
 def integrate(f: Callable, *rules: QuadratureRule):
@@ -161,45 +166,17 @@ def _rel_delta(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _order_doubling(
-    f: Callable, rules_at: Callable, tol: float, start_order: int, max_order: int
-) -> IntegralResult:
-    """Integrate f on the rules rules_at(order) returns, doubling order from
-    start_order up to max_order; the stopping rule is integrate_adaptive's."""
-    order = start_order
-    prev = None
-    err = float("inf")
-    evals = 0
-    while order <= max_order:
-        rules = rules_at(order)
-        cur = integrate(f, *rules)
-        evals += math.prod(r.order for r in rules)
-        if prev is not None:
-            err = _rel_delta(cur, prev)
-            if err < tol:
-                return IntegralResult(cur, err, True, evals)
-        prev = cur
-        order *= 2
-    return IntegralResult(prev, err, False, evals)
-
-
 def integrate_adaptive(
     f: Callable,
-    family: str,
+    spec,
     tol: float = 1e-10,
     start_order: int = 16,
     max_order: int = 512,
-    **params,
 ) -> IntegralResult:
-    """Order-doubling integration against one weight family.
-
-    f receives one Python float.  Stops when two successive doublings agree
-    to tol (relative, floored at scale 1).  Exhausting max_order returns the
-    last value with converged=False rather than raising.
-    """
-    return _order_doubling(
-        f, lambda order: [build_rule(family, order, **params)], tol, start_order, max_order
-    )
+    """Order-doubling integration on the one rule `spec` names: the
+    one-axis case of `integrate_region`, with a longer default schedule.
+    f receives one Python float."""
+    return integrate_region(f, [spec], tol, start_order, max_order)
 
 
 def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
@@ -220,26 +197,6 @@ def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
     return [(breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
 
 
-def _axis_rule(spec, order: int) -> QuadratureRule:
-    kind = spec[0]
-    if kind == "legendre":
-        return build_rule("legendre", order, a=spec[1], b=spec[2])
-    if kind == "jacobi":
-        return build_rule("jacobi", order, alpha=spec[1], beta=spec[2])
-    if kind == "laguerre":
-        scale = spec[2] if len(spec) > 2 else 1.0
-        return build_rule("laguerre", order, gamma=spec[1], scale=scale)
-    if kind == "panels":
-        panels = [build_rule("legendre", order, a=a, b=b) for a, b in spec[1]]
-        return QuadratureRule(
-            "panels",
-            tuple(spec[1]),
-            np.concatenate([r.nodes for r in panels]),
-            np.concatenate([r.weights for r in panels]),
-        )
-    raise DomainError(f"unknown axis spec {spec!r}")
-
-
 def integrate_region(
     f: Callable,
     axes: Sequence,
@@ -249,14 +206,28 @@ def integrate_region(
 ) -> IntegralResult:
     """Tensor-product integration over up to four axes with order doubling.
 
-    Each axis spec is ("legendre", a, b), ("jacobi", alpha, beta),
-    ("laguerre", gamma[, scale]), or ("panels", [(a, b), ...]); f receives
-    one Python float per axis, in axis order.  Truncation of infinite
-    regions is the caller's job (the conventional default truncation radius
-    is 1e3).
+    Each axis is a `build_rule` spec; f receives one Python float per axis,
+    in axis order.  Every pass builds each axis rule at the current order,
+    doubling from start_order up to max_order, and stops when two successive
+    passes agree to tol (relative, floored at scale 1).  Exhausting
+    max_order returns the last value with converged=False rather than
+    raising.  Truncation of infinite regions is the caller's job (the
+    conventional default truncation radius is 1e3).
     """
     if not 1 <= len(axes) <= 4:
         raise DomainError("integrate_region supports 1 to 4 axes")
-    return _order_doubling(
-        f, lambda order: [_axis_rule(spec, order) for spec in axes], tol, start_order, max_order
-    )
+    order = start_order
+    prev = None
+    err = float("inf")
+    evals = 0
+    while order <= max_order:
+        rules = [build_rule(spec, order) for spec in axes]
+        cur = integrate(f, *rules)
+        evals += math.prod(r.order for r in rules)
+        if prev is not None:
+            err = _rel_delta(cur, prev)
+            if err < tol:
+                return IntegralResult(cur, err, True, evals)
+        prev = cur
+        order *= 2
+    return IntegralResult(prev, err, False, evals)

@@ -99,7 +99,7 @@ def test_criterion_01_orthogonal_norms():
     rule_cache = {}
 
     def quad(a, b, poly):
-        rule = rule_cache.setdefault((a, b), build_rule("jacobi", 32, alpha=a, beta=b))
+        rule = rule_cache.setdefault((a, b), build_rule(("jacobi", a, b), 32))
         return sum(w * float(poly(x)) ** 2 for x, w in zip(rule.nodes, rule.weights))
 
     for a in grid:

@@ -13,6 +13,7 @@ from holobreak.juhl import (
     adjoint_constant,
     bernstein_sato_verify,
     coefficient_ladder,
+    cone_c_ell,
     cone_constants,
     cone_density,
     cone_fourier_laplace,
@@ -389,7 +390,7 @@ def test_fiber_transform_errors():
         juhl_hat_apply(p, lambda y: 1.0, P2A, method="simpson")
     jump = lambda y: 1.0 if y[2] > 0.1234 * y[0] else 0.0
     with pytest.raises(DomainError):
-        juhl_hat_apply(p, jump, P2A, method="legendre", tol=1e-12)
+        juhl_hat_apply(p, jump, P2A, method="legendre")
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +465,7 @@ def test_fiber_norm_against_quadrature():
     # Gamma-based normalization
     c = cone_constants(JuhlParams(3, 3.0, 0))["c_ell"]
     res = integrate_adaptive(
-        lambda v: (1.0 - v * v) ** 1.5, "legendre", tol=1e-11, a=-1.0, b=1.0
+        lambda v: (1.0 - v * v) ** 1.5, ("legendre", -1.0, 1.0), tol=1e-11
     )
     assert res.converged and rel(c, res.value) < 1e-10
     assert rel(c, 3.0 * math.pi / 8.0) < 1e-12
@@ -827,3 +828,14 @@ def test_adjoint_constant_is_finite_at_a_transform_constant_pole(ell):
     assert want == 0
     p = JuhlParams(4, 3.5, ell)
     assert adjoint_constant(p) == cone_constants(p)["adjoint_const"]
+
+
+def test_l2_assembly_builds_at_a_transform_constant_pole():
+    # the l2 route weighs each level by i^ell / c_ell alone, so the Gamma(0)
+    # that b_n meets at n = 4, lam = 3 must not stop the assembly
+    p = JuhlParams(4, 3.0, 0)
+    with pytest.raises(PoleError):
+        cone_constants(p)
+    assert cone_c_ell(p) > 0
+    assembled = invert_juhl(4, 3.0, {0: lambda y: math.exp(-y[0])}, method="l2")
+    assert callable(assembled)

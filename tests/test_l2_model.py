@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobreak import l2_model
+from holobreak import l2_model, quadrature
 from holobreak.l2_model import (
     L2Fn,
     fourier_laplace,
@@ -454,19 +454,29 @@ def test_fourier_laplace_isometry_ratio():
 
 def test_halfplane_norm_converges_at_half_integer_weight(monkeypatch):
     # the Jacobi edge panel absorbs the eta^(lam - 2) singularity, so both
-    # parts converge by order 16; the gap to b_const is the truncation
+    # parts converge by order 16; the gap to b_const is the truncation.
+    # Each pass builds one base rule per axis, however many panels it has:
+    # 2 parts x 2 passes x 2 axes
     results = []
+    builds = []
+    jacobi_rule = quadrature._jacobi_rule
 
     def recording(*args, **kwargs):
         res = integrate_region(*args, **kwargs)
         results.append(res)
         return res
 
+    def counted(*args):
+        builds.append(args)
+        return jacobi_rule(*args)
+
     monkeypatch.setattr(l2_model, "integrate_region", recording)
+    monkeypatch.setattr(quadrature, "_jacobi_rule", counted)
     lam = 2.5
     gamma = math.gamma(lam)
     num = halfplane_norm_sq(lambda zeta: gamma * (1 - 1j * zeta) ** (-lam), lam)
     assert len(results) == 2 and all(r.converged for r in results)
+    assert len(builds) == 8
     assert rel(num / (gamma / 2**lam), b_const(lam)) < 1e-3
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from holobreak import quadrature
 from holobreak.juhl import JuhlParams, _power_positive_cut, cone_constants, holographic_integral
 from holobreak.quadrature import (
     IntegralResult,
@@ -29,41 +30,61 @@ PARAM_GRID = [0.0, 0.5, 1.0, 2.5, -0.5]
 @pytest.mark.parametrize("alpha", PARAM_GRID)
 @pytest.mark.parametrize("beta", PARAM_GRID)
 def test_jacobi_weight_sum(alpha, beta):
-    rule = build_rule("jacobi", 12, alpha=alpha, beta=beta)
+    rule = build_rule(("jacobi", alpha, beta), 12)
     mu0 = 2.0 ** (alpha + beta + 1) * float(beta_fn(alpha + 1, beta + 1))
     assert rel(rule.weights.sum(), mu0) < 1e-13
 
 
 def test_jacobi_nodes_match_scipy():
     for alpha, beta in [(0.0, 0.0), (0.5, 2.5), (-0.5, 1.0)]:
-        rule = build_rule("jacobi", 15, alpha=alpha, beta=beta)
+        rule = build_rule(("jacobi", alpha, beta), 15)
         x, w = sps.roots_jacobi(15, alpha, beta)
         assert np.max(np.abs(rule.nodes - x)) < 1e-12
         assert np.max(np.abs(rule.weights - w)) < 1e-12
 
 
 def test_laguerre_nodes_match_scipy():
-    rule = build_rule("laguerre", 14, gamma=1.5)
+    rule = build_rule(("laguerre", 1.5, 1.0), 14)
     x, w = sps.roots_genlaguerre(14, 1.5)
     assert np.max(np.abs(rule.nodes - x)) < 1e-11
     assert np.max(np.abs(rule.weights - w)) < 1e-12
 
 
-@pytest.mark.parametrize("order", [3, 8, 20])
-def test_jacobi_exactness_through_2n_minus_1(order):
+def _interval_moment(k, alpha, beta, a, b):
+    # integral of x^k (b-x)^alpha (x-a)^beta over (a, b), expanded in
+    # powers of x - a; every term is positive when a >= 0
+    return math.fsum(
+        math.comb(k, j) * a ** (k - j) * (b - a) ** (j + alpha + beta + 1)
+        * sps.beta(j + beta + 1, alpha + 1)
+        for j in range(k + 1)
+    )
+
+
+@pytest.mark.parametrize("order, interval", [
+    pytest.param(order, interval, id=f"{order}" + "".join(f"-{x:g}" for x in interval))
+    for interval in [(), (0.0, 3.0), (1.0, 4.0)]
+    for order in (3, 8, 20)
+])
+def test_jacobi_exactness_through_2n_minus_1(order, interval):
     alpha, beta = 0.5, 2.5
-    rule = build_rule("jacobi", order, alpha=alpha, beta=beta)
-    oracle = build_rule("jacobi", 64, alpha=alpha, beta=beta)
+    rule = build_rule(("jacobi", alpha, beta) + interval, order)
+    if interval:
+        def want(k):
+            return _interval_moment(k, alpha, beta, *interval)
+    else:
+        oracle = build_rule(("jacobi", alpha, beta), 64)
+
+        def want(k):
+            return integrate(lambda t: t**k, oracle)
     for k in range(2 * order):
         got = integrate(lambda t: t**k, rule)
-        want = integrate(lambda t: t**k, oracle)
-        assert rel(got, want) < 1e-13
+        assert rel(got, want(k)) < 1e-13, k
 
 
 @pytest.mark.parametrize("order", [3, 8, 20])
 def test_laguerre_exactness_closed_form(order):
     gamma, scale = 0.75, 2.0
-    rule = build_rule("laguerre", order, gamma=gamma, scale=scale)
+    rule = build_rule(("laguerre", gamma, scale), order)
     for k in range(2 * order):
         got = integrate(lambda z: z**k, rule)
         want = math.gamma(gamma + k + 1) / scale ** (gamma + k + 1)
@@ -72,7 +93,7 @@ def test_laguerre_exactness_closed_form(order):
 
 def test_legendre_exactness_closed_form():
     a, b = -0.5, 2.0
-    rule = build_rule("legendre", 10, a=a, b=b)
+    rule = build_rule(("legendre", a, b), 10)
     for k in range(20):
         got = integrate(lambda t: t**k, rule)
         want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
@@ -80,26 +101,34 @@ def test_legendre_exactness_closed_form():
 
 
 def test_laguerre_scale_substitution():
-    rule = build_rule("laguerre", 8, gamma=1.0, scale=2.0)
+    rule = build_rule(("laguerre", 1.0, 2.0), 8)
     # integral of z e^(-2z) over (0, inf)
     assert rel(integrate(lambda z: 1.0, rule), 0.25) < 1e-14
 
 
 def test_rule_domain_errors():
     with pytest.raises(DomainError):
-        build_rule("jacobi", 5, alpha=-1.0, beta=0.0)
+        build_rule(("jacobi", -1.0, 0.0), 5)
     with pytest.raises(DomainError):
-        build_rule("laguerre", 5, gamma=-1.5)
+        build_rule(("laguerre", -1.5, 1.0), 5)
     with pytest.raises(DomainError):
-        build_rule("legendre", 5, a=1.0, b=0.0)
+        build_rule(("legendre", 1.0, 0.0), 5)
     with pytest.raises(DomainError):
-        build_rule("hermite", 5)
+        build_rule(("legendre", 0.0, math.inf), 5)
     with pytest.raises(DomainError):
-        build_rule("jacobi", 0, alpha=0.0, beta=0.0)
+        build_rule(("jacobi", 0.5, 0.5, 2.0, 2.0), 5)
+    with pytest.raises(DomainError):
+        build_rule(("panels", []), 5)
+    with pytest.raises(DomainError):
+        build_rule(("jacobi", 0.5), 5)
+    with pytest.raises(DomainError):
+        build_rule(("hermite",), 5)
+    with pytest.raises(DomainError):
+        build_rule(("jacobi", 0.0, 0.0), 0)
 
 
 def test_adaptive_converges_and_reports():
-    res = integrate_adaptive(math.exp, "legendre", a=-1.0, b=1.0, tol=1e-12)
+    res = integrate_adaptive(math.exp, ("legendre", -1.0, 1.0), tol=1e-12)
     assert isinstance(res, IntegralResult)
     assert res.converged
     assert rel(res.value, math.e - 1 / math.e) < 1e-12
@@ -111,9 +140,7 @@ def test_adaptive_flags_unconverged_honestly():
     # an oscillatory integrand the tiny budget cannot resolve
     res = integrate_adaptive(
         lambda t: math.cos(200 * t),
-        "legendre",
-        a=-1.0,
-        b=1.0,
+        ("legendre", -1.0, 1.0),
         tol=1e-14,
         start_order=2,
         max_order=4,
@@ -135,6 +162,27 @@ def test_region_with_jacobi_axis():
     # fold the weight into the axis: integral of (1-v)^0.5 (1+v)^0.5 dv
     res = integrate_region(lambda v: 1.0, [("jacobi", 0.5, 0.5)], tol=1e-12)
     assert rel(res.value, math.pi / 2) < 1e-12
+
+
+def test_panels_axis_moves_one_base_rule(monkeypatch):
+    # every panel gets the same Legendre base rule, built once per order,
+    # and the axis equals the per-panel Legendre rules bit for bit
+    panels = geometric_panels(0.0, 10.0, first=0.5)
+    builds = []
+    jacobi_rule = quadrature._jacobi_rule
+
+    def counted(*args):
+        builds.append(args)
+        return jacobi_rule(*args)
+
+    monkeypatch.setattr(quadrature, "_jacobi_rule", counted)
+    for order in (4, 8, 16):
+        builds.clear()
+        rule = build_rule(("panels", panels), order)
+        assert builds == [(order, 0.0, 0.0)]
+        pieces = [build_rule(("legendre", a, b), order) for a, b in panels]
+        assert np.array_equal(rule.nodes, np.concatenate([r.nodes for r in pieces]))
+        assert np.array_equal(rule.weights, np.concatenate([r.weights for r in pieces]))
 
 
 def test_region_rejects_high_dimension():
@@ -182,9 +230,9 @@ def _nested_sum(f, rules):
 
 def test_integrate_equals_nested_loops_bit_for_bit():
     rules = [
-        build_rule("jacobi", 7, alpha=0.5, beta=-0.25),
-        build_rule("laguerre", 5, gamma=1.5, scale=2.0),
-        build_rule("legendre", 4, a=-1.0, b=3.0),
+        build_rule(("jacobi", 0.5, -0.25), 7),
+        build_rule(("laguerre", 1.5, 2.0), 5),
+        build_rule(("legendre", -1.0, 3.0), 4),
     ]
 
     def f(*xs):
@@ -205,13 +253,10 @@ def _meshgrid_region(f, axes, tol, start_order, max_order):
     """Reference: the meshgrid/nditer tensor pass and its order doubling."""
     def axis_points(spec, order):
         if spec[0] == "panels":
-            rs = [build_rule("legendre", order, a=a, b=b) for a, b in spec[1]]
+            rs = [build_rule(("legendre", a, b), order) for a, b in spec[1]]
             return (np.concatenate([r.nodes for r in rs]),
                     np.concatenate([r.weights for r in rs]))
-        if spec[0] == "jacobi":
-            r = build_rule("jacobi", order, alpha=spec[1], beta=spec[2])
-        else:
-            r = build_rule("laguerre", order, gamma=spec[1], scale=spec[2])
+        r = build_rule(spec, order)
         return r.nodes, r.weights
 
     def tensor_pass(order):
@@ -263,8 +308,8 @@ def test_holographic_integral_equals_four_loop_sum():
         return 1.0 / ((tau[0] + 1j) ** 2 - tau[1] ** 2) ** 3
 
     nu = float(params.nu)
-    rule_x = build_rule("legendre", order, a=-radius, b=radius)
-    rule_st = build_rule("jacobi", order, alpha=0.0, beta=nu - 2.0)
+    rule_x = build_rule(("legendre", -radius, radius), order)
+    rule_st = build_rule(("jacobi", 0.0, nu - 2.0), order)
     cone_nodes = [0.5 * radius * (1.0 + u) for u in rule_st.nodes]
     z1, z2, z3 = zeta
     total = 0.0j

@@ -284,7 +284,7 @@ def test_c_ell_against_weighted_polynomial_norm():
     cases = [(2, 2, 0), (2, 2, 1), (F(5, 2), 3, 2), (3, 2, 0), (F(3, 2), F(3, 2), 3)]
     for lam1, lam2, ell in cases:
         a, b = float(lam1 - 1), float(lam2 - 1)
-        rule = build_rule("jacobi", 40, alpha=a, beta=b)
+        rule = build_rule(("jacobi", a, b), 40)
         poly = jacobi_poly(ell, lam1 - 1, lam2 - 1)
         total = sum(
             w * float(poly(float(v))) ** 2 for v, w in zip(rule.nodes, rule.weights)
