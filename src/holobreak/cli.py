@@ -468,6 +468,10 @@ def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
     pts2 = default_tube_points(2, 12, rng)
     pts1 = default_tube_points(1, 12, rng)
     library = _rc_library()
+
+    def same(a, b, pts):
+        return equal(a, b) if cfg.exact else equal(a, b, "sampled", cfg.tol, pts)
+
     for l1 in cfg.need("lam1"):
         for l2 in cfg.need("lam2"):
             for ell in range(cfg.ell_max + 1):
@@ -480,12 +484,7 @@ def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
                     def run(p=p, f=f):
                         ref = rc_apply(p, f, RC_ROUTES[0])
                         for route in RC_ROUTES[1:]:
-                            got = rc_apply(p, f, route)
-                            if cfg.exact:
-                                same = equal(ref, got)
-                            else:
-                                same = equal(ref, got, "sampled", cfg.tol, pts1)
-                            if not same:
+                            if not same(ref, rc_apply(p, f, route), pts1):
                                 return _bool_case(False, True, f"route {route} differs")
                         return _bool_case(True, True)
 
@@ -496,11 +495,7 @@ def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
                     shift = ell * (l1 + l2 + ell - 1)
                     lhs = casimir_P(l1, l2, g)
                     rhs = scale(g, -shift)
-                    if cfg.exact:
-                        same = equal(lhs, rhs)
-                    else:
-                        same = equal(lhs, rhs, "sampled", cfg.tol, pts2)
-                    return _bool_case(same, True)
+                    return _bool_case(same(lhs, rhs, pts2), True)
 
                 cases.append(Case(f"casimir-eigen/{tag}", dict(base_params), run_cas))
 
@@ -509,11 +504,7 @@ def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
                     coeff = pochhammer(l1 + l2 + ell - 1, ell)
                     zi = base_poly(1, {(1,): 1, (0,): qqi(0, 1)})
                     want = holo_sum(1, [term(1, coeff, (0,), [(zi, -p.lam3)])])
-                    if cfg.exact:
-                        same = equal(got, want)
-                    else:
-                        same = equal(got, want, "sampled", cfg.tol, pts1)
-                    return _bool_case(same, True)
+                    return _bool_case(same(got, want, pts1), True)
 
                 cases.append(Case(f"ktype-composition/{tag}", dict(base_params), run_comp))
     return cases

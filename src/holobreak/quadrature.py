@@ -25,8 +25,10 @@ Every sum against rule nodes goes through `integrate`, which walks the
 tensor product of one or more rules.  The integrand contract is scalar: f
 receives one Python float per axis and returns a real or complex number.
 `integrate_region` holds the one order-doubling loop over a list of specs,
-and `integrate_adaptive` is its one-axis case; they stop when two successive
-estimates agree, and report failure honestly instead of raising.
+and `integrate_adaptive` is its one-axis case.  Their rule is "converges or
+raises": they return once two successive passes agree to tol, and raise
+DomainError ("did not converge") when the schedule ends without such a pair,
+so no caller checks convergence itself.
 """
 from __future__ import annotations
 
@@ -156,11 +158,6 @@ class IntegralResult:
     converged: bool
     evaluations: int
 
-    def __iter__(self):
-        # allow value, err = result
-        yield self.value
-        yield self.error
-
 
 def _rel_delta(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
@@ -175,7 +172,7 @@ def integrate_adaptive(
 ) -> IntegralResult:
     """Order-doubling integration on the one rule `spec` names: the
     one-axis case of `integrate_region`, with a longer default schedule.
-    f receives one Python float."""
+    f receives one Python float.  Converges or raises DomainError."""
     return integrate_region(f, [spec], tol, start_order, max_order)
 
 
@@ -209,10 +206,12 @@ def integrate_region(
     Each axis is a `build_rule` spec; f receives one Python float per axis,
     in axis order.  Every pass builds each axis rule at the current order,
     doubling from start_order up to max_order, and stops when two successive
-    passes agree to tol (relative, floored at scale 1).  Exhausting
-    max_order returns the last value with converged=False rather than
-    raising.  Truncation of infinite regions is the caller's job (the
-    conventional default truncation radius is 1e3).
+    passes agree to tol (relative, floored at scale 1).  It converges or
+    raises: a schedule that ends without two agreeing passes, including one
+    too short to run two, raises DomainError naming the axes, the last order
+    run, the error estimate and the number of evaluations.  Truncation of
+    infinite regions is the caller's job (the conventional default
+    truncation radius is 1e3).
     """
     if not 1 <= len(axes) <= 4:
         raise DomainError("integrate_region supports 1 to 4 axes")
@@ -230,4 +229,8 @@ def integrate_region(
                 return IntegralResult(cur, err, True, evals)
         prev = cur
         order *= 2
-    return IntegralResult(prev, err, False, evals)
+    last = order // 2 if evals else None
+    raise DomainError(
+        f"integral over {list(axes)} did not converge: last order {last}, "
+        f"error estimate {err:.2e}, {evals} evaluations"
+    )

@@ -59,8 +59,7 @@ class RCParams:
     ell: int
 
     def __post_init__(self):
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
-            raise DomainError("ell must be a nonnegative integer")
+        _check_ell(self.ell)
 
     @property
     def lam3(self):

@@ -267,6 +267,16 @@ def poly_two(mapping) -> PolyTwoVar:
 # Jacobi family
 
 
+def _jacobi_coeffs(ell: int, alpha, beta_) -> list:
+    """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for
+    j = 0..ell: the coefficients the three Jacobi builds below share."""
+    return [
+        pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(alpha + j + 1, ell - j)
+        / (math.factorial(j) * math.factorial(ell - j))
+        for j in range(ell + 1)
+    ]
+
+
 def jacobi_poly(ell: int, alpha, beta_) -> PolyOneVar:
     """Degree-ell Jacobi polynomial for the weight pair (alpha, beta_).
 
@@ -278,12 +288,8 @@ def jacobi_poly(ell: int, alpha, beta_) -> PolyOneVar:
         raise DomainError("jacobi_poly needs ell >= 0")
     exact = is_exact(alpha) and is_exact(beta_)
     coeffs = [Fraction(0) if exact else 0.0] * (ell + 1)
-    for j in range(ell + 1):
-        num = pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(
-            alpha + j + 1, ell - j
-        )
-        den = math.factorial(j) * math.factorial(ell - j) * 2**j
-        term = num / den
+    for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_)):
+        term = c / 2**j
         # ((t-1)/2)^j contributes C(j, m) (-1)^(j-m) t^m / 2^j, folded above
         for m in range(j + 1):
             coeffs[m] = coeffs[m] + term * math.comb(j, m) * (-1) ** (j - m)
@@ -297,13 +303,8 @@ def jacobi_inflated(ell: int, alpha, beta_) -> PolyTwoVar:
     line x + y = 0.
     """
     m: dict = {}
-    for j in range(ell + 1):
-        num = pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(
-            alpha + j + 1, ell - j
-        )
-        a_j = (-1) ** (ell - j) * num / (
-            math.factorial(ell - j) * math.factorial(j)
-        )
+    for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_)):
+        a_j = (-1) ** (ell - j) * c
         for k in range(ell - j + 1):
             key = (j + k, ell - j - k)
             m[key] = m.get(key, 0) + a_j * math.comb(ell - j, k)
@@ -312,13 +313,7 @@ def jacobi_inflated(ell: int, alpha, beta_) -> PolyTwoVar:
 
 def jacobi_variant(ell: int, alpha, beta_) -> PolyTwoVar:
     """Homogenization y^ell P(1 + 2x/y) of the Jacobi polynomial."""
-    m: dict = {}
-    for j in range(ell + 1):
-        num = pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(
-            alpha + j + 1, ell - j
-        )
-        m[(j, ell - j)] = num / (math.factorial(ell - j) * math.factorial(j))
-    return poly_two(m)
+    return poly_two({(j, ell - j): c for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_))})
 
 
 def jacobi_norm_sq(ell: int, alpha, beta_):

@@ -145,7 +145,6 @@ def qqi(re, im=0) -> QQi:
 
 
 QQI_ONE = qqi(1)
-QQI_I = qqi(0, 1)
 
 
 def exactify(x):

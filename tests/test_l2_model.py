@@ -246,7 +246,7 @@ def test_rchat_errors():
         # discontinuous across the segment, so estimates never settle
         return 1.0 if (y - x) / (x + y) > 0.1234 else 0.0
 
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="did not converge"):
         rchat_apply(p, jump, 2.0)
 
 
@@ -282,8 +282,10 @@ def test_invert_truncation_drops_high_levels():
 def test_invert_residual_monotone():
     # F(x, y) = e^(-x-y) is constant along each segment x + y = z, so its
     # level-ell transform factors as kappa * z^(ell+1) e^(-z); one transform
-    # evaluation per level pins kappa.  The residual norm is integrated in
-    # slanted coordinates, where the rule folds the endpoint weights exactly.
+    # evaluation per level pins kappa.  The residual norm |F - T_L|^2 is
+    # integrated in slanted coordinates as |F|^2 - 2 Re<F, T_L> + |T_L|^2:
+    # the lifts in T_L carry (1-v)^a (1+v)^b, so each piece gets the v rule
+    # whose weight holds its own endpoint powers, and every piece converges.
     lam1, lam2 = 1.5, 1.75
     F = l2fn(lambda x, y: math.exp(-x - y), lam1, lam2)
     comps = {}
@@ -298,22 +300,25 @@ def test_invert_residual_monotone():
     p0 = RCParams(lam1, lam2, 0)
     a, b = float(p0.alpha), float(p0.beta)
 
-    def residual(L):
-        trunc = invert_rchat(lam1, lam2, comps, L=L)
-
+    def piece(pointwise, v_axis, p, q):
+        # the measure is 2^(a+b-1) z^(1-a-b) (1-v)^(-a) (1+v)^(-b) dz dv and
+        # v_axis carries the weight (1-v)^p (1+v)^q
         def density(z, v):
             x, y = iota(z, v)
-            diff = F(x, y) - trunc(x, y)
-            return 2.0 ** (a + b - 1) * math.exp(2 * z) * abs(diff) ** 2
+            unfold = math.exp(2 * z) * (1 - v) ** (-a - p) * (1 + v) ** (-b - q)
+            return 2.0 ** (a + b - 1) * unfold * pointwise(x, y)
 
-        res = integrate_region(
-            density,
-            [("laguerre", 1 - a - b, 2.0), ("jacobi", -a, -b)],
-            tol=1e-6,
-            start_order=8,
-            max_order=64,
-        )
-        return float(res.value)
+        res = integrate_region(density, [("laguerre", 1 - a - b, 2.0), v_axis], tol=1e-10)
+        return res.value
+
+    norm_F = piece(lambda x, y: F(x, y) ** 2, ("jacobi", -a, -b), -a, -b)
+
+    def residual(L):
+        trunc = invert_rchat(lam1, lam2, comps, L=L)
+        cross = piece(lambda x, y: F(x, y) * trunc(x, y).conjugate(),
+                      ("legendre", -1.0, 1.0), 0.0, 0.0)
+        norm_T = piece(lambda x, y: abs(trunc(x, y)) ** 2, ("jacobi", a, b), a, b)
+        return norm_F - 2 * cross.real + norm_T
 
     chain = [residual(L) for L in range(9)]
     for before, after in zip(chain, chain[1:]):
@@ -412,7 +417,7 @@ def test_weighted_inner_guards_and_linearity():
 
 def test_weighted_norm_unconverged_paths():
     wild = l2fn(lambda z: z * math.cos(200.0 * z * z), 2.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="did not converge"):
         weighted_norm_sq(wild)
 
 

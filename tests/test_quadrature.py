@@ -132,20 +132,34 @@ def test_adaptive_converges_and_reports():
     assert isinstance(res, IntegralResult)
     assert res.converged
     assert rel(res.value, math.e - 1 / math.e) < 1e-12
-    value, err = res
-    assert value == res.value and err == res.error
+    assert 0 <= res.error < 1e-12
 
 
 def test_adaptive_flags_unconverged_honestly():
-    # an oscillatory integrand the tiny budget cannot resolve
-    res = integrate_adaptive(
-        lambda t: math.cos(200 * t),
-        ("legendre", -1.0, 1.0),
-        tol=1e-14,
-        start_order=2,
-        max_order=4,
-    )
-    assert not res.converged
+    # an oscillatory integrand the tiny budget cannot resolve: the two
+    # passes (orders 2 and 4, 6 evaluations) disagree, and that raises
+    f = lambda t: math.cos(200 * t)
+    r2, r4 = (build_rule(("legendre", -1.0, 1.0), n) for n in (2, 4))
+    err = rel(integrate(f, r4), integrate(f, r2))
+    with pytest.raises(DomainError, match="did not converge") as info:
+        integrate_adaptive(f, ("legendre", -1.0, 1.0), tol=1e-14, start_order=2, max_order=4)
+    msg = str(info.value)
+    assert f"error estimate {err:.2e}" in msg
+    assert "last order 4" in msg and "6 evaluations" in msg
+
+
+def test_schedule_too_short_to_compare_raises():
+    # no pass, or one pass with nothing to compare it to, is not convergence
+    f = lambda x: 1.0
+    with pytest.raises(DomainError, match=r"did not converge: last order None, "
+                       r"error estimate inf, 0 evaluations"):
+        integrate_adaptive(f, ("legendre", 0.0, 1.0), start_order=128, max_order=64)
+    with pytest.raises(DomainError, match=r"did not converge: last order 64, "
+                       r"error estimate inf, 64 evaluations"):
+        integrate_adaptive(f, ("legendre", 0.0, 1.0), start_order=64, max_order=64)
+    with pytest.raises(DomainError, match=r"did not converge: last order 8, .* 64 evaluations"):
+        integrate_region(lambda x, y: 1.0, [("legendre", 0.0, 1.0)] * 2, start_order=8,
+                         max_order=8)
 
 
 def test_region_two_dimensional():
@@ -250,7 +264,8 @@ def test_integrate_needs_a_rule():
 
 
 def _meshgrid_region(f, axes, tol, start_order, max_order):
-    """Reference: the meshgrid/nditer tensor pass and its order doubling."""
+    """Reference: the meshgrid/nditer tensor pass and its order doubling.
+    Returns (value, evaluations), value None when no two passes agree."""
     def axis_points(spec, order):
         if spec[0] == "panels":
             rs = [build_rule(("legendre", a, b), order) for a, b in spec[1]]
@@ -280,7 +295,7 @@ def _meshgrid_region(f, axes, tol, start_order, max_order):
             return cur, evals
         prev = cur
         order *= 2
-    return prev, evals
+    return None, evals
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-14])
@@ -294,8 +309,16 @@ def test_region_equals_meshgrid_pass(tol):
     def f(a, b, c):
         return math.exp(-a) * complex(1.0 + b * c, a * b) / (1.0 + a * b * b)
 
-    res = integrate_region(f, axes, tol=tol, start_order=2, max_order=8)
-    want, evals = _meshgrid_region(f, axes, tol, 2, 8)
+    # orders 2, 4, 8, 16: the 1e-4 case settles at 16, the 1e-14 case never
+    want, evals = _meshgrid_region(f, axes, tol, 2, 16)
+    if tol < 1e-10:
+        # the reference never settles either; the loop raises after the
+        # same evaluations instead of returning its last pass
+        assert want is None
+        with pytest.raises(DomainError, match=f"did not converge: last order 16, .* {evals} "):
+            integrate_region(f, axes, tol=tol, start_order=2, max_order=16)
+        return
+    res = integrate_region(f, axes, tol=tol, start_order=2, max_order=16)
     assert res.value == want
     assert res.evaluations == evals
 
