@@ -11,7 +11,8 @@ identities tying them together.
 Layering, bottom up:
 
 - ``special_poly``: gamma/beta scalars, Jacobi and Gegenbauer families.
-- ``quadrature``: Gaussian rules and adaptive tensor integration.
+- ``quadrature``: Gaussian rules and adaptive tensor integration of
+  integrands that take numpy node arrays.
 - ``term_algebra``: exact symbolic terms closed under the operations the
   transforms need (differentiate, restrict, evaluate, sl2 action).
 - ``rc_transform``: the bidifferential transform, its line-integral inverse,

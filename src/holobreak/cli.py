@@ -417,6 +417,17 @@ def _reported(computed, note) -> CaseResult:
 # suite builders
 
 
+def _squared(poly):
+    """Array integrand poly(x)^2, by Horner's rule in float arithmetic."""
+    poly = poly.as_float()
+
+    def square(x):
+        out = poly(x)
+        return out * out
+
+    return square
+
+
 def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
     cases = []
     alphas = [v - 1 for v in cfg.need("lam1")]
@@ -429,8 +440,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
 
                 def run(a=a, b=b, ell=ell):
                     rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
-                    poly = jacobi_poly(ell, a, b)
-                    quad = integrate(lambda x: float(poly(x)) ** 2, rule)
+                    quad = integrate(_squared(jacobi_poly(ell, a, b)), rule)
                     return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
 
                 cases.append(Case(key, params, run))
@@ -443,8 +453,7 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
 
             def run(a=a, ell=ell):
                 rule = build_rule(("jacobi", float(a) - 0.5, float(a) - 0.5), cfg.order)
-                poly = gegenbauer_poly(ell, a)
-                quad = integrate(lambda x: float(poly(x)) ** 2, rule)
+                quad = integrate(_squared(gegenbauer_poly(ell, a)), rule)
                 return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
 
             cases.append(Case(key, params, run))

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .l2_model import i_power
 from .quadrature import (
     build_rule,
@@ -33,6 +35,7 @@ from .quadrature import (
     integrate,
     integrate_adaptive,
     integrate_region,
+    pointwise,
 )
 from .special_poly import (
     DomainError,
@@ -141,6 +144,23 @@ def _cone_point(y, what: str, dim: int | None = None):
             return y, q
     cone = "the cone" if dim is None else f"the {dim}-dimensional cone"
     raise DomainError(f"{what} {y!r} is not in {cone}")
+
+
+def _cone_grid(y, dim: int):
+    """Q(y) over a grid of the open `dim`-dimensional cone, one coordinate
+    array per axis, checked in one pass; raises DomainError naming the
+    first point outside, as `_cone_point` does for one point."""
+    q = q_form(y)
+    inside = (y[0] > 0) & (q > 0)
+    if len(y) != dim or not np.all(inside):
+        point = tuple(c[np.argmin(inside)].item() for c in y)
+        raise DomainError(f"point {point!r} is not in the {dim}-dimensional cone")
+    return q
+
+
+def _fiber(y_prime, root: float, v):
+    """Coordinate arrays of the fiber points (y', -root v) over v."""
+    return [np.full(v.shape, c) for c in y_prime] + [-root * v]
 
 
 def iota_cone(y_prime, v):
@@ -342,7 +362,42 @@ def coefficient_ladder(params: JuhlParams):
 # multiplication model on the cone and the fiber transform
 
 
-def phi_cone_apply(params: JuhlParams, h):
+class ConeLift:
+    """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
+
+    Calling it on one point returns a Python scalar.  `grid` takes one
+    coordinate array per axis and evaluates the whole grid at once: one cone
+    check for the grid, and h crossing through `pointwise`.
+    """
+
+    def __init__(self, params: JuhlParams, h):
+        self.lam = _real_scalar(params.lam, "weight")
+        self.n, self.ell = params.n, params.ell
+        self.profile = gegenbauer_inflated(self.ell, float(params.alpha))
+        self.h = h
+        self._h_grid = pointwise(lambda *y_prime: h(y_prime))
+
+    def __call__(self, y):
+        y, q = _cone_point(y, "point", self.n)
+        return self._value(y, q, self.h(y[:-1]))
+
+    def grid(self, *y):
+        q = _cone_grid(y, self.n)
+        return self._value(y, q, self._h_grid(*y[:-1]))
+
+    def _value(self, y, q, h_value):
+        y_prime, y_n = y[:-1], y[-1]
+        q_prime = q_form(y_prime)
+        ratio = q / q_prime
+        return (
+            q_prime ** (-(self.ell + 0.5))
+            * ratio ** (self.lam - self.n / 2.0)
+            * self.profile(q_prime, -y_n)
+            * h_value
+        )
+
+
+def phi_cone_apply(params: JuhlParams, h) -> ConeLift:
     """Holographic lift: multiply h(y') by the fiber Gegenbauer profile.
 
     Returns a callable on the n-dimensional cone,
@@ -352,23 +407,7 @@ def phi_cone_apply(params: JuhlParams, h):
     with Q' the form of the leading n-1 coordinates.  In the fiber chart
     this is exactly (1/M) C_ell(v) h(y'), the multiplication form.
     """
-    lam = _real_scalar(params.lam, "weight")
-    n, ell = params.n, params.ell
-    profile = gegenbauer_inflated(ell, float(params.alpha))
-
-    def lifted(y):
-        y, q = _cone_point(y, "point", n)
-        y_prime, y_n = y[:-1], y[-1]
-        q_prime = q_form(y_prime)
-        ratio = q / q_prime
-        return (
-            q_prime ** (-(ell + 0.5))
-            * ratio ** (lam - n / 2.0)
-            * profile(q_prime, -y_n)
-            * h(y_prime)
-        )
-
-    return lifted
+    return ConeLift(params, h)
 
 
 def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
@@ -385,9 +424,10 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
     poly = gegenbauer_poly(ell, alpha)
     root = math.sqrt(q_prime)
+    values = pointwise(lambda *y: F(y))
 
-    def along(v: float):
-        return F(y_prime + (-root * v,)) * poly(v)
+    def along(v):
+        return values(*_fiber(y_prime, root, v)) * poly(v)
 
     if method == "jacobi":
         a_w = alpha - 0.5
@@ -414,13 +454,13 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     lam = _real_scalar(params.lam, "weight")
     n = params.n
     y_prime, q_prime = _cone_point(y_prime, "base point")
-    lifted = phi_cone_apply(params, h)
+    lift = phi_cone_apply(params, h)
     root = math.sqrt(q_prime)
     a_w = lam - n / 2.0
 
     def g(v):
-        val = lifted(y_prime + (-root * v,))
-        return abs(val) ** 2 * (1.0 - v * v) ** (n - 2.0 * lam)
+        val = lift.grid(*_fiber(y_prime, root, v))
+        return np.abs(val) ** 2 * (1.0 - v * v) ** (n - 2.0 * lam)
 
     res = integrate_adaptive(g, ("jacobi", a_w, a_w))
     numer = q_prime ** ((n + 1) / 2.0 - lam) * res.value
@@ -534,17 +574,20 @@ def _power_positive_cut(w, s):
 
     Values of the Lorentz form on tube-domain differences stay off the
     positive real axis but routinely cross the negative one, where the
-    principal branch would jump.  Arguments within 1e-10 of the cut raise.
+    principal branch would jump.  w is one number or an array; a zero
+    base anywhere raises PoleError, and an argument within 1e-10 of the cut
+    anywhere raises BranchCutError naming the first such value.
     """
-    w = complex(w)
-    if w == 0:
+    w = np.asarray(w, dtype=complex)
+    if np.any(w == 0):
         raise PoleError("zero base in a kernel power")
-    a = cmath.phase(w)
-    if a <= 0.0:
-        a += 2.0 * math.pi
-    if min(a, 2.0 * math.pi - a) < 1e-10:
-        raise BranchCutError(f"argument of {w!r} within 1e-10 of the [0, inf) cut")
-    return cmath.exp(complex(s) * (math.log(abs(w)) + 1j * a))
+    a = np.angle(w)
+    a = np.where(a <= 0.0, a + 2.0 * math.pi, a)
+    near = np.minimum(a, 2.0 * math.pi - a) < 1e-10
+    if np.any(near):
+        bad = np.ravel(w)[np.argmax(np.ravel(near))].item()
+        raise BranchCutError(f"argument of {bad!r} within 1e-10 of the [0, inf) cut")
+    return np.exp(complex(s) * (np.log(np.abs(w)) + 1j * a))
 
 
 def _require_tube(z, dim: int, what: str):
@@ -594,13 +637,14 @@ def holographic_integral(
     z1, z2, z3 = zeta
     z3_pow = z3**params.ell
     z3_sq = z3 * z3
+    g_values = pointwise(lambda *tau: g(tau))
 
     def integrand(s_val, t_val, x1, x2):
-        tau1 = complex(x1, 0.5 * (s_val + t_val))
-        tau2 = complex(x2, 0.5 * (s_val - t_val))
-        d1 = z1 - tau1.conjugate()
-        d2 = z2 - tau2.conjugate()
-        return _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu) * g((tau1, tau2))
+        tau1 = x1 + 1j * (0.5 * (s_val + t_val))
+        tau2 = x2 + 1j * (0.5 * (s_val - t_val))
+        d1 = z1 - np.conj(tau1)
+        d2 = z2 - np.conj(tau2)
+        return _power_positive_cut(d1 * d1 - d2 * d2 - z3_sq, -nu) * g_values(tau1, tau2)
 
     total = integrate(integrand, rule_st, rule_st, rule_x, rule_x)
     return adjoint_constant(params) * z3_pow * 0.5 * total
@@ -623,9 +667,18 @@ def cone_fourier_laplace(
     power of (1 - rho^2); it is folded into the radial Jacobi weight, so a
     lifted integrand with fractional boundary decay still converges at
     spectral rate.  The imaginary part of zeta must lie in the open cone,
-    which is what makes the oscillatory factor decay.  Raises DomainError
-    when the quadrature does not converge.
+    which is what makes the oscillatory factor decay.  F takes one point y
+    (a tuple of floats) and is called once per node through `pointwise`.
+    Raises DomainError when the quadrature does not converge.
     """
+    return _cone_transform(
+        pointwise(lambda *y: F(y)), zeta, n, rho_exponent, y_max, tol, start_order, max_order
+    )
+
+
+def _cone_transform(values, zeta, n, rho_exponent, y_max, tol, start_order, max_order):
+    """`cone_fourier_laplace` of an array integrand: values(*y) takes one
+    coordinate array per axis."""
     if n not in (3, 4):
         raise DomainError("cone transform implemented for n in {3, 4}")
     zeta = _require_tube(zeta, n, "transform argument")
@@ -638,21 +691,21 @@ def cone_fourier_laplace(
     def integrand(y1, u, theta, *rest):
         rho = 0.5 * (1.0 + u)
         if n == 3:
-            y = (y1, y1 * rho * math.cos(theta), y1 * rho * math.sin(theta))
+            y = (y1, y1 * rho * np.cos(theta), y1 * rho * np.sin(theta))
             jac = y1 * y1 * rho
         else:
             phi = rest[0]
-            sp = math.sin(phi)
+            sp = np.sin(phi)
             y = (
                 y1,
-                y1 * rho * sp * math.cos(theta),
-                y1 * rho * sp * math.sin(theta),
-                y1 * rho * math.cos(phi),
+                y1 * rho * sp * np.cos(theta),
+                y1 * rho * sp * np.sin(theta),
+                y1 * rho * np.cos(phi),
             )
             jac = y1**3 * rho * rho * sp
         pairing = sum(yc * zc for yc, zc in zip(y, zeta))
         defold = (1.0 - u) ** (-re) if re else 1.0
-        return F(y) * cmath.exp(1j * pairing) * jac * 0.5 * defold
+        return values(*y) * np.exp(1j * pairing) * jac * 0.5 * defold
 
     return integrate_region(
         integrand, axes, tol=tol, start_order=start_order, max_order=max_order
@@ -718,8 +771,8 @@ def invert_juhl(
         def assembled(zeta):
             total = 0.0j
             for lift, w in plan:
-                total += w * cone_fourier_laplace(
-                    lift, zeta, n, rho_exponent=boundary, y_max=y_max, tol=tol
+                total += w * _cone_transform(
+                    lift.grid, zeta, n, boundary, y_max, tol, start_order=8, max_order=48
                 )
             return total
 

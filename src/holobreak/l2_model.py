@@ -12,11 +12,11 @@ truncated norm on the other side.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
-from .quadrature import geometric_panels, integrate_adaptive, integrate_region
+import numpy as np
+
+from .quadrature import geometric_panels, integrate_adaptive, integrate_region, pointwise
 from .rc_transform import RCParams, c_ell
 from .special_poly import DomainError, jacobi_poly
 
@@ -142,13 +142,13 @@ def rchat_apply(params, F, z, method: str = "legendre"):
     """
     if not z > 0:
         raise DomainError("rchat_apply needs z > 0")
-    fn = _as_callable(F)
-    poly = jacobi_poly(params.ell, params.alpha, params.beta)
+    values = pointwise(_as_callable(F))
+    poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 
     if method == "legendre":
         def integrand(v):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
-            return float(poly(v)) * fn(x, y)
+            return poly(v) * values(x, y)
 
         res = integrate_adaptive(integrand, ("legendre", -1.0, 1.0), tol=_TOL)
     elif method == "jacobi":
@@ -157,7 +157,7 @@ def rchat_apply(params, F, z, method: str = "legendre"):
 
         def integrand(v):
             x, y = z * (1 - v) / 2, z * (1 + v) / 2
-            return float(poly(v)) * fn(x, y) * (1 - v) ** -a * (1 + v) ** -b
+            return poly(v) * values(x, y) * (1 - v) ** -a * (1 + v) ** -b
 
         res = integrate_adaptive(integrand, ("jacobi", a, b), tol=_TOL)
     else:
@@ -187,32 +187,23 @@ def invert_rchat(lam1, lam2, components, L=None) -> L2Fn:
 # norms and inner products
 
 
-def _guarded(g):
-    # deep quadrature nodes can overflow the e^(2z) unfolding factor even
-    # though the weighted integrand there is negligible for anything of
-    # finite norm; treat such nodes as zero instead of crashing
-    def safe(*args):
-        try:
-            return g(*args)
-        except OverflowError:
-            return 0.0
-
-    return safe
-
-
-def _weighted_integral(pointwise, weights):
-    """Integral of pointwise(*xs) against the product of x^(1-lam) dx over
-    the axes, one per weight, through scaled Laguerre rules with the weight
-    x^(lam-1) e^(-2x): the integrand puts back x^(2-2 lam) e^(2x) on each
-    axis.  Raises DomainError when the quadrature does not converge."""
+def _weighted_integral(values, weights):
+    """Integral of values(*xs), an array integrand, against the product of
+    x^(1-lam) dx over the axes, one per weight, through scaled Laguerre
+    rules with the weight x^(lam-1) e^(-2x): the integrand puts back the
+    unfolding factor x^(2-2 lam) e^(2x) on each axis.  Deep nodes can
+    overflow that factor although the weighted integrand there is
+    negligible for anything of finite norm, so a node whose factor is not
+    finite contributes exactly 0.  Raises DomainError when the quadrature
+    does not converge."""
     expos = [2.0 - 2.0 * float(lam) for lam in weights]
 
-    @_guarded
     def g(*xs):
-        v = pointwise(*xs)
-        for x, e in zip(xs, expos):
-            v = v * x**e
-        return v * math.exp(2 * sum(xs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            unfold = np.exp(2 * sum(xs))
+            for x, e in zip(xs, expos):
+                unfold = unfold * x**e
+            return np.where(np.isfinite(unfold), values(*xs) * unfold, 0.0)
 
     axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
     if len(axes) == 1:
@@ -226,8 +217,8 @@ def weighted_norm_sq(f: L2Fn) -> float:
     when the quadrature does not converge."""
     if not isinstance(f, L2Fn):
         raise DomainError("weighted_norm_sq needs a declared-weight function")
-    fn = f.func
-    return float(_weighted_integral(lambda *xs: abs(fn(*xs)) ** 2, f.weights))
+    values = pointwise(f.func)
+    return float(_weighted_integral(lambda *xs: np.abs(values(*xs)) ** 2, f.weights))
 
 
 def weighted_inner(f: L2Fn, g: L2Fn):
@@ -238,8 +229,10 @@ def weighted_inner(f: L2Fn, g: L2Fn):
         raise DomainError("weighted_inner needs declared-weight functions")
     if f.weights != g.weights:
         raise DomainError("weighted_inner needs matching weights")
-    fn, gn = f.func, g.func
-    return _weighted_integral(lambda *xs: fn(*xs) * complex(gn(*xs)).conjugate(), f.weights)
+    fv, gv = pointwise(f.func), pointwise(g.func)
+    return _weighted_integral(
+        lambda *xs: fv(*xs) * np.conj(gv(*xs).astype(complex)), f.weights
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +250,10 @@ def fourier_laplace(F, zeta):
     """
     if complex(zeta).imag <= 0:
         raise DomainError("fourier_laplace needs Im zeta > 0")
-    fn = _as_callable(F)
+    values = pointwise(_as_callable(F))
 
     def g(z):
-        return fn(z) * cmath.exp(1j * zeta * z)
+        return values(z) * np.exp(1j * zeta * z)
 
     return integrate_region(
         g,
@@ -283,15 +276,15 @@ def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
     falls with the decay of G, so xmax/ymax set the floor."""
     if not float(lam) > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
-    fn = _as_callable(G)
+    values = pointwise(_as_callable(G))
     expo = float(lam) - 2
     right = geometric_panels(0.0, xmax, first=1.0)
     xi_axis = ("panels", [(-b, -a) for a, b in reversed(right)] + right)
     eta_panels = geometric_panels(0.0, ymax, first=0.5)
-    parts = [(lambda xi, eta: abs(fn(complex(xi, eta))) ** 2,
+    parts = [(lambda xi, eta: np.abs(values(xi + 1j * eta)) ** 2,
               ("jacobi", 0.0, expo, 0.0, eta_panels[0][1]))]
     if len(eta_panels) > 1:
-        parts.append((lambda xi, eta: abs(fn(complex(xi, eta))) ** 2 * eta**expo,
+        parts.append((lambda xi, eta: np.abs(values(xi + 1j * eta)) ** 2 * eta**expo,
                       ("panels", eta_panels[1:])))
     total = 0.0
     for density, eta_axis in parts:

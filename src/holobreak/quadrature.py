@@ -22,8 +22,22 @@ An n-point rule integrates polynomials through degree 2n-1 against its
 weight; the test suite pins that at 1e-13 relative.
 
 Every sum against rule nodes goes through `integrate`, which walks the
-tensor product of one or more rules.  The integrand contract is scalar: f
-receives one Python float per axis and returns a real or complex number.
+tensor product of one or more rules.  The integrand contract is an array
+one: f receives one 1-D node array per axis, together holding one chunk of
+the tensor grid in C order (last axis fastest), and returns that chunk's
+values as an array of the same length.  `integrate` walks the grid in
+chunks of at most `CHUNK` points, so memory stays bounded however large
+the grid, and forms each chunk's weights as the product of the axis
+weights taken from the left.  The sum is one sequential left-to-right
+running sum whose total is carried across chunks, so a result equals the
+plain nested-loop sum bit for bit.  A non-finite pass total raises
+DomainError.
+
+A callable written for one point at a time enters through `pointwise`,
+the one adapter, which calls it once per grid point.  User-supplied
+functions (profiles, components, test integrands) cross there; the
+library's own integrands evaluate whole chunks in numpy.
+
 `integrate_region` holds the one order-doubling loop over a list of specs,
 and `integrate_adaptive` is its one-axis case.  Their rule is "converges or
 raises": they return once two successive passes agree to tol, and raise
@@ -32,7 +46,6 @@ so no caller checks convergence itself.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -133,22 +146,46 @@ def build_rule(spec, order: int) -> QuadratureRule:
     return QuadratureRule(spec, nodes, weights)
 
 
+CHUNK = 4096  # grid points per integrand call
+
+
+def pointwise(f: Callable) -> Callable:
+    """Array form of a one-point callable: given equal-length node arrays,
+    call f once per point with one Python scalar per array, in order, and
+    return the values as an array."""
+    def values(*xs):
+        return np.array([f(*point) for point in zip(*(x.tolist() for x in xs))])
+
+    return values
+
+
 def integrate(f: Callable, *rules: QuadratureRule):
     """Sum f against the tensor product of one or more rules.
 
-    f receives one Python float per rule, in rule order.  Points are visited
-    in C order (last rule fastest) and each point's weight is the product of
-    its axis weights taken from the left, so the sum is reproducible bit for
-    bit.
+    f receives one node array per rule, in rule order, holding one chunk of
+    at most CHUNK grid points in C order (last rule fastest), and returns
+    the chunk's values.  Each point's weight is the product of its axis
+    weights taken from the left, and the points are summed left to right
+    in one running sum carried across chunks, so the result is reproducible
+    bit for bit.  Raises DomainError when the total is not finite.
     """
     if not rules:
         raise DomainError("integrate needs at least one rule")
-    nodes = [r.nodes.tolist() for r in rules]
-    weights = map(math.prod, itertools.product(*[r.weights.tolist() for r in rules]))
+    shape = tuple(r.order for r in rules)
+    size = math.prod(shape)
     total = 0.0
-    for w, xs in zip(weights, itertools.product(*nodes)):
-        total = total + w * f(*xs)
-    return total
+    for start in range(0, size, CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK, size)), shape)
+        weights = rules[0].weights[index[0]]
+        for r, i in zip(rules[1:], index[1:]):
+            weights = weights * r.weights[i]
+        values = f(*(r.nodes[i] for r, i in zip(rules, index)))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            total = np.cumsum(np.concatenate(([total], weights * values)))[-1]
+    if not np.isfinite(total):
+        specs = [r.spec for r in rules]
+        raise DomainError(f"integral over {specs} is not finite: {total}")
+    return total.item()
 
 
 @dataclass(frozen=True)
@@ -172,7 +209,8 @@ def integrate_adaptive(
 ) -> IntegralResult:
     """Order-doubling integration on the one rule `spec` names: the
     one-axis case of `integrate_region`, with a longer default schedule.
-    f receives one Python float.  Converges or raises DomainError."""
+    f receives one node array (see `integrate`).  Converges or raises
+    DomainError."""
     return integrate_region(f, [spec], tol, start_order, max_order)
 
 
@@ -185,6 +223,8 @@ def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
     """
     if not outer > inner:
         raise DomainError("geometric_panels needs outer > inner")
+    if not first > 0:
+        raise DomainError("geometric_panels needs a positive first width")
     breaks = [inner]
     width = first
     while breaks[-1] + width < outer:
@@ -203,13 +243,14 @@ def integrate_region(
 ) -> IntegralResult:
     """Tensor-product integration over up to four axes with order doubling.
 
-    Each axis is a `build_rule` spec; f receives one Python float per axis,
-    in axis order.  Every pass builds each axis rule at the current order,
-    doubling from start_order up to max_order, and stops when two successive
-    passes agree to tol (relative, floored at scale 1).  It converges or
-    raises: a schedule that ends without two agreeing passes, including one
-    too short to run two, raises DomainError naming the axes, the last order
-    run, the error estimate and the number of evaluations.  Truncation of
+    Each axis is a `build_rule` spec; f receives one node array per axis,
+    in axis order (see `integrate`).  Every pass builds each axis rule at
+    the current order, doubling from start_order up to max_order, and
+    stops when two successive passes agree to tol (relative, floored at
+    scale 1).  It converges or raises: a schedule that ends without two
+    agreeing passes, including one too short to run two, raises DomainError
+    naming the axes, the last order run, the error estimate and the number
+    of evaluations.  Truncation of
     infinite regions is the caller's job (the conventional default
     truncation radius is 1e3).
     """

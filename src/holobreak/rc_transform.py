@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrature import build_rule, integrate
+from .quadrature import build_rule, integrate, pointwise
 from .special_poly import (
     DomainError,
     PoleError,
@@ -288,7 +288,8 @@ def psi_quadrature(params: RCParams, g, z1, z2):
     if a <= -1 or b <= -1:
         raise DomainError("psi_quadrature needs lam1 + ell > 0 and lam2 + ell > 0")
     rule = build_rule(("jacobi", a, b), 80)
-    acc = integrate(lambda v: g(((z2 - z1) * v + (z1 + z2)) / 2), rule)
+    values = pointwise(g)
+    acc = integrate(lambda v: values(((z2 - z1) * v + (z1 + z2)) / 2), rule)
     pref = (z1 - z2) ** p.ell / (
         2.0 ** float(p.lam1 + p.lam2 + 2 * p.ell - 1) * math.factorial(p.ell)
     )

@@ -178,6 +178,13 @@ class PolyOneVar:
             out = out * t + c
         return out
 
+    def as_float(self) -> "PolyOneVar":
+        """The polynomial with float coefficients, for evaluation on node
+        arrays.  At a float point Python already runs Horner's rule in float
+        arithmetic (Fraction + float converts the Fraction), so the values
+        agree with the exact polynomial's bit for bit."""
+        return PolyOneVar(tuple(float(c) for c in self.coefficients))
+
     def derivative(self) -> "PolyOneVar":
         cs = [k * c for k, c in enumerate(self.coefficients)][1:]
         return poly_one(cs)

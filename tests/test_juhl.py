@@ -5,8 +5,10 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from holobreak import juhl
 from holobreak.juhl import (
     JUHL_ROUTES,
     JuhlParams,
@@ -35,7 +37,7 @@ from holobreak.juhl import (
     _power_positive_cut,
 )
 from holobreak.l2_model import i_power
-from holobreak.quadrature import integrate_adaptive, integrate_region
+from holobreak.quadrature import build_rule, integrate_adaptive, integrate_region, pointwise
 from holobreak.special_poly import (
     DomainError,
     PoleError,
@@ -341,6 +343,19 @@ def test_lift_rejects_points_off_the_cone():
             lift(bad)
 
 
+def test_lift_grid_checks_every_point():
+    lift = phi_cone_apply(JuhlParams(3, 2.5, 1), lambda yp: 1.0 + 0.5 * yp[1])
+    y1, y2, y3 = (np.array(c) for c in ([2.0, 1.2, 1.0, 2.0], [0.3, -0.4, 2.0, 0.1],
+                                        [-0.2, 0.5, 0.0, 0.1]))
+    with pytest.raises(DomainError, match=r"point \(1\.0, 2\.0, 0\.0\) is not in the "
+                       r"3-dimensional cone"):
+        lift.grid(y1, y2, y3)
+    got = lift.grid(y1[:2], y2[:2], y3[:2])
+    for k, point in enumerate((X3A, X3B)):
+        assert rel(got[k], lift(point)) < 1e-14
+    assert type(lift(X3A)) is float
+
+
 def test_lift_isometry_ratio_pointwise():
     for n, lam, ells, pts in [
         (3, 2.5, (0, 1, 2, 3, 4), (P2A, P2B)),
@@ -465,7 +480,7 @@ def test_fiber_norm_against_quadrature():
     # Gamma-based normalization
     c = cone_constants(JuhlParams(3, 3.0, 0))["c_ell"]
     res = integrate_adaptive(
-        lambda v: (1.0 - v * v) ** 1.5, ("legendre", -1.0, 1.0), tol=1e-11
+        pointwise(lambda v: (1.0 - v * v) ** 1.5), ("legendre", -1.0, 1.0), tol=1e-11
     )
     assert res.converged and rel(c, res.value) < 1e-10
     assert rel(c, 3.0 * math.pi / 8.0) < 1e-12
@@ -515,7 +530,7 @@ def test_kernel_constant_self_reproducing_rank_one():
         return K(za, tau) * K(tau, wa)
 
     res = integrate_region(
-        pair,
+        pointwise(pair),
         [("legendre", -radius, radius), ("jacobi", 0.0, 2.0 * nu - 2.0)],
         tol=1e-5,
         start_order=16,
@@ -579,6 +594,19 @@ def test_kernel_integral_reproduces_kernel_vectors():
     assert rel(got, want) < 3e-2
 
 
+def test_kernel_integral_raises_where_the_grid_touches_the_cut(monkeypatch):
+    # a tube point never puts the kernel argument on [0, inf), so the tube
+    # check is lifted here to reach the grid-wide cut check: with the real
+    # parts on rule nodes and a space-like imaginary part, one grid point
+    # has a positive real kernel argument
+    monkeypatch.setattr(juhl, "_require_tube", lambda z, dim, what: tuple(z))
+    order, radius = 5, 8.0
+    x = build_rule(("legendre", -radius, radius), order).nodes
+    zeta = (complex(x[1], 0.5), complex(x[3], 0.0), 100j)
+    with pytest.raises(BranchCutError, match=r"within 1e-10 of the \[0, inf\) cut"):
+        holographic_integral(JuhlParams(3, 3.0, 0), lambda t: 1.0, zeta, radius, order)
+
+
 def test_kernel_integral_guards():
     with pytest.raises(DomainError):
         holographic_integral(JuhlParams(4, 4.0, 0), lambda t: 1.0, Z3 + (0.1j,))
@@ -603,7 +631,7 @@ def test_lower_transform_closed_form():
                 return 0.5 * cmath.exp(0.5j * (s * a + t * b))
 
             res = integrate_region(
-                g, [("laguerre", float(nu - 1), 0.5)] * 2, tol=1e-10, max_order=128
+                pointwise(g), [("laguerre", float(nu - 1), 0.5)] * 2, tol=1e-10, max_order=128
             )
             assert res.converged
             shifted = (tau[0] + 1j) ** 2 - tau[1] ** 2
@@ -626,7 +654,7 @@ def test_transform_coordinates_agree():
 
     side = math.sqrt(30.0)
     res = integrate_region(
-        slanted,
+        pointwise(slanted),
         [("panels", [(0.0, 1.2), (1.2, 2.8), (2.8, side)])] * 2
         + [("legendre", -1.0, 1.0)],
         tol=1e-8,
@@ -731,7 +759,7 @@ def _norm_sq_slanted(F_fn, lam, tol=1e-9):
         )
 
     res = integrate_region(
-        g,
+        pointwise(g),
         [("laguerre", gamma, 1.0), ("laguerre", gamma, 1.0), ("jacobi", a_w, a_w)],
         tol=tol,
         max_order=64,

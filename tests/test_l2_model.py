@@ -23,7 +23,7 @@ from holobreak.l2_model import (
     weighted_inner,
     weighted_norm_sq,
 )
-from holobreak.quadrature import integrate_region
+from holobreak.quadrature import build_rule, integrate_region, pointwise
 from holobreak.rc_transform import RCParams, b_const, c_ell
 from holobreak.special_poly import DomainError, jacobi_poly
 
@@ -300,15 +300,15 @@ def test_invert_residual_monotone():
     p0 = RCParams(lam1, lam2, 0)
     a, b = float(p0.alpha), float(p0.beta)
 
-    def piece(pointwise, v_axis, p, q):
+    def piece(integrand, v_axis, p, q):
         # the measure is 2^(a+b-1) z^(1-a-b) (1-v)^(-a) (1+v)^(-b) dz dv and
         # v_axis carries the weight (1-v)^p (1+v)^q
         def density(z, v):
             x, y = iota(z, v)
             unfold = math.exp(2 * z) * (1 - v) ** (-a - p) * (1 + v) ** (-b - q)
-            return 2.0 ** (a + b - 1) * unfold * pointwise(x, y)
+            return 2.0 ** (a + b - 1) * unfold * integrand(x, y)
 
-        res = integrate_region(density, [("laguerre", 1 - a - b, 2.0), v_axis], tol=1e-10)
+        res = integrate_region(pointwise(density), [("laguerre", 1 - a - b, 2.0), v_axis], tol=1e-10)
         return res.value
 
     norm_F = piece(lambda x, y: F(x, y) ** 2, ("jacobi", -a, -b), -a, -b)
@@ -325,6 +325,22 @@ def test_invert_residual_monotone():
         assert after <= before + 1e-9
     assert chain[-1] >= 0
     assert chain[-1] < 0.5 * chain[0]
+
+
+def test_weighted_integral_masks_overflowing_nodes(monkeypatch):
+    # at orders 256 and 512 the deepest Laguerre nodes overflow the e^(2x)
+    # unfolding factor; those nodes contribute 0, so the norm stays finite
+    lam = 3.0
+    assert 2.0 * build_rule(("laguerre", lam - 1, 2.0), 512).nodes.max() > 710.0
+
+    def deep(f, spec, tol):
+        return quadrature.integrate_adaptive(f, spec, tol, start_order=256, max_order=512)
+
+    monkeypatch.setattr(l2_model, "integrate_adaptive", deep)
+    h = l2fn(lambda z: z ** (lam - 1) * math.exp(-z), lam)
+    got = weighted_norm_sq(h)
+    assert math.isfinite(got)
+    assert rel(got, math.gamma(lam) / 2**lam) < 1e-10
 
 
 def test_weighted_norm_frozen_values():

@@ -16,6 +16,7 @@ from holobreak.quadrature import (
     integrate,
     integrate_adaptive,
     integrate_region,
+    pointwise,
 )
 from holobreak.special_poly import DomainError, beta as beta_fn
 
@@ -75,9 +76,9 @@ def test_jacobi_exactness_through_2n_minus_1(order, interval):
         oracle = build_rule(("jacobi", alpha, beta), 64)
 
         def want(k):
-            return integrate(lambda t: t**k, oracle)
+            return integrate(pointwise(lambda t: t**k), oracle)
     for k in range(2 * order):
-        got = integrate(lambda t: t**k, rule)
+        got = integrate(pointwise(lambda t: t**k), rule)
         assert rel(got, want(k)) < 1e-13, k
 
 
@@ -86,7 +87,7 @@ def test_laguerre_exactness_closed_form(order):
     gamma, scale = 0.75, 2.0
     rule = build_rule(("laguerre", gamma, scale), order)
     for k in range(2 * order):
-        got = integrate(lambda z: z**k, rule)
+        got = integrate(pointwise(lambda z: z**k), rule)
         want = math.gamma(gamma + k + 1) / scale ** (gamma + k + 1)
         assert rel(got, want) < 1e-13
 
@@ -95,7 +96,7 @@ def test_legendre_exactness_closed_form():
     a, b = -0.5, 2.0
     rule = build_rule(("legendre", a, b), 10)
     for k in range(20):
-        got = integrate(lambda t: t**k, rule)
+        got = integrate(pointwise(lambda t: t**k), rule)
         want = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
         assert rel(got, want) < 1e-13
 
@@ -103,7 +104,7 @@ def test_legendre_exactness_closed_form():
 def test_laguerre_scale_substitution():
     rule = build_rule(("laguerre", 1.0, 2.0), 8)
     # integral of z e^(-2z) over (0, inf)
-    assert rel(integrate(lambda z: 1.0, rule), 0.25) < 1e-14
+    assert rel(integrate(pointwise(lambda z: 1.0), rule), 0.25) < 1e-14
 
 
 def test_rule_domain_errors():
@@ -128,7 +129,7 @@ def test_rule_domain_errors():
 
 
 def test_adaptive_converges_and_reports():
-    res = integrate_adaptive(math.exp, ("legendre", -1.0, 1.0), tol=1e-12)
+    res = integrate_adaptive(pointwise(math.exp), ("legendre", -1.0, 1.0), tol=1e-12)
     assert isinstance(res, IntegralResult)
     assert res.converged
     assert rel(res.value, math.e - 1 / math.e) < 1e-12
@@ -138,7 +139,7 @@ def test_adaptive_converges_and_reports():
 def test_adaptive_flags_unconverged_honestly():
     # an oscillatory integrand the tiny budget cannot resolve: the two
     # passes (orders 2 and 4, 6 evaluations) disagree, and that raises
-    f = lambda t: math.cos(200 * t)
+    f = pointwise(lambda t: math.cos(200 * t))
     r2, r4 = (build_rule(("legendre", -1.0, 1.0), n) for n in (2, 4))
     err = rel(integrate(f, r4), integrate(f, r2))
     with pytest.raises(DomainError, match="did not converge") as info:
@@ -150,7 +151,7 @@ def test_adaptive_flags_unconverged_honestly():
 
 def test_schedule_too_short_to_compare_raises():
     # no pass, or one pass with nothing to compare it to, is not convergence
-    f = lambda x: 1.0
+    f = pointwise(lambda x: 1.0)
     with pytest.raises(DomainError, match=r"did not converge: last order None, "
                        r"error estimate inf, 0 evaluations"):
         integrate_adaptive(f, ("legendre", 0.0, 1.0), start_order=128, max_order=64)
@@ -158,13 +159,13 @@ def test_schedule_too_short_to_compare_raises():
                        r"error estimate inf, 64 evaluations"):
         integrate_adaptive(f, ("legendre", 0.0, 1.0), start_order=64, max_order=64)
     with pytest.raises(DomainError, match=r"did not converge: last order 8, .* 64 evaluations"):
-        integrate_region(lambda x, y: 1.0, [("legendre", 0.0, 1.0)] * 2, start_order=8,
+        integrate_region(pointwise(lambda x, y: 1.0), [("legendre", 0.0, 1.0)] * 2, start_order=8,
                          max_order=8)
 
 
 def test_region_two_dimensional():
     res = integrate_region(
-        lambda x, y: math.exp(x + y),
+        pointwise(lambda x, y: math.exp(x + y)),
         [("legendre", 0.0, 1.0), ("legendre", 0.0, 1.0)],
         tol=1e-12,
     )
@@ -174,7 +175,7 @@ def test_region_two_dimensional():
 
 def test_region_with_jacobi_axis():
     # fold the weight into the axis: integral of (1-v)^0.5 (1+v)^0.5 dv
-    res = integrate_region(lambda v: 1.0, [("jacobi", 0.5, 0.5)], tol=1e-12)
+    res = integrate_region(pointwise(lambda v: 1.0), [("jacobi", 0.5, 0.5)], tol=1e-12)
     assert rel(res.value, math.pi / 2) < 1e-12
 
 
@@ -211,7 +212,7 @@ def test_geometric_panels_cover_halfline_tail():
     for (a0, b0), (a1, b1) in zip(panels, panels[1:]):
         assert b0 == a1
     res = integrate_region(
-        lambda z: math.exp(-z),
+        pointwise(lambda z: math.exp(-z)),
         [("panels", panels)],
         tol=1e-12,
         start_order=16,
@@ -253,9 +254,57 @@ def test_integrate_equals_nested_loops_bit_for_bit():
         return complex(math.cos(sum(xs)), xs[0] * xs[-1]) / (1.0 + xs[0] ** 2)
 
     for k in (1, 2, 3):
-        got = integrate(f, *rules[:k])
+        got = integrate(pointwise(f), *rules[:k])
         assert got == _nested_sum(f, rules[:k])
         assert type(got) is complex
+
+
+def test_integrate_carries_the_sum_across_chunks():
+    # 17^3 points span two chunks; the running total carried from the first
+    # chunk into the second keeps the sum equal to the nested loops
+    rules = [
+        build_rule(("jacobi", 0.5, -0.25), 17),
+        build_rule(("laguerre", 1.5, 2.0), 17),
+        build_rule(("legendre", -1.0, 3.0), 17),
+    ]
+    assert math.prod(r.order for r in rules) > quadrature.CHUNK
+
+    def f(a, b, c):
+        return complex(math.cos(a + b + c), a * c) / (1.0 + a * a + 0.1 * b)
+
+    assert integrate(pointwise(f), *rules) == _nested_sum(f, rules)
+
+
+def test_pointwise_calls_once_per_point():
+    rules = [build_rule(("legendre", 0.0, 1.0), 3), build_rule(("legendre", 0.0, 1.0), 5)]
+    calls = []
+
+    def f(x, y):
+        calls.append((x, y))
+        return x * y
+
+    assert rel(integrate(pointwise(f), *rules), 0.25) < 1e-14
+    assert len(calls) == 15
+    assert all(type(x) is float and type(y) is float for x, y in calls)
+    calls.clear()
+    big = build_rule(("legendre", 0.0, 1.0), 65)
+    integrate(pointwise(f), big, big)
+    assert len(calls) == 65 * 65 > quadrature.CHUNK
+    assert len(set(calls)) == len(calls)
+
+
+def test_integrate_raises_on_a_non_finite_total():
+    rule = build_rule(("legendre", 0.0, 4.0), 8)
+    with pytest.raises(DomainError, match=r"\('legendre', 0.0, 4.0\)\] is not finite"):
+        integrate(pointwise(lambda x: 1e308), rule)
+    with pytest.raises(DomainError, match="is not finite"):
+        integrate(pointwise(lambda x: math.nan if x > 2.0 else 1.0), rule)
+
+
+def test_geometric_panels_reject_a_nonpositive_first_width():
+    for first in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="positive first width"):
+            geometric_panels(0.0, 10.0, first=first)
 
 
 def test_integrate_needs_a_rule():
@@ -316,9 +365,9 @@ def test_region_equals_meshgrid_pass(tol):
         # same evaluations instead of returning its last pass
         assert want is None
         with pytest.raises(DomainError, match=f"did not converge: last order 16, .* {evals} "):
-            integrate_region(f, axes, tol=tol, start_order=2, max_order=16)
+            integrate_region(pointwise(f), axes, tol=tol, start_order=2, max_order=16)
         return
-    res = integrate_region(f, axes, tol=tol, start_order=2, max_order=16)
+    res = integrate_region(pointwise(f), axes, tol=tol, start_order=2, max_order=16)
     assert res.value == want
     assert res.evaluations == evals
 
