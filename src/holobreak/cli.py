@@ -46,6 +46,7 @@ from .special_poly import (
 )
 from .quadrature import build_rule, integrate
 from .term_algebra import (
+    BranchCutError,
     ExactnessError,
     ParseError,
     QQi,
@@ -1032,10 +1033,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_eval(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, PoleError, ExactnessError) as exc:
+    except (ConfigError, DomainError, ExactnessError, BranchCutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -133,17 +133,14 @@ def in_cone(y) -> bool:
     return q_form(y) > 0 and y[0] > 0
 
 
-def _cone_point(y, what: str, dim: int | None = None):
+def _cone_point(y, what: str):
     """(y, Q(y)) for a real point of the open cone, converted once; raises
-    DomainError naming `what` when y is outside the cone or, when `dim` is
-    given, has another length."""
+    DomainError naming `what` when y is outside the cone."""
     y = _real_vector(y)
-    if dim is None or len(y) == dim:
-        q = q_form(y)
-        if y[0] > 0 and q > 0:
-            return y, q
-    cone = "the cone" if dim is None else f"the {dim}-dimensional cone"
-    raise DomainError(f"{what} {y!r} is not in {cone}")
+    q = q_form(y)
+    if y[0] > 0 and q > 0:
+        return y, q
+    raise DomainError(f"{what} {y!r} is not in the cone")
 
 
 def _cone_grid(y, dim: int):
@@ -365,36 +362,36 @@ def coefficient_ladder(params: JuhlParams):
 class ConeLift:
     """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
 
-    Calling it on one point returns a Python scalar.  `grid` takes one
-    coordinate array per axis and evaluates the whole grid at once: one cone
-    check for the grid, and h crossing through `pointwise`.
+    `grid` is the lift as one array formula, one coordinate array per axis
+    and one cone check per grid, and the transforms evaluate it there; a
+    one-point call runs it on one-element arrays and returns a Python scalar.
     """
 
     def __init__(self, params: JuhlParams, h):
         self.lam = _real_scalar(params.lam, "weight")
         self.n, self.ell = params.n, params.ell
         self.profile = gegenbauer_inflated(self.ell, float(params.alpha))
-        self.h = h
-        self._h_grid = pointwise(lambda *y_prime: h(y_prime))
+        self._h_grid = _grid(h)
 
     def __call__(self, y):
-        y, q = _cone_point(y, "point", self.n)
-        return self._value(y, q, self.h(y[:-1]))
+        return self.grid(*(np.array([c]) for c in _real_vector(y)))[0].item()
 
     def grid(self, *y):
         q = _cone_grid(y, self.n)
-        return self._value(y, q, self._h_grid(*y[:-1]))
-
-    def _value(self, y, q, h_value):
         y_prime, y_n = y[:-1], y[-1]
         q_prime = q_form(y_prime)
-        ratio = q / q_prime
         return (
             q_prime ** (-(self.ell + 0.5))
-            * ratio ** (self.lam - self.n / 2.0)
+            * (q / q_prime) ** (self.lam - self.n / 2.0)
             * self.profile(q_prime, -y_n)
-            * h_value
+            * self._h_grid(*y_prime)
         )
+
+
+def _grid(F):
+    """Array form of a function of one point: a lift's own `grid`, or a
+    callable that takes the point as a tuple, wrapped by `pointwise`."""
+    return F.grid if isinstance(F, ConeLift) else pointwise(lambda *y: F(y))
 
 
 def phi_cone_apply(params: JuhlParams, h) -> ConeLift:
@@ -424,7 +421,7 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
     poly = gegenbauer_poly(ell, alpha)
     root = math.sqrt(q_prime)
-    values = pointwise(lambda *y: F(y))
+    values = _grid(F)
 
     def along(v):
         return values(*_fiber(y_prime, root, v)) * poly(v)
@@ -637,7 +634,7 @@ def holographic_integral(
     z1, z2, z3 = zeta
     z3_pow = z3**params.ell
     z3_sq = z3 * z3
-    g_values = pointwise(lambda *tau: g(tau))
+    g_values = _grid(g)
 
     def integrand(s_val, t_val, x1, x2):
         tau1 = x1 + 1j * (0.5 * (s_val + t_val))
@@ -667,18 +664,11 @@ def cone_fourier_laplace(
     power of (1 - rho^2); it is folded into the radial Jacobi weight, so a
     lifted integrand with fractional boundary decay still converges at
     spectral rate.  The imaginary part of zeta must lie in the open cone,
-    which is what makes the oscillatory factor decay.  F takes one point y
-    (a tuple of floats) and is called once per node through `pointwise`.
-    Raises DomainError when the quadrature does not converge.
+    which is what makes the oscillatory factor decay.  A lift is evaluated
+    on the node grids; any other F takes one point y (a tuple of floats)
+    and is called once per node through `pointwise`.  Raises DomainError
+    when the quadrature does not converge.
     """
-    return _cone_transform(
-        pointwise(lambda *y: F(y)), zeta, n, rho_exponent, y_max, tol, start_order, max_order
-    )
-
-
-def _cone_transform(values, zeta, n, rho_exponent, y_max, tol, start_order, max_order):
-    """`cone_fourier_laplace` of an array integrand: values(*y) takes one
-    coordinate array per axis."""
     if n not in (3, 4):
         raise DomainError("cone transform implemented for n in {3, 4}")
     zeta = _require_tube(zeta, n, "transform argument")
@@ -687,6 +677,7 @@ def _cone_transform(values, zeta, n, rho_exponent, y_max, tol, start_order, max_
     axes = [("panels", panels), ("jacobi", re, 0.0), ("legendre", 0.0, 2.0 * math.pi)]
     if n == 4:
         axes.append(("legendre", 0.0, math.pi))
+    values = _grid(F)
 
     def integrand(y1, u, theta, *rest):
         rho = 0.5 * (1.0 + u)
@@ -771,9 +762,7 @@ def invert_juhl(
         def assembled(zeta):
             total = 0.0j
             for lift, w in plan:
-                total += w * _cone_transform(
-                    lift.grid, zeta, n, boundary, y_max, tol, start_order=8, max_order=48
-                )
+                total += w * cone_fourier_laplace(lift, zeta, n, boundary, y_max, tol)
             return total
 
         return assembled

@@ -32,7 +32,8 @@ def i_power(k: int) -> complex:
 
 @dataclass(frozen=True)
 class L2Fn:
-    """Evaluable function together with its declared weight exponents.
+    """One-point callable, or a lift's array formula (`_Lift`), together
+    with its declared weight exponents.
 
     weights has one entry for a half-line function (space with measure
     x^(1-lam) dx) and two for a quarter-plane function (product measure
@@ -56,8 +57,22 @@ def l2fn(func, *weights) -> L2Fn:
     return L2Fn(func, tuple(weights))
 
 
-def _as_callable(f):
-    return f.func if isinstance(f, L2Fn) else f
+@dataclass(frozen=True)
+class _Lift:
+    """A lift as one array formula, `grid`; a one-point call runs it on
+    one-element arrays and returns a Python scalar."""
+
+    grid: object
+
+    def __call__(self, *point):
+        return self.grid(*(np.array([c], dtype=float) for c in point))[0].item()
+
+
+def _grid(f):
+    """Array form of a function, bare or in an L2Fn: a lift's own formula,
+    or a one-point callable wrapped by `pointwise`."""
+    f = f.func if isinstance(f, L2Fn) else f
+    return f.grid if isinstance(f, _Lift) else pointwise(f)
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +125,22 @@ def phi_apply(params, h) -> L2Fn:
         (x, y) |-> x^a y^b (x+y)^(-(lam1+lam2+ell-1)) P(v(x,y)) h(x+y)
 
     with P the degree-ell Jacobi polynomial for (a, b) = (alpha, beta) and
-    v(x, y) = (y-x)/(x+y).  Scales half-line norms by c_ell.
+    v(x, y) = (y-x)/(x+y).  Scales half-line norms by c_ell.  The lift is
+    one array formula (`_Lift`), evaluated on whole node arrays.
     """
-    if isinstance(h, L2Fn):
-        if h.weights != (params.lam3,):
-            raise DomainError(
-                f"phi_apply needs a function of declared weight {params.lam3}"
-            )
-        h = h.func
+    if isinstance(h, L2Fn) and h.weights != (params.lam3,):
+        raise DomainError(f"phi_apply needs a function of declared weight {params.lam3}")
+    h_values = _grid(h)
     a = float(params.alpha)
     b = float(params.beta)
     drop = float(params.lam1 + params.lam2 + params.ell - 1)
-    poly = jacobi_poly(params.ell, params.alpha, params.beta)
+    poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 
     def lifted(x, y):
         z = x + y
-        return x**a * y**b * z**-drop * float(poly((y - x) / z)) * h(z)
+        return x**a * y**b * z**-drop * poly((y - x) / z) * h_values(z)
 
-    return L2Fn(lifted, (params.lam1, params.lam2))
+    return L2Fn(_Lift(lifted), (params.lam1, params.lam2))
 
 
 def rchat_apply(params, F, z, method: str = "legendre"):
@@ -142,7 +155,7 @@ def rchat_apply(params, F, z, method: str = "legendre"):
     """
     if not z > 0:
         raise DomainError("rchat_apply needs z > 0")
-    values = pointwise(_as_callable(F))
+    values = _grid(F)
     poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 
     if method == "legendre":
@@ -168,19 +181,20 @@ def rchat_apply(params, F, z, method: str = "legendre"):
 def invert_rchat(lam1, lam2, components, L=None) -> L2Fn:
     """Reassemble a quarter-plane function from its one-variable pieces:
     the sum over ell of (i^ell / c_ell) times the lift of components[ell],
-    truncated at L when given."""
+    truncated at L when given; like each lift, the sum is a `_Lift`."""
     lifts = []
     for ell in sorted(components):
         if L is not None and ell > L:
             continue
         p = RCParams(lam1, lam2, ell)
         weight = i_power(ell) / complex(c_ell(lam1, lam2, ell))
-        lifts.append((weight, phi_apply(p, _as_callable(components[ell]))))
+        # a component of any declared weight lifts, as an array formula
+        lifts.append((weight, phi_apply(p, _Lift(_grid(components[ell]))).func.grid))
 
     def reassembled(x, y):
         return sum((w * g(x, y) for w, g in lifts), 0j)
 
-    return L2Fn(reassembled, (lam1, lam2))
+    return L2Fn(_Lift(reassembled), (lam1, lam2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +231,7 @@ def weighted_norm_sq(f: L2Fn) -> float:
     when the quadrature does not converge."""
     if not isinstance(f, L2Fn):
         raise DomainError("weighted_norm_sq needs a declared-weight function")
-    values = pointwise(f.func)
+    values = _grid(f)
     return float(_weighted_integral(lambda *xs: np.abs(values(*xs)) ** 2, f.weights))
 
 
@@ -229,7 +243,7 @@ def weighted_inner(f: L2Fn, g: L2Fn):
         raise DomainError("weighted_inner needs declared-weight functions")
     if f.weights != g.weights:
         raise DomainError("weighted_inner needs matching weights")
-    fv, gv = pointwise(f.func), pointwise(g.func)
+    fv, gv = _grid(f), _grid(g)
     return _weighted_integral(
         lambda *xs: fv(*xs) * np.conj(gv(*xs).astype(complex)), f.weights
     )
@@ -250,7 +264,7 @@ def fourier_laplace(F, zeta):
     """
     if complex(zeta).imag <= 0:
         raise DomainError("fourier_laplace needs Im zeta > 0")
-    values = pointwise(_as_callable(F))
+    values = _grid(F)
 
     def g(z):
         return values(z) * np.exp(1j * zeta * z)
@@ -276,7 +290,7 @@ def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
     falls with the decay of G, so xmax/ymax set the floor."""
     if not float(lam) > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
-    values = pointwise(_as_callable(G))
+    values = _grid(G)
     expo = float(lam) - 2
     right = geometric_panels(0.0, xmax, first=1.0)
     xi_axis = ("panels", [(-b, -a) for a, b in reversed(right)] + right)

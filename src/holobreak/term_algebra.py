@@ -512,6 +512,7 @@ def evaluate(f: HoloSum, point) -> complex:
     Raises BranchCutError when a base value falls within 1e-10 of the
     negative real axis under a non-integer exponent: on tube domains that
     signals an ill-posed branch choice rather than a numeric accident.
+    Raises DomainError naming the value and the point when it is not finite.
     """
     if len(point) != f.arity:
         raise DomainError("point arity mismatch")
@@ -525,6 +526,8 @@ def evaluate(f: HoloSum, point) -> complex:
         for b, p in t.bases:
             v = v * _principal_power(b.evaluate(pt), p)
         total += v
+    if not cmath.isfinite(total):
+        raise DomainError(f"value {total!r} at {point!r} is not finite")
     return total
 
 

@@ -437,6 +437,23 @@ def test_eval_overflow_is_an_error_not_a_traceback(capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_eval_branch_cut_is_an_error_not_a_traceback(capsys):
+    text = "(sum 1 (term 1 (mono 0) (pow (base ((1) 1) ((0) 1)) 1/2)))"
+    code = main(["eval", text, "--at", "-2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: argument of (-1+0j) within 1e-10 of the principal cut\n"
+    )
+
+
+def test_eval_non_finite_value_is_an_error(capsys):
+    code = main(["eval", "(sum 1 (term 1e300 (mono 1)))", "--at", "1e200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value (inf+0j) at ((1e+200+0j),) is not finite" in captured.err
+
+
 def test_eval_point_arity_mismatch(capsys):
     code = main(["eval", "(sum 2 (term 1 (mono 1 0)))", "--at", "1j"])
     assert code == 2

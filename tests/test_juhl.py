@@ -11,6 +11,7 @@ import pytest
 from holobreak import juhl
 from holobreak.juhl import (
     JUHL_ROUTES,
+    ConeLift,
     JuhlParams,
     adjoint_constant,
     bernstein_sato_verify,
@@ -387,6 +388,29 @@ def test_fiber_transform_inverts_lift():
                 got = juhl_hat_apply(p, lift, yp, method="jacobi")
                 want = i_power(-ell) * c * h(yp)
                 assert rel(got, want) < 1e-8, (n, lam, ell, yp)
+
+
+def test_transforms_evaluate_lifts_on_grids(monkeypatch):
+    # a lift reaches the fiber and cone quadratures through `grid`, never
+    # one point at a time
+    def refuse(self, y):
+        raise AssertionError("lift evaluated one point at a time")
+
+    monkeypatch.setattr(ConeLift, "__call__", refuse)
+    h = lambda yp: 1.0 + 0.5 * yp[1] - 0.25 * yp[0]
+    p = JuhlParams(3, 2.5, 1)
+    got = juhl_hat_apply(p, phi_cone_apply(p, h), P2A, method="jacobi")
+    assert rel(got, i_power(-1) * cone_constants(p)["c_ell"] * h(P2A)) < 1e-8
+
+    # level 0 of the multiplication route: the transform of the lift of
+    # h_exp(3) is the closed form b_3 k_3 Q(zeta + i e1)^(-3)
+    p = JuhlParams(3, 3.0, 0)
+    got = cone_fourier_laplace(phi_cone_apply(p, h_exp(3)), Z3, 3, rho_exponent=1.5,
+                               y_max=35.0, tol=1e-4)
+    shifted = (Z3[0] + 1j, Z3[1], Z3[2])
+    want = (cone_constants(p)["b_n"] * kernel_normalization(3, 3.0)
+            * _power_positive_cut(q_form(shifted), -3.0))
+    assert rel(got, want) < 1e-4
 
 
 def test_fiber_transform_parity_kills_odd_profiles():

@@ -192,6 +192,39 @@ def test_phi_iota_coordinate_identity():
                 assert rel(lhs, rhs) < 1e-12
 
 
+def test_lift_point_calls_return_python_scalars():
+    p = RCParams(2.5, 3, 2)
+    lifted = phi_apply(p, ktype_fn(float(p.lam3)))
+    assert type(lifted(1.0, 2.0)) is float
+    rebuilt = invert_rchat(2, 2, {0: lambda z: math.exp(-z), 1: lambda z: z * math.exp(-z)})
+    assert type(rebuilt(1.0, 2.0)) is complex
+
+
+def test_quadratures_take_lifts_as_arrays(monkeypatch):
+    # pointwise is for functions a user wrote for one point; a lift reaches
+    # the quadrature as its own array formula
+    wrapped = []
+
+    def recording(f):
+        wrapped.append(f)
+        return pointwise(f)
+
+    monkeypatch.setattr(l2_model, "pointwise", recording)
+    p = RCParams(2, 2, 1)
+    h = ktype_fn(float(p.lam3))
+    ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)
+    assert rel(ratio, float(c_ell(2, 2, 1))) < 1e-8
+    assert wrapped == [h.func, h.func]
+
+    wrapped.clear()
+    h0 = lambda z: math.exp(-z)
+    g2 = l2fn(lambda z: z * math.exp(-z), 5.0)
+    rebuilt = invert_rchat(2, 2.5, {0: h0, 2: g2})
+    assert wrapped == [h0, g2.func]
+    rchat_apply(RCParams(2, 2.5, 2), rebuilt, 1.3, method="jacobi")
+    assert wrapped == [h0, g2.func]
+
+
 def test_rchat_of_phi_is_scaled_identity():
     for lam1, lam2, ell in ((2, 2, 0), (2, 2, 2), (2.5, 3, 1), (2.5, 3, 4), (4, 2, 3)):
         p = RCParams(lam1, lam2, ell)

@@ -369,6 +369,20 @@ def test_evaluate_pole_guard():
         evaluate(f, (0.0,))
 
 
+def test_evaluate_rejects_non_finite_values():
+    big = holo_sum(1, [term(1, 1e300, (1,))])
+    with pytest.raises(DomainError, match=r"value \(inf\+0j\) at \(1e\+200,\) is not finite"):
+        evaluate(big, (1e200,))
+    # the real part of the product is inf - inf
+    tilted = holo_sum(1, [term(1, complex(1e300, 1e300), (1,))])
+    with pytest.raises(DomainError, match=r"value \(nan\+infj\) at .* is not finite"):
+        evaluate(tilted, (complex(1e200, 1e200),))
+    # two sides that both overflow are not equal by sampling
+    with pytest.raises(DomainError, match="is not finite"):
+        equal(big, big, "sampled", points=[(1e200,)])
+    assert evaluate(big, (0.5,)) == 5e299
+
+
 # --- equality --------------------------------------------------------------
 
 
