@@ -21,8 +21,11 @@ identically.  Sampled mode compares values at a fixed pseudo-random set of
 tube-domain points.
 
 Scalars are exact Gaussian rationals (`QQi`) where the data allow and
-machine complex numbers otherwise.  Arithmetic on a QQi stays exact against
-an int, Fraction or QQi and degrades to complex against a float or complex.
+machine complex numbers otherwise.  A QQi is one Gaussian integer over one
+positive denominator, (a + b*i) / d in lowest terms, so each result costs
+integer products and one gcd; its `re` and `im` Fractions are derived on
+request.  Arithmetic on a QQi stays exact against an int, Fraction or QQi
+and degrades to complex against a float or complex.
 
 The textual s-expression format round-trips exact sums; see
 docs/holosum-format.md for the grammar.
@@ -66,29 +69,70 @@ class ParseError(ValueError):
 # scalars: exact Gaussian rationals, degrading to complex
 
 
-@dataclass(frozen=True)
 class QQi:
-    """Gaussian rational re + im*i with Fraction parts, closed under `+`,
-    `-`, `*` and `** int` (a negative power inverts) as the module
-    docstring describes."""
+    """Gaussian rational (a + b*i) / d held as three ints with d > 0 and
+    gcd(a, b, d) == 1, so every value has one representation; `_make`
+    restores the invariant with one gcd per result.  `re` and `im` are
+    derived Fractions.  Closed under `+`, `-`, `*` and `** int` (a negative
+    power inverts) as the module docstring describes; immutable.
 
-    re: Fraction
-    im: Fraction
+    `QQi(re, im)` takes exact parts (int or Fraction) and raises
+    ExactnessError for anything else.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re, im=0):
+        if not (is_exact(re) and is_exact(im)):
+            raise ExactnessError(f"QQi parts must be int or Fraction, got {re!r}, {im!r}")
+        p, q = re.denominator, im.denominator
+        return _make(re.numerator * q, im.numerator * p, p * q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (QQi, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __repr__(self) -> str:
+        return f"QQi(re={self.re!r}, im={self.im!r})"
+
+    def __eq__(self, other):
+        if isinstance(other, QQi):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this is float(self.re) exactly
+        return complex(self._a / self._d, self._b / self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self._a or self._b)
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __add__(self, other):
         if isinstance(other, QQi):
-            return QQi(self.re + other.re, self.im + other.im)
+            d1, d2 = self._d, other._d
+            return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
         if is_exact(other):
-            return QQi(self.re + other, self.im)
+            p, q = other.numerator, other.denominator
+            return _make(self._a * q + p * self._d, self._b * q, self._d * q)
         if isinstance(other, numbers.Complex):
             return complex(self) + complex(other)
         return NotImplemented
@@ -97,28 +141,30 @@ class QQi:
 
     def __sub__(self, other):
         if isinstance(other, QQi):
-            return QQi(self.re - other.re, self.im - other.im)
+            d1, d2 = self._d, other._d
+            return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
         if is_exact(other):
-            return QQi(self.re - other, self.im)
+            p, q = other.numerator, other.denominator
+            return _make(self._a * q - p * self._d, self._b * q, self._d * q)
         if isinstance(other, numbers.Complex):
             return complex(self) - complex(other)
         return NotImplemented
 
     def __rsub__(self, other):
         if is_exact(other):
-            return QQi(other - self.re, -self.im)
+            p, q = other.numerator, other.denominator
+            return _make(p * self._d - self._a * q, -self._b * q, self._d * q)
         if isinstance(other, numbers.Complex):
             return complex(other) - complex(self)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, QQi):
-            return QQi(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
         if is_exact(other):
-            return QQi(self.re * other, self.im * other)
+            p = other.numerator
+            return _make(self._a * p, self._b * p, self._d * other.denominator)
         if isinstance(other, numbers.Complex):
             return complex(self) * complex(other)
         return NotImplemented
@@ -130,18 +176,36 @@ class QQi:
             return NotImplemented
         base = self
         if n < 0:
-            norm = self.re * self.re + self.im * self.im
-            if not norm:
+            a, b, d = self._a, self._b, self._d
+            if not (a or b):
                 raise ZeroDivisionError("inverse of exact zero")
-            base = QQi(self.re / norm, -self.im / norm)
+            base = _make(d * a, -d * b, a * a + b * b)
         out = QQI_ONE
         for _ in range(abs(n)):
             out = out * base
         return out
 
 
+_new_qqi = object.__new__
+_set_a, _set_b, _set_d = QQi._a.__set__, QQi._b.__set__, QQi._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> QQi:
+    """(a + b*i) / d for ints with d > 0, normalized by one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new_qqi(QQi)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
 def qqi(re, im=0) -> QQi:
-    return QQi(Fraction(re), Fraction(im))
+    return QQi(re, im)
 
 
 QQI_ONE = qqi(1)
@@ -152,7 +216,7 @@ def exactify(x):
     if isinstance(x, QQi):
         return x
     if is_exact(x):
-        return QQi(Fraction(x), Fraction(0))
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
@@ -397,29 +461,32 @@ def times_monomial(f: HoloSum, exponents) -> HoloSum:
 
 
 def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
-    """Partial derivative in variable `var` (0-indexed), `times` times."""
+    """Partial derivative in variable `var` (0-indexed), `times` times.
+
+    Each derivative term is built normal, without `term`: a base of a normal
+    term is neither constant nor a single monomial under a positive integer
+    power, so `(b, p - 1)` folds nowhere and only drops at exponent zero; it
+    goes back at b's own index, which keeps the bases sorted.
+    """
     if not 0 <= var < f.arity:
         raise DomainError(f"variable {var} out of range")
-    cur = f
     for _ in range(times):
         out = []
-        for t in cur.terms:
-            m = t.monomial[var]
+        for t in f.terms:
+            c, mono, bases = t.coefficient, t.monomial, t.bases
+            m = mono[var]
             if m:
-                mono = t.monomial[:var] + (m - 1,) + t.monomial[var + 1 :]
-                out.append(term(cur.arity, t.coefficient * m, mono, t.bases))
-            for i, (b, p) in enumerate(t.bases):
+                out.append(HoloTerm(c * m, mono[:var] + (m - 1,) + mono[var + 1 :], bases))
+            for i, (b, p) in enumerate(bases):
                 db = b.differentiate(var)
                 if not db:
                     continue
-                rest = t.bases[:i] + t.bases[i + 1 :]
-                new_p = p - 1
-                newbases = rest + ((b, new_p),) if new_p else rest
-                for e, c in db.items():
-                    mono = tuple(mm + ee for mm, ee in zip(t.monomial, e))
-                    out.append(term(cur.arity, t.coefficient * p * c, mono, newbases))
-        cur = holo_sum(cur.arity, out)
-    return cur
+                lowered = bases[:i] + (((b, p - 1),) if p != 1 else ()) + bases[i + 1 :]
+                for e, dc in db.items():
+                    shifted = tuple(mm + ee for mm, ee in zip(mono, e))
+                    out.append(HoloTerm(c * p * dc, shifted, lowered))
+        f = holo_sum(f.arity, out)
+    return f
 
 
 def _cut_last(e):

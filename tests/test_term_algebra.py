@@ -1,8 +1,10 @@
 """Exact term calculus: construction, derivations, restriction, equality."""
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,8 @@ from holobreak.term_algebra import (
     BasePoly,
     BranchCutError,
     ExactnessError,
+    HoloSum,
+    HoloTerm,
     ParseError,
     QQi,
     SingularRestrictionError,
@@ -144,6 +148,112 @@ def test_qqi_truth_is_nonzero(a):
     assert bool(a) == (complex(a) != 0)
 
 
+# An exact scalar modelled in the test as its (re, im) pair of Fractions.
+pairs = st.tuples(small_fractions, small_fractions)
+wide_fractions = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**30)
+exact_operands = st.one_of(
+    pairs.map(lambda p: (qqi(*p), p)),
+    exact_numbers.map(lambda x: (x, (F(x), F(0)))),
+)
+
+
+def model_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def model_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def model_pow(x, n):
+    if n < 0:
+        norm = x[0] * x[0] + x[1] * x[1]
+        x, n = (x[0] / norm, -x[1] / norm), -n
+    out = (F(1), F(0))
+    for _ in range(n):
+        out = model_mul(out, x)
+    return out
+
+
+def parts(q):
+    assert isinstance(q, QQi) and type(q.re) is F and type(q.im) is F
+    return (q.re, q.im)
+
+
+def model_text(x) -> str:
+    return str(x[0]) if x[1] == 0 else f"(c {x[0]} {x[1]})"
+
+
+MODEL_OPS = ((operator.add, model_add), (operator.sub, model_sub), (operator.mul, model_mul))
+
+
+@given(pairs, exact_operands)
+@settings(max_examples=200)
+def test_qqi_matches_fraction_pair_model(p, operand):
+    a = qqi(*p)
+    x, px = operand
+    assert parts(a) == p
+    assert parts(-a) == (-p[0], -p[1])
+    results = [-a]
+    for op, model in MODEL_OPS:
+        got, rgot = op(a, x), op(x, a)
+        assert parts(got) == model(p, px)
+        assert parts(rgot) == model(px, p)
+        results += [got, rgot]
+    for n in range(-4, 7):
+        if n < 0 and not (p[0] or p[1]):
+            with pytest.raises(ZeroDivisionError):
+                a**n
+            continue
+        got = a**n
+        assert parts(got) == model_pow(p, n)
+        results.append(got)
+    # the text of a sum holding the results reads the model's parts
+    s = HoloSum(1, tuple(HoloTerm(q, (0,), ()) for q in results))
+    want = ["(sum 1"] + [f"  (term {model_text(parts(q))} (mono 0))" for q in results] + [")"]
+    assert to_text(s) == "\n".join(want)
+
+
+@given(pairs, pairs)
+def test_qqi_equal_values_hash_equal(p, q):
+    a, b = qqi(*p), qqi(*q)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    rebuilt = qqi(p[0]) + qqi(0, 1) * p[1]
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert (a == b) == (p == q)
+
+
+@given(wide_fractions, wide_fractions)
+def test_qqi_complex_is_correctly_rounded(re, im):
+    z = complex(qqi(re, im))
+    assert (z.real.hex(), z.imag.hex()) == (float(re).hex(), float(im).hex())
+
+
+def test_qqi_is_immutable_and_equal_only_to_qqi():
+    a = qqi(F(1, 2), 3)
+    for name in ("re", "im", "_a", "_d"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == qqi(F(1, 2), 3)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert qqi(1) != 1 and qqi(F(1, 2)) != F(1, 2)
+    assert repr(a) == "QQi(re=Fraction(1, 2), im=Fraction(3, 1))"
+
+
+@pytest.mark.parametrize("re, im", [(0.1, 0), (1, 0.5), (1j, 0), (True, 0), (1, False), ("1/2", 0)])
+def test_qqi_rejects_non_exact_parts(re, im):
+    with pytest.raises(ExactnessError):
+        qqi(re, im)
+    with pytest.raises(ExactnessError):
+        QQi(re, im)
+
+
 # --- bases -----------------------------------------------------------------
 
 
@@ -254,6 +364,62 @@ def test_mixed_partials_commute():
 def test_higher_derivative_times():
     f = monomial(1, (5,))
     assert equal(differentiate(f, 0, 3), monomial(1, (2,), F(60)))
+
+
+def differentiate_by_term(f, var, times):
+    """The per-term path: every derivative term normalized again by `term`."""
+    for _ in range(times):
+        out = []
+        for t in f.terms:
+            m = t.monomial[var]
+            if m:
+                mono = t.monomial[:var] + (m - 1,) + t.monomial[var + 1 :]
+                out.append(term(f.arity, t.coefficient * m, mono, t.bases))
+            for i, (b, p) in enumerate(t.bases):
+                rest = t.bases[:i] + t.bases[i + 1 :]
+                newbases = rest + ((b, p - 1),) if p - 1 else rest
+                for e, c in b.differentiate(var).items():
+                    mono = tuple(mm + ee for mm, ee in zip(t.monomial, e))
+                    out.append(term(f.arity, t.coefficient * p * c, mono, newbases))
+        f = holo_sum(f.arity, out)
+    return f
+
+
+# z1 + i, z2 + i, z1 - z2, two single monomials, a constant and two of degree 2
+BASE_POOL = (
+    {(1, 0): 1, (0, 0): qqi(0, 1)},
+    {(0, 1): 1, (0, 0): qqi(0, 1)},
+    {(1, 0): 1, (0, 1): -1},
+    {(1, 1): 1},
+    {(0, 1): 2},
+    {(0, 0): qqi(2, 1)},
+    {(2, 0): 1, (0, 1): F(1, 2), (0, 0): qqi(1, -1)},
+    {(1, 0): 1, (0, 1): 1, (1, 1): qqi(0, 1)},
+)
+exact_exponents = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_complex = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_sums(draw, exact: bool):
+    coefficients = st.one_of(gaussian, exact_numbers)
+    exponents = exact_exponents
+    if not exact:
+        coefficients = st.one_of(coefficients, small_complex)
+        exponents = st.one_of(exponents, small_complex)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.sampled_from(BASE_POOL), max_size=3))
+        bases = [(base_poly(2, entries), draw(exponents)) for entries in picks]
+        mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms.append(term(2, draw(coefficients), mono, bases))
+    return holo_sum(2, terms)
+
+
+@given(st.booleans().flatmap(random_sums), st.integers(0, 1), st.integers(1, 3))
+@settings(max_examples=150)
+def test_differentiate_matches_per_term_normalization(f, var, times):
+    assert differentiate(f, var, times) == differentiate_by_term(f, var, times)
 
 
 # --- restriction -----------------------------------------------------------
