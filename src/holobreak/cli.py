@@ -611,7 +611,10 @@ def _build_bernstein_sato(cfg: SuiteConfig, rng) -> list:
     return cases
 
 
-_CONE_PROBE = (1.5, 0.4, 0.2, 0.1, -0.15, 0.05)
+def _cone_probe(dim: int) -> tuple:
+    """`dim` coordinates of one interior cone point; the tail's squares sum below 0.005."""
+    tail = tuple(0.05 * (-1) ** k / (k + 1) for k in range(dim))
+    return ((1.5, 0.4, 0.2, 0.1, -0.15, 0.05) + tail)[:dim]
 
 
 def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
@@ -632,7 +635,7 @@ def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
                             None, "outside the unitary range (lam <= n - 1), not checked"
                         )
                     ratio = phi_isometry_ratio(
-                        p, lambda y: math.exp(-y[0]), _CONE_PROBE[: n - 1]
+                        p, lambda y: math.exp(-y[0]), _cone_probe(n - 1)
                     )
                     return _close(ratio, cone_c_ell(p), cfg.tol)
 

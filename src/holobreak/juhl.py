@@ -657,9 +657,11 @@ def cone_fourier_laplace(
     start_order: int = 8,
     max_order: int = 48,
 ):
-    """Fourier-Laplace transform of F over the n-dimensional cone, n in {3, 4}.
+    """Fourier-Laplace transform of F over the n-dimensional cone, n >= 3.
 
-    Disk coordinates: y = (y1, y1 rho omega) with omega on the unit sphere.
+    One hyperspherical chart: y = y1 (1, rho omega) with omega on S^(n-2),
+    the azimuth on (0, 2 pi) and polar axes t_k = cos phi_k (k = 0 ... n-4)
+    on the Jacobi weights (1 - t_k^2)^((n-4-k)/2), the sphere's sin powers.
     `rho_exponent` declares how fast F vanishes at the cone boundary, as a
     power of (1 - rho^2); it is folded into the radial Jacobi weight, so a
     lifted integrand with fractional boundary decay still converges at
@@ -669,31 +671,24 @@ def cone_fourier_laplace(
     and is called once per node through `pointwise`.  Raises DomainError
     when the quadrature does not converge.
     """
-    if n not in (3, 4):
-        raise DomainError("cone transform implemented for n in {3, 4}")
+    if not isinstance(n, int) or n < 3:
+        raise DomainError(f"need integer dimension n >= 3, got {n!r}")
     zeta = _require_tube(zeta, n, "transform argument")
     re = float(rho_exponent)
     panels = geometric_panels(0.0, y_max, first=0.25)
     axes = [("panels", panels), ("jacobi", re, 0.0), ("legendre", 0.0, 2.0 * math.pi)]
-    if n == 4:
-        axes.append(("legendre", 0.0, math.pi))
+    axes += [("jacobi", a, a) for a in ((n - 4 - k) / 2 for k in range(n - 3))]
     values = _grid(F)
 
-    def integrand(y1, u, theta, *rest):
+    def integrand(y1, u, theta, *polar):
         rho = 0.5 * (1.0 + u)
-        if n == 3:
-            y = (y1, y1 * rho * np.cos(theta), y1 * rho * np.sin(theta))
-            jac = y1 * y1 * rho
-        else:
-            phi = rest[0]
-            sp = np.sin(phi)
-            y = (
-                y1,
-                y1 * rho * sp * np.cos(theta),
-                y1 * rho * sp * np.sin(theta),
-                y1 * rho * np.cos(phi),
-            )
-            jac = y1**3 * rho * rho * sp
+        r = y1 * rho
+        tail = []
+        for t in polar:
+            tail.append(r * t)
+            r = r * np.sqrt(1.0 - t * t)
+        y = (y1, r * np.cos(theta), r * np.sin(theta), *reversed(tail))
+        jac = y1 ** (n - 1) * rho ** (n - 2)
         pairing = sum(yc * zc for yc, zc in zip(y, zeta))
         defold = (1.0 - u) ** (-re) if re else 1.0
         return values(*y) * np.exp(1j * pairing) * jac * 0.5 * defold

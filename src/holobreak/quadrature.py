@@ -241,7 +241,7 @@ def integrate_region(
     start_order: int = 8,
     max_order: int = 64,
 ) -> IntegralResult:
-    """Tensor-product integration over up to four axes with order doubling.
+    """Tensor-product integration over any number of axes with order doubling.
 
     Each axis is a `build_rule` spec; f receives one node array per axis,
     in axis order (see `integrate`).  Every pass builds each axis rule at
@@ -250,12 +250,9 @@ def integrate_region(
     scale 1).  It converges or raises: a schedule that ends without two
     agreeing passes, including one too short to run two, raises DomainError
     naming the axes, the last order run, the error estimate and the number
-    of evaluations.  Truncation of
-    infinite regions is the caller's job (the conventional default
-    truncation radius is 1e3).
+    of evaluations.  Truncation of infinite regions is the caller's job
+    (the conventional default truncation radius is 1e3).
     """
-    if not 1 <= len(axes) <= 4:
-        raise DomainError("integrate_region supports 1 to 4 axes")
     order = start_order
     prev = None
     err = float("inf")

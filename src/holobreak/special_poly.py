@@ -275,12 +275,17 @@ def poly_two(mapping) -> PolyTwoVar:
 
 
 def _jacobi_coeffs(ell: int, alpha, beta_) -> list:
-    """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for
-    j = 0..ell: the coefficients the three Jacobi builds below share."""
+    """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for j = 0..ell,
+    each factorial a running product: the coefficients the Jacobi builds share."""
+    s = alpha + beta_ + ell + 1
+    asc, desc = [pochhammer(s, 0)], [pochhammer(alpha, 0)]  # 1 in each tier
+    for j in range(ell):
+        asc.append(asc[-1] * (s + j))
+        # from j = ell down, so in float it may round apart from `pochhammer`
+        desc.append((alpha + (ell - j)) * desc[-1])
     return [
-        pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(alpha + j + 1, ell - j)
-        / (math.factorial(j) * math.factorial(ell - j))
-        for j in range(ell + 1)
+        a * d / (math.factorial(j) * math.factorial(ell - j))
+        for j, (a, d) in enumerate(zip(asc, reversed(desc)))
     ]
 
 

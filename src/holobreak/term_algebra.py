@@ -642,35 +642,33 @@ def canonical_form(f: HoloSum) -> dict:
     integer surplus is expanded into monomials.
     """
     _require_exact(f)
-    # collect integer-class minima per base; integer classes are capped at
-    # zero so that a sum of purely positive powers expands completely
-    minima: dict = {}  # (base, frac part) -> min exponent
+    # collect integer-class minima per base; integer classes start at zero,
+    # so that a sum of purely positive powers expands completely
+    minima: dict = {}  # (base, frac part) -> [min exponent], one cell per class
+    classes = []  # per term, (base, exponent, class cell): each key hashed once
     for t in f.terms:
+        row = []
         for b, p in t.bases:
-            key = (b, p - math.floor(p))
-            if key not in minima or p < minima[key]:
-                minima[key] = p
-    for key in list(minima):
-        if key[1] == 0 and minima[key] > 0:
-            minima[key] = Fraction(0)
+            frac = p - math.floor(p)
+            cell = minima.setdefault((b, frac), [p if frac else Fraction(0)])
+            cell[0] = min(cell[0], p)
+            row.append((b, p, cell))
+        classes.append(row)
     # integer classes with negative minima must also pull in base-free terms
-    int_keys = {
-        key: m for key, m in minima.items() if key[1] == 0 and m < 0
-    }
+    int_keys = [(b, c[0]) for (b, frac), c in minima.items() if frac == 0 and c[0] < 0]
 
     out: dict = {}
-    for t in f.terms:
+    for t, row in zip(f.terms, classes):
         present = {b for b, _ in t.bases}
         residual = []
         expanders = []
-        for b, p in t.bases:
-            pmin = minima[(b, p - math.floor(p))]
+        for b, p, (pmin,) in row:
             surplus = p - pmin
             if pmin:
                 residual.append((b, pmin))
             if surplus > 0:
                 expanders.append((b, int(surplus)))
-        for (b, _), pmin in int_keys.items():
+        for b, pmin in int_keys:
             if b in present:
                 continue
             residual.append((b, pmin))

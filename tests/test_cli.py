@@ -209,6 +209,19 @@ def test_juhl_suite_checks_isometry_in_range():
     assert all(r["rel_err"] < 1e-7 for r in checked)
 
 
+def test_juhl_suite_probes_every_dimension():
+    # the isometry probe point has a coordinate for any dimension, so n >= 8
+    # is checked like n <= 7 instead of failing outside the cone
+    cfg = small_config(
+        "juhl-plancherel", n=(3, 4, 5, 6, 7, 8), lam=(Fraction(19, 2),), ell_max=2
+    )
+    report = run_suite(cfg)
+    assert len(report.records) == 36
+    assert report.failed_count == 0
+    checked = [r for r in report.records if r["case"].startswith("cone-isometry/n=8/")]
+    assert len(checked) == 3 and all(r["rel_err"] < 1e-7 for r in checked)
+
+
 def test_kernels_pole_collisions_reported_not_asserted():
     cfg = small_config("kernels", lam1=(Fraction(-1),), lam2=(Fraction(0),), ell_max=0)
     report = run_suite(cfg)

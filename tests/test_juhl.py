@@ -38,7 +38,13 @@ from holobreak.juhl import (
     _power_positive_cut,
 )
 from holobreak.l2_model import i_power
-from holobreak.quadrature import build_rule, integrate_adaptive, integrate_region, pointwise
+from holobreak.quadrature import (
+    build_rule,
+    geometric_panels,
+    integrate_adaptive,
+    integrate_region,
+    pointwise,
+)
 from holobreak.special_poly import (
     DomainError,
     PoleError,
@@ -688,25 +694,95 @@ def test_transform_coordinates_agree():
     assert rel(got, res.value) < 1e-6
 
 
-def test_transform_riesz_ratio_dimension_four():
-    F_fn = lambda y: q_form(y)
-    za = tuple(1j * c for c in (2.0, 0.3, -0.2, 0.1))
-    zb = tuple(1j * c for c in (3.0, -0.5, 0.2, 0.4))
-    va = cone_fourier_laplace(
-        F_fn, za, 4, rho_exponent=1.0, y_max=25.0, tol=2e-4, start_order=8, max_order=16
+def two_branch_transform(F, zeta, n, rho_exponent=0.0, y_max=40.0, tol=1e-6,
+                         start_order=8, max_order=48):
+    """The cone transform as it was once written, one coordinate branch for
+    n = 3 and one for n = 4 (the polar angle phi on a Legendre rule, with
+    sin(phi) in the Jacobian): the reference for the one chart."""
+    re = float(rho_exponent)
+    axes = [
+        ("panels", geometric_panels(0.0, y_max, first=0.25)),
+        ("jacobi", re, 0.0),
+        ("legendre", 0.0, 2.0 * math.pi),
+    ]
+    if n == 4:
+        axes.append(("legendre", 0.0, math.pi))
+    values = juhl._grid(F)
+
+    def integrand(y1, u, theta, *rest):
+        rho = 0.5 * (1.0 + u)
+        if n == 3:
+            y = (y1, y1 * rho * np.cos(theta), y1 * rho * np.sin(theta))
+            jac = y1 * y1 * rho
+        else:
+            phi = rest[0]
+            sp = np.sin(phi)
+            y = (
+                y1,
+                y1 * rho * sp * np.cos(theta),
+                y1 * rho * sp * np.sin(theta),
+                y1 * rho * np.cos(phi),
+            )
+            jac = y1**3 * rho * rho * sp
+        pairing = sum(yc * zc for yc, zc in zip(y, zeta))
+        defold = (1.0 - u) ** (-re) if re else 1.0
+        return values(*y) * np.exp(1j * pairing) * jac * 0.5 * defold
+
+    return integrate_region(
+        integrand, axes, tol=tol, start_order=start_order, max_order=max_order
+    ).value
+
+
+def test_transform_chart_matches_two_branch_reference():
+    # at n = 3 the chart runs every float operation of the old branch in its
+    # order, so the values are bit-equal; the coarse grid keeps each point's
+    # rounding visible in the sum
+    lift = phi_cone_apply(JuhlParams(3, 3.0, 0), h_exp(3))
+    for F_fn, kw in (
+        (lift, dict(rho_exponent=1.5, y_max=35.0, tol=1e-6)),
+        (lift, dict(rho_exponent=1.5, y_max=35.0, tol=1.0, start_order=2, max_order=4)),
+        (lambda y: math.exp(-2.0 * y[0]), dict(y_max=30.0, tol=1e-8)),
+    ):
+        assert cone_fourier_laplace(F_fn, Z3, 3, **kw) == two_branch_transform(F_fn, Z3, 3, **kw)
+    # at n = 4 the polar axis is the Legendre rule in cos(phi) instead of in
+    # phi, so the two agree only to rounding.  F leans on y4 and the
+    # components of zeta differ, so a chart that put the polar coordinate
+    # in another slot would move the value.
+    F4 = lambda y: q_form(y) * (1.0 + 0.5 * y[3] / y[0])
+    z4 = tuple(1j * c for c in (2.0, 0.3, -0.2, 0.1))
+    kw = dict(rho_exponent=1.0, y_max=25.0, tol=2e-4, start_order=8, max_order=16)
+    assert rel(cone_fourier_laplace(F4, z4, 4, **kw), two_branch_transform(F4, z4, 4, **kw)) < 1e-12
+
+
+# per dimension: tolerance and order schedule of the Riesz-ratio check
+RIESZ_SCHEDULES = {3: (2e-4, 8, 16), 4: (2e-4, 8, 16), 5: (1e-2, 4, 8)}
+
+
+@pytest.mark.parametrize("n", sorted(RIESZ_SCHEDULES))
+def test_transform_riesz_ratio(n):
+    # F = Q^(s - n/2) with s = 3: the transform scales as Q(Im zeta)^(-s);
+    # F vanishes at the boundary as (1 - rho^2)^(s - n/2)
+    expo = 3 - n / 2
+    F_fn = lambda y: q_form(y) ** expo
+    ya = (2.0, 0.3, -0.2, 0.1, 0.25)[:n]
+    yb = (3.0, -0.5, 0.2, 0.4, -0.3)[:n]
+    tol, start, stop = RIESZ_SCHEDULES[n]
+    va, vb = (
+        cone_fourier_laplace(
+            F_fn, tuple(1j * c for c in y), n, rho_exponent=expo, y_max=25.0,
+            tol=tol, start_order=start, max_order=stop,
+        )
+        for y in (ya, yb)
     )
-    vb = cone_fourier_laplace(
-        F_fn, zb, 4, rho_exponent=1.0, y_max=25.0, tol=2e-4, start_order=8, max_order=16
-    )
-    qa = q_form((2.0, 0.3, -0.2, 0.1))
-    qb = q_form((3.0, -0.5, 0.2, 0.4))
-    # F = Q^(s - n/2) with s = 3: the transform scales as Q(Im zeta)^(-s)
-    assert rel(va / vb, (qa / qb) ** -3) < 1e-3
+    assert rel(va / vb, (q_form(ya) / q_form(yb)) ** -3) < 1e-3
 
 
 def test_transform_guards():
+    # the chart exists for every integer n >= 3
     with pytest.raises(DomainError):
-        cone_fourier_laplace(lambda y: 1.0, Z3, 5)
+        cone_fourier_laplace(lambda y: 1.0, (2j, 0.5j), 2)
+    with pytest.raises(DomainError):
+        cone_fourier_laplace(lambda y: 1.0, (2j, 0.3j, -0.2j, 0.1j), 4.0)
     with pytest.raises(DomainError):
         cone_fourier_laplace(lambda y: 1.0, (1.0, 2.0 + 1j, 0.0), 3)
 

@@ -200,9 +200,12 @@ def test_panels_axis_moves_one_base_rule(monkeypatch):
         assert np.array_equal(rule.weights, np.concatenate([r.weights for r in pieces]))
 
 
-def test_region_rejects_high_dimension():
+def test_region_takes_any_number_of_axes():
     with pytest.raises(DomainError):
-        integrate_region(lambda *a: 1.0, [("legendre", 0, 1)] * 5)
+        integrate_region(lambda *a: 1.0, [])
+    res = integrate_region(lambda *xs: np.ones_like(xs[0]), [("legendre", 0, 1)] * 5,
+                           start_order=2, max_order=4)
+    assert res.value == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_geometric_panels_cover_halfline_tail():

@@ -27,6 +27,7 @@ from holobreak.special_poly import (
     poly_one,
     poly_two,
     reciprocal_gamma,
+    _jacobi_coeffs,
 )
 
 F = Fraction
@@ -178,6 +179,26 @@ def test_jacobi_ode_residual_vanishes(alpha, beta_, ell):
         + ell * (ell + alpha + beta_ + 1) * y
     )
     assert lhs.is_zero()
+
+
+def _per_j_coeffs(ell, alpha, beta_):
+    return [
+        pochhammer(alpha + beta_ + ell + 1, j) * pochhammer(alpha + j + 1, ell - j)
+        / (math.factorial(j) * math.factorial(ell - j))
+        for j in range(ell + 1)
+    ]
+
+
+@given(rationals, rationals, st.floats(-0.9, 4.0), st.floats(-0.9, 4.0),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=40, deadline=None)
+def test_jacobi_coeffs_match_per_j_rising_factorials(alpha, beta_, a, b, ell):
+    # running products against both rising factorials rebuilt for every j:
+    # equal for exact parameters; in float the descending product is
+    # multiplied in the other order, so equal up to rounding
+    assert _jacobi_coeffs(ell, alpha, beta_) == _per_j_coeffs(ell, alpha, beta_)
+    for got, want in zip(_jacobi_coeffs(ell, a, b), _per_j_coeffs(ell, a, b), strict=True):
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_jacobi_against_scipy():
