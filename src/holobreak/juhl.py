@@ -451,6 +451,11 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     lam = _real_scalar(params.lam, "weight")
     n = params.n
     y_prime, q_prime = _cone_point(y_prime, "base point")
+    if len(y_prime) != n - 1:
+        raise DomainError(
+            f"base point {y_prime!r} has {len(y_prime)} coordinates; "
+            f"n = {n} needs n - 1 = {n - 1}"
+        )
     lift = phi_cone_apply(params, h)
     root = math.sqrt(q_prime)
     a_w = lam - n / 2.0

@@ -21,6 +21,14 @@ x = a + (b-a)(1+u)/2, which scales the weights by ((b-a)/2)^(alpha+beta+1).
 An n-point rule integrates polynomials through degree 2n-1 against its
 weight; the test suite pins that at 1e-13 relative.
 
+Each distinct rule is built once per process: the eigenvalue step is kept
+in an LRU cache of 256 entries keyed by order, weight parameters and their
+types (a Fraction parameter rounds differently from the equal float), and
+only the cheap interval and panel moves are redone per call.  Rule arrays
+are read-only, so a shared rule cannot be changed in place.  `build_rule`
+checks that the order is an int >= 1 and every parameter finite before the
+lookup, and raises DomainError for a weight mass that overflows.
+
 Every sum against rule nodes goes through `integrate`, which walks the
 tensor product of one or more rules.  The integrand contract is an array
 one: f receives one 1-D node array per axis, together holding one chunk of
@@ -46,6 +54,7 @@ so no caller checks convergence itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -76,6 +85,18 @@ def _from_recurrence(diag, offdiag_sq, mu0) -> tuple[np.ndarray, np.ndarray]:
     return vals, mu0 * vecs[0] ** 2
 
 
+def _finished(nodes: np.ndarray, weights: np.ndarray, what) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's arrays made read-only, once its weight mass is checked to
+    be a positive finite float."""
+    mass = weights.sum()
+    if not 0.0 < mass < math.inf:
+        raise DomainError(f"weight mass of {what} is not a positive finite float: {mass}")
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=256, typed=True)
 def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     if alpha <= -1 or beta <= -1:
         raise DomainError("jacobi rule needs alpha, beta > -1")
@@ -96,9 +117,10 @@ def _jacobi_rule(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
             den = (2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)
             off.append(num / den)
     mu0 = 2.0 ** (s + 1) * float(beta_fn(float(alpha) + 1, float(beta) + 1))
-    return _from_recurrence(diag, off, mu0)
+    return _finished(*_from_recurrence(diag, off, mu0), ("jacobi", alpha, beta))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def _laguerre_rule(n: int, gamma: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     if gamma <= -1:
         raise DomainError("laguerre rule needs gamma > -1")
@@ -109,7 +131,7 @@ def _laguerre_rule(n: int, gamma: float, scale: float) -> tuple[np.ndarray, np.n
     mu0 = math.gamma(gamma + 1.0)
     nodes, weights = _from_recurrence(diag, off, mu0)
     # substitute u = scale * x in the unit-scale rule
-    return nodes / scale, weights * scale ** (-gamma - 1.0)
+    return _finished(nodes / scale, weights * scale ** (-gamma - 1.0), ("laguerre", gamma, scale))
 
 
 def _on_interval(base, alpha: float, beta: float, a: float, b: float):
@@ -121,29 +143,53 @@ def _on_interval(base, alpha: float, beta: float, a: float, b: float):
     return a + half * (nodes + 1.0), half ** (alpha + beta + 1.0) * weights
 
 
+def _require_finite(spec, *params) -> None:
+    for p in params:
+        try:
+            finite = math.isfinite(p)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DomainError(f"rule spec {spec!r} needs finite real parameters, got {p!r}")
+
+
+def _rule_arrays(spec, order: int):
+    """(nodes, weights) of the rule `spec` names, before the mass check."""
+    match spec:
+        case ("jacobi", alpha, beta):
+            _require_finite(spec, alpha, beta)
+            return _jacobi_rule(order, alpha, beta)
+        case ("jacobi", alpha, beta, a, b):
+            _require_finite(spec, alpha, beta, a, b)
+            return _on_interval(_jacobi_rule(order, alpha, beta), alpha, beta, a, b)
+        case ("legendre", a, b):
+            _require_finite(spec, a, b)
+            return _on_interval(_jacobi_rule(order, 0.0, 0.0), 0.0, 0.0, a, b)
+        case ("laguerre", gamma, scale):
+            _require_finite(spec, gamma, scale)
+            return _laguerre_rule(order, gamma, scale)
+        case ("panels", panels) if panels:
+            _require_finite(spec, *(x for panel in panels for x in panel))
+            base = _jacobi_rule(order, 0.0, 0.0)
+            moved = [_on_interval(base, 0.0, 0.0, a, b) for a, b in panels]
+            return np.concatenate([m[0] for m in moved]), np.concatenate([m[1] for m in moved])
+    raise DomainError(f"unknown rule spec {spec!r}")
+
+
 def build_rule(spec, order: int) -> QuadratureRule:
     """Build the n-point Gaussian rule an axis spec names (see the module
     docstring for the spec forms).  A `panels` spec builds its Legendre base
-    rule once and moves it onto every panel."""
-    if order < 1:
-        raise DomainError("rule order must be >= 1")
-    match spec:
-        case ("jacobi", alpha, beta):
-            nodes, weights = _jacobi_rule(order, alpha, beta)
-        case ("jacobi", alpha, beta, a, b):
-            nodes, weights = _on_interval(_jacobi_rule(order, alpha, beta), alpha, beta, a, b)
-        case ("legendre", a, b):
-            nodes, weights = _on_interval(_jacobi_rule(order, 0.0, 0.0), 0.0, 0.0, a, b)
-        case ("laguerre", gamma, scale):
-            nodes, weights = _laguerre_rule(order, gamma, scale)
-        case ("panels", panels) if panels:
-            base = _jacobi_rule(order, 0.0, 0.0)
-            moved = [_on_interval(base, 0.0, 0.0, a, b) for a, b in panels]
-            nodes = np.concatenate([m[0] for m in moved])
-            weights = np.concatenate([m[1] for m in moved])
-        case _:
-            raise DomainError(f"unknown rule spec {spec!r}")
-    return QuadratureRule(spec, nodes, weights)
+    rule once and moves it onto every panel.  The order must be an int >= 1
+    and every parameter finite; a weight mass that is not a positive finite
+    float raises DomainError.  The rule's arrays are read-only."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise DomainError(f"rule order must be an int >= 1, got {order!r}")
+    try:
+        with np.errstate(over="ignore"):  # the weight mass is checked below
+            nodes, weights = _rule_arrays(spec, order)
+    except OverflowError:
+        raise DomainError(f"weight mass of {spec!r} overflows") from None
+    return QuadratureRule(spec, *_finished(nodes, weights, spec))
 
 
 CHUNK = 4096  # grid points per integrand call

@@ -657,7 +657,7 @@ def canonical_form(f: HoloSum) -> dict:
     # integer classes with negative minima must also pull in base-free terms
     int_keys = [(b, c[0]) for (b, frac), c in minima.items() if frac == 0 and c[0] < 0]
 
-    out: dict = {}
+    out: dict = {}  # sig -> {monomial: coefficient}: sig hashed once per term
     for t, row in zip(f.terms, classes):
         present = {b for b, _ in t.bases}
         residual = []
@@ -677,11 +677,11 @@ def canonical_form(f: HoloSum) -> dict:
         pieces = {t.monomial: exactify(t.coefficient)}
         for b, n in expanders:
             pieces = _sparse_product(pieces, _expand_base_power(b, n).items())
+        acc = out.setdefault(sig, {})
         for m, c in pieces.items():
-            k = (m, sig)
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-    return {k: v for k, v in out.items() if v}
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+    return {(m, sig): v for sig, acc in out.items() for m, v in acc.items() if v}
 
 
 _SAMPLE_SEED = 20260822

@@ -431,6 +431,11 @@ def test_fiber_transform_errors():
         juhl_hat_apply(p, lambda y: 1.0, (1.0, 2.0))
     with pytest.raises(DomainError, match="is not in the cone"):
         phi_isometry_ratio(p, lambda y: 1.0, (1.0, 2.0))
+    # a base point of the wrong length is reported as such, not as outside the cone
+    p4 = JuhlParams(4, 9.5, 0)
+    for point in ((1.5, 0.4, 0.2, 0.1, -0.15, 0.05), (1.5, 0.4)):
+        with pytest.raises(DomainError, match=f"has {len(point)} coordinates; n = 4 needs n - 1 = 3"):
+            phi_isometry_ratio(p4, lambda y: 1.0, point)
     with pytest.raises(DomainError):
         juhl_hat_apply(p, lambda y: 1.0, P2A, method="simpson")
     jump = lambda y: 1.0 if y[2] > 0.1234 * y[0] else 0.0

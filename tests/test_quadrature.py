@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +127,126 @@ def test_rule_domain_errors():
         build_rule(("hermite",), 5)
     with pytest.raises(DomainError):
         build_rule(("jacobi", 0.0, 0.0), 0)
+
+
+@pytest.mark.parametrize("order", [2.5, 4.0, True, "8", None])
+def test_rule_order_must_be_an_int(order):
+    with pytest.raises(DomainError, match="rule order must be an int >= 1"):
+        build_rule(("legendre", 0.0, 1.0), order)
+
+
+@pytest.mark.parametrize("spec", [
+    ("laguerre", 1.0, math.nan),
+    ("laguerre", math.inf, 1.0),
+    ("jacobi", math.nan, 0.0),
+    ("jacobi", 0.0, 0.0, -math.inf, 1.0),
+    ("legendre", 0.0, math.nan),
+    ("panels", [(0.0, 1.0), (1.0, math.nan)]),
+    ("jacobi", 1j, 0.0),
+    ("jacobi", Fraction(10**400), 0.0),
+])
+def test_rule_parameters_must_be_finite(spec):
+    # checked before the cache lookup, so no nan key takes a cache slot
+    size = quadrature._jacobi_rule.cache_info().currsize, quadrature._laguerre_rule.cache_info().currsize
+    with pytest.raises(DomainError, match="needs finite real parameters"):
+        build_rule(spec, 5)
+    assert (quadrature._jacobi_rule.cache_info().currsize,
+            quadrature._laguerre_rule.cache_info().currsize) == size
+
+
+@pytest.mark.parametrize("spec", [
+    ("laguerre", 200.0, 1.0),
+    ("jacobi", 600.0, 600.0),
+    ("laguerre", 100.0, 1e-3),
+    ("jacobi", 600.0, 600.0, 0.0, 1.0),
+])
+def test_rule_weight_mass_overflow_raises(spec):
+    with pytest.raises(DomainError, match="weight mass of .* overflows|not a positive finite float"):
+        build_rule(spec, 5)
+
+
+def _fresh(spec, order):
+    """The rule built with the uncached eigenvalue step."""
+    jacobi = quadrature._jacobi_rule.__wrapped__
+    match spec:
+        case ("jacobi", alpha, beta):
+            return jacobi(order, alpha, beta)
+        case ("jacobi", alpha, beta, a, b):
+            return quadrature._on_interval(jacobi(order, alpha, beta), alpha, beta, a, b)
+        case ("legendre", a, b):
+            return quadrature._on_interval(jacobi(order, 0.0, 0.0), 0.0, 0.0, a, b)
+        case ("laguerre", gamma, scale):
+            return quadrature._laguerre_rule.__wrapped__(order, gamma, scale)
+        case ("panels", panels):
+            moved = [quadrature._on_interval(jacobi(order, 0.0, 0.0), 0.0, 0.0, a, b)
+                     for a, b in panels]
+            return np.concatenate([m[0] for m in moved]), np.concatenate([m[1] for m in moved])
+
+
+SPEC_FORMS = [
+    ("jacobi", 0.5, -0.25),
+    ("jacobi", 1.5, 0.0, -2.0, 3.0),
+    ("legendre", -1.0, 4.0),
+    ("laguerre", 1.5, 2.0),
+    ("panels", [(0.0, 0.5), (0.5, 1.5), (1.5, 3.5)]),
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS, ids=lambda s: f"{s[0]}-{len(s)}")
+def test_cached_rule_is_bit_identical_to_a_fresh_build(spec):
+    for order in range(1, 129):
+        first = build_rule(spec, order)
+        again = build_rule(spec, order)
+        nodes, weights = _fresh(spec, order)
+        for rule in (first, again):
+            assert np.array_equal(rule.nodes, nodes), order
+            assert np.array_equal(rule.weights, weights), order
+
+
+@pytest.mark.parametrize("spec", SPEC_FORMS, ids=lambda s: f"{s[0]}-{len(s)}")
+def test_rule_arrays_are_read_only(spec):
+    rule = build_rule(spec, 6)
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    for array in quadrature._jacobi_rule(6, 0.5, -0.25) + quadrature._laguerre_rule(6, 1.5, 2.0):
+        with pytest.raises(ValueError):
+            array *= 2.0
+
+
+def test_fraction_and_float_parameters_are_separate_cache_entries():
+    # Fraction(1, 2) == 0.5 and both hash alike, but the recurrence runs in
+    # Fraction arithmetic for the one and float for the other; for a value
+    # such as 1/3 the two round differently
+    cache = quadrature._jacobi_rule
+    cache.cache_clear()
+    half = build_rule(("jacobi", Fraction(1, 2), Fraction(1, 2)), 9)
+    build_rule(("jacobi", 0.5, 0.5), 9)
+    assert cache.cache_info().misses == 2 and cache.cache_info().currsize == 2
+    assert np.array_equal(half.nodes, cache.__wrapped__(9, Fraction(1, 2), Fraction(1, 2))[0])
+    third = Fraction(1 / 3)
+    assert third == 1 / 3
+    exact = build_rule(("jacobi", third, 0.0), 9)
+    rounded = build_rule(("jacobi", 1 / 3, 0.0), 9)
+    assert cache.cache_info().currsize == 4
+    assert not np.array_equal(exact.nodes, rounded.nodes)
+    assert np.array_equal(exact.nodes, cache.__wrapped__(9, third, 0.0)[0])
+    assert np.array_equal(rounded.nodes, cache.__wrapped__(9, 1 / 3, 0.0)[0])
+
+
+def test_repeated_build_is_a_cache_hit():
+    for cache, spec in ((quadrature._jacobi_rule, ("jacobi", 0.5, 1.5, 0.0, 2.0)),
+                        (quadrature._laguerre_rule, ("laguerre", 0.5, 3.0))):
+        cache.cache_clear()
+        build_rule(spec, 12)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (0, 1)
+        build_rule(spec, 12)
+        assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+        # a bad interval raises after the lookup, and the base rule stays cached
+        if spec[0] == "jacobi":
+            with pytest.raises(DomainError):
+                build_rule(("jacobi", 0.5, 1.5, 2.0, 0.0), 12)
+            assert cache.cache_info().hits == 2
 
 
 def test_adaptive_converges_and_reports():
