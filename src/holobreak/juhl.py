@@ -407,6 +407,19 @@ def phi_cone_apply(params: JuhlParams, h) -> ConeLift:
     return ConeLift(params, h)
 
 
+def _base_point(params: JuhlParams, y_prime):
+    """(y', Q(y')) for a base point of the (n-1)-dimensional cone; raises
+    DomainError when y' does not have n - 1 coordinates or is outside it."""
+    y_prime, q_prime = _cone_point(y_prime, "base point")
+    n = params.n
+    if len(y_prime) != n - 1:
+        raise DomainError(
+            f"base point {y_prime!r} has {len(y_prime)} coordinates; "
+            f"n = {n} needs n - 1 = {n - 1}"
+        )
+    return y_prime, q_prime
+
+
 def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     """Fiber Gegenbauer coefficient of F over the base point y'.
 
@@ -416,7 +429,7 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     function; `legendre` integrates the bare fiber restriction and suits
     profiles without that boundary decay.  Non-convergence raises.
     """
-    y_prime, q_prime = _cone_point(y_prime, "base point")
+    y_prime, q_prime = _base_point(params, y_prime)
     ell = params.ell
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
     poly = gegenbauer_poly(ell, alpha)
@@ -450,12 +463,7 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     """
     lam = _real_scalar(params.lam, "weight")
     n = params.n
-    y_prime, q_prime = _cone_point(y_prime, "base point")
-    if len(y_prime) != n - 1:
-        raise DomainError(
-            f"base point {y_prime!r} has {len(y_prime)} coordinates; "
-            f"n = {n} needs n - 1 = {n - 1}"
-        )
+    y_prime, q_prime = _base_point(params, y_prime)
     lift = phi_cone_apply(params, h)
     root = math.sqrt(q_prime)
     a_w = lam - n / 2.0

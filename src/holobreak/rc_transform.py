@@ -22,6 +22,7 @@ from .special_poly import (
     PoleError,
     as_integer,
     beta,
+    check_ell,
     complex_gamma,
     is_exact,
     jacobi_inflated,
@@ -59,7 +60,7 @@ class RCParams:
     ell: int
 
     def __post_init__(self):
-        _check_ell(self.ell)
+        check_ell(self.ell)
 
     @property
     def lam3(self):
@@ -124,56 +125,56 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
 # constants
 
 
-def _nonpos_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
-def _check_ell(ell: int):
-    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
-        raise DomainError("ell must be a nonnegative integer")
-
-
 def c_ell_status(lam1, lam2, ell: int):
     """Classify c_ell at exact parameters by counting simple pole orders.
 
     Returns ("nonzero", value), ("zero", 0), ("pole", None) or
     ("indeterminate", None); the last kind marks points where numerator and
     denominator singularities collide and the limit depends on the
-    direction of approach.
+    direction of approach.  Each weight is held as its integer numerator
+    over its denominator, so every pole, zero and collision test is an
+    integer test.  One Fraction is built, for a nonzero value at integer
+    weights; other nonzero values are float products of gamma values at
+    the correctly rounded quotients.
     """
-    _check_ell(ell)
+    check_ell(ell)
     if not (is_exact(lam1) and is_exact(lam2)):
         raise DomainError("c_ell_status needs exact rational weights")
-    l1, l2 = Fraction(lam1), Fraction(lam2)
-    n1, n2 = l1 + ell, l2 + ell
-    d = l1 + l2 + ell - 1
-    t = l1 + l2 + 2 * ell - 1
-    num_poles = sum(1 for x in (n1, n2) if _nonpos_int(x))
+    q1, q2 = lam1.denominator, lam2.denominator
+    # n1 = lam1 + ell = m1 / q1 and n2 = m2 / q2, in lowest terms
+    m1, m2 = lam1.numerator + ell * q1, lam2.numerator + ell * q2
+    # d = lam1 + lam2 + ell - 1 = dn / q and t = d + ell = tn / q
+    q = q1 * q2
+    dn = lam1.numerator * q2 + lam2.numerator * q1 + (ell - 1) * q
+    tn = dn + ell * q
+    num_poles = (q1 == 1 and m1 <= 0) + (q2 == 1 and m2 <= 0)
     # d and t move together (both depend on lam1 + lam2 alone), and the
     # simple pole of 1/t at t = 0 always meets the zero of 1/Gamma(d) at
     # d = -ell, so 1/(t Gamma(d)) extends across t = 0 with a nonzero value;
     # the genuine zeros are the remaining nonpositive-integer points of d
-    mid_zero = _nonpos_int(d) and t != 0
+    mid_zero = dn <= 0 and dn % q == 0 and tn != 0
     if num_poles and mid_zero:
         return ("indeterminate", None)
     if num_poles:
         return ("pole", None)
     if mid_zero:
         return ("zero", Fraction(0))
-    if t == 0:
-        val = (-1) ** ell * complex_gamma(float(n1)) * complex_gamma(float(n2))
+    if tn == 0:
+        val = (-1) ** ell * complex_gamma(m1 / q1) * complex_gamma(m2 / q2)
         return ("nonzero", val)
-    if n1.denominator == n2.denominator == d.denominator == 1:
+    if q1 == q2 == 1:
+        d = m1 + m2 - ell - 1
         val = Fraction(
-            math.factorial(int(n1) - 1) * math.factorial(int(n2) - 1),
-            int(t * math.factorial(int(d) - 1) * math.factorial(ell)),
+            math.factorial(m1 - 1) * math.factorial(m2 - 1),
+            (d + ell) * math.factorial(d - 1) * math.factorial(ell),
         )
         return ("nonzero", val)
+    # int / int is correctly rounded, so each quotient is float() of the value
     val = (
-        complex_gamma(float(n1))
-        * complex_gamma(float(n2))
-        * reciprocal_gamma(float(d))
-        / (float(t) * math.factorial(ell))
+        complex_gamma(m1 / q1)
+        * complex_gamma(m2 / q2)
+        * reciprocal_gamma(dn / q)
+        / ((tn / q) * math.factorial(ell))
     )
     return ("nonzero", val)
 
@@ -186,7 +187,7 @@ def c_ell(lam1, lam2, ell: int):
     where the continuation has a pole or a direction-dependent limit (use
     c_ell_status to classify without raising).
     """
-    _check_ell(ell)
+    check_ell(ell)
     if is_exact(lam1) and is_exact(lam2):
         kind, val = c_ell_status(lam1, lam2, ell)
         if kind in ("nonzero", "zero"):
@@ -206,7 +207,7 @@ def b_const(lam):
 def r_ell(lam1, lam2, ell: int):
     """Quotient b(lam3) / (b(lam1) b(lam2)), continued through the zeros of
     the denominator by reciprocal gammas."""
-    _check_ell(ell)
+    check_ell(ell)
     lam3 = lam1 + lam2 + 2 * ell
     num = complex_gamma(lam3 - 1)
     return (

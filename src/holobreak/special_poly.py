@@ -274,19 +274,46 @@ def poly_two(mapping) -> PolyTwoVar:
 # Jacobi family
 
 
-def _jacobi_coeffs(ell: int, alpha, beta_) -> list:
-    """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for j = 0..ell,
-    each factorial a running product: the coefficients the Jacobi builds share."""
+def check_ell(ell):
+    """Raise DomainError unless ell is a nonnegative int (bool excluded): the
+    degree rule of every polynomial builder and constant indexed by ell."""
+    if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
+        raise DomainError("ell must be a nonnegative integer")
+
+
+def _jacobi_coeffs(ell: int, alpha, beta_):
+    """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for j = 0..ell:
+    the coefficients the Jacobi builds share, returned as (cs, den).
+
+    Exact parameters are held as integer numerators over one denominator:
+    with alpha = A/q and beta_ = B/q over q = lcm of their denominators, the
+    j-th coefficient is cs[j] / den with den = q^ell ell!, and no Fraction is
+    built.  Float or complex parameters give the coefficients themselves with
+    den None, each factorial a running product in float arithmetic, in an
+    order of operations the tests pin bit for bit.
+    """
+    if is_exact(alpha) and is_exact(beta_):
+        q = math.lcm(alpha.denominator, beta_.denominator)
+        A = alpha.numerator * (q // alpha.denominator)
+        S = A + beta_.numerator * (q // beta_.denominator) + (ell + 1) * q
+        # q^j (s)_j and q^(ell-j) (alpha+j+1)_(ell-j), both running products
+        asc, desc = [1], [1]
+        for j in range(ell):
+            asc.append(asc[-1] * (S + j * q))
+            desc.append((A + (ell - j) * q) * desc[-1])
+        cs = [math.comb(ell, j) * x * y for j, (x, y) in enumerate(zip(asc, reversed(desc)))]
+        return cs, q**ell * math.factorial(ell)
     s = alpha + beta_ + ell + 1
     asc, desc = [pochhammer(s, 0)], [pochhammer(alpha, 0)]  # 1 in each tier
     for j in range(ell):
         asc.append(asc[-1] * (s + j))
         # from j = ell down, so in float it may round apart from `pochhammer`
         desc.append((alpha + (ell - j)) * desc[-1])
-    return [
+    cs = [
         a * d / (math.factorial(j) * math.factorial(ell - j))
         for j, (a, d) in enumerate(zip(asc, reversed(desc)))
     ]
+    return cs, None
 
 
 def jacobi_poly(ell: int, alpha, beta_) -> PolyOneVar:
@@ -294,18 +321,23 @@ def jacobi_poly(ell: int, alpha, beta_) -> PolyOneVar:
 
     Coefficients follow the explicit hypergeometric sum in powers of
     (t-1)/2, expanded into the monomial basis.  Exact parameters give exact
-    coefficients.
+    coefficients: the sum runs over integer numerators on one denominator,
+    that of `_jacobi_coeffs` times 2^ell, and each coefficient becomes one
+    Fraction at the end.  Float parameters are folded term by term in float arithmetic, in
+    an order of operations the tests pin bit for bit.
     """
-    if ell < 0:
-        raise DomainError("jacobi_poly needs ell >= 0")
-    exact = is_exact(alpha) and is_exact(beta_)
-    coeffs = [Fraction(0) if exact else 0.0] * (ell + 1)
-    for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_)):
-        term = c / 2**j
+    check_ell(ell)
+    cs, den = _jacobi_coeffs(ell, alpha, beta_)
+    if den is None:
+        terms, coeffs = [c / 2**j for j, c in enumerate(cs)], [0.0] * (ell + 1)
+    else:
+        terms, coeffs = [c << (ell - j) for j, c in enumerate(cs)], [0] * (ell + 1)
+        den <<= ell
+    for j, term in enumerate(terms):
         # ((t-1)/2)^j contributes C(j, m) (-1)^(j-m) t^m / 2^j, folded above
         for m in range(j + 1):
             coeffs[m] = coeffs[m] + term * math.comb(j, m) * (-1) ** (j - m)
-    return poly_one(coeffs)
+    return poly_one(_over(coeffs, den))
 
 
 def jacobi_inflated(ell: int, alpha, beta_) -> PolyTwoVar:
@@ -314,18 +346,27 @@ def jacobi_inflated(ell: int, alpha, beta_) -> PolyTwoVar:
     Satisfies inflated(x, y) = (-1)^ell (x+y)^ell P((y-x)/(x+y)) off the
     line x + y = 0.
     """
-    m: dict = {}
-    for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_)):
+    check_ell(ell)
+    cs, den = _jacobi_coeffs(ell, alpha, beta_)
+    coeffs = [0] * (ell + 1)  # index i holds the coefficient of x^i y^(ell-i)
+    for j, c in enumerate(cs):
         a_j = (-1) ** (ell - j) * c
         for k in range(ell - j + 1):
-            key = (j + k, ell - j - k)
-            m[key] = m.get(key, 0) + a_j * math.comb(ell - j, k)
-    return poly_two(m)
+            coeffs[j + k] = coeffs[j + k] + a_j * math.comb(ell - j, k)
+    return poly_two({(i, ell - i): c for i, c in enumerate(_over(coeffs, den))})
 
 
 def jacobi_variant(ell: int, alpha, beta_) -> PolyTwoVar:
     """Homogenization y^ell P(1 + 2x/y) of the Jacobi polynomial."""
-    return poly_two({(j, ell - j): c for j, c in enumerate(_jacobi_coeffs(ell, alpha, beta_))})
+    check_ell(ell)
+    cs, den = _jacobi_coeffs(ell, alpha, beta_)
+    return poly_two({(j, ell - j): c for j, c in enumerate(_over(cs, den))})
+
+
+def _over(nums: list, den) -> list:
+    """Integer numerators as one Fraction each over den; float values (den
+    None) as they are."""
+    return nums if den is None else [Fraction(n, den) for n in nums]
 
 
 def jacobi_norm_sq(ell: int, alpha, beta_):
@@ -363,6 +404,7 @@ def gegenbauer_a(ell: int, k: int, alpha):
     a_k(ell, alpha) = (-1)^k 2^(ell-2k) (alpha)_(ell-k) / (k! (ell-2k)!),
     defined for 2k <= ell.
     """
+    check_ell(ell)
     if not 0 <= 2 * k <= ell:
         raise DomainError(f"gegenbauer_a needs 0 <= 2k <= ell, got k={k}, ell={ell}")
     num = (-1) ** k * 2 ** (ell - 2 * k) * pochhammer(alpha, ell - k)
@@ -371,6 +413,7 @@ def gegenbauer_a(ell: int, k: int, alpha):
 
 def gegenbauer_poly(ell: int, alpha) -> PolyOneVar:
     """Degree-ell Gegenbauer polynomial with parameter alpha."""
+    check_ell(ell)
     coeffs = [0] * (ell + 1)
     for k in range(ell // 2 + 1):
         coeffs[ell - 2 * k] = gegenbauer_a(ell, k, alpha)
@@ -383,6 +426,7 @@ def gegenbauer_inflated(ell: int, alpha) -> PolyTwoVar:
     Substituting u = w^2 recovers w^ell C(v/w); each monomial has
     2*(u-degree) + (v-degree) = ell.
     """
+    check_ell(ell)
     m = {}
     for k in range(ell // 2 + 1):
         m[(k, ell - 2 * k)] = gegenbauer_a(ell, k, alpha)

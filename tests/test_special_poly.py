@@ -194,10 +194,14 @@ def _per_j_coeffs(ell, alpha, beta_):
 @settings(max_examples=40, deadline=None)
 def test_jacobi_coeffs_match_per_j_rising_factorials(alpha, beta_, a, b, ell):
     # running products against both rising factorials rebuilt for every j:
-    # equal for exact parameters; in float the descending product is
-    # multiplied in the other order, so equal up to rounding
-    assert _jacobi_coeffs(ell, alpha, beta_) == _per_j_coeffs(ell, alpha, beta_)
-    for got, want in zip(_jacobi_coeffs(ell, a, b), _per_j_coeffs(ell, a, b), strict=True):
+    # equal for exact parameters, whose integer numerators share one
+    # denominator; in float the descending product is multiplied in the
+    # other order, so equal up to rounding
+    nums, den = _jacobi_coeffs(ell, alpha, beta_)
+    assert [F(n, den) for n in nums] == _per_j_coeffs(ell, alpha, beta_)
+    cs, den = _jacobi_coeffs(ell, a, b)
+    assert den is None
+    for got, want in zip(cs, _per_j_coeffs(ell, a, b), strict=True):
         assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -251,6 +255,23 @@ def test_gegenbauer_inflated_degree_two():
 def test_gegenbauer_a_domain():
     with pytest.raises(DomainError):
         gegenbauer_a(3, 2, F(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda ell: jacobi_poly(ell, 1, 1),
+    lambda ell: jacobi_inflated(ell, 1, 1),
+    lambda ell: jacobi_variant(ell, 1, 1),
+    lambda ell: gegenbauer_poly(ell, F(3, 2)),
+    lambda ell: gegenbauer_inflated(ell, F(3, 2)),
+    lambda ell: gegenbauer_a(ell, 0, F(3, 2)),
+], ids=["jacobi_poly", "jacobi_inflated", "jacobi_variant",
+        "gegenbauer_poly", "gegenbauer_inflated", "gegenbauer_a"])
+@pytest.mark.parametrize("ell", [True, False, 2.5, 2.0, F(2), -1])
+def test_polynomial_builders_need_int_degree(build, ell):
+    # a bool passes isinstance(int), and a float degree would reach list
+    # repetition as a TypeError; each fails the one rule for ell
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        build(ell)
 
 
 @given(rationals.filter(lambda a: a > 0), st.integers(min_value=0, max_value=7))
