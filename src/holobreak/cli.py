@@ -94,10 +94,6 @@ class ConfigError(ValueError):
 # tolerance for checks that compare two closed forms with no quadrature
 CLOSED_FORM_TOL = 1e-10
 
-DEFAULT_SEED = 414213
-DEFAULT_ORDER = 64
-DEFAULT_RADIUS = 60.0
-
 
 # ---------------------------------------------------------------------------
 # parameter parsing
@@ -126,11 +122,20 @@ def parse_value(text: str):
     return x
 
 
-def parse_grid(text: str, flag: str) -> tuple:
+def parse_grid(text: str, key: str) -> tuple:
     values = tuple(parse_value(p) for p in text.split(",") if p.strip())
     if not values:
-        raise ConfigError(f"empty parameter grid for {flag}")
+        raise ConfigError(f"empty parameter grid for {key}")
     return values
+
+
+def _parse_dims(text: str, key: str) -> tuple:
+    ns = []
+    for v in parse_grid(text, key):
+        if not (isinstance(v, Fraction) and v.denominator == 1):
+            raise ConfigError(f"dimension grid needs integers, got {v}")
+        ns.append(int(v))
+    return tuple(ns)
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -142,12 +147,39 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ConfigError(f"cannot read boolean {text!r} for {key}")
 
 
+def _parse_with(cast):
+    def parse(text: str, key: str):
+        try:
+            return cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {key}={text!r}") from exc
+
+    return parse
+
+
+# config-file key -> (SuiteConfig field, reader, help).  The flag is the key
+# with dashes ("ell_max" -> "--ell-max").  A flag and a file line go through
+# the same reader, (text, key) -> value, and the flag wins; _parse_bool makes
+# a flag without a value.  An unset option keeps its SUITE_DEFAULTS entry or
+# its SuiteConfig default.
+VERIFY_OPTIONS = {
+    "lambda1": ("lam1", parse_grid, "comma-separated weight grid"),
+    "lambda2": ("lam2", parse_grid, "comma-separated weight grid"),
+    "lambda": ("lam", parse_grid, "comma-separated weight grid"),
+    "n": ("n", _parse_dims, "comma-separated dimension grid"),
+    "ell_max": ("ell_max", _parse_with(int), None),
+    "tol": ("tol", _parse_with(float), None),
+    "exact": ("exact", _parse_bool, "force exact rational comparisons"),
+    "order": ("order", _parse_with(int), "quadrature order"),
+    "radius": ("radius", _parse_with(float), "truncation radius"),
+    "seed": ("seed", _parse_with(int), None),
+    "report": ("report_path", lambda text, key: text, "write the JSON-lines report here"),
+    "csv": ("csv_out", _parse_bool, "also write a CSV table beside the report"),
+}
+
+
 def read_config_file(path: str) -> dict:
     """key=value lines, # comments, keys matching the verify flags."""
-    known = {
-        "lambda1", "lambda2", "lambda", "n", "ell_max", "tol", "exact",
-        "seed", "order", "radius", "report", "csv",
-    }
     out = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -161,7 +193,7 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
-        if key not in known:
+        if key not in VERIFY_OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -244,9 +276,9 @@ class SuiteConfig:
     ell_max: int
     tol: float
     exact: bool
-    order: int = DEFAULT_ORDER
-    radius: float = DEFAULT_RADIUS
-    seed: int = DEFAULT_SEED
+    order: int = 64
+    radius: float = 60.0
+    seed: int = 414213
     report_path: str = ""
     csv_out: bool = False
 
@@ -257,12 +289,16 @@ class SuiteConfig:
             )
         if not self.tol > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ConfigError(f"tolerance must be finite, got {self.tol}")
         if self.ell_max < 0:
             raise ConfigError(f"ell-max must be nonnegative, got {self.ell_max}")
         if self.order < 4:
             raise ConfigError(f"quadrature order must be at least 4, got {self.order}")
         if not self.radius > 0:
             raise ConfigError(f"truncation radius must be positive, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ConfigError(f"truncation radius must be finite, got {self.radius}")
 
     @property
     def mode(self) -> str:
@@ -768,78 +804,22 @@ def run_suite(config: SuiteConfig, stream=None) -> VerificationReport:
 
 def _resolve_config(args) -> SuiteConfig:
     file_vals = read_config_file(args.config) if args.config else {}
-
-    def pick(flag, key):
-        return flag if flag is not None else file_vals.get(key)
-
-    raw_grids = {
-        "lam1": pick(args.lam1, "lambda1"),
-        "lam2": pick(args.lam2, "lambda2"),
-        "lam": pick(args.lam, "lambda"),
-        "n": pick(args.n, "n"),
-    }
-    defaults = SUITE_DEFAULTS[args.suite]
-    grids = {}
-    for name in ("lam1", "lam2", "lam"):
-        raw = raw_grids[name]
-        grids[name] = defaults[name] if raw is None else parse_grid(raw, name)
-    if raw_grids["n"] is None:
-        grids["n"] = defaults["n"]
-    else:
-        parsed = parse_grid(raw_grids["n"], "n")
-        ns = []
-        for v in parsed:
-            if not (isinstance(v, Fraction) and v.denominator == 1):
-                raise ConfigError(f"dimension grid needs integers, got {v}")
-            ns.append(int(v))
-        grids["n"] = tuple(ns)
-
-    slash = any("/" in raw for raw in raw_grids.values() if raw is not None)
-    exact = bool(args.exact) or slash
-    if "exact" in file_vals and not args.exact:
-        exact = _parse_bool(file_vals["exact"], "exact") or slash
-    if exact:
-        for name in ("lam1", "lam2", "lam"):
-            if any(isinstance(v, float) for v in grids[name]):
-                raise ConfigError(
-                    "exact mode needs rational parameters; write 5/2 instead of 2.5"
-                )
-
-    def pick_num(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        if key in file_vals:
-            try:
-                return cast(file_vals[key])
-            except ValueError as exc:
-                raise ConfigError(f"cannot read {key}={file_vals[key]!r}") from exc
-        return default
-
-    tol = pick_num(args.tol, "tol", float, defaults["tol"])
-    ell_max = pick_num(args.ell_max, "ell_max", int, defaults["ell_max"])
-    order = pick_num(args.order, "order", int, DEFAULT_ORDER)
-    radius = pick_num(args.radius, "radius", float, DEFAULT_RADIUS)
-    seed = pick_num(args.seed, "seed", int, DEFAULT_SEED)
-    report_path = pick(args.report, "report") or ""
-    csv_out = bool(args.csv)
-    if not csv_out and "csv" in file_vals:
-        csv_out = _parse_bool(file_vals["csv"], "csv")
-
-    return SuiteConfig(
-        suite=args.suite,
-        lam1=grids["lam1"],
-        lam2=grids["lam2"],
-        lam=grids["lam"],
-        n=grids["n"],
-        ell_max=ell_max,
-        tol=tol,
-        exact=exact,
-        order=order,
-        radius=radius,
-        seed=seed,
-        report_path=report_path,
-        csv_out=csv_out,
-    )
+    values = dict(SUITE_DEFAULTS[args.suite], exact=False)
+    slash = floats = False
+    for key, (name, parse, _) in VERIFY_OPTIONS.items():
+        text = getattr(args, key)
+        if text is None:
+            text = file_vals.get(key)
+        if text is not None:
+            values[name] = parse(text, key)
+            if parse in (parse_grid, _parse_dims):
+                slash = slash or "/" in text
+                floats = floats or any(isinstance(v, float) for v in values[name])
+    # exact mode: --exact, the exact key, or a rational p/q in any grid
+    values["exact"] = values["exact"] or slash
+    if values["exact"] and floats:
+        raise ConfigError("exact mode needs rational parameters; write 5/2 instead of 2.5")
+    return SuiteConfig(suite=args.suite, **values)
 
 
 def _csv_path(report_path: str) -> Path:
@@ -889,41 +869,50 @@ def _parse_point(text: str) -> tuple:
     return tuple(_point_scalar(p) for p in parts)
 
 
-def _parse_sum(text: str):
-    try:
-        return from_text(text)
-    except ParseError as exc:
-        raise ConfigError(f"parse error at character {exc.pos}: {exc}") from exc
+def _eval_int(what: str):
+    def parse(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError as exc:
+            raise ConfigError(f"{what} must be an integer, got {tok!r}") from exc
+
+    return parse
 
 
-def _eval_int(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be an integer, got {tok!r}") from exc
+# one eval argument: (name in the help, name in messages, reader)
+_L1 = ("L1", "lam1", parse_value)
+_L2 = ("L2", "lam2", parse_value)
+_LAM = ("LAM", "lam", parse_value)
+_ELL = ("ELL", "ell", _eval_int("ell"))
+_RC = (_L1, _L2, _ELL)
 
+# name -> (arguments, takes --at, value of the read arguments); a form that
+# takes --at builds a two-variable sum and is evaluated at that point
+_EVAL_FORMS = {
+    "constant": ((("C", "one value", parse_value),), False, lambda c: c),
+    "c_ell": (_RC, False, c_ell),
+    "r_ell": (_RC, False, r_ell),
+    "b": ((_LAM,), False, b_const),
+    "b_const": ((_LAM,), False, b_const),
+    "q_constant": ((("N", "n", _eval_int("n")), _ELL, _LAM), False, q_constant),
+    "ktype": (_RC, True, lambda *a: ktype_generator(RCParams(*a))),
+    "psi_ktype": (_RC, True, lambda *a: psi_ktype_closed_form(RCParams(*a))),
+}
 
-_EVAL_HELP = (
-    "constant C | c_ell L1 L2 ELL | r_ell L1 L2 ELL | b LAM | b_const LAM | "
-    "q_constant N ELL LAM | ktype L1 L2 ELL --at 'Z1 Z2' | "
-    "psi_ktype L1 L2 ELL --at 'Z1 Z2' | '(sum ...)' --at 'Z1 ...'"
+_EVAL_HELP = " | ".join(
+    [" ".join([name, *(shown for shown, _, _ in args)]) + (" --at 'Z1 Z2'" if at else "")
+     for name, (args, at, _) in _EVAL_FORMS.items()]
+    + ["'(sum ...)' --at 'Z1 ...'"]
 )
 
 
 def _eval_expression(tokens, at_text):
-    head = tokens[0]
-    rest = tokens[1:]
-
-    def want(k, usage):
-        if len(rest) != k:
-            raise ConfigError(f"{head} takes {usage}, got {len(rest)} arguments")
-
-    def no_point():
-        if at_text is not None:
-            raise ConfigError(f"--at does not apply to {head}")
-
+    head, rest = tokens[0], tokens[1:]
     if head.startswith("("):
-        f = _parse_sum(" ".join(tokens))
+        try:
+            f = from_text(" ".join(tokens))
+        except ParseError as exc:
+            raise ConfigError(f"parse error at character {exc.pos}: {exc}") from exc
         if at_text is None:
             raise ConfigError("textual sums need --at with one coordinate per variable")
         point = _parse_point(at_text)
@@ -932,39 +921,23 @@ def _eval_expression(tokens, at_text):
                 f"point has {len(point)} coordinates, the sum has arity {f.arity}"
             )
         return evaluate(f, point)
-    if head == "constant":
-        want(1, "one value")
-        no_point()
-        return parse_value(rest[0])
-    if head == "c_ell":
-        want(3, "lam1 lam2 ell")
-        no_point()
-        return c_ell(parse_value(rest[0]), parse_value(rest[1]), _eval_int(rest[2], "ell"))
-    if head == "r_ell":
-        want(3, "lam1 lam2 ell")
-        no_point()
-        return r_ell(parse_value(rest[0]), parse_value(rest[1]), _eval_int(rest[2], "ell"))
-    if head in ("b", "b_const"):
-        want(1, "lam")
-        no_point()
-        return b_const(parse_value(rest[0]))
-    if head == "q_constant":
-        want(3, "n ell lam")
-        no_point()
-        return q_constant(
-            _eval_int(rest[0], "n"), _eval_int(rest[1], "ell"), parse_value(rest[2])
-        )
-    if head in ("ktype", "psi_ktype"):
-        want(3, "lam1 lam2 ell")
-        p = RCParams(parse_value(rest[0]), parse_value(rest[1]), _eval_int(rest[2], "ell"))
-        f = ktype_generator(p) if head == "ktype" else psi_ktype_closed_form(p)
-        if at_text is None:
-            raise ConfigError(f"{head} needs --at with two coordinates")
-        point = _parse_point(at_text)
-        if len(point) != 2:
-            raise ConfigError(f"{head} needs a two-coordinate point")
-        return evaluate(f, point)
-    raise ConfigError(f"unknown expression {head!r}; forms: {_EVAL_HELP}")
+    if head not in _EVAL_FORMS:
+        raise ConfigError(f"unknown expression {head!r}; forms: {_EVAL_HELP}")
+    args, at, value = _EVAL_FORMS[head]
+    if len(rest) != len(args):
+        usage = " ".join(name for _, name, _ in args)
+        raise ConfigError(f"{head} takes {usage}, got {len(rest)} arguments")
+    if at_text is not None and not at:
+        raise ConfigError(f"--at does not apply to {head}")
+    result = value(*(parse(tok) for (_, _, parse), tok in zip(args, rest)))
+    if not at:
+        return result
+    if at_text is None:
+        raise ConfigError(f"{head} needs --at with two coordinates")
+    point = _parse_point(at_text)
+    if len(point) != 2:
+        raise ConfigError(f"{head} needs a two-coordinate point")
+    return evaluate(result, point)
 
 
 def _print_value(value, as_json: bool):
@@ -1007,26 +980,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--lambda1", dest="lam1", help="comma-separated weight grid")
-    verify.add_argument("--lambda2", dest="lam2", help="comma-separated weight grid")
-    verify.add_argument("--lambda", dest="lam", help="comma-separated weight grid")
-    verify.add_argument("--n", help="comma-separated dimension grid")
-    verify.add_argument("--ell-max", dest="ell_max", type=int)
-    verify.add_argument("--tol", type=float)
-    verify.add_argument("--exact", action="store_true",
-                        help="force exact rational comparisons")
-    verify.add_argument("--order", type=int, help="quadrature order")
-    verify.add_argument("--radius", type=float, help="truncation radius")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--report", help="write the JSON-lines report here")
-    verify.add_argument("--csv", action="store_true",
-                        help="also write a CSV table beside the report")
+    for key, (_, parse, help_text) in VERIFY_OPTIONS.items():
+        switch = {"action": "store_const", "const": "yes"} if parse is _parse_bool else {}
+        verify.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **switch)
     verify.add_argument("--config", help="key=value file; flags override it")
 
     ev = sub.add_parser("eval", help="evaluate an expression", epilog=_EVAL_HELP)
     ev.add_argument("expr", nargs="+")
     ev.add_argument("--at", help="evaluation point, comma or space separated")
     ev.add_argument("--json", action="store_true")
+    # argparse reads only -2 and -1.5 as values and takes any other token
+    # that starts with a dash for a flag; no flag here starts with a digit,
+    # so -3/2, -3,1 and -.5-1j are values too
+    for p in (verify, ev):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

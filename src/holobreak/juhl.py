@@ -176,7 +176,7 @@ def weight_M_cone(params: JuhlParams, y_prime, v) -> float:
     1 - v^2 is rejected rather than returned as infinity.
     """
     lam = _real_scalar(params.lam, "weight exponent")
-    y_prime, q_prime = _cone_point(y_prime, "base point")
+    y_prime, q_prime = _base_point(params, y_prime)
     v = float(v)
     if not -1.0 <= v <= 1.0:
         raise DomainError(f"fiber coordinate must lie in [-1, 1], got {v}")

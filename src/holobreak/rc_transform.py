@@ -159,9 +159,6 @@ def c_ell_status(lam1, lam2, ell: int):
         return ("pole", None)
     if mid_zero:
         return ("zero", Fraction(0))
-    if tn == 0:
-        val = (-1) ** ell * complex_gamma(m1 / q1) * complex_gamma(m2 / q2)
-        return ("nonzero", val)
     if q1 == q2 == 1:
         d = m1 + m2 - ell - 1
         val = Fraction(
@@ -170,13 +167,17 @@ def c_ell_status(lam1, lam2, ell: int):
         )
         return ("nonzero", val)
     # int / int is correctly rounded, so each quotient is float() of the value
-    val = (
-        complex_gamma(m1 / q1)
-        * complex_gamma(m2 / q2)
-        * reciprocal_gamma(dn / q)
-        / ((tn / q) * math.factorial(ell))
-    )
-    return ("nonzero", val)
+    return ("nonzero", _c_ell_value(m1 / q1, m2 / q2, dn / q, tn / q, ell))
+
+
+def _c_ell_value(n1, n2, d, t, ell: int):
+    """Gamma(n1) Gamma(n2) / (t Gamma(d) ell!) with t = d + ell.  On the line
+    t = 0, 1/(t Gamma(d)) tends to (-1)^ell ell!, so the value is
+    (-1)^ell Gamma(n1) Gamma(n2) there."""
+    num = complex_gamma(n1) * complex_gamma(n2)
+    if t == 0:
+        return (-1) ** ell * num
+    return num * reciprocal_gamma(d) / (t * math.factorial(ell))
 
 
 def c_ell(lam1, lam2, ell: int):
@@ -194,8 +195,7 @@ def c_ell(lam1, lam2, ell: int):
             return val
         raise PoleError(f"c_ell is {kind} at ({lam1}, {lam2}, ell={ell})")
     lam3 = lam1 + lam2 + 2 * ell
-    num = complex_gamma(lam1 + ell) * complex_gamma(lam2 + ell)
-    return num * reciprocal_gamma(lam1 + lam2 + ell - 1) / ((lam3 - 1) * math.factorial(ell))
+    return _c_ell_value(lam1 + ell, lam2 + ell, lam1 + lam2 + ell - 1, lam3 - 1, ell)
 
 
 def b_const(lam):

@@ -1,5 +1,6 @@
 """Command harness: grids, suite runner, report format, determinism, eval."""
 
+import argparse
 import json
 import math
 import os
@@ -12,8 +13,13 @@ import pytest
 
 import holobreak
 from holobreak.cli import (
+    _EVAL_FORMS,
+    _EVAL_HELP,
+    VERIFY_OPTIONS,
     ConfigError,
     SuiteConfig,
+    _build_parser,
+    _resolve_config,
     main,
     parse_value,
     read_config_file,
@@ -75,6 +81,13 @@ def test_suite_config_validation():
         small_config("ortho-poly", ell_max=-1)
     with pytest.raises(ConfigError):
         small_config("ortho-poly", radius=-1.0)
+    # a non-finite tolerance would pass every case, a non-finite radius
+    # would reach the quadrature panels
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            small_config("ortho-poly", tol=bad)
+        with pytest.raises(ConfigError):
+            small_config("ortho-poly", radius=bad)
 
 
 def test_config_file_parsing(tmp_path):
@@ -89,6 +102,99 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("wavelength = 7\n")
     with pytest.raises(ConfigError):
         read_config_file(str(path))
+
+
+def resolve(argv, suite="kernels"):
+    return _resolve_config(_build_parser().parse_args(["verify", suite, *argv]))
+
+
+def test_option_vocabulary_is_unchanged():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["verify"]._actions for s in a.option_strings}
+    assert flags == {
+        "-h", "--help", "--lambda1", "--lambda2", "--lambda", "--n", "--ell-max",
+        "--tol", "--exact", "--order", "--radius", "--seed", "--report", "--csv",
+        "--config",
+    }
+    assert set(VERIFY_OPTIONS) == {
+        "lambda1", "lambda2", "lambda", "n", "ell_max", "tol", "exact",
+        "seed", "order", "radius", "report", "csv",
+    }
+    assert set(_EVAL_FORMS) == {
+        "constant", "c_ell", "r_ell", "b", "b_const", "q_constant", "ktype", "psi_ktype",
+    }
+    assert _EVAL_HELP == (
+        "constant C | c_ell L1 L2 ELL | r_ell L1 L2 ELL | b LAM | b_const LAM | "
+        "q_constant N ELL LAM | ktype L1 L2 ELL --at 'Z1 Z2' | "
+        "psi_ktype L1 L2 ELL --at 'Z1 Z2' | '(sum ...)' --at 'Z1 ...'"
+    )
+
+
+# key, a valid text, an invalid text (None where every text is valid); a
+# switch flag takes no text and stands for the file line "key = yes"
+OPTION_TEXTS = [
+    ("lambda1", "-3/2,1", "2,x"),
+    ("lambda2", "5/2,3", ""),
+    ("lambda", "3.5,4", "inf"),
+    ("n", "3,5", "3.5"),
+    ("ell_max", "3", "2.5"),
+    ("tol", "1e-6", "abc"),
+    ("exact", "yes", "maybe"),
+    ("order", "32", "x"),
+    ("radius", "40", "1e400"),
+    ("seed", "7", "1.5"),
+    ("report", "out/r.jsonl", None),
+    ("csv", "yes", "sometimes"),
+]
+
+
+def test_option_texts_cover_every_option():
+    assert [key for key, _, _ in OPTION_TEXTS] == list(VERIFY_OPTIONS)
+
+
+@pytest.mark.parametrize("key, good, bad", OPTION_TEXTS)
+def test_flag_and_file_line_read_alike(tmp_path, key, good, bad):
+    flag = "--" + key.replace("_", "-")
+    switch = key in ("exact", "csv")
+    cfg = tmp_path / "run.cfg"
+
+    def via_file(text):
+        cfg.write_text(f"{key} = {text}\n")
+        return resolve(["--config", str(cfg)])
+
+    from_flag = resolve([flag] if switch else [flag, good])
+    assert from_flag == via_file(good)
+    assert from_flag != resolve([])
+    if bad is None:
+        return
+    with pytest.raises(ConfigError) as from_file:
+        via_file(bad)
+    if not switch:
+        with pytest.raises(ConfigError) as flag_error:
+            resolve([flag, bad])
+        assert str(flag_error.value) == str(from_file.value)
+
+
+def test_negative_values_on_the_command_line(capsys):
+    assert resolve(["--lambda1", "-3/2,1"]).lam1 == (Fraction(-3, 2), Fraction(1))
+    assert main(["eval", "c_ell", "1/2", "-3/2", "1"]) == 0
+    assert capsys.readouterr().out == "3.141592653589793\n"
+    code = main(["verify", "kernels", "--lambda1", "-3,1", "--lambda2", "-2,2",
+                 "--ell-max", "0"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_non_finite_tol_and_radius_are_config_errors(tmp_path, capsys):
+    code = main(["verify", "rc-plancherel", "--tol", "inf", "--ell-max", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius = 1e400\n")
+    code = main(["verify", "l2-plancherel", "--config", str(cfg), "--ell-max", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: truncation radius must be finite, got inf\n"
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +548,11 @@ def test_eval_pole_surfaces_verbatim(capsys):
     code = main(["eval", "c_ell", "-1", "2", "0"])
     assert code == 2
     assert "pole" in capsys.readouterr().err
+
+
+def test_eval_c_ell_on_the_line_t_zero(capsys):
+    assert main(["eval", "c_ell", "1/2", "-1.5", "1"]) == 0
+    assert capsys.readouterr().out == "3.141592653589793\n"
 
 
 def test_eval_overflow_is_an_error_not_a_traceback(capsys):

@@ -439,6 +439,9 @@ def test_fiber_transform_errors():
     # the fiber coefficient checks the base point's length the same way
     with pytest.raises(DomainError, match="has 2 coordinates; n = 4 needs n - 1 = 3"):
         juhl_hat_apply(JuhlParams(4, 4.0, 0), lambda y: y[0], (1.5, 0.4), method="legendre")
+    # and so does the fiber weight
+    with pytest.raises(DomainError, match="has 2 coordinates; n = 4 needs n - 1 = 3"):
+        weight_M_cone(JuhlParams(4, 4.0, 0), (1.5, 0.4), 0.3)
     with pytest.raises(DomainError):
         juhl_hat_apply(p, lambda y: 1.0, P2A, method="simpson")
     jump = lambda y: 1.0 if y[2] > 0.1234 * y[0] else 0.0

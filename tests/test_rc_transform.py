@@ -305,6 +305,20 @@ def test_c_ell_status_kinds():
         c_ell(-1, 1, 1)
 
 
+def test_c_ell_float_limit_on_the_line_t_zero():
+    # lam1 + lam2 + 2 ell - 1 = 0: the pole of 1/t meets the zero of
+    # 1/Gamma(d), and the float tier takes the same limit as the exact one
+    for (lam1, lam2, ell), exact in (
+        ((0.5, -1.5, 1), (F(1, 2), F(-3, 2), 1)),
+        ((0.5, -3.5, 2), (F(1, 2), F(-7, 2), 2)),
+    ):
+        want = c_ell(*exact)
+        assert want == 3.141592653589793
+        assert rel(c_ell(lam1, lam2, ell), want) < 1e-15
+    z = complex(c_ell(0.5 + 1j, -1.5 - 1j, 1))
+    assert math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def test_c_ell_nonvanishing_on_positive_weights():
     for lam1 in (F(1, 2), 1, F(7, 3), 4):
         for lam2 in (F(1, 2), 2, F(9, 4)):
