@@ -35,7 +35,7 @@ from .quadrature import (
     integrate,
     integrate_adaptive,
     integrate_region,
-    pointwise,
+    node_values,
 )
 from .special_poly import (
     DomainError,
@@ -390,8 +390,10 @@ class ConeLift:
 
 def _grid(F):
     """Array form of a function of one point: a lift's own `grid`, or a
-    callable that takes the point as a tuple, wrapped by `pointwise`."""
-    return F.grid if isinstance(F, ConeLift) else pointwise(lambda *y: F(y))
+    callable that takes the point as a tuple, through `node_values`, which
+    passes it the tuple of node arrays and falls back to one call per
+    point when that fails."""
+    return F.grid if isinstance(F, ConeLift) else node_values(F, packed=True)
 
 
 def phi_cone_apply(params: JuhlParams, h) -> ConeLift:
@@ -634,8 +636,11 @@ def holographic_integral(
     s, t, each on ``("jacobi", 0, nu - 2, 0, radius)``, whose weight is the
     measure factor s^(nu - 2) (t^(nu - 2)) itself; the 1/2 left over is the
     Jacobian of (s, t).  The result is the kernel pairing times the adjoint
-    constant.  Accuracy is the documented smoke-test level (about 1e-2 at
-    the defaults), not a converged integral.
+    constant.  g takes one point tau of the lower tube as a tuple; it is
+    called on the tuple of complex node arrays first, once per node only
+    when that fails (see `quadrature.node_values`).  Accuracy is the
+    documented smoke-test level (about 1e-2 at the defaults), not a
+    converged integral.
     """
     if params.n != 3:
         raise DomainError("the kernel integral is only implemented for n = 3")
@@ -680,9 +685,10 @@ def cone_fourier_laplace(
     lifted integrand with fractional boundary decay still converges at
     spectral rate.  The imaginary part of zeta must lie in the open cone,
     which is what makes the oscillatory factor decay.  A lift is evaluated
-    on the node grids; any other F takes one point y (a tuple of floats)
-    and is called once per node through `pointwise`.  Raises DomainError
-    when the quadrature does not converge.
+    on the node grids; any other F takes one point y as a tuple, and is
+    called on the tuple of node arrays first, once per node (a tuple of
+    floats) only when that fails (see `quadrature.node_values`).  Raises
+    DomainError when the quadrature does not converge.
     """
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"need integer dimension n >= 3, got {n!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import geometric_panels, integrate_adaptive, integrate_region, pointwise
+from .quadrature import geometric_panels, integrate_adaptive, integrate_region, node_values
 from .rc_transform import RCParams, c_ell
 from .special_poly import DomainError, jacobi_poly
 
@@ -70,9 +70,10 @@ class _Lift:
 
 def _grid(f):
     """Array form of a function, bare or in an L2Fn: a lift's own formula,
-    or a one-point callable wrapped by `pointwise`."""
+    or a user's callable through `node_values`, which tries it on the node
+    arrays and falls back to one call per point when that fails."""
     f = f.func if isinstance(f, L2Fn) else f
-    return f.grid if isinstance(f, _Lift) else pointwise(f)
+    return f.grid if isinstance(f, _Lift) else node_values(f)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,15 @@ running sum whose total is carried across chunks, so a result equals the
 plain nested-loop sum bit for bit.  A non-finite pass total raises
 DomainError.
 
-A callable written for one point at a time enters through `pointwise`,
-the one adapter, which calls it once per grid point.  User-supplied
-functions (profiles, components, test integrands) cross there; the
+A user-supplied function (a profile, a component, a test integrand)
+reaches an integrand through `node_values`, the one adapter.  It tries the
+function on the chunk's whole node arrays first and keeps the result only
+when the call raised nothing, warned nothing, and returned a finite float
+or complex array of the chunk's shape; otherwise it calls the function
+once per point, as `pointwise` does, and keeps doing so.  A function that
+runs on arrays without error must give the same values there as point by
+point; one that does not, such as a `math.exp` call or an `if` on its
+argument, is evaluated point by point with its own errors and values.  The
 library's own integrands evaluate whole chunks in numpy.
 
 `integrate_region` holds the one order-doubling loop over a list of specs,
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -195,12 +202,65 @@ def build_rule(spec, order: int) -> QuadratureRule:
 CHUNK = 4096  # grid points per integrand call
 
 
+def _each_point(f: Callable, xs, packed: bool) -> np.ndarray:
+    """f called once per point of the equal-length node arrays xs, with one
+    Python scalar per array: as separate arguments, or as one tuple when
+    packed."""
+    points = zip(*(x.tolist() for x in xs))
+    return np.array([f(p) for p in points] if packed else [f(*p) for p in points])
+
+
 def pointwise(f: Callable) -> Callable:
     """Array form of a one-point callable: given equal-length node arrays,
     call f once per point with one Python scalar per array, in order, and
     return the values as an array."""
     def values(*xs):
-        return np.array([f(*point) for point in zip(*(x.tolist() for x in xs))])
+        return _each_point(f, xs, packed=False)
+
+    return values
+
+
+def _on_arrays(f: Callable, xs, packed: bool):
+    """f's values on the whole node arrays xs, passed as read-only views, or
+    None unless the call raised nothing, warned nothing and returned a
+    finite float or complex ndarray of the arrays' shape."""
+    views = []
+    for x in xs:
+        view = x.view()
+        view.flags.writeable = False
+        views.append(view)
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = f(tuple(views)) if packed else f(*views)
+    except Exception:
+        # not an array function; a per-point call raises the real error
+        return None
+    if (caught or type(out) is not np.ndarray or out.dtype.kind not in "fc"
+            or out.shape != xs[0].shape or not np.isfinite(out).all()):
+        return None
+    return out
+
+
+def node_values(f: Callable, packed: bool = False) -> Callable:
+    """Array form of a user-supplied function: given equal-length node
+    arrays, f's values at their points.  f takes one argument per array,
+    or, when packed, the point as one tuple.
+
+    Each call first tries f on the whole arrays (see `_on_arrays` for what
+    a result must pass); when that fails, it calls f once per point, like
+    `pointwise`, and every later call of this adapter does the same, so f's
+    own errors and warnings surface from a per-point call."""
+    arrays = True
+
+    def values(*xs):
+        nonlocal arrays
+        if arrays:
+            out = _on_arrays(f, xs, packed)
+            if out is not None:
+                return out
+            arrays = False
+        return _each_point(f, xs, packed)
 
     return values
 

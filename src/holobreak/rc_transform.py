@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadrature import build_rule, integrate, pointwise
+from .quadrature import build_rule, integrate, node_values
 from .special_poly import (
     DomainError,
     PoleError,
@@ -278,8 +278,10 @@ def psi_quadrature(params: RCParams, g, z1, z2):
     function at the point (z1, z2): a weighted integral over the segment
     joining z1 and z2, by 80-point Gauss-Jacobi quadrature.
 
-    Needs real weights with lam1 + ell > 0 and lam2 + ell > 0 for the
-    weight exponents to be integrable.
+    g is called on the array of segment nodes first, once per node only
+    when that fails (see `quadrature.node_values`).  Needs real weights
+    with lam1 + ell > 0 and lam2 + ell > 0 for the weight exponents to be
+    integrable.
     """
     p = params
     if isinstance(p.lam1, complex) or isinstance(p.lam2, complex):
@@ -289,7 +291,7 @@ def psi_quadrature(params: RCParams, g, z1, z2):
     if a <= -1 or b <= -1:
         raise DomainError("psi_quadrature needs lam1 + ell > 0 and lam2 + ell > 0")
     rule = build_rule(("jacobi", a, b), 80)
-    values = pointwise(g)
+    values = node_values(g)
     acc = integrate(lambda v: values(((z2 - z1) * v + (z1 + z2)) / 2), rule)
     pref = (z1 - z2) ** p.ell / (
         2.0 ** float(p.lam1 + p.lam2 + 2 * p.ell - 1) * math.factorial(p.ell)

@@ -835,6 +835,56 @@ def test_inverse_routes_cross_validate():
     assert f_trunc(Z3) == f_single(Z3)
 
 
+def _counted(F, calls):
+    """F, with its calls on node arrays and on one point counted."""
+    def f(y):
+        calls["arrays" if isinstance(y[0], np.ndarray) else "points"] += 1
+        return F(y)
+
+    return f
+
+
+def _refusing_arrays(F):
+    """F as a callable written with `math` behaves: TypeError on arrays."""
+    def f(y):
+        if isinstance(y[0], np.ndarray):
+            raise TypeError("one point at a time")
+        return F(y)
+
+    return f
+
+
+def test_transforms_agree_on_arrays_and_per_point():
+    # the same F through the array call and through the per-point fallback
+    F = lambda y: np.exp(-y[0]) * q_form(y)
+    g = lambda tau: ((tau[0] + 1j) ** 2 - tau[1] ** 2) ** -3.5
+    z4 = (0.1 + 3j, 0.2 - 0.5j, -0.1 + 0.2j, 0.3j)
+    runs = [
+        (F, lambda F: cone_fourier_laplace(F, Z3, 3, rho_exponent=1.0, y_max=20.0,
+                                           tol=1e-4, start_order=8, max_order=16)),
+        (F, lambda F: cone_fourier_laplace(F, z4, 4, rho_exponent=1.0, y_max=12.0,
+                                           tol=1e-2, start_order=4, max_order=8)),
+        (g, lambda g: holographic_integral(JuhlParams(3, 3.0, 1), g, Z3, radius=10.0,
+                                           order=12)),
+    ]
+    for f, run in runs:
+        on_arrays, per_point = {"arrays": 0, "points": 0}, {"arrays": 0, "points": 0}
+        a = run(_counted(f, on_arrays))
+        b = run(_counted(_refusing_arrays(f), per_point))
+        assert on_arrays["points"] == 0 and on_arrays["arrays"] > 0
+        assert per_point["arrays"] == 1 and per_point["points"] > 0
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+    # dropping levels above L still removes exactly the higher component
+    # when the components run on arrays
+    calls = {"arrays": 0, "points": 0}
+    comps = {0: _counted(g, calls), 1: _counted(lambda tau: 2.0 * g(tau), calls)}
+    trunc = invert_juhl(3, 3, comps, L=0, method="holographic", radius=10.0, order=12)
+    single = invert_juhl(3, 3, {0: comps[0]}, method="holographic", radius=10.0, order=12)
+    assert trunc(Z3) == single(Z3)
+    assert calls["points"] == 0 and calls["arrays"] > 0
+
+
 def test_inverse_empty_and_errors():
     assert invert_juhl(3, 3, {})(Z3) == 0j
     assert invert_juhl(4, 4.0, {}, method="l2")((0.1 + 2j, 1j * 0.3, -0.2j, 0.1j)) == 0j

@@ -23,7 +23,7 @@ from holobreak.l2_model import (
     weighted_inner,
     weighted_norm_sq,
 )
-from holobreak.quadrature import build_rule, integrate_region, pointwise
+from holobreak.quadrature import build_rule, integrate_region, node_values, pointwise
 from holobreak.rc_transform import RCParams, b_const, c_ell
 from holobreak.special_poly import DomainError, jacobi_poly
 
@@ -201,15 +201,15 @@ def test_lift_point_calls_return_python_scalars():
 
 
 def test_quadratures_take_lifts_as_arrays(monkeypatch):
-    # pointwise is for functions a user wrote for one point; a lift reaches
-    # the quadrature as its own array formula
+    # node_values is for functions a user wrote; a lift reaches the
+    # quadrature as its own array formula
     wrapped = []
 
     def recording(f):
         wrapped.append(f)
-        return pointwise(f)
+        return node_values(f)
 
-    monkeypatch.setattr(l2_model, "pointwise", recording)
+    monkeypatch.setattr(l2_model, "node_values", recording)
     p = RCParams(2, 2, 1)
     h = ktype_fn(float(p.lam3))
     ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobreak import quadrature
 from holobreak.juhl import JuhlParams, _power_positive_cut, cone_constants, holographic_integral
@@ -17,6 +20,7 @@ from holobreak.quadrature import (
     integrate,
     integrate_adaptive,
     integrate_region,
+    node_values,
     pointwise,
 )
 from holobreak.special_poly import DomainError, beta as beta_fn
@@ -525,3 +529,127 @@ def test_holographic_integral_equals_four_loop_sum():
 
     got = holographic_integral(params, g, zeta, radius=radius, order=order)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# node_values: whole node arrays first, one call per point when that fails
+
+
+def _counting(f):
+    """f, with the number of calls it got on arrays and on one point."""
+    calls = {"arrays": 0, "points": 0}
+
+    def counted(*xs):
+        calls["arrays" if isinstance(xs[0], np.ndarray) else "points"] += 1
+        return f(*xs)
+
+    return counted, calls
+
+
+def _agrees(got, want):
+    scale = np.maximum(np.abs(got), np.abs(want))
+    return bool(np.all(np.abs(got - want) <= 1e-13 * scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # nonnegative coefficients at positive nodes: no cancellation, so the
+    # bound measures rounding, not conditioning (and no subnormal terms)
+    coeffs=st.lists(st.just(0.0) | st.floats(0.25, 4.0), min_size=1, max_size=6),
+    rate=st.floats(-3.0, 3.0, allow_nan=False),
+    power=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    nodes=st.lists(st.floats(0.01, 8.0, allow_nan=False), min_size=1, max_size=40),
+)
+def test_node_values_agree_with_pointwise(coeffs, rate, power, nodes):
+    x = np.array(nodes)
+    y = np.array(nodes[::-1])
+    funcs = [
+        lambda x: sum(c * x**k for k, c in enumerate(coeffs)),
+        lambda x: np.exp(rate * x),
+        lambda x: (x + 0.5j) ** power,
+    ]
+    for f in funcs:
+        counted, calls = _counting(f)
+        got = node_values(counted)(x)
+        assert calls == {"arrays": 1, "points": 0}
+        assert got.shape == x.shape and _agrees(got, pointwise(f)(x))
+    # two coordinates, one argument each or one tuple
+    g = lambda x, y: np.exp(-rate * x) * (x + 1j * y) ** power
+    assert _agrees(node_values(g)(x, y), pointwise(g)(x, y))
+    assert _agrees(node_values(lambda p: g(*p), packed=True)(x, y), pointwise(g)(x, y))
+
+
+def _in_place(x):
+    x *= 2
+    return x
+
+
+def _warns_on_arrays(x):
+    if isinstance(x, np.ndarray):
+        warnings.warn("array call", UserWarning)
+    return 3.0 * x
+
+
+FALLBACKS = {
+    "math.exp": (lambda x: math.exp(-x), [0.5, 1.0, 2.0]),
+    "square root of a negative node": (lambda x: x**0.5, [-1.0, 0.0, 4.0]),
+    "division by a zero node": (lambda x: 1 / x, [1.0, 0.0, 2.0]),
+    "branch on the argument": (lambda x: x if x > 0 else -2.0 * x, [-1.0, 0.5, 3.0]),
+    "constant": (lambda x: 1.0, [0.1, 0.2, 0.3]),
+    "array of another shape": (lambda x: np.multiply.outer(x, [1.0, 2.0]), [0.1, 0.2, 0.3]),
+    "Fraction values": (lambda x: Fraction(1, 3) * (x > 0), [-1.0, 0.5, 3.0]),
+    "masked array": (lambda x: np.ma.masked_greater(x, 2.0) * 1.5, [1.0, 3.0]),
+    "in-place update": (_in_place, [0.25, 0.5, 0.75]),
+    "warning on arrays": (_warns_on_arrays, [1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_node_values_falls_back_to_pointwise(name):
+    f, nodes = FALLBACKS[name]
+    x = np.array(nodes)
+    counted, calls = _counting(f)
+    try:
+        want = pointwise(f)(x)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            node_values(counted)(x)
+        assert str(raised.value) == str(exc)
+        assert calls["arrays"] == 1 and calls["points"] >= 1
+        return
+    with warnings.catch_warnings(record=True) as per_point:
+        warnings.simplefilter("always")
+        pointwise(f)(x)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = node_values(counted)(x)
+    # the per-point call's own warnings, and nothing from the array call
+    assert [str(w.message) for w in seen] == [str(w.message) for w in per_point]
+    assert calls == {"arrays": 1, "points": len(nodes)}
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert x.tolist() == nodes  # the in-place update never reached the nodes
+
+
+def test_node_values_ignores_flags_from_masked_branches():
+    # np.where discards the 0/0 at the origin: the array result is finite
+    # and kept, although the division set numpy's invalid flag
+    f = lambda x: np.where(x > 0, np.sin(x) / x, 1.0)
+    x = np.array([0.0, 0.5, 2.0])
+    counted, calls = _counting(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = node_values(counted)(x)
+    assert calls == {"arrays": 1, "points": 0}
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(got, pointwise(f)(x))
+
+
+def test_node_values_falls_back_for_good():
+    counted, calls = _counting(lambda x, y: math.exp(-x) * y)
+    values = node_values(counted)
+    big = build_rule(("legendre", 0.0, 1.0), 65)
+    assert rel(integrate(values, big, big), 0.5 * (1.0 - math.exp(-1.0))) < 1e-14
+    assert 65 * 65 > quadrature.CHUNK  # two chunks
+    integrate(values, big, big)
+    assert calls == {"arrays": 1, "points": 2 * 65 * 65}
