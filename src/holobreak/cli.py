@@ -264,6 +264,15 @@ SUITE_DEFAULTS = {
 SUITES = tuple(sorted(SUITE_DEFAULTS))
 
 
+def _require_positive_finite(value: float, name: str) -> None:
+    """A value at or below zero, -inf included, is a sign problem; nan and
+    inf are not finite."""
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything one suite run depends on; constructed once, then read-only."""
@@ -287,18 +296,12 @@ class SuiteConfig:
             raise ConfigError(
                 f"unknown suite {self.suite!r}; choices: {', '.join(SUITES)}"
             )
-        if not self.tol > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
-        if not math.isfinite(self.tol):
-            raise ConfigError(f"tolerance must be finite, got {self.tol}")
+        _require_positive_finite(self.tol, "tolerance")
         if self.ell_max < 0:
             raise ConfigError(f"ell-max must be nonnegative, got {self.ell_max}")
         if self.order < 4:
             raise ConfigError(f"quadrature order must be at least 4, got {self.order}")
-        if not self.radius > 0:
-            raise ConfigError(f"truncation radius must be positive, got {self.radius}")
-        if not math.isfinite(self.radius):
-            raise ConfigError(f"truncation radius must be finite, got {self.radius}")
+        _require_positive_finite(self.radius, "truncation radius")
 
     @property
     def mode(self) -> str:
@@ -970,6 +973,10 @@ def _cmd_eval(args) -> int:
 # entry point
 
 
+# a token that starts with a dash and is read as a value, not a flag
+NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holobreak",
@@ -990,10 +997,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--at", help="evaluation point, comma or space separated")
     ev.add_argument("--json", action="store_true")
     # argparse reads only -2 and -1.5 as values and takes any other token
-    # that starts with a dash for a flag; no flag here starts with a digit,
-    # so -3/2, -3,1 and -.5-1j are values too
+    # that starts with a dash for a flag; every flag here but -h has two
+    # dashes, so -3/2, -3,1, -.5-1j and float()'s -inf and -nan, in any
+    # case, are values too
     for p in (verify, ev):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = NEGATIVE_VALUE
     return parser
 
 

@@ -15,6 +15,7 @@ import holobreak
 from holobreak.cli import (
     _EVAL_FORMS,
     _EVAL_HELP,
+    NEGATIVE_VALUE,
     VERIFY_OPTIONS,
     ConfigError,
     SuiteConfig,
@@ -195,6 +196,41 @@ def test_non_finite_tol_and_radius_are_config_errors(tmp_path, capsys):
     code = main(["verify", "l2-plancherel", "--config", str(cfg), "--ell-max", "0"])
     assert code == 2
     assert capsys.readouterr().err == "error: truncation radius must be finite, got inf\n"
+
+
+def test_nan_tol_and_radius_read_as_not_finite(tmp_path, capsys):
+    code = main(["verify", "rc-plancherel", "--tol", "nan", "--ell-max", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite, got nan\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius = nan\n")
+    code = main(["verify", "l2-plancherel", "--config", str(cfg), "--ell-max", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: truncation radius must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("token, word", [
+    ("-inf", "positive"), ("-INF", "positive"), ("-Infinity", "positive"),
+    ("-nan", "finite"), ("-NaN", "finite"),
+])
+def test_negative_non_finite_values_are_values_not_flags(token, word, tmp_path, capsys):
+    # the flag and the config-file line give the same message
+    code = main(["verify", "rc-plancherel", "--tol", token, "--ell-max", "0"])
+    flag_err = capsys.readouterr().err
+    assert flag_err.startswith(f"error: tolerance must be {word}, got ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol = {token}\n")
+    assert main(["verify", "rc-plancherel", "--config", str(cfg), "--ell-max", "0"]) == code == 2
+    assert capsys.readouterr().err == flag_err
+
+
+def test_no_flag_reads_as_a_negative_value():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for sub in commands.choices.values():
+        flags = [o for a in sub._actions for o in a.option_strings]
+        assert [o for o in flags if not o.startswith("--")] == ["-h"]
+        assert not [o for o in flags if NEGATIVE_VALUE.match(o)]
 
 
 # ---------------------------------------------------------------------------

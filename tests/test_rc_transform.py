@@ -4,6 +4,7 @@ Casimir eigenvalues, composition and inversion."""
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -416,6 +417,26 @@ def test_projection_fixes_its_summand():
     proj = project(p, target)
     for z1, z2 in default_tube_points(2)[:5]:
         assert rel(proj(z1, z2), evaluate(target, (z1, z2))) < 1e-9
+
+
+def test_projection_reaches_its_component_in_one_array_call(monkeypatch):
+    # the 80 segment nodes go to evaluate as one array, not one call each
+    points = []
+
+    def recording(f, point):
+        points.append(point)
+        return evaluate(f, point)
+
+    monkeypatch.setattr(rc_transform, "evaluate", recording)
+    p = RCParams(F(2), F(2), 1)
+    target = psi_ktype_closed_form(p)
+    z1, z2 = default_tube_points(2)[0]
+    got = project(p, target)(z1, z2)
+    monkeypatch.undo()
+    assert len(points) == 1
+    (nodes,) = points[0]
+    assert isinstance(nodes, np.ndarray) and nodes.shape == (80,)
+    assert rel(got, evaluate(target, (z1, z2))) < 1e-9
 
 
 def test_projection_kills_other_summands():

@@ -1,6 +1,7 @@
 """Exact term calculus: construction, derivations, restriction, equality."""
 from __future__ import annotations
 
+import cmath
 import copy
 import math
 import operator
@@ -8,10 +9,12 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holobreak import term_algebra
 from holobreak.special_poly import DomainError, PoleError
 from holobreak.term_algebra import (
     _SAMPLE_SEED,
@@ -547,6 +550,206 @@ def test_evaluate_rejects_non_finite_values():
     with pytest.raises(DomainError, match="is not finite"):
         equal(big, big, "sampled", points=[(1e200,)])
     assert evaluate(big, (0.5,)) == 5e299
+
+
+def reference_principal_power(b: complex, p) -> complex:
+    """The one-point power as it stood before the array path, kept verbatim."""
+    if isinstance(p, Fraction) and p.denominator == 1:
+        n = int(p)
+        if b == 0:
+            if n > 0:
+                return 0j
+            raise PoleError("zero base under non-positive integer power")
+        return b**n
+    pe = float(p) if isinstance(p, Fraction) else complex(p)
+    if b == 0:
+        re = pe if isinstance(pe, float) else pe.real
+        if re > 0:
+            return 0j
+        raise PoleError("zero base under non-positive-real-part power")
+    if abs(abs(cmath.phase(b)) - math.pi) < 1e-10:
+        raise BranchCutError(
+            f"argument of {b!r} within 1e-10 of the principal cut"
+        )
+    return b**pe
+
+
+def reference_evaluate(f: HoloSum, point) -> complex:
+    """One-point evaluation as it stood before the array path, kept verbatim:
+    every base value and power recomputed for every term."""
+    if len(point) != f.arity:
+        raise DomainError("point arity mismatch")
+    pt = tuple(complex(z) for z in point)
+    total = 0j
+    for t in f.terms:
+        v = complex(t.coefficient)
+        for z, m in zip(pt, t.monomial):
+            if m:
+                v = v * z**m
+        for b, p in t.bases:
+            v = v * reference_principal_power(b.evaluate(pt), p)
+        total += v
+    if not cmath.isfinite(total):
+        raise DomainError(f"value {total!r} at {point!r} is not finite")
+    return total
+
+
+def reference_sampled_equal(f: HoloSum, g: HoloSum, tol: float, pts) -> bool:
+    """Sampled equality as it stood before the array path, kept verbatim."""
+    for pt in pts:
+        fv = evaluate(f, pt)
+        gv = evaluate(g, pt)
+        scale_ = max(abs(fv), abs(gv))
+        if scale_ < 1e-14:
+            continue
+        if abs(fv - gv) / scale_ > tol:
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+# the first coordinate anywhere in |z| <= 2, the second offset from its real
+# part by values on, near and off the real axis, so that bases such as
+# z1 - z2 and z2 + i meet their zeros and the cut
+plane_points = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1j, 0.5j, 0j, -1, -1 + 1e-12j, 1 + 0.3j]),
+    ).map(lambda pair: (pair[0], pair[1] + pair[0].real)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(st.booleans().flatmap(random_sums), plane_points)
+@settings(max_examples=100, deadline=None)
+def test_scalar_evaluate_is_bit_identical_to_the_reference(f, pts):
+    for pt in pts:
+        got, want = outcome(evaluate, f, pt), outcome(reference_evaluate, f, pt)
+        assert repr(got) == repr(want)
+
+
+def test_scalar_evaluate_is_bit_identical_on_operator_outputs():
+    # sums in which many terms share their base values and powers
+    f = casimir_diag(F(5, 2), F(3), ktype(F(5, 2), F(3), 4))
+    for g in (f, differentiate(f, 0, 2)):
+        assert len(g.terms) > 5
+        for pt in default_tube_points(2, 5):
+            assert repr(evaluate(g, pt)) == repr(reference_evaluate(g, pt))
+
+
+@given(st.booleans().flatmap(random_sums), plane_points)
+@settings(max_examples=100, deadline=None)
+def test_array_evaluate_matches_each_point(f, pts):
+    columns = tuple(np.array(pts).T)
+    each = [outcome(evaluate, f, pt) for pt in pts]
+    failed = [o for o in each if isinstance(o, tuple)]
+    got = outcome(evaluate, f, columns)
+    if failed:
+        # the first point that raises one at a time raises for the arrays
+        assert got == failed[0]
+        return
+    assert isinstance(got, np.ndarray) and got.shape == (len(pts),)
+    for pt, value, want in zip(pts, got.tolist(), each):
+        size = sum(abs(evaluate(HoloSum(f.arity, (t,)), pt)) for t in f.terms)
+        assert abs(value - want) <= 1e-12 * size
+
+
+def test_array_evaluate_broadcasts_coordinates():
+    f = ktype(F(2), F(5, 2), 2)
+    z1 = np.array([[0.1 + 1j], [-0.3 + 0.7j]])
+    z2 = np.array([0.2 + 0.5j, 1.2j, -0.5 + 1j])
+    got = evaluate(f, (z1, z2))
+    assert got.shape == (2, 3) and got.dtype == complex
+    for i, j in np.ndindex(2, 3):
+        want = evaluate(f, (z1[i, 0].item(), z2[j].item()))
+        assert abs(got[i, j] - want) <= 1e-13 * abs(want)
+    # a scalar coordinate broadcasts against an array one
+    row = evaluate(f, (0.1 + 1j, z2))
+    assert np.allclose(row, got[0], rtol=1e-13, atol=0)
+
+
+def _cut_and_pole():
+    """z^(1/2) + z^(-1): a pole at 0, the cut on the negative axis."""
+    zb = base_poly(1, {(1,): 1})
+    return holo_sum(1, [term(1, 1, (0,), [(zb, F(1, 2))]), term(1, 1, (0,), [(zb, F(-1))])])
+
+
+@pytest.mark.parametrize("grid, first", [
+    ([[1j, 0.0], [-1.0, 1j]], 0.0),
+    ([[1j, -1.0], [0.0, 1j]], -1.0),
+    ([[1j, -2.0 - 1e-11j], [1j, 1j]], -2.0 - 1e-11j),
+])
+def test_array_evaluate_raises_as_the_first_bad_point(grid, first):
+    f = _cut_and_pole()
+    with pytest.raises((PoleError, BranchCutError)) as array_error:
+        evaluate(f, (np.array(grid),))
+    with pytest.raises(type(array_error.value)) as point_error:
+        evaluate(f, (first,))
+    assert str(array_error.value) == str(point_error.value)
+
+
+def test_array_evaluate_takes_points_near_a_test_one_at_a_time(monkeypatch):
+    zb = base_poly(1, {(1,): 1})
+    shifted = base_poly(1, {(1,): 1, (0,): -1})
+    f = holo_sum(1, [term(1, 1, (0,), [(zb, F(1, 2))]), term(1, 1, (0,), [(shifted, F(-2))])])
+    # 1.00005e-10 from the cut, just outside the 1e-10 test but inside its
+    # slack; and 1e-13 from the zero of z - 1 under a negative power
+    near_cut, near_zero = complex(-4.0, 4.0002e-10), complex(1.0, 1e-13)
+    pts = [1j, near_cut, near_zero, 2j]
+    one_point = []
+
+    def recording(g, point):
+        if not isinstance(point[0], np.ndarray):
+            one_point.append(point)
+        return evaluate(g, point)
+
+    monkeypatch.setattr(term_algebra, "evaluate", recording)
+    got = term_algebra.evaluate(f, (np.array(pts),))
+    monkeypatch.undo()
+    assert one_point == [(near_cut,), (near_zero,)]
+    assert repr(got[1].item()) == repr(evaluate(f, (near_cut,)))
+    assert repr(got[2].item()) == repr(evaluate(f, (near_zero,)))
+    big = holo_sum(1, [term(1, 1e300, (1,))])
+    with pytest.raises(DomainError) as array_error:
+        evaluate(big, (np.array([0.5, 1e200, -1e200]),))
+    with pytest.raises(DomainError) as point_error:
+        evaluate(big, (1e200,))
+    assert str(array_error.value) == str(point_error.value)
+
+
+@given(
+    st.booleans().flatmap(random_sums),
+    st.booleans().flatmap(random_sums),
+    plane_points,
+    st.sampled_from([1e-12, 1e-9, 1e-3, 0.5]),
+)
+@settings(max_examples=50, deadline=None)
+def test_sampled_equal_gives_the_reference_answer(f, g, pts, tol):
+    for h in (g, scale(f, 1 + tol / 4), scale(f, 1 + 4 * tol)):
+        assert outcome(equal, f, h, "sampled", tol, pts) == outcome(
+            reference_sampled_equal, f, h, tol, pts)
+
+
+def test_sampled_equal_finds_a_mismatch_before_a_point_that_raises():
+    zb = base_poly(1, {(1,): 1})
+    f = holo_sum(1, [term(1, 1, (0,), [(zb, F(1, 2))])])
+    g = scale(f, F(2))
+    assert not equal(f, g, "sampled", points=[(1j,), (-1.0,)])
+    with pytest.raises(BranchCutError):
+        equal(f, g, "sampled", points=[(-1.0,), (1j,)])
+    # points where both sides are below 1e-14 are skipped
+    tiny = [(1e-30 + 1e-30j,)]
+    assert equal(f, scale(f, F(3)), "sampled", points=tiny) == reference_sampled_equal(
+        f, scale(f, F(3)), 1e-9, tiny)
+    assert equal(f, g, "sampled", points=iter([(1j,)])) is False
 
 
 # --- equality --------------------------------------------------------------
