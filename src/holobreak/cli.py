@@ -16,6 +16,11 @@ Rational parameters written as "p/q" switch the run to exact mode; decimal
 entries keep it in float mode.  Closed-form against closed-form checks use
 a fixed tight tolerance; quadrature against closed-form checks use the
 configurable one.
+
+A suite is one SUITE_DEFAULTS entry, one builder in _SUITE_BUILDERS, and in
+that builder one case function per family, taking the grid values as
+arguments and returning a CaseResult, plus one _family line that names the
+family and declares its axes through _grid.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ import cmath
 import csv as csv_mod
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .special_poly import (
@@ -420,7 +427,7 @@ def _encode(value):
 
 
 def _slug(value) -> str:
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     return repr(float(value))
 
@@ -454,6 +461,39 @@ def _reported(computed, note) -> CaseResult:
 
 
 # ---------------------------------------------------------------------------
+# case grids
+
+
+def _grid(cfg: SuiteConfig, *axes):
+    """Yield (tag, params, values) for each point of the product of the axes.
+
+    An axis is a SuiteConfig grid name ("lam1", "lam2", "lam", "n"), "ell"
+    for 0..ell_max, or a tuple (name, values) or (name, values, slug, param).
+    An entry v reads name=slug(v) in the tag and name: param(v) in the params;
+    by default slug is _slug (two digits for ell) and param is _encode.
+    `values` holds the point's entries in axis order.  Every n entry must be
+    at least 3."""
+    names, rendered = [], []
+    for axis in axes:
+        if isinstance(axis, str):
+            axis = (axis, range(cfg.ell_max + 1) if axis == "ell" else cfg.need(axis))
+        name, values, *forms = axis
+        slug, param = forms or ("{:02d}".format if name == "ell" else _slug, _encode)
+        if name == "n" and min(values, default=3) < 3:
+            raise ConfigError(f"{cfg.suite} needs dimensions n >= 3, got {min(values)}")
+        names.append(name)
+        rendered.append([(v, f"{name}={slug(v)}", param(v)) for v in values])
+    for point in itertools.product(*rendered):
+        values, tags, params = zip(*point)
+        yield "/".join(tags), dict(zip(names, params)), values
+
+
+def _family(cases: list, name: str, grid, check) -> None:
+    cases.extend(Case(f"{name}/{tag}", params, partial(check, *values))
+                 for tag, params, values in grid)
+
+
+# ---------------------------------------------------------------------------
 # suite builders
 
 
@@ -469,34 +509,24 @@ def _squared(poly):
 
 
 def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
-    cases = []
+    def jacobi_norm(a, b, ell):
+        rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
+        quad = integrate(_squared(jacobi_poly(ell, a, b)), rule)
+        return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
+
+    def gegenbauer_norm(a, ell):
+        rule = build_rule(("jacobi", float(a) - 0.5, float(a) - 0.5), cfg.order)
+        quad = integrate(_squared(gegenbauer_poly(ell, a)), rule)
+        return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
+
     alphas = [v - 1 for v in cfg.need("lam1")]
     betas = [v - 1 for v in cfg.need("lam2")]
-    for a in alphas:
-        for b in betas:
-            for ell in range(cfg.ell_max + 1):
-                key = f"jacobi-norm/alpha={_slug(a)}/beta={_slug(b)}/ell={ell:02d}"
-                params = {"alpha": _encode(a), "beta": _encode(b), "ell": ell}
-
-                def run(a=a, b=b, ell=ell):
-                    rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
-                    quad = integrate(_squared(jacobi_poly(ell, a, b)), rule)
-                    return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
-
-                cases.append(Case(key, params, run))
-    for a in alphas:
-        if float(a) <= -0.5:
-            continue
-        for ell in range(cfg.ell_max + 1):
-            key = f"gegenbauer-norm/alpha={_slug(a)}/ell={ell:02d}"
-            params = {"alpha": _encode(a), "ell": ell}
-
-            def run(a=a, ell=ell):
-                rule = build_rule(("jacobi", float(a) - 0.5, float(a) - 0.5), cfg.order)
-                quad = integrate(_squared(gegenbauer_poly(ell, a)), rule)
-                return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
-
-            cases.append(Case(key, params, run))
+    cases = []
+    _family(cases, "jacobi-norm", _grid(cfg, ("alpha", alphas), ("beta", betas), "ell"),
+            jacobi_norm)
+    _family(cases, "gegenbauer-norm",
+            _grid(cfg, ("alpha", [a for a in alphas if float(a) > -0.5]), "ell"),
+            gegenbauer_norm)
     return cases
 
 
@@ -513,140 +543,101 @@ def _rc_library() -> list:
 
 
 def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
-    cases = []
     pts2 = default_tube_points(2, 12, rng)
     pts1 = default_tube_points(1, 12, rng)
-    library = _rc_library()
 
     def same(a, b, pts):
         return equal(a, b) if cfg.exact else equal(a, b, "sampled", cfg.tol, pts)
 
-    for l1 in cfg.need("lam1"):
-        for l2 in cfg.need("lam2"):
-            for ell in range(cfg.ell_max + 1):
-                p = RCParams(l1, l2, ell)
-                tag = f"lam1={_slug(l1)}/lam2={_slug(l2)}/ell={ell:02d}"
-                base_params = {"lam1": _encode(l1), "lam2": _encode(l2), "ell": ell}
-                for name, f in library:
-                    key = f"rc-routes/{name}/{tag}"
+    def rc_routes(f, l1, l2, ell):
+        p = RCParams(l1, l2, ell)
+        ref = rc_apply(p, f, RC_ROUTES[0])
+        for route in RC_ROUTES[1:]:
+            if not same(ref, rc_apply(p, f, route), pts1):
+                return _bool_case(False, True, f"route {route} differs")
+        return _bool_case(True, True)
 
-                    def run(p=p, f=f):
-                        ref = rc_apply(p, f, RC_ROUTES[0])
-                        for route in RC_ROUTES[1:]:
-                            if not same(ref, rc_apply(p, f, route), pts1):
-                                return _bool_case(False, True, f"route {route} differs")
-                        return _bool_case(True, True)
+    def casimir_eigen(l1, l2, ell):
+        g = ktype_generator(RCParams(l1, l2, ell))
+        shift = ell * (l1 + l2 + ell - 1)
+        return _bool_case(same(casimir_P(l1, l2, g), scale(g, -shift), pts2), True)
 
-                    cases.append(Case(key, dict(base_params), run))
+    def ktype_composition(l1, l2, ell):
+        p = RCParams(l1, l2, ell)
+        got = rc_apply(p, ktype_generator(p))
+        coeff = pochhammer(l1 + l2 + ell - 1, ell)
+        zi = base_poly(1, {(1,): 1, (0,): qqi(0, 1)})
+        want = holo_sum(1, [term(1, coeff, (0,), [(zi, -p.lam3)])])
+        return _bool_case(same(got, want, pts1), True)
 
-                def run_cas(p=p, l1=l1, l2=l2, ell=ell):
-                    g = ktype_generator(p)
-                    shift = ell * (l1 + l2 + ell - 1)
-                    lhs = casimir_P(l1, l2, g)
-                    rhs = scale(g, -shift)
-                    return _bool_case(same(lhs, rhs, pts2), True)
-
-                cases.append(Case(f"casimir-eigen/{tag}", dict(base_params), run_cas))
-
-                def run_comp(p=p, l1=l1, l2=l2, ell=ell):
-                    got = rc_apply(p, ktype_generator(p))
-                    coeff = pochhammer(l1 + l2 + ell - 1, ell)
-                    zi = base_poly(1, {(1,): 1, (0,): qqi(0, 1)})
-                    want = holo_sum(1, [term(1, coeff, (0,), [(zi, -p.lam3)])])
-                    return _bool_case(same(got, want, pts1), True)
-
-                cases.append(Case(f"ktype-composition/{tag}", dict(base_params), run_comp))
+    cases = []
+    for name, f in _rc_library():
+        _family(cases, f"rc-routes/{name}", _grid(cfg, "lam1", "lam2", "ell"),
+                partial(rc_routes, f))
+    _family(cases, "casimir-eigen", _grid(cfg, "lam1", "lam2", "ell"), casimir_eigen)
+    _family(cases, "ktype-composition", _grid(cfg, "lam1", "lam2", "ell"), ktype_composition)
     return cases
 
 
 def _build_rc_plancherel(cfg: SuiteConfig, rng) -> list:
+    def lift_isometry(l1, l2, ell):
+        p = RCParams(l1, l2, ell)
+        lam3 = float(p.lam3)
+        h = l2fn(lambda z: z ** (lam3 - 1) * math.exp(-z), p.lam3)
+        ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)
+        return _close(ratio, float(c_ell(l1, l2, ell)), cfg.tol)
+
     cases = []
-    for l1 in cfg.need("lam1"):
-        for l2 in cfg.need("lam2"):
-            for ell in range(cfg.ell_max + 1):
-                p = RCParams(l1, l2, ell)
-                key = f"lift-isometry/lam1={_slug(l1)}/lam2={_slug(l2)}/ell={ell:02d}"
-                params = {"lam1": _encode(l1), "lam2": _encode(l2), "ell": ell}
-
-                def run(p=p):
-                    lam3 = float(p.lam3)
-                    h = l2fn(lambda z: z ** (lam3 - 1) * math.exp(-z), p.lam3)
-                    ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)
-                    return _close(ratio, float(c_ell(p.lam1, p.lam2, p.ell)), cfg.tol)
-
-                cases.append(Case(key, params, run))
+    _family(cases, "lift-isometry", _grid(cfg, "lam1", "lam2", "ell"), lift_isometry)
     return cases
 
 
 def _build_l2_plancherel(cfg: SuiteConfig, rng) -> list:
-    cases = []
     probes = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.2)) for _ in range(3)]
-    for lam in cfg.need("lam"):
+
+    def transform_image(lam, probe):
         lamf = float(lam)
-        tag = f"lam={_slug(lam)}"
-        for k, probe in enumerate(probes):
-            key = f"transform-image/{tag}/probe={k}"
-            params = {"lam": _encode(lam), "probe": _encode(probe)}
+        F = l2fn(lambda z: z ** (lamf - 1) * math.exp(-z), lamf)
+        want = math.gamma(lamf) * (1 - 1j * probe) ** (-lamf)
+        return _close(fourier_laplace(F, probe), want, 1e-8)
 
-            def run(lamf=lamf, probe=probe):
-                gamma = math.gamma(lamf)
-                F = l2fn(lambda z: z ** (lamf - 1) * math.exp(-z), lamf)
-                got = fourier_laplace(F, probe)
-                want = gamma * (1 - 1j * probe) ** (-lamf)
-                return _close(got, want, 1e-8)
+    def fourier_isometry(lam):
+        lamf = float(lam)
+        gamma = math.gamma(lamf)
 
-            cases.append(Case(key, params, run))
+        def G(zeta):
+            return gamma * (1 - 1j * zeta) ** (-lamf)
 
-        def run_iso(lamf=lamf):
-            gamma = math.gamma(lamf)
+        num = halfplane_norm_sq(G, lamf, xmax=cfg.radius, ymax=cfg.radius)
+        return _close(num / (gamma / 2**lamf), b_const(lamf), cfg.tol)
 
-            def G(zeta):
-                return gamma * (1 - 1j * zeta) ** (-lamf)
+    def b_ratio(l1, l2, ell):
+        got = r_ell(l1, l2, ell) * b_const(l1) * b_const(l2)
+        return _close(got, b_const(l1 + l2 + 2 * ell), CLOSED_FORM_TOL)
 
-            num = halfplane_norm_sq(G, lamf, xmax=cfg.radius, ymax=cfg.radius)
-            ratio = num / (gamma / 2**lamf)
-            return _close(ratio, b_const(lamf), cfg.tol)
-
-        cases.append(Case(f"fourier-isometry/{tag}", {"lam": _encode(lam)}, run_iso))
-    for l1 in cfg.need("lam1"):
-        for l2 in cfg.need("lam2"):
-            for ell in range(cfg.ell_max + 1):
-                key = f"b-ratio/lam1={_slug(l1)}/lam2={_slug(l2)}/ell={ell:02d}"
-                params = {"lam1": _encode(l1), "lam2": _encode(l2), "ell": ell}
-
-                def run(l1=l1, l2=l2, ell=ell):
-                    lam3 = l1 + l2 + 2 * ell
-                    got = r_ell(l1, l2, ell) * b_const(l1) * b_const(l2)
-                    return _close(got, b_const(lam3), CLOSED_FORM_TOL)
-
-                cases.append(Case(key, params, run))
+    cases = []
+    # a probe reads by its index in the tag and by its value in the params
+    _family(cases, "transform-image",
+            _grid(cfg, "lam", ("probe", probes, probes.index, _encode)), transform_image)
+    _family(cases, "fourier-isometry", _grid(cfg, "lam"), fourier_isometry)
+    _family(cases, "b-ratio", _grid(cfg, "lam1", "lam2", "ell"), b_ratio)
     return cases
 
 
 def _build_bernstein_sato(cfg: SuiteConfig, rng) -> list:
+    if not all(isinstance(lam, Fraction) for lam in cfg.need("lam")):
+        raise ConfigError("bernstein-sato needs rational weights; write 7/2, not 3.5")
+
+    def eigen_constant(n, lam, ell):
+        q0, higher = bernstein_sato_verify(JuhlParams(n, lam, ell))
+        result = _exact_eq(q0, q_constant(n, ell, lam))
+        if not higher:
+            return result
+        rungs = ", ".join(f"j={j}" for j, _ in higher)
+        return replace(result, passed=False, note=f"nonzero higher rungs: {rungs}")
+
     cases = []
-    for n in cfg.need("n"):
-        for lam in cfg.need("lam"):
-            if not isinstance(lam, Fraction):
-                raise ConfigError(
-                    "bernstein-sato needs rational weights; write 7/2, not 3.5"
-                )
-            for ell in range(cfg.ell_max + 1):
-                key = f"eigen-constant/n={n}/lam={_slug(lam)}/ell={ell:02d}"
-                params = {"n": n, "lam": _encode(lam), "ell": ell}
-
-                def run(n=n, lam=lam, ell=ell):
-                    q0, higher = bernstein_sato_verify(JuhlParams(n, lam, ell))
-                    result = _exact_eq(q0, q_constant(n, ell, lam))
-                    if higher:
-                        rungs = ", ".join(f"j={j}" for j, _ in higher)
-                        return CaseResult(
-                            result.computed, result.reference, result.abs_err,
-                            None, False, f"nonzero higher rungs: {rungs}"
-                        )
-                    return result
-
-                cases.append(Case(key, params, run))
+    _family(cases, "eigen-constant", _grid(cfg, "n", "lam", "ell"), eigen_constant)
     return cases
 
 
@@ -657,90 +648,65 @@ def _cone_probe(dim: int) -> tuple:
 
 
 def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
+    def cone_isometry(n, lam, ell):
+        if not float(lam) > n - 1:
+            return _reported(None, "outside the unitary range (lam <= n - 1), not checked")
+        p = JuhlParams(n, float(lam), ell)
+        ratio = phi_isometry_ratio(p, lambda y: math.exp(-y[0]), _cone_probe(n - 1))
+        return _close(ratio, cone_c_ell(p), cfg.tol)
+
+    def transform_ratio(n, lam, ell):
+        try:
+            consts = cone_constants(JuhlParams(n, float(lam), ell))
+        except PoleError as exc:
+            return _reported("pole", f"{exc}, reported only")
+        return _close(consts["r_ell"] * consts["b_n"], consts["b_prev"], CLOSED_FORM_TOL)
+
     cases = []
-    for n in cfg.need("n"):
-        if n < 3:
-            raise ConfigError(f"juhl-plancherel needs dimensions n >= 3, got {n}")
-        for lam in cfg.need("lam"):
-            lamf = float(lam)
-            for ell in range(cfg.ell_max + 1):
-                p = JuhlParams(n, lamf, ell)
-                tag = f"n={n}/lam={_slug(lam)}/ell={ell:02d}"
-                params = {"n": n, "lam": _encode(lam), "ell": ell}
-
-                def run_ratio(p=p, n=n, lamf=lamf):
-                    if not lamf > n - 1:
-                        return _reported(
-                            None, "outside the unitary range (lam <= n - 1), not checked"
-                        )
-                    ratio = phi_isometry_ratio(
-                        p, lambda y: math.exp(-y[0]), _cone_probe(n - 1)
-                    )
-                    return _close(ratio, cone_c_ell(p), cfg.tol)
-
-                cases.append(Case(f"cone-isometry/{tag}", dict(params), run_ratio))
-
-                def run_rb(p=p):
-                    try:
-                        consts = cone_constants(p)
-                    except PoleError as exc:
-                        return _reported("pole", f"{exc}, reported only")
-                    got = consts["r_ell"] * consts["b_n"]
-                    return _close(got, consts["b_prev"], CLOSED_FORM_TOL)
-
-                cases.append(Case(f"transform-ratio/{tag}", dict(params), run_rb))
+    _family(cases, "cone-isometry", _grid(cfg, "n", "lam", "ell"), cone_isometry)
+    _family(cases, "transform-ratio", _grid(cfg, "n", "lam", "ell"), transform_ratio)
     return cases
 
 
+def _signed(value) -> str:
+    return f"{int(value):+03d}"
+
+
 def _build_kernels(cfg: SuiteConfig, rng) -> list:
-    cases = []
     ints1 = [v for v in cfg.need("lam1") if isinstance(v, Fraction) and v.denominator == 1]
     ints2 = [v for v in cfg.need("lam2") if isinstance(v, Fraction) and v.denominator == 1]
     if not ints1 or not ints2:
         raise ConfigError("kernels zero classification needs integer lam1/lam2 grids")
-    for l1 in ints1:
-        for l2 in ints2:
-            for ell in range(cfg.ell_max + 1):
-                key = f"zero-class/lam1={int(l1):+03d}/lam2={int(l2):+03d}/ell={ell:02d}"
-                params = {"lam1": int(l1), "lam2": int(l2), "ell": ell}
 
-                def run(l1=l1, l2=l2, ell=ell):
-                    lam3 = l1 + l2 + 2 * ell
-                    predicted = zero_classification(l1, l2, lam3)
-                    kind, _ = c_ell_status(l1, l2, ell)
-                    if kind in ("pole", "indeterminate"):
-                        return _reported(kind, f"{kind} collision, reported only")
-                    return _bool_case(predicted, kind == "zero")
+    def zero_class(l1, l2, ell):
+        predicted = zero_classification(l1, l2, l1 + l2 + 2 * ell)
+        kind, _ = c_ell_status(l1, l2, ell)
+        if kind in ("pole", "indeterminate"):
+            return _reported(kind, f"{kind} collision, reported only")
+        return _bool_case(predicted, kind == "zero")
 
-                cases.append(Case(key, params, run))
+    def adjoint_factorization(n, lam, ell):
+        got = adjoint_constant(JuhlParams(n, float(lam), ell))
+        want = (
+            (-1) ** ell
+            * kernel_normalization(n, float(lam)).conjugate()
+            * complex(q_constant(n, ell, float(lam)))
+        )
+        return _close(got, want, CLOSED_FORM_TOL)
 
-    cases.append(Case(
-        "kernel-anchor/half-plane", {"n": 1, "lam": 1},
-        lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL),
-    ))
-    cases.append(Case(
-        "kernel-anchor/rank-two", {"n": 2, "lam": 4},
-        lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2, CLOSED_FORM_TOL),
-    ))
-
-    for n in cfg.need("n"):
-        if n < 3:
-            continue
-        for lam in cfg.need("lam"):
-            for ell in range(min(cfg.ell_max, 2) + 1):
-                key = f"adjoint-factorization/n={n}/lam={_slug(lam)}/ell={ell:02d}"
-                params = {"n": n, "lam": _encode(lam), "ell": ell}
-
-                def run(n=n, lam=lam, ell=ell):
-                    got = adjoint_constant(JuhlParams(n, float(lam), ell))
-                    want = (
-                        (-1) ** ell
-                        * kernel_normalization(n, float(lam)).conjugate()
-                        * complex(q_constant(n, ell, float(lam)))
-                    )
-                    return _close(got, want, CLOSED_FORM_TOL)
-
-                cases.append(Case(key, params, run))
+    cases = [
+        Case("kernel-anchor/half-plane", {"n": 1, "lam": 1},
+             lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL)),
+        Case("kernel-anchor/rank-two", {"n": 2, "lam": 4},
+             lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2,
+                            CLOSED_FORM_TOL)),
+    ]
+    _family(cases, "zero-class",
+            _grid(cfg, ("lam1", ints1, _signed, int), ("lam2", ints2, _signed, int), "ell"),
+            zero_class)
+    _family(cases, "adjoint-factorization",
+            _grid(cfg, "n", "lam", ("ell", range(min(cfg.ell_max, 2) + 1))),
+            adjoint_factorization)
     return cases
 
 

@@ -1,6 +1,7 @@
 """Command harness: grids, suite runner, report format, determinism, eval."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from holobreak.cli import (
     _EVAL_FORMS,
     _EVAL_HELP,
     NEGATIVE_VALUE,
+    SUITE_DEFAULTS,
+    SUITES,
     VERIFY_OPTIONS,
     ConfigError,
     SuiteConfig,
@@ -403,6 +406,38 @@ def test_hash_ignores_wall_time():
     assert report.content_hash() == before
 
 
+# sha256 of json.dumps([[case, params, pass, note], ...], sort_keys=True) for
+# each suite at SUITE_DEFAULTS.  These fields hold no float results, so they
+# are the same on every host and in both modes.
+DEFAULT_CASE_HASHES = {
+    "bernstein-sato": "2ea07171d58ae6c984ea9d65c56dcda23a7f11a54e469088ad51d76410e23b77",
+    "juhl-plancherel": "5e503740d2817734787da2924204a2e938a21e5d550167c66688753414a3490c",
+    "kernels": "4b6579f83c05ab19c25a9ff9000940edfef38a77a17a5dfed69331345868a669",
+    "l2-plancherel": "ee4533bc213dd2d266bfc6531ee77bc30078f47512885438e063f9a953cf1ec7",
+    "ortho-poly": "f1771e19ddf649ba6fc8c2cb9251c8ec4bcb7c3d1a38b2a8417f66198c9c43e4",
+    "rc-identities": "fccb7a554584b8da82675fe87217de2bcdb937269861ce5fa70e36081e56e80c",
+    "rc-plancherel": "3ab8cfbce415612cf8dd452c7906f9e14ada3575113e186ce6dd01d9170cb875",
+}
+
+# full content hashes of the exact runs at SUITE_DEFAULTS whose records hold
+# only rationals, bools and exact zeros
+DEFAULT_EXACT_HASHES = {
+    "bernstein-sato": "0757f77a62d353bde063816b128ce212941e9b6cc38b3f29980555534bf7026b",
+    "rc-identities": "ba8a71611344386d79e04272011d28e9850ecb8e2c1c1e73b4a26ce0ede49edd",
+}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_default_grids_keep_their_cases(suite, exact):
+    report = run_suite(SuiteConfig(suite=suite, exact=exact, **SUITE_DEFAULTS[suite]))
+    rows = [[r["case"], r["params"], r["pass"], r.get("note", "")] for r in report.records]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == DEFAULT_CASE_HASHES[suite]
+    if exact and suite in DEFAULT_EXACT_HASHES:
+        assert report.content_hash() == DEFAULT_EXACT_HASHES[suite]
+
+
 # ---------------------------------------------------------------------------
 # verify command: exit codes, files
 
@@ -444,6 +479,20 @@ def test_verify_empty_grid_is_config_error(capsys):
     code = main(["verify", "ortho-poly", "--lambda1", ""])
     assert code == 2
     assert "empty parameter grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, argv", [
+    ("juhl-plancherel", ["--n", "2"]),
+    ("bernstein-sato", ["--n", "2"]),
+    ("bernstein-sato", ["--n", "3,2", "--ell-max", "0"]),
+    ("kernels", ["--n", "2", "--lambda", "3"]),
+])
+def test_dimension_below_three_is_config_error(suite, argv, capsys):
+    # every suite with an n axis refuses the whole grid before any case runs
+    assert main(["verify", suite, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{suite} needs dimensions n >= 3, got 2" in err
 
 
 def test_verify_unknown_suite_rejected():
