@@ -12,9 +12,11 @@ series uses the weights 1/c_ell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .quadrature import build_rule, integrate, node_values
 from .special_poly import (
@@ -79,9 +81,22 @@ class RCParams:
 # forward transform
 
 
-def _operator_coefficients(params: RCParams, route: str) -> dict:
-    """Exponent -> coefficient map of the bidifferential operator: the key
-    (i, j) stands for d1^i d2^j."""
+def _operator_coefficients(params: RCParams, route: str) -> MappingProxyType:
+    """Read-only exponent -> coefficient map of the bidifferential operator:
+    the key (i, j) stands for d1^i d2^j.
+
+    Tables at exact weights are memoized in `_exact_table`; int and Fraction
+    weights both give Fraction tables.  Float and complex weights are never
+    cached: `RCParams(2.5, 3, 2)` equals and hashes as
+    `RCParams(Fraction(5, 2), 3, 2)`, yet its table is float where the
+    other's is exact, and a signed zero or nan weight would meet the same
+    hazard."""
+    if is_exact(params.lam1) and is_exact(params.lam2):
+        return _exact_table(params, route)
+    return _operator_table(params, route)
+
+
+def _operator_table(params: RCParams, route: str) -> MappingProxyType:
     ell = params.ell
     if route == "coefficients":
         out = {}
@@ -92,14 +107,20 @@ def _operator_coefficients(params: RCParams, route: str) -> dict:
                 * pochhammer(params.lam2 + j, ell - j)
             )
             out[(ell - j, j)] = c / (math.factorial(j) * math.factorial(ell - j))
-        return out
-    if route == "inflated":
-        return dict(jacobi_inflated(ell, params.alpha, params.beta).items())
-    if route == "variant":
+    elif route == "inflated":
+        out = dict(jacobi_inflated(ell, params.alpha, params.beta).items())
+    elif route == "variant":
         sign = (-1) ** ell
         poly = jacobi_variant(ell, params.alpha, 1 - params.lam3)
-        return {e: sign * c for e, c in poly.items()}
-    raise DomainError(f"unknown rc_apply route {route!r}")
+        out = {e: sign * c for e, c in poly.items()}
+    else:
+        raise DomainError(f"unknown rc_apply route {route!r}")
+    return MappingProxyType(out)
+
+
+# One exact-ladder benchmark repetition asks for 108 distinct (params, route)
+# tables, 360 times in all.
+_exact_table = functools.lru_cache(maxsize=256)(_operator_table)
 
 
 def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloSum:

@@ -28,16 +28,25 @@ back to one-point evaluation, which raises the first such point's own error.
 Sampled equality evaluates each side once on one array per coordinate and
 falls back to its one-point loop only when an array call raises.
 
-Two pure exact computations are memoized by value, each in an LRU cache of
-128 entries (a bound measured on the exact benchmark ladders): one
-derivative pass of an exact sum in one variable, and the expansion of a base
-to a nonnegative integer power.  The Rankin-Cohen routes and the Juhl and
-Bernstein-Sato rungs climb ladders of partial derivatives of one input, so
-a pass climbed again is read back.  Only exact sums, every coefficient a
-QQi and every exponent a Fraction, enter the derivative cache: a float sum
-can compare and hash equal to an exact one (exponent 2 + 0j against
-Fraction(2), a coefficient part -0.0 against 0.0) and still differentiate to
-a sum that prints differently.
+The F-method checks repeat a few exact computations many times; each of
+them runs once per distinct value:
+
+- A base is interned by its arity and entries, so a base asked for again is
+  looked up without building its Fraction sort key.  The registry holds one
+  object per distinct base.
+- A base's derivative in each variable is computed once and kept, read-only,
+  on the base itself, so this cache is bounded by the registry.
+- A sum's hash is computed on first use and kept on the sum.
+- One derivative pass of an exact sum in one variable, and the expansion of
+  a base to a nonnegative integer power, are each memoized in an LRU cache of
+  128 entries (a bound measured on the exact benchmark ladders).  The
+  Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders of
+  partial derivatives of one input, so a pass climbed again is read back.
+
+Only exact sums, every coefficient a QQi and every exponent a Fraction,
+enter the derivative cache: a float sum can compare and hash equal to an
+exact one (exponent 2 + 0j against Fraction(2), a coefficient part -0.0
+against 0.0) and still differentiate to a sum that prints differently.
 
 Scalars are exact Gaussian rationals (`QQi`) where the data allow and
 machine complex numbers otherwise.  A QQi is one Gaussian integer over one
@@ -55,10 +64,12 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -261,6 +272,19 @@ def e_key(p):
     return ("C", p.real, p.imag)
 
 
+def _exponents(ks) -> tuple:
+    """A monomial's exponents as ints.  An entry `operator.index` rejects,
+    such as 1.5, or a bool raises DomainError rather than being truncated;
+    numpy integers are accepted."""
+    ks = tuple(ks)
+    if bool not in map(type, ks):
+        try:
+            return tuple(map(operator.index, ks))
+        except TypeError:
+            pass
+    raise DomainError(f"monomial exponents must be integers, got {ks!r}")
+
+
 # ---------------------------------------------------------------------------
 # base polynomials (degree <= 2, exact coefficients), interned
 
@@ -271,18 +295,24 @@ class BasePoly:
 
     Equality, hash and order read `key`, (arity, ((e, (re, im)), ...)), built
     once here: bases compare by value, so interning through `base_poly` is an
-    economy, not a correctness condition.
+    economy, not a correctness condition.  Derivatives are kept per variable
+    once computed; a pickle holds only arity and entries.
     """
 
     arity: int
     entries: tuple  # sorted ((e1, ..., en), QQi) pairs
     key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
+    _derivatives: dict = field(init=False, repr=False)  # var -> read-only mapping
 
     def __post_init__(self):
         key = (self.arity, tuple((e, (c.re, c.im)) for e, c in self.entries))
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_derivatives", {})
+
+    def __reduce__(self):
+        return (BasePoly, (self.arity, self.entries))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, BasePoly) and self.key == other.key)
@@ -304,27 +334,32 @@ class BasePoly:
         return out
 
     def differentiate(self, var: int):
-        """Return the derivative as a (possibly empty) entry mapping."""
-        return {
-            e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
-            for e, c in self.entries
-            if e[var]
-        }
+        """Return the derivative as a (possibly empty) read-only entry
+        mapping, computed on the first call for `var` and shared after."""
+        d = self._derivatives.get(var)
+        if d is None:
+            d = self._derivatives[var] = MappingProxyType({
+                e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+                for e, c in self.entries
+                if e[var]
+            })
+        return d
 
 
-_REGISTRY: dict = {}
+_REGISTRY: dict = {}  # (arity, entries) -> BasePoly
 
 
 def base_poly(arity: int, mapping) -> BasePoly:
     """Build an exact degree-<=2 polynomial as a base, interned.
 
-    The registry is append-only and keyed by the base itself: the first
-    construction of a given value wins and every later request returns it.
-    Interning saves objects; equality never depends on it.
+    The registry is append-only and keyed by (arity, entries): the first
+    request for a given value constructs the base and every later request
+    returns it without constructing one.  Interning saves objects and key
+    builds; equality never depends on it.
     """
     entries = []
     for e, c in dict(mapping).items():
-        e = tuple(int(k) for k in e)
+        e = _exponents(e)
         if len(e) != arity or any(k < 0 for k in e):
             raise DomainError(f"bad base monomial {e!r} for arity {arity}")
         if sum(e) > 2:
@@ -337,11 +372,16 @@ def base_poly(arity: int, mapping) -> BasePoly:
     entries = tuple(sorted(entries))
     if not entries:
         raise DomainError("the zero polynomial cannot be a base")
-    return _intern(BasePoly(arity, entries))
+    return _intern(arity, entries)
 
 
-def _intern(b: BasePoly) -> BasePoly:
-    return _REGISTRY.setdefault(b, b)
+def _intern(arity: int, entries: tuple) -> BasePoly:
+    """The registered base with these sorted, nonzero entries.  A QQi hashes
+    as its three ints, so the lookup builds no Fraction."""
+    b = _REGISTRY.get((arity, entries))
+    if b is None:
+        b = _REGISTRY[(arity, entries)] = BasePoly(arity, entries)
+    return b
 
 
 def registered_bases() -> tuple:
@@ -364,6 +404,19 @@ class HoloSum:
     arity: int
     terms: tuple
 
+    def __hash__(self):
+        # the dataclass field hash, computed once per object, since each memo
+        # lookup hashes its sum; `__getstate__` leaves it out of pickles
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.arity, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {"arity": self.arity, "terms": self.terms}
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -380,7 +433,7 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     coeff = exactify(coefficient)
     if coeff is None:
         coeff = complex(coefficient)
-    mono = tuple(int(m) for m in (monomial or (0,) * arity))
+    mono = _exponents(monomial or (0,) * arity)
     if len(mono) != arity or any(m < 0 for m in mono):
         raise DomainError(f"bad monomial {mono!r}")
     merged: dict = {}
@@ -473,7 +526,7 @@ def times_monomial(f: HoloSum, exponents) -> HoloSum:
     """f times z^exponents, the one sanctioned product (a polynomial factor
     is a `combine` of these).  Shifting every monomial alike keeps the terms
     distinct and in order, so the product is already normal."""
-    e = tuple(int(k) for k in exponents)
+    e = _exponents(exponents)
     if len(e) != f.arity or any(k < 0 for k in e):
         raise DomainError(f"bad monomial {e!r}")
     return HoloSum(f.arity, tuple(
@@ -542,7 +595,10 @@ def _derivative(f: HoloSum, var: int) -> HoloSum:
 
 # One repetition of the exact-ladder benchmark makes 7,956 passes over 1,155
 # distinct (sum, variable) pairs; 128 entries read back 6,580 of the 6,801
-# repeats, and holding all 1,155 cost about 4 MB more peak memory.
+# repeats, and holding all 1,155 cost about 4 MB more peak memory.  A lookup
+# hashes each sum object once (`HoloSum.__hash__` keeps the value), and a pass
+# that misses reads every base derivative from the base, which keeps one per
+# variable: that store is bounded by the base registry (10 bases in the run).
 _exact_derivative = functools.lru_cache(maxsize=128)(_derivative)
 
 
@@ -593,7 +649,7 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
                     m[e] = m[e] + c if e in m else c
             entries = tuple(sorted((e, c) for e, c in m.items() if c))
             if entries:
-                bases.append((_intern(BasePoly(arity, entries)), p))
+                bases.append((_intern(arity, entries), p))
             elif isinstance(p, Fraction) and p.denominator == 1 and p > 0:
                 break  # the term vanishes
             else:

@@ -1,14 +1,20 @@
 """Forward/backward transform pair on the half-plane: routes, constants,
 Casimir eigenvalues, composition and inversion."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holobreak
 from holobreak import rc_transform
 from holobreak.quadrature import build_rule
 from holobreak.rc_transform import (
@@ -189,6 +195,52 @@ def test_rc_apply_text_pinned_at_float_and_complex_weights():
         " (pow (base ((0) (c 0 2)) ((1) 1)) (c -2.1 0.7)))",
         ")",
     ])
+
+
+@pytest.mark.parametrize("route", RC_ROUTES)
+def test_operator_table_is_built_once_and_read_only(route):
+    exact = RCParams(F(5, 2), 3, 2)
+    table = rc_transform._operator_coefficients(exact, route)
+    assert rc_transform._operator_coefficients(RCParams(F(10, 4), 3, 2), route) is table
+    for p in (exact, RCParams(2.5, 3, 2)):
+        got = rc_transform._operator_coefficients(p, route)
+        want = dict(got)
+        with pytest.raises(TypeError):
+            got[(2, 0)] = 0
+        assert dict(rc_transform._operator_coefficients(p, route)) == want
+
+
+# prints, per route, the text of rc_apply at each named weight in turn
+_WEIGHT_ORDER = """
+import json, sys
+from fractions import Fraction
+from holobreak.rc_transform import RC_ROUTES, RCParams, rc_apply
+from holobreak.term_algebra import base_poly, holo_sum, qqi, term, to_text
+b = base_poly(2, {(1, 0): 1, (0, 0): qqi(0, 1)})
+f = holo_sum(2, [term(2, 1, (0, 1), [(b, Fraction(-7, 2))])])
+lam1 = {"exact": Fraction(5, 2), "float": 2.5}
+print(json.dumps([[to_text(rc_apply(RCParams(lam1[w], 3, 2), f, r)) for w in sys.argv[1:]]
+                  for r in RC_ROUTES]))
+"""
+
+
+def _texts_in_fresh_process(*weights):
+    src = str(Path(holobreak.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WEIGHT_ORDER, *weights],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_float_and_exact_weights_get_their_own_tables_in_either_order():
+    # RCParams(Fraction(5, 2), 3, 2) == RCParams(2.5, 3, 2), and both hash
+    # alike, yet one table is exact and the other float
+    exact = [texts[0] for texts in _texts_in_fresh_process("exact")]
+    floats = [texts[0] for texts in _texts_in_fresh_process("float")]
+    assert all(e != x for e, x in zip(exact, floats))
+    assert _texts_in_fresh_process("exact", "float") == [list(p) for p in zip(exact, floats)]
+    assert _texts_in_fresh_process("float", "exact") == [list(p) for p in zip(floats, exact)]
 
 
 def test_rc_rejects_bad_input():

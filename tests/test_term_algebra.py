@@ -282,6 +282,91 @@ def test_base_identity_is_by_value():
     assert t.bases[0][1] == 1
 
 
+def test_interned_base_is_not_constructed_again(monkeypatch):
+    b = zeta_plus_i(2, 0)
+    f = holo_sum(2, [term(2, 1, (0, 1), [(b, F(-5, 2))])])
+    restrict(f, "diagonal")  # registers z + i
+    built = []
+    post_init = BasePoly.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BasePoly, "__post_init__", counting)
+    assert base_poly(2, {(1, 0): 1, (0, 0): qqi(0, 1)}) is b
+    assert base_poly(2, {(0, 0): qqi(0, 1), (1, 0): 1, (0, 1): 0}) is b
+    restrict(f, "diagonal")  # z + i is looked up, not built
+    assert built == []
+
+
+def test_base_derivative_is_computed_once_and_read_only():
+    b = base_poly(2, {(2, 0): 1, (1, 1): qqi(0, 2), (0, 1): F(1, 2)})
+    d0 = b.differentiate(0)
+    assert dict(d0) == {(1, 0): qqi(2), (0, 1): qqi(0, 2)}
+    assert b.differentiate(0) is d0
+    assert dict(b.differentiate(1).items()) == {(1, 0): qqi(0, 2), (0, 0): qqi(F(1, 2))}
+    with pytest.raises(TypeError):
+        d0[(1, 0)] = qqi(5)
+    assert dict(b.differentiate(0)) == {(1, 0): qqi(2), (0, 1): qqi(0, 2)}
+    # a pickle holds arity and entries only; the copy is equal and derives anew
+    twin = pickle.loads(pickle.dumps(b))
+    assert twin == b and hash(twin) == hash(b)
+    assert dict(twin.differentiate(0)) == dict(d0)
+
+
+def test_sum_hash_is_computed_once():
+    class Counted:
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return 7
+
+    s = HoloSum(1, (Counted(),))
+    first = hash(s)
+    assert Counted.calls == 1
+    assert hash(s) == first and Counted.calls == 1
+    assert first == hash((1, s.terms))  # the value of the dataclass field hash
+    # equal sums built apart compare and hash equal, whichever hashed first
+    b = zeta_plus_i(2, 0)
+    f = holo_sum(2, [term(2, F(1, 3), (1, 2), [(b, F(-7, 2))]), term(2, qqi(1, 1), (0, 0))])
+    hash(f)
+    g = from_text(to_text(f))
+    assert g is not f and g == f and hash(g) == hash(f)
+    h = copy.deepcopy(f)
+    assert pickle.loads(pickle.dumps(f)) == f == h and hash(h) == hash(f)
+    assert f.__getstate__() == {"arity": 2, "terms": f.terms}
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (0.7,), (True,), (F(2),), ("1",)])
+def test_monomial_exponents_must_be_integers(bad):
+    # int() would truncate 1.5 to 1 and 0.7 to 0 without a word
+    with pytest.raises(DomainError):
+        monomial(1, bad)
+    with pytest.raises(DomainError):
+        term(1, 1, bad)
+
+
+@pytest.mark.parametrize("bad", [(0.7,), (False,), (np.float64(1.0),)])
+def test_times_monomial_exponents_must_be_integers(bad):
+    with pytest.raises(DomainError):
+        times_monomial(monomial(1, (1,)), bad)
+
+
+@pytest.mark.parametrize("bad", [(1.9,), (True,), (np.bool_(True),)])
+def test_base_exponents_must_be_integers(bad):
+    with pytest.raises(DomainError):
+        base_poly(1, {bad: 1, (0,): qqi(0, 1)})
+
+
+def test_numpy_integer_exponents_are_accepted():
+    k = np.int64(2)
+    assert to_text(monomial(2, (k, 1))) == to_text(monomial(2, (2, 1)))
+    assert times_monomial(monomial(1, (1,)), (np.int32(2),)) == monomial(1, (3,))
+    assert base_poly(1, {(np.int8(1),): 1, (0,): qqi(0, 1)}) is zeta_plus_i(1, 0)
+
+
 def test_base_rejects_degree_three_and_zero():
     with pytest.raises(DomainError):
         base_poly(1, {(3,): 1})
