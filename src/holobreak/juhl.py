@@ -363,8 +363,12 @@ class ConeLift:
     """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
 
     `grid` is the lift as one array formula, one coordinate array per axis
-    and one cone check per grid, and the transforms evaluate it there; a
-    one-point call runs it on one-element arrays and returns a Python scalar.
+    and one cone check per grid, and `juhl_hat_apply` and
+    `phi_isometry_ratio` evaluate it there; a one-point call runs it on
+    one-element arrays and returns a Python scalar.  `cone_fourier_laplace`
+    does not call `grid`: it integrates a lift in the fiber chart, where the
+    lift is (1/M) C_ell(v) h(y'), from its weight, its `profile` and h's
+    array form `_h_grid`.
     """
 
     def __init__(self, params: JuhlParams, h):
@@ -665,6 +669,89 @@ def holographic_integral(
     return adjoint_constant(params) * z3_pow * 0.5 * total
 
 
+def _cone_chart(d: int, y_max: float, fold: float = 0.0):
+    """Chart of the open d-dimensional cone cut at y1 = y_max, d >= 2:
+    (axes, point), where `point(*nodes)` takes one node array per axis and
+    returns the cone's coordinate arrays and the chart's Jacobian.
+
+    y1 runs on geometric panels.  At d = 2 the one other axis is s on
+    ``("legendre", -1, 1)``, y = y1 (1, s).  At d >= 3 the chart is
+    hyperspherical, y = y1 (1, rho omega) with omega on S^(d-2): rho =
+    (1 + u)/2 with u on ``("jacobi", fold, 0)``, the azimuth on
+    ``("legendre", 0, 2 pi)`` and polar axes t_k = cos phi_k
+    (k = 0 ... d-4) on the Jacobi weights (1 - t_k^2)^((d-4-k)/2), the
+    sphere's sin powers.  The u rule's weight (1 - u)^fold stays out of the
+    Jacobian: a caller that folds divides it out itself.
+    """
+    panels = ("panels", geometric_panels(0.0, y_max, first=0.25))
+    if d == 2:
+        def line(y1, s):
+            return (y1, y1 * s), y1
+
+        return [panels, ("legendre", -1.0, 1.0)], line
+    axes = [panels, ("jacobi", fold, 0.0), ("legendre", 0.0, 2.0 * math.pi)]
+    axes += [("jacobi", a, a) for a in ((d - 4 - k) / 2 for k in range(d - 3))]
+
+    def sphere(y1, u, theta, *polar):
+        rho = 0.5 * (1.0 + u)
+        r = y1 * rho
+        tail = []
+        for t in polar:
+            tail.append(r * t)
+            r = r * np.sqrt(1.0 - t * t)
+        y = (y1, r * np.cos(theta), r * np.sin(theta), *reversed(tail))
+        return y, y1 ** (d - 1) * rho ** (d - 2) * 0.5
+
+    return axes, sphere
+
+
+def _once_per_run(values, y):
+    """values(*y) on coordinate arrays whose points come in runs of equal
+    points: called on each run's first point and repeated over the run."""
+    first = np.zeros(y[0].shape, dtype=bool)
+    first[0] = True
+    for c in y:
+        first[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(first)
+    return np.repeat(values(*(c[starts] for c in y)), np.diff(starts, append=first.size))
+
+
+def _lift_transform(lift: ConeLift, zeta, y_max, tol, start_order, max_order):
+    """`cone_fourier_laplace` of a lift in the fiber chart y = (y',
+    -sqrt(Q') v): the (n-1)-dimensional cone chart of `_cone_chart` for
+    y', then v on ``("jacobi", a, a)``, a = lam - n/2, whose weight is the
+    lift's own (1 - v^2)^a.  What is left of the lift times the Jacobian
+    sqrt(Q') is Q'^(-ell) (inflated C)(Q', sqrt(Q') v) h(y'), so h is
+    evaluated once per run of equal base points (`integrate` makes the
+    fiber axis the fastest), at most once more where a chunk cuts a run."""
+    n, ell = lift.n, lift.ell
+    a = lift.lam - n / 2.0
+    if not a > -1.0:
+        raise DomainError(
+            f"the fiber chart needs the lift's weight lam > n/2 - 1 = {n / 2.0 - 1.0}, "
+            f"got lam = {lift.lam}"
+        )
+    axes, base = _cone_chart(n - 1, y_max)
+
+    def integrand(*nodes):
+        y_prime, jac = base(*nodes[:-1])
+        q_prime = q_form(y_prime)
+        w = np.sqrt(q_prime) * nodes[-1]
+        pairing = sum(yc * zc for yc, zc in zip(y_prime, zeta)) - w * zeta[-1]
+        return (
+            q_prime ** -ell
+            * lift.profile(q_prime, w)
+            * _once_per_run(lift._h_grid, y_prime)
+            * np.exp(1j * pairing)
+            * jac
+        )
+
+    return integrate_region(
+        integrand, axes + [("jacobi", a, a)], tol=tol, start_order=start_order,
+        max_order=max_order,
+    ).value
+
+
 def cone_fourier_laplace(
     F,
     zeta,
@@ -675,42 +762,47 @@ def cone_fourier_laplace(
     start_order: int = 8,
     max_order: int = 48,
 ):
-    """Fourier-Laplace transform of F over the n-dimensional cone, n >= 3.
+    """Fourier-Laplace transform of F over the n-dimensional cone, n >= 3,
+    cut at y1 = y_max.
 
-    One hyperspherical chart: y = y1 (1, rho omega) with omega on S^(n-2),
-    the azimuth on (0, 2 pi) and polar axes t_k = cos phi_k (k = 0 ... n-4)
-    on the Jacobi weights (1 - t_k^2)^((n-4-k)/2), the sphere's sin powers.
-    `rho_exponent` declares how fast F vanishes at the cone boundary, as a
-    power of (1 - rho^2); it is folded into the radial Jacobi weight, so a
-    lifted integrand with fractional boundary decay still converges at
-    spectral rate.  The imaginary part of zeta must lie in the open cone,
-    which is what makes the oscillatory factor decay.  A lift is evaluated
-    on the node grids; any other F takes one point y as a tuple, and is
-    called on the tuple of node arrays first, once per node (a tuple of
-    floats) only when that fails (see `quadrature.node_values`).  Raises
-    DomainError when the quadrature does not converge.
+    A lift (`phi_cone_apply`) is integrated in the fiber chart y = (y',
+    -sqrt(Q(y')) v) over the (n-1)-dimensional cone, where it is (1/M)
+    C_ell(v) h(y'): the fiber rule's Jacobi weight is the lift's own
+    (1 - v^2)^(lam - n/2), so lam must exceed n/2 - 1, and h is evaluated
+    once per base node, not once per grid point.  `rho_exponent` is not
+    read for a lift.
+
+    Any other F is integrated in one hyperspherical chart: y = y1 (1, rho
+    omega) with omega on S^(n-2), the azimuth on (0, 2 pi) and polar axes
+    t_k = cos phi_k (k = 0 ... n-4) on the Jacobi weights
+    (1 - t_k^2)^((n-4-k)/2), the sphere's sin powers.  `rho_exponent`
+    declares how fast F vanishes at the cone boundary, as a power of
+    (1 - rho^2); it is folded into the radial Jacobi weight, so an
+    integrand with fractional boundary decay still converges at spectral
+    rate.  F takes one point y as a tuple, and is called on the tuple of
+    node arrays first, once per node (a tuple of floats) only when that
+    fails (see `quadrature.node_values`).
+
+    The imaginary part of zeta must lie in the open cone, which is what
+    makes the oscillatory factor decay.  Raises DomainError when the
+    quadrature does not converge.
     """
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"need integer dimension n >= 3, got {n!r}")
     zeta = _require_tube(zeta, n, "transform argument")
+    if isinstance(F, ConeLift):
+        if F.n != n:
+            raise DomainError(f"a lift to the {F.n}-dimensional cone has no transform at n = {n}")
+        return _lift_transform(F, zeta, y_max, tol, start_order, max_order)
     re = float(rho_exponent)
-    panels = geometric_panels(0.0, y_max, first=0.25)
-    axes = [("panels", panels), ("jacobi", re, 0.0), ("legendre", 0.0, 2.0 * math.pi)]
-    axes += [("jacobi", a, a) for a in ((n - 4 - k) / 2 for k in range(n - 3))]
-    values = _grid(F)
+    axes, chart = _cone_chart(n, y_max, re)
+    values = node_values(F, packed=True)
 
-    def integrand(y1, u, theta, *polar):
-        rho = 0.5 * (1.0 + u)
-        r = y1 * rho
-        tail = []
-        for t in polar:
-            tail.append(r * t)
-            r = r * np.sqrt(1.0 - t * t)
-        y = (y1, r * np.cos(theta), r * np.sin(theta), *reversed(tail))
-        jac = y1 ** (n - 1) * rho ** (n - 2)
+    def integrand(*nodes):
+        y, jac = chart(*nodes)
         pairing = sum(yc * zc for yc, zc in zip(y, zeta))
-        defold = (1.0 - u) ** (-re) if re else 1.0
-        return values(*y) * np.exp(1j * pairing) * jac * 0.5 * defold
+        defold = (1.0 - nodes[1]) ** (-re) if re else 1.0
+        return values(*y) * np.exp(1j * pairing) * jac * defold
 
     return integrate_region(
         integrand, axes, tol=tol, start_order=start_order, max_order=max_order
@@ -734,8 +826,10 @@ def invert_juhl(
     (default at n = 3) expects holomorphic components on the lower tube and
     pairs each against the kernel with weight 1/(r_ell c_ell); method `l2`
     expects cone-model components on the lower cone, lifts each one, and
-    runs the Fourier-Laplace transform with weight i^ell / c_ell.  Levels
-    above L are dropped.  Returns a callable on the n-tube.
+    runs the Fourier-Laplace transform with weight i^ell / c_ell, in the
+    fiber chart of the lift (see `cone_fourier_laplace`), which needs
+    lam > n/2 - 1.  Levels above L are dropped.  Returns a callable on the
+    n-tube.
     """
     if method is None:
         method = "holographic" if n == 3 else "l2"
@@ -764,19 +858,17 @@ def invert_juhl(
         return assembled
 
     if method == "l2":
-        lam_f = _real_scalar(lam, "weight")
         plan = []
         for ell, comp in items:
             p = JuhlParams(n, lam, ell)
             lift = phi_cone_apply(p, comp)
             w = i_power(ell) / cone_c_ell(p)
             plan.append((lift, w))
-        boundary = lam_f - n / 2.0
 
         def assembled(zeta):
             total = 0.0j
             for lift, w in plan:
-                total += w * cone_fourier_laplace(lift, zeta, n, boundary, y_max, tol)
+                total += w * cone_fourier_laplace(lift, zeta, n, y_max=y_max, tol=tol)
             return total
 
         return assembled

@@ -113,6 +113,17 @@ def h_exp(nu):
     return h
 
 
+def h_exp_arrays(nu):
+    """h_exp(nu) written with numpy, so it runs on whole node arrays."""
+    return lambda yp: q_form(yp) ** (nu - 1) * np.exp(-yp[0])
+
+
+def _generic(lift):
+    """The lift's grid as a plain callable, which keeps it on the
+    hyperspherical chart."""
+    return lambda y: lift.grid(*y)
+
+
 # ---------------------------------------------------------------------------
 # parameters and cone geometry
 
@@ -397,7 +408,7 @@ def test_fiber_transform_inverts_lift():
 
 
 def test_transforms_evaluate_lifts_on_grids(monkeypatch):
-    # a lift reaches the fiber and cone quadratures through `grid`, never
+    # a lift reaches the fiber and cone quadratures on node arrays, never
     # one point at a time
     def refuse(self, y):
         raise AssertionError("lift evaluated one point at a time")
@@ -411,12 +422,11 @@ def test_transforms_evaluate_lifts_on_grids(monkeypatch):
     # level 0 of the multiplication route: the transform of the lift of
     # h_exp(3) is the closed form b_3 k_3 Q(zeta + i e1)^(-3)
     p = JuhlParams(3, 3.0, 0)
-    got = cone_fourier_laplace(phi_cone_apply(p, h_exp(3)), Z3, 3, rho_exponent=1.5,
-                               y_max=35.0, tol=1e-4)
+    got = cone_fourier_laplace(phi_cone_apply(p, h_exp(3)), Z3, 3, y_max=35.0, tol=1e-10)
     shifted = (Z3[0] + 1j, Z3[1], Z3[2])
     want = (cone_constants(p)["b_n"] * kernel_normalization(3, 3.0)
             * _power_positive_cut(q_form(shifted), -3.0))
-    assert rel(got, want) < 1e-4
+    assert rel(got, want) < 1e-10
 
 
 def test_fiber_transform_parity_kills_odd_profiles():
@@ -747,11 +757,12 @@ def two_branch_transform(F, zeta, n, rho_exponent=0.0, y_max=40.0, tol=1e-6,
 def test_transform_chart_matches_two_branch_reference():
     # at n = 3 the chart runs every float operation of the old branch in its
     # order, so the values are bit-equal; the coarse grid keeps each point's
-    # rounding visible in the sum
-    lift = phi_cone_apply(JuhlParams(3, 3.0, 0), h_exp(3))
+    # rounding visible in the sum.  A lift itself takes the fiber chart, so
+    # its grid is passed as a plain callable to keep it on this chart.
+    grid = _generic(phi_cone_apply(JuhlParams(3, 3.0, 0), h_exp(3)))
     for F_fn, kw in (
-        (lift, dict(rho_exponent=1.5, y_max=35.0, tol=1e-6)),
-        (lift, dict(rho_exponent=1.5, y_max=35.0, tol=1.0, start_order=2, max_order=4)),
+        (grid, dict(rho_exponent=1.5, y_max=35.0, tol=1e-6)),
+        (grid, dict(rho_exponent=1.5, y_max=35.0, tol=1.0, start_order=2, max_order=4)),
         (lambda y: math.exp(-2.0 * y[0]), dict(y_max=30.0, tol=1e-8)),
     ):
         assert cone_fourier_laplace(F_fn, Z3, 3, **kw) == two_branch_transform(F_fn, Z3, 3, **kw)
@@ -763,6 +774,70 @@ def test_transform_chart_matches_two_branch_reference():
     z4 = tuple(1j * c for c in (2.0, 0.3, -0.2, 0.1))
     kw = dict(rho_exponent=1.0, y_max=25.0, tol=2e-4, start_order=8, max_order=16)
     assert rel(cone_fourier_laplace(F4, z4, 4, **kw), two_branch_transform(F4, z4, 4, **kw)) < 1e-12
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_lift_fiber_chart_matches_generic_chart(ell):
+    # at n = 3 both charts converge far below tol, so they agree to rounding
+    p = JuhlParams(3, 3.0, ell)
+    lift = phi_cone_apply(p, h_exp_arrays(3 + ell))
+    kw = dict(y_max=35.0, tol=1e-6)
+    fiber = cone_fourier_laplace(lift, Z3, 3, **kw)
+    generic = cone_fourier_laplace(_generic(lift), Z3, 3, rho_exponent=1.5, **kw)
+    assert rel(fiber, generic) < 1e-12
+
+
+def test_lift_fiber_chart_within_generic_error_estimate():
+    # at n = 4 the generic chart's order-16 value is accurate to about its
+    # difference from the order-8 value; the fiber chart converges to 1e-6
+    z4 = (0.1 + 3j, 0.2 - 0.5j, -0.1 + 0.2j, 0.3j)
+    lift = phi_cone_apply(JuhlParams(4, 4.0, 0), lambda y: np.exp(-y[0]) * q_form(y) ** 2)
+    fiber = cone_fourier_laplace(lift, z4, 4, y_max=12.0, tol=1e-6)
+    v8, v16 = (
+        cone_fourier_laplace(_generic(lift), z4, 4, rho_exponent=2.0, y_max=12.0, tol=1.0,
+                             start_order=k // 2, max_order=k)
+        for k in (8, 16)
+    )
+    assert rel(fiber, v16) < rel(v16, v8)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lift_profile_evaluated_once_per_base_node(n):
+    # the fiber axis is the fastest, so h sees each base node once per pass:
+    # the panels of y1 times order^(n - 2) base points at orders 8 and 16
+    points = []
+
+    def h(y):
+        points.append(y[0].size)
+        return np.exp(-y[0])
+
+    z = (2j, 0.3j, -0.2j, 0.1j)[:n]
+    lift = phi_cone_apply(JuhlParams(n, n + 1.0, 1), h)
+    cone_fourier_laplace(lift, z, n, y_max=12.0, tol=1.0, start_order=8, max_order=16)
+    panels = len(geometric_panels(0.0, 12.0, first=0.25))
+    assert sum(points) == sum(panels * k ** (n - 1) for k in (8, 16))
+
+
+def test_lift_profile_per_point_matches_arrays():
+    # a `math` h takes the per-point fallback of the lift's `_h_grid`
+    p = JuhlParams(3, 3.0, 1)
+    kw = dict(y_max=35.0, tol=1e-6)
+    per_point = cone_fourier_laplace(phi_cone_apply(p, h_exp(4)), Z3, 3, **kw)
+    on_arrays = cone_fourier_laplace(phi_cone_apply(p, h_exp_arrays(4)), Z3, 3, **kw)
+    assert rel(per_point, on_arrays) < 1e-14
+
+
+def test_lift_transform_guards():
+    # the fiber rule's weight (1 - v^2)^(lam - n/2) needs lam > n/2 - 1
+    for n, lam in ((3, 0.5), (4, 0.75)):
+        lift = phi_cone_apply(JuhlParams(n, lam, 0), lambda y: 1.0)
+        z = (2j, 0.3j, -0.2j, 0.1j)[:n]
+        with pytest.raises(DomainError, match=f"lift's weight .* got lam = {lam}"):
+            cone_fourier_laplace(lift, z, n)
+    # a lift transforms only in its own dimension
+    lift = phi_cone_apply(JuhlParams(3, 3.0, 0), h_exp(3))
+    with pytest.raises(DomainError, match="3-dimensional cone has no transform at n = 4"):
+        cone_fourier_laplace(lift, (2j, 0.3j, -0.2j, 0.1j), 4)
 
 
 # per dimension: tolerance and order schedule of the Riesz-ratio check
