@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -362,13 +363,14 @@ def coefficient_ladder(params: JuhlParams):
 class ConeLift:
     """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
 
-    `grid` is the lift as one array formula, one coordinate array per axis
-    and one cone check per grid, and `juhl_hat_apply` and
-    `phi_isometry_ratio` evaluate it there; a one-point call runs it on
-    one-element arrays and returns a Python scalar.  `cone_fourier_laplace`
-    does not call `grid`: it integrates a lift in the fiber chart, where the
-    lift is (1/M) C_ell(v) h(y'), from its weight, its `profile` and h's
-    array form `_h_grid`.
+    In the fiber chart y = (y', -sqrt(Q') v) of `iota_cone` the lift is
+    (1 - v^2)^(lam - n/2) times `_fiber_values`, the one place its formula
+    is written.  `grid` is the lift on node arrays, one coordinate array per
+    axis and one cone check per grid, and `juhl_hat_apply` evaluates it
+    along a fiber; a one-point call runs it on one-element arrays and
+    returns a Python scalar.  `phi_isometry_ratio` and
+    `cone_fourier_laplace` fold the weight into a Jacobi rule and read
+    `_fiber_values` itself.
     """
 
     def __init__(self, params: JuhlParams, h):
@@ -380,15 +382,22 @@ class ConeLift:
     def __call__(self, y):
         return self.grid(*(np.array([c]) for c in _real_vector(y)))[0].item()
 
-    def grid(self, *y):
-        q = _cone_grid(y, self.n)
-        y_prime, y_n = y[:-1], y[-1]
-        q_prime = q_form(y_prime)
+    def _fiber_values(self, y_prime, q_prime, w):
+        """Q'^(-(ell + 1/2)) (inflated C)(Q', w) h(y') at w = -y_n, with h
+        read once per run of equal base points (see `_once_per_run`)."""
         return (
             q_prime ** (-(self.ell + 0.5))
+            * self.profile(q_prime, w)
+            * _once_per_run(self._h_grid, y_prime)
+        )
+
+    def grid(self, *y):
+        q = _cone_grid(y, self.n)
+        y_prime = y[:-1]
+        q_prime = q_form(y_prime)
+        return (
+            self._fiber_values(y_prime, q_prime, -y[-1])
             * (q / q_prime) ** (self.lam - self.n / 2.0)
-            * self.profile(q_prime, -y_n)
-            * self._h_grid(*y_prime)
         )
 
 
@@ -465,7 +474,10 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     The squared lift integrated over the fiber, against the slice of the
     n-dimensional cone measure, divided by |h|^2 times the (n-1)-dimensional
     density.  Constant in y' and equal to the lift's isometry constant, so a
-    single base point decides the ratio.
+    single base point decides the ratio.  The fiber rule's Jacobi weight
+    (1 - v^2)^(lam - n/2) is what the squared lift and the measure leave of
+    (1 - v^2), so the rule integrates |`_fiber_values`|^2 as it is, and h is
+    read once per pass.
     """
     lam = _real_scalar(params.lam, "weight")
     n = params.n
@@ -475,8 +487,8 @@ def phi_isometry_ratio(params: JuhlParams, h, y_prime) -> float:
     a_w = lam - n / 2.0
 
     def g(v):
-        val = lift.grid(*_fiber(y_prime, root, v))
-        return np.abs(val) ** 2 * (1.0 - v * v) ** (n - 2.0 * lam)
+        *base, y_n = _fiber(y_prime, root, v)
+        return np.abs(lift._fiber_values(base, q_prime, -y_n)) ** 2
 
     res = integrate_adaptive(g, ("jacobi", a_w, a_w))
     numer = q_prime ** ((n + 1) / 2.0 - lam) * res.value
@@ -669,87 +681,42 @@ def holographic_integral(
     return adjoint_constant(params) * z3_pow * 0.5 * total
 
 
-def _cone_chart(d: int, y_max: float, fold: float = 0.0):
+def _cone_chart(d: int, y_max: float, folds):
     """Chart of the open d-dimensional cone cut at y1 = y_max, d >= 2:
     (axes, point), where `point(*nodes)` takes one node array per axis and
     returns the cone's coordinate arrays and the chart's Jacobian.
 
-    y1 runs on geometric panels.  At d = 2 the one other axis is s on
-    ``("legendre", -1, 1)``, y = y1 (1, s).  At d >= 3 the chart is
-    hyperspherical, y = y1 (1, rho omega) with omega on S^(d-2): rho =
-    (1 + u)/2 with u on ``("jacobi", fold, 0)``, the azimuth on
-    ``("legendre", 0, 2 pi)`` and polar axes t_k = cos phi_k
-    (k = 0 ... d-4) on the Jacobi weights (1 - t_k^2)^((d-4-k)/2), the
-    sphere's sin powers.  The u rule's weight (1 - u)^fold stays out of the
-    Jacobian: a caller that folds divides it out itself.
+    The chart is `iota_cone` applied again and again, from the half-line
+    y1 > 0 on geometric panels: y_k = -s_(k-1) v_k for k = 2 ... d, with
+    s_1 = y1 and s_k = s_(k-1) sqrt(1 - v_k^2), so that Q of the leading k
+    coordinates is s_k^2 and Q(y) = y1^2 prod (1 - v_k^2).  Each v_k runs
+    on ``("jacobi", a_k, a_k)``, a_k = (d - k)/2 + folds[k - 2]: the
+    Jacobian's own power of (1 - v_k^2) and a fold for that axis.  What is
+    left of the Jacobian is y1^(d - 1); a caller that folds divides its
+    folds out itself.
     """
-    panels = ("panels", geometric_panels(0.0, y_max, first=0.25))
-    if d == 2:
-        def line(y1, s):
-            return (y1, y1 * s), y1
+    axes = [("panels", geometric_panels(0.0, y_max, first=0.25))]
+    axes += [("jacobi", a, a) for a in ((d - k) / 2.0 + f for k, f in zip(range(2, d + 1), folds))]
 
-        return [panels, ("legendre", -1.0, 1.0)], line
-    axes = [panels, ("jacobi", fold, 0.0), ("legendre", 0.0, 2.0 * math.pi)]
-    axes += [("jacobi", a, a) for a in ((d - 4 - k) / 2 for k in range(d - 3))]
+    def point(y1, *v):
+        y, s = [y1], y1
+        for vk in v:
+            y.append(-s * vk)
+            s = s * np.sqrt(1.0 - vk * vk)
+        return y, y1 ** (d - 1)
 
-    def sphere(y1, u, theta, *polar):
-        rho = 0.5 * (1.0 + u)
-        r = y1 * rho
-        tail = []
-        for t in polar:
-            tail.append(r * t)
-            r = r * np.sqrt(1.0 - t * t)
-        y = (y1, r * np.cos(theta), r * np.sin(theta), *reversed(tail))
-        return y, y1 ** (d - 1) * rho ** (d - 2) * 0.5
-
-    return axes, sphere
+    return axes, point
 
 
 def _once_per_run(values, y):
     """values(*y) on coordinate arrays whose points come in runs of equal
     points: called on each run's first point and repeated over the run."""
     first = np.zeros(y[0].shape, dtype=bool)
-    first[0] = True
+    first[:1] = True
     for c in y:
         first[1:] |= c[1:] != c[:-1]
     starts = np.flatnonzero(first)
     return np.repeat(values(*(c[starts] for c in y)), np.diff(starts, append=first.size))
-
-
-def _lift_transform(lift: ConeLift, zeta, y_max, tol, start_order, max_order):
-    """`cone_fourier_laplace` of a lift in the fiber chart y = (y',
-    -sqrt(Q') v): the (n-1)-dimensional cone chart of `_cone_chart` for
-    y', then v on ``("jacobi", a, a)``, a = lam - n/2, whose weight is the
-    lift's own (1 - v^2)^a.  What is left of the lift times the Jacobian
-    sqrt(Q') is Q'^(-ell) (inflated C)(Q', sqrt(Q') v) h(y'), so h is
-    evaluated once per run of equal base points (`integrate` makes the
-    fiber axis the fastest), at most once more where a chunk cuts a run."""
-    n, ell = lift.n, lift.ell
-    a = lift.lam - n / 2.0
-    if not a > -1.0:
-        raise DomainError(
-            f"the fiber chart needs the lift's weight lam > n/2 - 1 = {n / 2.0 - 1.0}, "
-            f"got lam = {lift.lam}"
-        )
-    axes, base = _cone_chart(n - 1, y_max)
-
-    def integrand(*nodes):
-        y_prime, jac = base(*nodes[:-1])
-        q_prime = q_form(y_prime)
-        w = np.sqrt(q_prime) * nodes[-1]
-        pairing = sum(yc * zc for yc, zc in zip(y_prime, zeta)) - w * zeta[-1]
-        return (
-            q_prime ** -ell
-            * lift.profile(q_prime, w)
-            * _once_per_run(lift._h_grid, y_prime)
-            * np.exp(1j * pairing)
-            * jac
-        )
-
-    return integrate_region(
-        integrand, axes + [("jacobi", a, a)], tol=tol, start_order=start_order,
-        max_order=max_order,
-    ).value
 
 
 def cone_fourier_laplace(
@@ -765,19 +732,21 @@ def cone_fourier_laplace(
     """Fourier-Laplace transform of F over the n-dimensional cone, n >= 3,
     cut at y1 = y_max.
 
-    A lift (`phi_cone_apply`) is integrated in the fiber chart y = (y',
-    -sqrt(Q(y')) v) over the (n-1)-dimensional cone, where it is (1/M)
-    C_ell(v) h(y'): the fiber rule's Jacobi weight is the lift's own
-    (1 - v^2)^(lam - n/2), so lam must exceed n/2 - 1, and h is evaluated
-    once per base node, not once per grid point.  `rho_exponent` is not
-    read for a lift.
+    Every F is integrated in one chart, `iota_cone` applied again and again
+    from the half-line y1 > 0 (see `_cone_chart`): y = (y1, -y1 v_2,
+    -s_2 v_3, ...), where 1 - rho^2 = Q(y)/y1^2 = prod (1 - v_k^2).  Only
+    the folds of the fiber axes differ.
 
-    Any other F is integrated in one hyperspherical chart: y = y1 (1, rho
-    omega) with omega on S^(n-2), the azimuth on (0, 2 pi) and polar axes
-    t_k = cos phi_k (k = 0 ... n-4) on the Jacobi weights
-    (1 - t_k^2)^((n-4-k)/2), the sphere's sin powers.  `rho_exponent`
-    declares how fast F vanishes at the cone boundary, as a power of
-    (1 - rho^2); it is folded into the radial Jacobi weight, so an
+    A lift (`phi_cone_apply`) folds -1/2 on every axis but the last and
+    lam - n/2 on the last, the lift's own (1 - v^2)^(lam - n/2), so lam must
+    exceed n/2 - 1; what is left is Q'^(-ell) (inflated C)(Q', -y_n) h(y')
+    y1^(n-2), and h is evaluated once per base node, not once per grid
+    point.  A lift's folds come from its weight, so a nonzero
+    `rho_exponent` raises DomainError.
+
+    Any other F folds `rho_exponent` on every fiber axis and divides it
+    back out as (Q/y1^2)^(-rho_exponent).  `rho_exponent` declares how fast
+    F vanishes at the cone boundary, as a power of (1 - rho^2), so an
     integrand with fractional boundary decay still converges at spectral
     rate.  F takes one point y as a tuple, and is called on the tuple of
     node arrays first, once per node (a tuple of floats) only when that
@@ -790,19 +759,40 @@ def cone_fourier_laplace(
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"need integer dimension n >= 3, got {n!r}")
     zeta = _require_tube(zeta, n, "transform argument")
+    re = float(rho_exponent)
     if isinstance(F, ConeLift):
         if F.n != n:
             raise DomainError(f"a lift to the {F.n}-dimensional cone has no transform at n = {n}")
-        return _lift_transform(F, zeta, y_max, tol, start_order, max_order)
-    re = float(rho_exponent)
-    axes, chart = _cone_chart(n, y_max, re)
-    values = node_values(F, packed=True)
+        if re:
+            raise DomainError(
+                f"a lift's boundary folds come from its weight; got rho_exponent = {re}"
+            )
+        a = F.lam - n / 2.0
+        if not a > -1.0:
+            raise DomainError(
+                f"the fiber chart needs the lift's weight lam > n/2 - 1 = {n / 2.0 - 1.0}, "
+                f"got lam = {F.lam}"
+            )
+        folds = [-0.5] * (n - 2) + [a]
+
+        def folded(y):
+            y_prime = y[:-1]
+            q_prime = q_form(y_prime)
+            return F._fiber_values(y_prime, q_prime, -y[-1]) * np.sqrt(q_prime) / y[0]
+    else:
+        folds = [re] * (n - 1)
+        values = node_values(F, packed=True)
+
+        def folded(y):
+            out = values(*y)
+            return out * (q_form(y) / (y[0] * y[0])) ** -re if re else out
+
+    axes, chart = _cone_chart(n, y_max, folds)
 
     def integrand(*nodes):
         y, jac = chart(*nodes)
         pairing = sum(yc * zc for yc, zc in zip(y, zeta))
-        defold = (1.0 - nodes[1]) ** (-re) if re else 1.0
-        return values(*y) * np.exp(1j * pairing) * jac * defold
+        return folded(y) * np.exp(1j * pairing) * jac
 
     return integrate_region(
         integrand, axes, tol=tol, start_order=start_order, max_order=max_order
@@ -826,10 +816,11 @@ def invert_juhl(
     (default at n = 3) expects holomorphic components on the lower tube and
     pairs each against the kernel with weight 1/(r_ell c_ell); method `l2`
     expects cone-model components on the lower cone, lifts each one, and
-    runs the Fourier-Laplace transform with weight i^ell / c_ell, in the
-    fiber chart of the lift (see `cone_fourier_laplace`), which needs
-    lam > n/2 - 1.  Levels above L are dropped.  Returns a callable on the
-    n-tube.
+    runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
+    transform integrates a lift in the chart of `cone_fourier_laplace`,
+    `iota_cone` applied again and again, with the lift's weight folded into
+    the last fiber rule, which needs lam > n/2 - 1.  Levels above L are
+    dropped.  Returns a callable on the n-tube.
     """
     if method is None:
         method = "holographic" if n == 3 else "l2"
@@ -844,33 +835,23 @@ def invert_juhl(
     if method == "holographic":
         if n != 3:
             raise DomainError("holographic assembly is only available at n = 3")
-        plan = []
-        for ell, comp in items:
-            p = JuhlParams(n, lam, ell)
-            plan.append((p, comp, 1.0 / (cone_r_ell(p) * cone_c_ell(p))))
 
-        def assembled(zeta):
-            total = 0.0j
-            for p, comp, w in plan:
-                total += w * holographic_integral(p, comp, zeta, radius, order)
-            return total
+        def level(p, comp):
+            return (1.0 / (cone_r_ell(p) * cone_c_ell(p)),
+                    partial(holographic_integral, p, comp, radius=radius, order=order))
+    elif method == "l2":
+        def level(p, comp):
+            return (i_power(p.ell) / cone_c_ell(p),
+                    partial(cone_fourier_laplace, phi_cone_apply(p, comp), n=n, y_max=y_max,
+                            tol=tol))
+    else:
+        raise DomainError(f"unknown assembly method {method!r}")
+    plan = [level(JuhlParams(n, lam, ell), comp) for ell, comp in items]
 
-        return assembled
+    def assembled(zeta):
+        total = 0.0j
+        for w, transform in plan:
+            total += w * transform(zeta)
+        return total
 
-    if method == "l2":
-        plan = []
-        for ell, comp in items:
-            p = JuhlParams(n, lam, ell)
-            lift = phi_cone_apply(p, comp)
-            w = i_power(ell) / cone_c_ell(p)
-            plan.append((lift, w))
-
-        def assembled(zeta):
-            total = 0.0j
-            for lift, w in plan:
-                total += w * cone_fourier_laplace(lift, zeta, n, y_max=y_max, tol=tol)
-            return total
-
-        return assembled
-
-    raise DomainError(f"unknown assembly method {method!r}")
+    return assembled
