@@ -341,13 +341,46 @@ class Case:
     run: object  # () -> CaseResult
 
 
+# json.dumps(record, sort_keys=True) without building an encoder per call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _stream_line(text: str, ms: float) -> str:
+    """A record's stream line: its hashed text with the finite `ms` appended
+    last, as json.dumps writes it."""
+    return f'{text[:-1]}, "ms": {ms!r}}}'
+
+
 @dataclass
 class VerificationReport:
+    """Records of one run and a running sha256 of their hashed form.
+
+    The hash covers exactly the bytes of
+    json.dumps({"suite", "mode", "seed", "records": <records without ms>},
+    sort_keys=True): `add` encodes each record once, and that text feeds
+    both the digest and the record's stream line."""
+
     suite: str
     mode: str
     seed: int
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list, init=False)
     elapsed_ms: float = 0.0
+
+    def __post_init__(self):
+        opened = json.dumps(
+            {"suite": self.suite, "mode": self.mode, "seed": self.seed, "records": []},
+            sort_keys=True,
+        )
+        head, mark, self._footer = opened.partition('"records": [')
+        self._digest = hashlib.sha256((head + mark).encode())
+
+    def add(self, record: dict, ms: float) -> str:
+        """Append a record given without `ms`; return its stream line."""
+        text = _sorted_json(record)
+        self._digest.update(((", " if self.records else "") + text).encode())
+        record["ms"] = ms
+        self.records.append(record)
+        return _stream_line(text, ms)
 
     @property
     def passed_count(self) -> int:
@@ -358,15 +391,9 @@ class VerificationReport:
         return len(self.records) - self.passed_count
 
     def content_hash(self) -> str:
-        stripped = [{k: v for k, v in r.items() if k != "ms"} for r in self.records]
-        payload = {
-            "suite": self.suite,
-            "mode": self.mode,
-            "seed": self.seed,
-            "records": stripped,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        digest = self._digest.copy()
+        digest.update(self._footer.encode())
+        return digest.hexdigest()
 
     def summary(self) -> dict:
         return {
@@ -382,7 +409,10 @@ class VerificationReport:
         }
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(r) for r in self.records]
+        lines = [
+            _stream_line(_sorted_json({k: v for k, v in r.items() if k != "ms"}), r["ms"])
+            for r in self.records
+        ]
         lines.append(json.dumps(self.summary()))
         return "\n".join(lines) + "\n"
 
@@ -673,8 +703,8 @@ def _signed(value) -> str:
 
 
 def _build_kernels(cfg: SuiteConfig, rng) -> list:
-    ints1 = [v for v in cfg.need("lam1") if isinstance(v, Fraction) and v.denominator == 1]
-    ints2 = [v for v in cfg.need("lam2") if isinstance(v, Fraction) and v.denominator == 1]
+    ints1 = [int(v) for v in cfg.need("lam1") if isinstance(v, Fraction) and v.denominator == 1]
+    ints2 = [int(v) for v in cfg.need("lam2") if isinstance(v, Fraction) and v.denominator == 1]
     if not ints1 or not ints2:
         raise ConfigError("kernels zero classification needs integer lam1/lam2 grids")
 
@@ -756,13 +786,12 @@ def run_suite(config: SuiteConfig, stream=None) -> VerificationReport:
             "abs_err": result.abs_err,
             "rel_err": result.rel_err,
             "pass": result.passed,
-            "ms": round(ms, 3),
         }
         if result.note:
             record["note"] = result.note
-        report.records.append(record)
+        line = report.add(record, round(ms, 3))
         if stream is not None:
-            print(json.dumps(record), file=stream, flush=True)
+            print(line, file=stream, flush=True)
     report.elapsed_ms = (time.perf_counter() - t_start) * 1000.0
     return report
 

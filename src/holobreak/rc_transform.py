@@ -195,10 +195,45 @@ def _c_ell_value(n1, n2, d, t, ell: int):
     """Gamma(n1) Gamma(n2) / (t Gamma(d) ell!) with t = d + ell.  On the line
     t = 0, 1/(t Gamma(d)) tends to (-1)^ell ell!, so the value is
     (-1)^ell Gamma(n1) Gamma(n2) there."""
-    num = complex_gamma(n1) * complex_gamma(n2)
-    if t == 0:
-        return (-1) ** ell * num
-    return num * reciprocal_gamma(d) / (t * math.factorial(ell))
+    def direct():
+        num = complex_gamma(n1) * complex_gamma(n2)
+        if t == 0:
+            return (-1) ** ell * num
+        return num * reciprocal_gamma(d) / (t * math.factorial(ell))
+
+    return _unless_overflow(direct, (n1, n2), (d, ell + 1), (t,))
+
+
+def _unless_overflow(direct, up, down, divisors):
+    """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors).
+
+    Where a Gamma factor or the product overflows and every argument and
+    divisor is a positive real, the quotient is the exp of a sum of lgamma
+    and log terms instead.  Every value that direct() computes is returned
+    as it is."""
+    def positive():
+        return all(not isinstance(x, complex) and x > 0 for x in (*up, *down, *divisors))
+
+    try:
+        value = direct()
+    except OverflowError:
+        if not positive():
+            raise
+    else:
+        if value != math.inf or not positive():
+            return value
+    terms = [*map(math.lgamma, up)]
+    terms += [-math.lgamma(x) for x in down] + [-math.log(x) for x in divisors]
+    return math.exp(math.fsum(terms))
+
+
+def _gamma_arg(num: int, den: int, exact):
+    """num / den as an argument of Gamma: the correctly rounded quotient,
+    which is float() of the exact value, or at a pole the exact value
+    exact() itself, so that complex_gamma names it as it always has."""
+    if num <= 0 and num % den == 0:
+        return exact()
+    return num / den
 
 
 def c_ell(lam1, lam2, ell: int):
@@ -221,21 +256,33 @@ def c_ell(lam1, lam2, ell: int):
 
 def b_const(lam):
     """Squared-norm constant of the boundary Fourier transform on weighted
-    half-plane spaces; poles at lam in {1, 0, -1, ...}."""
+    half-plane spaces; poles at lam in {1, 0, -1, ...}.  An exact weight is
+    read as its integer numerator over its denominator."""
+    if is_exact(lam):
+        n, q = lam.numerator, lam.denominator
+        return 2.0 ** ((2 * q - n) / q) * math.pi * complex_gamma(
+            _gamma_arg(n - q, q, lambda: lam - 1))
     return 2.0 ** (2 - lam) * math.pi * complex_gamma(lam - 1)
 
 
 def r_ell(lam1, lam2, ell: int):
     """Quotient b(lam3) / (b(lam1) b(lam2)), continued through the zeros of
-    the denominator by reciprocal gammas."""
+    the denominator by reciprocal gammas.  Exact weights are read as integer
+    numerators over their denominators, as in c_ell_status."""
     check_ell(ell)
-    lam3 = lam1 + lam2 + 2 * ell
-    num = complex_gamma(lam3 - 1)
-    return (
-        num
-        * reciprocal_gamma(lam1 - 1)
-        * reciprocal_gamma(lam2 - 1)
-        / (2 ** (2 * ell + 2) * math.pi)
+    if is_exact(lam1) and is_exact(lam2):
+        n1, q1 = lam1.numerator, lam1.denominator
+        n2, q2 = lam2.numerator, lam2.denominator
+        q = q1 * q2
+        top = _gamma_arg(n1 * q2 + n2 * q1 + (2 * ell - 1) * q, q,
+                         lambda: lam1 + lam2 + 2 * ell - 1)
+        low1, low2 = (n1 - q1) / q1, (n2 - q2) / q2
+    else:
+        top, low1, low2 = lam1 + lam2 + 2 * ell - 1, lam1 - 1, lam2 - 1
+    return _unless_overflow(
+        lambda: complex_gamma(top) * reciprocal_gamma(low1) * reciprocal_gamma(low2)
+        / (2 ** (2 * ell + 2) * math.pi),
+        (top,), (low1, low2), (2 ** (2 * ell + 2), math.pi),
     )
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from holobreak.cli import (
     VERIFY_OPTIONS,
     ConfigError,
     SuiteConfig,
+    VerificationReport,
     _build_parser,
     _resolve_config,
     main,
@@ -427,15 +429,48 @@ DEFAULT_EXACT_HASHES = {
 }
 
 
+def formula_hash(report) -> str:
+    """The summary hash as the README states it."""
+    payload = {
+        "suite": report.suite,
+        "mode": report.mode,
+        "seed": report.seed,
+        "records": [{k: v for k, v in r.items() if k != "ms"} for r in report.records],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def assert_record_contract(report, streamed: str) -> None:
+    """The hash follows the formula; each streamed line parses back to its
+    record, lists its keys sorted with ms last, and is the report file's line."""
+    assert report.content_hash() == formula_hash(report)
+    lines = streamed.splitlines()
+    assert [json.loads(line) for line in lines] == report.records
+    assert report.to_jsonl().splitlines()[:-1] == lines
+    for line in lines:
+        keys = list(json.loads(line))
+        assert keys[-1] == "ms" and keys[:-1] == sorted(keys[:-1])
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 @pytest.mark.parametrize("suite", SUITES)
 def test_default_grids_keep_their_cases(suite, exact):
-    report = run_suite(SuiteConfig(suite=suite, exact=exact, **SUITE_DEFAULTS[suite]))
+    stream = io.StringIO()
+    report = run_suite(SuiteConfig(suite=suite, exact=exact, **SUITE_DEFAULTS[suite]),
+                       stream=stream)
     rows = [[r["case"], r["params"], r["pass"], r.get("note", "")] for r in report.records]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == DEFAULT_CASE_HASHES[suite]
     if exact and suite in DEFAULT_EXACT_HASHES:
         assert report.content_hash() == DEFAULT_EXACT_HASHES[suite]
+    assert_record_contract(report, stream.getvalue())
+
+
+def test_empty_report_hashes_by_the_formula():
+    report = VerificationReport("kernels", "float", 414213)
+    assert report.content_hash() == formula_hash(report)
+    assert report.content_hash() == hashlib.sha256(
+        b'{"mode": "float", "records": [], "seed": 414213, "suite": "kernels"}').hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +676,19 @@ def test_eval_c_ell_on_the_line_t_zero(capsys):
 
 
 def test_eval_overflow_is_an_error_not_a_traceback(capsys):
-    code = main(["eval", "c_ell", "90.5", "90.5", "1"])
+    # r_ell(600.5, 600.5, 1) is about 2.0e369, beyond the double range
+    code = main(["eval", "r_ell", "600.5", "600.5", "1"])
     assert code == 2
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["c_ell", "90.5", "90.5", "1"], "5.478694053960346e-54\n"),
+    (["r_ell", "150.5", "150.5", "1"], "1.8854296364772839e+96\n"),
+])
+def test_eval_finite_constant_past_gamma_overflow(argv, out, capsys):
+    assert main(["eval", *argv]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_eval_branch_cut_is_an_error_not_a_traceback(capsys):

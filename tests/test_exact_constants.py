@@ -1,10 +1,10 @@
 """The exact constants layer against its earlier Fraction-arithmetic form.
 
-`c_ell_status` and the three Jacobi folds hold exact data as integer
-numerators over one denominator.  The references below are the Fraction
-versions they replaced, kept verbatim so that every output is pinned: the
-same kind, the same value and the same type (`Fraction`, `float` or
-`complex`), and for float parameters the same bits.
+`c_ell_status`, `b_const`, `r_ell` and the three Jacobi folds hold exact
+data as integer numerators over one denominator.  The references below are
+the Fraction versions they replaced, kept verbatim so that every output is
+pinned: the same kind, the same value and the same type (`Fraction`,
+`float` or `complex`), and for float parameters the same bits.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from holobreak.rc_transform import c_ell_status
+from holobreak.rc_transform import b_const, c_ell_status, r_ell
 from holobreak.special_poly import (
     complex_gamma,
     is_exact,
@@ -66,6 +66,21 @@ def ref_c_ell_status(lam1, lam2, ell: int):
         / (float(t) * math.factorial(ell))
     )
     return ("nonzero", val)
+
+
+def ref_b_const(lam):
+    return 2.0 ** (2 - lam) * math.pi * complex_gamma(lam - 1)
+
+
+def ref_r_ell(lam1, lam2, ell: int):
+    lam3 = lam1 + lam2 + 2 * ell
+    num = complex_gamma(lam3 - 1)
+    return (
+        num
+        * reciprocal_gamma(lam1 - 1)
+        * reciprocal_gamma(lam2 - 1)
+        / (2 ** (2 * ell + 2) * math.pi)
+    )
 
 
 def _ref_jacobi_coeffs(ell: int, alpha, beta_) -> list:
@@ -170,6 +185,47 @@ def test_c_ell_status_grid_covers_every_kind():
                 t_zero += l1 + l2 + 2 * ell - 1 == 0
     assert kinds == {"nonzero", "zero", "pole", "indeterminate"}
     assert t_zero > 0
+
+
+# ---------------------------------------------------------------------------
+# b_const and r_ell
+
+# integers -6..12, halves and thirds, as ints and as Fractions, and a few
+# floats, which take the unchanged float path
+_B_WEIGHTS = (
+    list(range(-6, 13))
+    + [F(k) for k in range(-6, 13)]
+    + [F(k, q) for q in (2, 3) for k in range(-6 * q, 12 * q + 1) if k % q]
+)
+_FLOAT_WEIGHTS = [-2.5, 0.5, 1.0, 2.0, 3.25, 7.5]
+
+
+def test_b_const_matches_fraction_reference():
+    # the same value, bit for bit, and at the poles the same error and text
+    poles = 0
+    for lam in _B_WEIGHTS + _FLOAT_WEIGHTS:
+        want = outcome(ref_b_const, lam)
+        assert outcome(b_const, lam) == want, lam
+        poles += want[0] == "raises"
+    assert poles == 17  # 1, 0, ..., -6 as int and as Fraction, and 1.0
+    assert outcome(b_const, F(0)) == ("raises", "PoleError", "gamma pole at Fraction(-1, 1)")
+
+
+def test_r_ell_matches_fraction_reference():
+    lams = _B_WEIGHTS[::2] + _FLOAT_WEIGHTS
+    kinds = {"value": 0, "zero": 0, "raises": 0}
+    for lam1 in lams:
+        for lam2 in lams[::3]:
+            for ell in range(9):
+                want = outcome(ref_r_ell, lam1, lam2, ell)
+                assert outcome(r_ell, lam1, lam2, ell) == want, (lam1, lam2, ell)
+                if want[0] == "value" and float(want[1]) == 0.0:
+                    kinds["zero"] += 1  # a reciprocal-Gamma zero
+                else:
+                    kinds[want[0]] += 1
+    assert all(kinds.values()), kinds
+    assert outcome(r_ell, F(-1, 2), F(-1, 2), 0) == (
+        "raises", "PoleError", "gamma pole at Fraction(-2, 1)")
 
 
 # ---------------------------------------------------------------------------

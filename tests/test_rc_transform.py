@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +393,56 @@ def test_r_ell_frozen_and_continued():
     assert r_ell(1, 2, 0) == 0.0
     assert rel(r_ell(2, 3, 1), 15 / (2 * math.pi)) < 1e-12
     assert rel(r_ell(2, 3, 1), b_const(7) / (b_const(2) * b_const(3))) < 1e-12
+
+
+def _mp_c_ell(lam1, lam2, ell):
+    t = lam1 + lam2 + 2 * ell - 1
+    return (mpmath.gamma(lam1 + ell) * mpmath.gamma(lam2 + ell)
+            / (t * mpmath.gamma(lam1 + lam2 + ell - 1) * mpmath.factorial(ell)))
+
+
+def _mp_r_ell(lam1, lam2, ell):
+    return (mpmath.gamma(lam1 + lam2 + 2 * ell - 1)
+            / (mpmath.gamma(lam1 - 1) * mpmath.gamma(lam2 - 1) * 2 ** (2 * ell + 2) * mpmath.pi))
+
+
+def _mp_rel(got, want) -> float:
+    return float(abs((mpmath.mpf(got) - want) / want))
+
+
+@pytest.fixture
+def digits40():
+    with mpmath.workdps(40):
+        yield
+
+
+# (lam1, lam2, ell) where a Gamma factor of the direct product overflows but
+# the constant is finite; the last c_ell point overflows only the product
+# Gamma(lam1) Gamma(lam2), which is inf without raising
+LARGE_C_ELL = [(90.5, 90.5, 1), (F(181, 2), F(181, 2), 1), (120.0, 80.25, 3),
+               (300.5, 2.5, 0), (150.0, 151.0, 0), (0.01, 171.6, 0)]
+LARGE_R_ELL = [(150.5, 150.5, 1), (F(301, 2), F(301, 2), 1), (200.25, 3.5, 4),
+               (90.0, 90.0, 0), (400, 10, 2)]
+
+
+@pytest.mark.parametrize("lam1, lam2, ell", LARGE_C_ELL)
+def test_c_ell_past_gamma_overflow_matches_mpmath(lam1, lam2, ell, digits40):
+    assert _mp_rel(c_ell(lam1, lam2, ell), _mp_c_ell(lam1, lam2, ell)) < 1e-12
+
+
+@pytest.mark.parametrize("lam1, lam2, ell", LARGE_R_ELL)
+def test_r_ell_past_gamma_overflow_matches_mpmath(lam1, lam2, ell, digits40):
+    assert _mp_rel(r_ell(lam1, lam2, ell), _mp_r_ell(lam1, lam2, ell)) < 1e-12
+
+
+def test_constants_past_double_range_still_overflow(digits40):
+    # the lgamma route covers finite values only: beyond the double range,
+    # and off the positive reals, the OverflowError stands
+    assert _mp_r_ell(600.5, 600.5, 1) > 1e308
+    with pytest.raises(OverflowError):
+        r_ell(600.5, 600.5, 1)
+    with pytest.raises(OverflowError):
+        c_ell(-200.5, 400.25, 0)
 
 
 def test_plancherel_weight_positivity():
