@@ -204,8 +204,12 @@ def _c_ell_value(n1, n2, d, t, ell: int):
     return _unless_overflow(direct, (n1, n2), (d, ell + 1), (t,))
 
 
-def _unless_overflow(direct, up, down, divisors):
-    """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors).
+_LOG2, _LOG_PI = math.log(2.0), math.log(math.pi)
+
+
+def _unless_overflow(direct, up, down, divisors, log_factor=0.0):
+    """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors)
+    times exp(log_factor).
 
     Where a Gamma factor or the product overflows and every argument and
     divisor is a positive real, the quotient is the exp of a sum of lgamma
@@ -222,7 +226,7 @@ def _unless_overflow(direct, up, down, divisors):
     else:
         if value != math.inf or not positive():
             return value
-    terms = [*map(math.lgamma, up)]
+    terms = [log_factor, *map(math.lgamma, up)]
     terms += [-math.lgamma(x) for x in down] + [-math.log(x) for x in divisors]
     return math.exp(math.fsum(terms))
 
@@ -257,12 +261,18 @@ def c_ell(lam1, lam2, ell: int):
 def b_const(lam):
     """Squared-norm constant of the boundary Fourier transform on weighted
     half-plane spaces; poles at lam in {1, 0, -1, ...}.  An exact weight is
-    read as its integer numerator over its denominator."""
+    read as its integer numerator over its denominator.  Where Gamma(lam - 1)
+    overflows at real lam > 1, the value comes from `math.lgamma`: the power
+    of 2 keeps b finite past that point (b(180.5) is about 4.8e272)."""
     if is_exact(lam):
         n, q = lam.numerator, lam.denominator
-        return 2.0 ** ((2 * q - n) / q) * math.pi * complex_gamma(
-            _gamma_arg(n - q, q, lambda: lam - 1))
-    return 2.0 ** (2 - lam) * math.pi * complex_gamma(lam - 1)
+        power, arg = (2 * q - n) / q, _gamma_arg(n - q, q, lambda: lam - 1)
+    else:
+        power, arg = 2 - lam, lam - 1
+    return _unless_overflow(
+        lambda: 2.0 ** power * math.pi * complex_gamma(arg),
+        (arg,), (), (), power * _LOG2 + _LOG_PI,
+    )
 
 
 def r_ell(lam1, lam2, ell: int):

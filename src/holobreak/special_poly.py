@@ -37,6 +37,8 @@ def is_exact(x) -> bool:
 
 def as_integer(x):
     """Return the value as an int when it is integral, else None."""
+    if type(x) is float:  # first: a Fraction test is an ABC check
+        return int(x) if x.is_integer() else None
     if isinstance(x, bool):
         return None
     if isinstance(x, int):
@@ -95,7 +97,7 @@ def complex_gamma(z):
     n = as_integer(z)
     if n is not None and n <= 0:
         raise PoleError(f"gamma pole at {z!r}")
-    if isinstance(z, (int, Fraction)):
+    if type(z) is not float and isinstance(z, (int, Fraction)):
         z = float(z)
     if isinstance(z, float):
         if z > 0:

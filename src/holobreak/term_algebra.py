@@ -37,11 +37,20 @@ them runs once per distinct value:
 - A base's derivative in each variable is computed once and kept, read-only,
   on the base itself, so this cache is bounded by the registry.
 - A sum's hash is computed on first use and kept on the sum.
-- One derivative pass of an exact sum in one variable, and the expansion of
-  a base to a nonnegative integer power, are each memoized in an LRU cache of
-  128 entries (a bound measured on the exact benchmark ladders).  The
-  Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders of
-  partial derivatives of one input, so a pass climbed again is read back.
+- A whole `differentiate(f, var, times)` call on an exact sum, and the
+  expansion of a base to a nonnegative integer power, are each memoized in an
+  LRU cache of 128 entries (a bound measured on the exact benchmark ladders).
+  The Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders
+  of partial derivatives of one input, so a ladder climbed again by another
+  route or rung is read back.
+
+An exact `differentiate` call that misses the cache climbs in class-offset
+coordinates.  The sum is split
+once into classes, a class being one base with one exponent modulo 1, so
+that each term is its monomial plus one integer numerator per class.  Every
+pass is then integer arithmetic on a dict, with no Fraction exponent and no
+sort, and one normal sum is rebuilt at the end.  `canonical_form` reads the
+same split.
 
 Only exact sums, every coefficient a QQi and every exponent a Fraction,
 enter the derivative cache: a float sum can compare and hash equal to an
@@ -548,11 +557,11 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     """Partial derivative in variable `var` (0-indexed), `times` times.
 
     `var` and `times` must be ints (not bools) and `times` nonnegative;
-    `times == 0` returns f.  Each single pass is `_derivative`.  On an exact
-    sum (every coefficient a QQi, every exponent a Fraction; its derivatives
-    are exact too) each pass goes through `_exact_derivative`, an LRU memo of
-    the last 128 (sum, variable) pairs, so a ladder climbed again by another
-    route or rung is read back.  Float sums are never cached: a sum with
+    `times == 0` returns f.  An exact sum (every coefficient a QQi, every
+    exponent a Fraction; its derivatives are exact too) goes through
+    `_exact_differentiate`, which climbs all `times` passes in class-offset
+    coordinates and is memoized per (sum, variable, times).  A float sum
+    takes `times` passes of `_derivative` and is never cached: a sum with
     exponent 2 + 0j compares and hashes equal to the one with Fraction(2),
     and a coefficient part -0.0 equal to 0.0, yet their derivatives print
     differently.
@@ -562,9 +571,10 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
         raise DomainError(f"var and times must be ints, times >= 0; got {var!r}, {times!r}")
     if not 0 <= var < f.arity:
         raise DomainError(f"variable {var} out of range")
-    step = _exact_derivative if _is_exact_sum(f) else _derivative
+    if times and _is_exact_sum(f):
+        return _exact_differentiate(f, var, times)
     for _ in range(times):
-        f = step(f, var)
+        f = _derivative(f, var)
     return f
 
 
@@ -593,13 +603,115 @@ def _derivative(f: HoloSum, var: int) -> HoloSum:
     return holo_sum(f.arity, out)
 
 
-# One repetition of the exact-ladder benchmark makes 7,956 passes over 1,155
-# distinct (sum, variable) pairs; 128 entries read back 6,580 of the 6,801
-# repeats, and holding all 1,155 cost about 4 MB more peak memory.  A lookup
-# hashes each sum object once (`HoloSum.__hash__` keeps the value), and a pass
-# that misses reads every base derivative from the base, which keeps one per
-# variable: that store is bounded by the base registry (10 bases in the run).
-_exact_derivative = functools.lru_cache(maxsize=128)(_derivative)
+def _class_split(f: HoloSum) -> tuple:
+    """An exact sum in class-offset coordinates: (classes, rows).
+
+    A class is one base with one exponent modulo 1, so the exponents of a
+    class differ by integers: all are n/d over the class denominator d, and
+    an integer class has d = 1.  `classes` lists each class as (base, d),
+    ordered by base.  `rows` holds each term, in order, as (coefficient,
+    monomial, nums), where nums[j] is the numerator n of the term's
+    exponent n/d in class j (in lowest terms) and 0 when the term lacks that
+    class.  A base of a term sits in exactly one class, and n is never 0
+    for a fractional class, so 0 marks absence alike in every class.
+    """
+    index: dict = {}  # (base, numerator mod d, d) -> class number
+    cells = []
+    for t in f.terms:
+        row = []
+        for b, p in t.bases:
+            n, d = p.numerator, p.denominator
+            key = (b, n % d, d)
+            index[key] = None
+            row.append((key, n))
+        cells.append(row)
+    order = sorted(index, key=lambda key: key[0])
+    for j, key in enumerate(order):
+        index[key] = j
+    rows = []
+    for t, row in zip(f.terms, cells):
+        nums = [0] * len(order)
+        for key, n in row:
+            nums[index[key]] = n
+        rows.append((t.coefficient, t.monomial, tuple(nums)))
+    return tuple((b, d) for b, _, d in order), rows
+
+
+# One repetition of the exact-ladder benchmark makes 3,684 calls with times
+# >= 1 on exact sums, over 783 distinct (sum, variable, times) keys; 128
+# entries read back 2,574 of the 2,901 repeats (64 read back as many), and
+# holding all 783 cost about 2 MB more peak memory.  A lookup hashes each sum
+# object once (`HoloSum.__hash__` keeps the value), and a call that misses
+# reads each class's base derivative from the base, which keeps one per
+# variable: that store is bounded by the base registry.
+@functools.lru_cache(maxsize=128)
+def _exact_differentiate(f: HoloSum, var: int, times: int) -> HoloSum:
+    """`times` passes of `_derivative` on an exact sum, in class-offset
+    coordinates: f is split once (`_class_split`), every pass maps int
+    tuples to QQi coefficients, and one normal sum is rebuilt at the end.
+
+    A pass lowers the monomial exponent m of `var` with factor m, and each
+    class numerator n with factor n/d times the base's derivative, to
+    n - d; an integer class at n = 1 drops its base there, as `_derivative`
+    does.  The rebuild orders terms as `holo_sum` does: by monomial, then by
+    each (base, exponent), with the exponent compared as (numerator,
+    denominator), the order of `e_key`, not by value.
+    """
+    classes, rows = _class_split(f)
+    steps = []  # (class, d, [(base exponent, re, im, denominator * d)])
+    for j, (b, d) in enumerate(classes):
+        db = b.differentiate(var)
+        if db:
+            steps.append((j, d, [(e, dc._a, dc._b, dc._d * d) for e, dc in db.items()]))
+    terms = {(mono, nums): c for c, mono, nums in rows}
+    add = operator.add
+    for _ in range(times):
+        out: dict = {}
+        for (mono, nums), c in terms.items():
+            a, b, q = c._a, c._b, c._d
+            m = mono[var]
+            if m:
+                k = (mono[:var] + (m - 1,) + mono[var + 1 :], nums)
+                v = _make(a * m, b * m, q)
+                prev = out.get(k)
+                out[k] = v if prev is None else prev + v
+            for j, d, entries in steps:
+                n = nums[j]
+                if not n:
+                    continue
+                lowered = nums[:j] + (n - d,) + nums[j + 1 :]
+                an, bn = a * n, b * n
+                for e, x, y, w in entries:
+                    k = (tuple(map(add, mono, e)), lowered)
+                    v = _make(an * x - bn * y, an * y + bn * x, q * w)
+                    prev = out.get(k)
+                    out[k] = v if prev is None else prev + v
+        terms = {k: v for k, v in out.items() if v}
+    return _rebuild(f.arity, classes, terms)
+
+
+def _rebuild(arity: int, classes: tuple, terms: dict) -> HoloSum:
+    """The normal sum of class-offset terms {(monomial, nums): coefficient}."""
+    first: dict = {}  # base -> its first class, a rank in base order
+    rank = [first.setdefault(b, j) for j, (b, _) in enumerate(classes)]
+    pairs: dict = {}  # (class, numerator) -> (base, exponent)
+
+    def signature(item):
+        (mono, nums), _ = item
+        return mono, tuple((rank[j], n, classes[j][1]) for j, n in enumerate(nums) if n)
+
+    out = []
+    for (mono, nums), c in sorted(terms.items(), key=signature):
+        bases = []
+        for j, n in enumerate(nums):
+            if n:
+                bp = pairs.get((j, n))
+                if bp is None:
+                    b, d = classes[j]
+                    bp = pairs[(j, n)] = (b, Fraction(n, d))
+                bases.append(bp)
+        out.append(HoloTerm(c, mono, tuple(bases)))
+    return HoloSum(arity, tuple(out))
 
 
 def _cut_last(e):
@@ -851,45 +963,39 @@ def canonical_form(f: HoloSum) -> dict:
     integer surplus is expanded into monomials.
     """
     _require_exact(f)
-    # collect integer-class minima per base; integer classes start at zero,
-    # so that a sum of purely positive powers expands completely
-    minima: dict = {}  # (base, frac part) -> [min exponent], one cell per class
-    classes = []  # per term, (base, exponent, class cell): each key hashed once
-    for t in f.terms:
-        row = []
-        for b, p in t.bases:
-            frac = p - math.floor(p)
-            cell = minima.setdefault((b, frac), [p if frac else Fraction(0)])
-            cell[0] = min(cell[0], p)
-            row.append((b, p, cell))
-        classes.append(row)
-    # integer classes with negative minima must also pull in base-free terms
-    int_keys = [(b, c[0]) for (b, frac), c in minima.items() if frac == 0 and c[0] < 0]
+    classes, rows = _class_split(f)
+    # each class's least numerator; integer classes start at zero, so that a
+    # sum of purely positive powers expands completely
+    lows = []
+    for (_, d), col in zip(classes, zip(*(nums for *_, nums in rows))):
+        present = [n for n in col if n]
+        lows.append(min(present + [0]) if d == 1 else min(present))
+    floors = [(b, Fraction(low, d)) for (b, d), low in zip(classes, lows)]
 
     out: dict = {}  # sig -> {monomial: coefficient}: sig hashed once per term
-    for t, row in zip(f.terms, classes):
-        present = {b for b, _ in t.bases}
+    for c, mono, nums in rows:
+        present = {classes[j][0] for j, n in enumerate(nums) if n}
         residual = []
         expanders = []
-        for b, p, (pmin,) in row:
-            surplus = p - pmin
-            if pmin:
-                residual.append((b, pmin))
-            if surplus > 0:
-                expanders.append((b, int(surplus)))
-        for b, pmin in int_keys:
-            if b in present:
-                continue
-            residual.append((b, pmin))
-            expanders.append((b, int(-pmin)))
-        sig = tuple(sorted(residual))
-        pieces = {t.monomial: exactify(t.coefficient)}
-        for b, n in expanders:
-            pieces = _sparse_product(pieces, _expand_base_power(b, n))
+        for j, n in enumerate(nums):
+            b, d = classes[j]
+            low = lows[j]
+            # an integer class with a negative minimum also pulls in the
+            # terms that lack its base
+            if n or (d == 1 and low < 0 and b not in present):
+                if low:
+                    residual.append(floors[j])
+                if n > low:
+                    expanders.append((b, (n - low) // d))
+        # the classes come in base order, one per base in a term
+        sig = tuple(residual)
+        pieces = {mono: exactify(c)}
+        for b, k in expanders:
+            pieces = _sparse_product(pieces, _expand_base_power(b, k))
         acc = out.setdefault(sig, {})
-        for m, c in pieces.items():
+        for m, v in pieces.items():
             prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
+            acc[m] = v if prev is None else prev + v
     return {(m, sig): v for sig, acc in out.items() for m, v in acc.items() if v}
 
 

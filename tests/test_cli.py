@@ -685,6 +685,7 @@ def test_eval_overflow_is_an_error_not_a_traceback(capsys):
 @pytest.mark.parametrize("argv, out", [
     (["c_ell", "90.5", "90.5", "1"], "5.478694053960346e-54\n"),
     (["r_ell", "150.5", "150.5", "1"], "1.8854296364772839e+96\n"),
+    (["b", "180.5"], "4.8335339460104204e+272\n"),
 ])
 def test_eval_finite_constant_past_gamma_overflow(argv, out, capsys):
     assert main(["eval", *argv]) == 0

@@ -406,6 +406,11 @@ def _mp_r_ell(lam1, lam2, ell):
             / (mpmath.gamma(lam1 - 1) * mpmath.gamma(lam2 - 1) * 2 ** (2 * ell + 2) * mpmath.pi))
 
 
+def _mp_b(lam):
+    lam = mpmath.mpf(F(lam).numerator) / F(lam).denominator
+    return 2 ** (2 - lam) * mpmath.pi * mpmath.gamma(lam - 1)
+
+
 def _mp_rel(got, want) -> float:
     return float(abs((mpmath.mpf(got) - want) / want))
 
@@ -423,6 +428,16 @@ LARGE_C_ELL = [(90.5, 90.5, 1), (F(181, 2), F(181, 2), 1), (120.0, 80.25, 3),
                (300.5, 2.5, 0), (150.0, 151.0, 0), (0.01, 171.6, 0)]
 LARGE_R_ELL = [(150.5, 150.5, 1), (F(301, 2), F(301, 2), 1), (200.25, 3.5, 4),
                (90.0, 90.0, 0), (400, 10, 2)]
+
+
+# Gamma(lam - 1) overflows from lam = 172.6 on; b itself stays finite to
+# lam of about 190
+LARGE_B = [172.75, 180.5, F(361, 2), F(741, 4), 189.0]
+
+
+@pytest.mark.parametrize("lam", LARGE_B)
+def test_b_const_past_gamma_overflow_matches_mpmath(lam, digits40):
+    assert _mp_rel(b_const(lam), _mp_b(lam)) < 1e-12
 
 
 @pytest.mark.parametrize("lam1, lam2, ell", LARGE_C_ELL)
@@ -443,6 +458,9 @@ def test_constants_past_double_range_still_overflow(digits40):
         r_ell(600.5, 600.5, 1)
     with pytest.raises(OverflowError):
         c_ell(-200.5, 400.25, 0)
+    assert _mp_b(200.5) > 1e308
+    with pytest.raises(OverflowError):
+        b_const(200.5)
 
 
 def test_plancherel_weight_positivity():

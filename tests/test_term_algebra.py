@@ -526,8 +526,33 @@ def test_derivative_memo_keeps_float_exponents_apart():
     assert [type(p) for t in d.terms for _, p in t.bases] == [complex]
 
 
+# z1 + i in two fractional classes with one monomial: the exponents 5/2 and
+# 7/3 sort by (numerator, denominator), not by value, while they climb down;
+# (z1 - z2)^2 climbs through exponent 0 and drops, beside its own class at -1
+CLASS_LADDERS = (
+    holo_sum(2, [
+        term(2, 1, None, [(base_poly(2, {(1, 0): 1, (0, 0): qqi(0, 1)}), F(5, 2))]),
+        term(2, qqi(2, -1), None, [(base_poly(2, {(1, 0): 1, (0, 0): qqi(0, 1)}), F(7, 3))]),
+        term(2, F(1, 3), (1, 0), [(base_poly(2, {(1, 0): 1, (0, 0): qqi(0, 1)}), F(-2, 3)),
+                                  (base_poly(2, {(0, 1): 1, (0, 0): qqi(0, 1)}), F(3, 4))]),
+    ]),
+    holo_sum(2, [
+        term(2, 1, (0, 1), [(base_poly(2, {(1, 0): 1, (0, 1): -1}), 2),
+                            (base_poly(2, {(0, 1): 1, (0, 0): qqi(0, 1)}), F(1, 2))]),
+        term(2, qqi(0, 3), None, [(base_poly(2, {(1, 0): 1, (0, 1): -1}), -1)]),
+    ]),
+)
+
+
+@pytest.mark.parametrize("f", CLASS_LADDERS)
+@pytest.mark.parametrize("var", [0, 1])
+@pytest.mark.parametrize("times", range(5))
+def test_class_offset_ladder_matches_per_term_path(f, var, times):
+    assert to_text(differentiate(f, var, times)) == to_text(differentiate_by_term(f, var, times))
+
+
 def test_derivative_memo_is_bounded():
-    cache = term_algebra._exact_derivative
+    cache = term_algebra._exact_differentiate
     sums = [monomial(1, (k + 1,), F(k + 1, 7)) for k in range(200)]
     for f in sums:
         differentiate(f, 0)
