@@ -35,10 +35,19 @@ one: f receives one 1-D node array per axis, together holding one chunk of
 the tensor grid in C order (last axis fastest), and returns that chunk's
 values as an array of the same length.  `integrate` walks the grid in
 chunks of at most `CHUNK` points, so memory stays bounded however large
-the grid, and forms each chunk's weights as the product of the axis
-weights taken from the left.  The sum is one sequential left-to-right
-running sum whose total is carried across chunks, so a result equals the
-plain nested-loop sum bit for bit.  A non-finite pass total raises
+the grid.  The trailing axes whose grid fits in one chunk form a block,
+whose node and weight patterns are laid out once per call for as many
+block rows as a chunk holds; each chunk is then a run of consecutive
+leading multi-indices times the whole block, so only those few leading
+indices are unravelled per chunk.  When the last axis alone is longer
+than `CHUNK`, the block is empty and the same loop takes `CHUNK` leading
+points at a time.  A one-axis grid that fits in a chunk gets the rule
+arrays as they are.  The node arrays f receives are read-only, so an
+integrand cannot change a pattern that later chunks share.  Each point's
+weight is the product of its axis weights taken from the left, and the
+sum is one sequential left-to-right running sum whose total is carried
+across chunks, so a result equals the plain nested-loop sum bit for bit
+wherever the chunk boundaries fall.  A non-finite pass total raises
 DomainError.
 
 A user-supplied function (a profile, a component, a test integrand)
@@ -265,29 +274,76 @@ def node_values(f: Callable, packed: bool = False) -> Callable:
     return values
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _spread(a: np.ndarray, times: int) -> np.ndarray:
+    """a with each entry repeated `times` times in a row; a itself when
+    `times` is 1, so no copy is made."""
+    return a.repeat(times) if times > 1 else a
+
+
+def _block(rules: Sequence[QuadratureRule], rows: int):
+    """Node and weight arrays, one pair per rule, of the tensor grid of
+    `rules` in C order, repeated `rows` times; the node arrays are
+    read-only.  One rule over one row is handed over as it is."""
+    inner, outer = math.prod(r.order for r in rules), rows
+    nodes, weights = [], []
+    for r in rules:
+        inner //= r.order
+        for a, out in ((r.nodes, nodes), (r.weights, weights)):
+            if inner > 1:
+                a = a.repeat(inner)
+            if outer > 1:
+                a = a[None].repeat(outer, 0).reshape(-1)
+            out.append(a)
+        outer *= r.order
+    return [_read_only(x) for x in nodes], weights
+
+
 def integrate(f: Callable, *rules: QuadratureRule):
     """Sum f against the tensor product of one or more rules.
 
-    f receives one node array per rule, in rule order, holding one chunk of
-    at most CHUNK grid points in C order (last rule fastest), and returns
-    the chunk's values.  Each point's weight is the product of its axis
-    weights taken from the left, and the points are summed left to right
-    in one running sum carried across chunks, so the result is reproducible
-    bit for bit.  Raises DomainError when the total is not finite.
+    f receives one read-only node array per rule, in rule order, holding
+    one chunk of at most CHUNK grid points in C order (last rule fastest),
+    and returns the chunk's values.  The trailing rules whose grid fits in
+    one chunk form a block, laid out once per call for as many rows as a
+    chunk holds; each chunk is a run of consecutive leading multi-indices
+    times the whole block, so only the leading indices are unravelled per
+    chunk.  When the last rule alone is longer than CHUNK, the block is
+    empty and a chunk is CHUNK leading points.  Each point's weight is the
+    product of its axis weights taken from the left (the leading product,
+    then each block pattern in axis order), and the points are summed left
+    to right in one running sum carried across chunks, so the result is
+    reproducible bit for bit wherever the chunk boundaries fall.  Raises
+    DomainError when the total is not finite.
     """
     if not rules:
         raise DomainError("integrate needs at least one rule")
-    shape = tuple(r.order for r in rules)
+    split, block = len(rules), 1
+    while split and block * rules[split - 1].order <= CHUNK:
+        split -= 1
+        block *= rules[split].order
+    lead, tail = rules[:split], rules[split:]
+    shape = tuple(r.order for r in lead)
     size = math.prod(shape)
+    rows = min(CHUNK // block, size)
+    tail_nodes, tail_weights = _block(tail, rows)
     total = 0.0
-    for start in range(0, size, CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + CHUNK, size)), shape)
-        weights = rules[0].weights[index[0]]
-        for r, i in zip(rules[1:], index[1:]):
-            weights = weights * r.weights[i]
-        values = f(*(r.nodes[i] for r, i in zip(rules, index)))
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        n = (stop - start) * block
+        index = np.unravel_index(np.arange(start, stop), shape) if lead else ()
+        nodes = [_read_only(_spread(r.nodes[i], block)) for r, i in zip(lead, index)]
+        head = [r.weights[i] for r, i in zip(lead, index)]
+        if head:
+            head = [_spread(functools.reduce(np.multiply, head), block)]
+        weights = functools.reduce(np.multiply, head + [w[:n] for w in tail_weights])
+        values = f(*nodes, *(x[:n] for x in tail_nodes))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            total = np.cumsum(np.concatenate(([total], weights * values)))[-1]
+            total = np.add.accumulate(np.concatenate(([total], weights * values)))[-1]
     if not np.isfinite(total):
         specs = [r.spec for r in rules]
         raise DomainError(f"integral over {specs} is not finite: {total}")
@@ -327,10 +383,15 @@ def geometric_panels(inner: float, outer: float, first: float = 1.0) -> list:
     edge: panel widths double, so a fixed-order rule per panel resolves both
     the peak and the tail.
     """
-    if not outer > inner:
-        raise DomainError("geometric_panels needs outer > inner")
     if not first > 0:
         raise DomainError("geometric_panels needs a positive first width")
+    if not all(math.isfinite(v) for v in (inner, outer, first)):
+        raise DomainError(
+            f"geometric_panels needs finite inner, outer and first, "
+            f"got {inner!r}, {outer!r}, {first!r}"
+        )
+    if not outer > inner:
+        raise DomainError("geometric_panels needs outer > inner")
     breaks = [inner]
     width = first
     while breaks[-1] + width < outer:

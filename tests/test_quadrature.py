@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobreak import quadrature
-from holobreak.juhl import JuhlParams, _power_positive_cut, cone_constants, holographic_integral
+from holobreak.juhl import (
+    JuhlParams,
+    _power_positive_cut,
+    cone_constants,
+    cone_fourier_laplace,
+    holographic_integral,
+)
+from holobreak.l2_model import halfplane_norm_sq
 from holobreak.quadrature import (
     IntegralResult,
     build_rule,
@@ -403,6 +410,76 @@ def test_integrate_carries_the_sum_across_chunks():
     assert integrate(pointwise(f), *rules) == _nested_sum(f, rules)
 
 
+def _recorded(f):
+    """pointwise(f), keeping a copy of the node arrays of every call."""
+    calls = []
+
+    def values(*xs):
+        calls.append([x.copy() for x in xs])
+        return pointwise(f)(*xs)
+
+    return values, calls
+
+
+def _assert_chunks_walk_the_grid(calls, rules):
+    """Every call holds at most CHUNK points, and the calls together hold
+    the whole grid once, in C order."""
+    assert all(len(xs[0]) <= quadrature.CHUNK for xs in calls)
+    grid = np.meshgrid(*(r.nodes for r in rules), indexing="ij")
+    for k, axis in enumerate(grid):
+        np.testing.assert_array_equal(np.concatenate([xs[k] for xs in calls]), axis.ravel())
+
+
+def _mixed(*xs):
+    return complex(math.cos(sum(xs)), xs[0] * xs[-1]) / (1.0 + xs[0] ** 2 + 0.1 * xs[-1])
+
+
+def test_integrate_one_axis_and_one_chunk_grids_equal_nested_loops():
+    one = [build_rule(("jacobi", 0.5, -0.25), 80)]
+    two = [build_rule(("laguerre", 1.5, 2.0), 40), build_rule(("legendre", -1.0, 3.0), 64)]
+    for rules in (one, two):
+        values, calls = _recorded(_mixed)
+        assert integrate(values, *rules) == _nested_sum(_mixed, rules)
+        assert len(calls) == 1
+        _assert_chunks_walk_the_grid(calls, rules)
+
+
+def test_integrate_walks_whole_blocks_with_a_partial_last_chunk():
+    # the last two axes form a 323-point block: 12 rows per chunk, then 1
+    rules = [
+        build_rule(("jacobi", 0.5, -0.25), 13),
+        build_rule(("laguerre", 1.5, 2.0), 17),
+        build_rule(("legendre", -1.0, 3.0), 19),
+    ]
+    values, calls = _recorded(_mixed)
+    assert integrate(values, *rules) == _nested_sum(_mixed, rules)
+    assert [len(xs[0]) for xs in calls] == [12 * 323, 323]
+    _assert_chunks_walk_the_grid(calls, rules)
+
+
+def test_integrate_walks_a_last_axis_longer_than_a_chunk():
+    panels = build_rule(("panels", [(k, k + 1.0) for k in range(65)]), 64)
+    assert panels.order == 4160 > quadrature.CHUNK
+    rules = [build_rule(("legendre", -1.0, 3.0), 3), panels]
+    values, calls = _recorded(_mixed)
+    assert integrate(values, *rules) == _nested_sum(_mixed, rules)
+    assert [len(xs[0]) for xs in calls] == [4096, 4096, 4096, 192]
+    _assert_chunks_walk_the_grid(calls, rules)
+
+
+@pytest.mark.parametrize("orders", [(80,), (8, 8), (65, 65), (13, 17, 19), (3, 4160)])
+def test_integrate_hands_f_read_only_node_arrays(orders):
+    rules = [build_rule(("legendre", 0.0, 1.0), n) for n in orders]
+
+    def scribble(*xs):
+        for x in xs:
+            with pytest.raises(ValueError, match="read-only"):
+                x += 1.0
+        return xs[0] * xs[-1]
+
+    assert integrate(scribble, *rules) == _nested_sum(lambda *xs: xs[0] * xs[-1], rules)
+
+
 def test_pointwise_calls_once_per_point():
     rules = [build_rule(("legendre", 0.0, 1.0), 3), build_rule(("legendre", 0.0, 1.0), 5)]
     calls = []
@@ -433,6 +510,29 @@ def test_geometric_panels_reject_a_nonpositive_first_width():
     for first in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="positive first width"):
             geometric_panels(0.0, 10.0, first=first)
+
+
+@pytest.mark.parametrize("inner, outer, first", [
+    (0.0, math.inf, 1.0),
+    (-math.inf, 10.0, 1.0),
+    (0.0, math.nan, 1.0),
+    (0.0, 10.0, math.inf),
+])
+def test_geometric_panels_reject_non_finite_arguments(inner, outer, first):
+    with pytest.raises(DomainError, match="needs finite inner, outer and first") as info:
+        geometric_panels(inner, outer, first=first)
+    assert len(str(info.value)) < 100
+
+
+def test_transforms_reject_an_infinite_cut_in_one_short_message():
+    calls = [
+        lambda: cone_fourier_laplace(lambda y: 1.0, (0.0 + 1.0j, 0.0j, 0.0j), 3, y_max=math.inf),
+        lambda: halfplane_norm_sq(lambda z: 1.0, 3.0, xmax=math.inf),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="needs finite inner, outer and first") as info:
+            call()
+        assert len(str(info.value)) < 100
 
 
 def test_integrate_needs_a_rule():
