@@ -41,6 +41,7 @@ from .quadrature import (
 from .special_poly import (
     DomainError,
     PoleError,
+    check_ell,
     complex_gamma,
     gegenbauer_a,
     gegenbauer_inflated,
@@ -604,18 +605,45 @@ def _power_positive_cut(w, s):
     positive real axis but routinely cross the negative one, where the
     principal branch would jump.  w is one number or an array; a zero
     base anywhere raises PoleError, and an argument within 1e-10 of the cut
-    anywhere raises BranchCutError naming the first such value.
+    anywhere raises BranchCutError naming the first such value.  The cut
+    test is |arg w| < 1e-10 in the form re w > 0, |im w| < 1e-10 re w, so
+    that it needs no angle.
+
+    A real integer s gives w^s one value on every branch: it is computed
+    by binary powering, of w for s > 0 and of 1/w for s < 0 (ones for
+    s = 0).  Any other s is exp(s (log|w| + i arg w)) with arg w in
+    (0, 2pi).
     """
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise PoleError("zero base in a kernel power")
-    a = np.angle(w)
-    a = np.where(a <= 0.0, a + 2.0 * math.pi, a)
-    near = np.minimum(a, 2.0 * math.pi - a) < 1e-10
+    near = (w.real > 0.0) & (np.abs(w.imag) < 1e-10 * w.real)
     if np.any(near):
         bad = np.ravel(w)[np.argmax(np.ravel(near))].item()
         raise BranchCutError(f"argument of {bad!r} within 1e-10 of the [0, inf) cut")
-    return np.exp(complex(s) * (np.log(np.abs(w)) + 1j * a))
+    s = complex(s)
+    if s.imag == 0.0 and s.real.is_integer():
+        k = int(s.real)
+        if k == 0:
+            return np.ones_like(w)[()]
+        return _binary_power(w if k > 0 else 1.0 / w, abs(k))[()]
+    a = np.angle(w)
+    a = np.where(a <= 0.0, a + 2.0 * math.pi, a)
+    return np.exp(s * (np.log(np.abs(w)) + 1j * a))
+
+
+def _binary_power(base, k: int):
+    """base^k for an integer k >= 1 by repeated squaring, as a new array."""
+    if k == 1:
+        return base.copy()
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def _require_tube(z, dim: int, what: str):
@@ -819,9 +847,12 @@ def invert_juhl(
     runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
     transform integrates a lift in the chart of `cone_fourier_laplace`,
     `iota_cone` applied again and again, with the lift's weight folded into
-    the last fiber rule, which needs lam > n/2 - 1.  Levels above L are
-    dropped.  Returns a callable on the n-tube.
+    the last fiber rule, which needs lam > n/2 - 1.  Levels above L, a
+    nonnegative integer when given, are dropped.  Returns a callable on the
+    n-tube.
     """
+    if L is not None:
+        check_ell(L)
     if method is None:
         method = "holographic" if n == 3 else "l2"
     items = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .quadrature import geometric_panels, integrate_adaptive, integrate_region, node_values
 from .rc_transform import RCParams, c_ell
-from .special_poly import DomainError, jacobi_poly
+from .special_poly import DomainError, check_ell, jacobi_poly
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -182,7 +182,11 @@ def rchat_apply(params, F, z, method: str = "legendre"):
 def invert_rchat(lam1, lam2, components, L=None) -> L2Fn:
     """Reassemble a quarter-plane function from its one-variable pieces:
     the sum over ell of (i^ell / c_ell) times the lift of components[ell],
-    truncated at L when given; like each lift, the sum is a `_Lift`."""
+    truncated at L when given, a nonnegative integer like ell; like each
+    lift, the sum is a `_Lift`, and with no level left it is zero on every
+    grid."""
+    if L is not None:
+        check_ell(L)
     lifts = []
     for ell in sorted(components):
         if L is not None and ell > L:
@@ -193,7 +197,8 @@ def invert_rchat(lam1, lam2, components, L=None) -> L2Fn:
         lifts.append((weight, phi_apply(p, _Lift(_grid(components[ell]))).func.grid))
 
     def reassembled(x, y):
-        return sum((w * g(x, y) for w, g in lifts), 0j)
+        zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+        return sum((w * g(x, y) for w, g in lifts), zero)
 
     return L2Fn(_Lift(reassembled), (lam1, lam2))
 

@@ -423,8 +423,11 @@ def project(params: RCParams, f: HoloSum):
 def invert_rc(lam1, lam2, components, L=None):
     """Reassemble a two-variable function from its one-variable pieces:
     sum over ell of (1/c_ell) times the backward transform of components[ell],
-    truncated at L when given.  Each component must be evaluable on segments
-    joining upper half-plane points."""
+    truncated at L when given, a nonnegative integer like ell.  Each
+    component must be evaluable on segments joining upper half-plane
+    points."""
+    if L is not None:
+        check_ell(L)
     chosen = []
     for ell in sorted(components):
         if L is not None and ell > L:

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobreak import juhl
 from holobreak.juhl import (
@@ -635,6 +637,70 @@ def test_power_positive_cut_branch():
         _power_positive_cut(0j, -2.0)
 
 
+def _exp_log_power(w, s):
+    """w^s as exp(s (log|w| + i arg w)), arg w in (0, 2pi), in cmath."""
+    a = cmath.phase(w)
+    if a <= 0.0:
+        a += 2.0 * math.pi
+    return cmath.exp(complex(s) * (math.log(abs(w)) + 1j * a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(-12, 12),
+    points=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(1e-6, 2.0 * math.pi - 1e-6)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_power_positive_cut_integer_exponents_match_exp_log(s, points):
+    # an integer exponent takes the powering path; off the cut it agrees
+    # with the exp/log formula on one point and on an array
+    ws = [cmath.rect(10.0**e, a) for e, a in points]
+    got = _power_positive_cut(np.array(ws), s)
+    assert got.shape == (len(ws),)
+    for w, value in zip(ws, got):
+        want = _exp_log_power(w, s)
+        one = _power_positive_cut(w, s)
+        assert isinstance(one, np.complexfloating)
+        assert abs(one - want) <= 1e-13 * abs(want)
+        assert abs(value - want) <= 1e-13 * abs(want)
+
+
+def test_power_positive_cut_integer_exponent_errors_on_arrays():
+    w = np.array([-1.0 + 2.0j, 0j, 3.0 + 0j])
+    for s in (-3, 0, 2):
+        with pytest.raises(PoleError):  # the zero base is reported first
+            _power_positive_cut(w, s)
+    w = np.array([[-1.0 + 2.0j, 2.0 + 1e-12j], [3.0 + 0j, -4.0 + 0j]])
+    for s in (-4, 0, 3, -2.5):
+        with pytest.raises(BranchCutError, match=r"\(2\+1e-12j\)"):
+            _power_positive_cut(w, s)
+    # s = 0 and s = 1 keep the scalar in, scalar out rule and copy
+    assert isinstance(_power_positive_cut(-4.0 + 0j, 0), np.complexfloating)
+    assert _power_positive_cut(-4.0 + 0j, 1) == -4.0
+    arr = np.array([-1.0 + 2.0j, 2.0j])
+    same = _power_positive_cut(arr, 1)
+    assert np.array_equal(same, arr) and not np.shares_memory(same, arr)
+    assert np.array_equal(_power_positive_cut(arr, 0), np.ones(2))
+
+
+@pytest.mark.parametrize("s", [-3, -2.5])
+def test_power_positive_cut_threshold_both_sides(s):
+    # |arg w| < 1e-10 is on the cut, above and below the axis; just outside
+    # it the value follows the branch: 1 just above, e^(2 pi i s) just below
+    for im in (0.5e-10, -0.5e-10, 0.99e-10, -0.99e-10):
+        with pytest.raises(BranchCutError):
+            _power_positive_cut(np.array([-1.0 + 0j, 1.0 + 1j * im]), s)
+        with pytest.raises(BranchCutError):
+            _power_positive_cut(complex(1.0, im), s)
+    w = np.array([complex(1.0, 2e-10), complex(1.0, -2e-10)])
+    got = _power_positive_cut(w, s)
+    assert abs(got[0] - 1.0) < 1e-9
+    assert abs(got[1] - cmath.exp(2j * math.pi * s)) < 1e-9
+
+
 def test_relative_kernel_agrees_with_principal_branch_off_cut():
     p = JuhlParams(3, 2.5, 2)
     w = tuple(zc - tc.conjugate() for zc, tc in zip(Z3, T2)) + (Z3[2],)
@@ -995,6 +1061,13 @@ def test_transforms_agree_on_arrays_and_per_point():
     single = invert_juhl(3, 3, {0: comps[0]}, method="holographic", radius=10.0, order=12)
     assert trunc(Z3) == single(Z3)
     assert calls["points"] == 0 and calls["arrays"] > 0
+
+
+@pytest.mark.parametrize("L", [-1, True, 0.5, "2"])
+def test_inverse_rejects_a_bad_truncation_level(L):
+    for components in ({0: lambda t: 1.0}, {}):
+        with pytest.raises(DomainError):
+            invert_juhl(3, 3.0, components, L=L)
 
 
 def test_inverse_empty_and_errors():

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,22 @@ def test_invert_zero_components():
     rebuilt = invert_rchat(2, 2, {0: lambda z: 0.0, 3: lambda z: 0.0})
     assert rebuilt(1.2, 0.7) == 0
     assert rebuilt.weights == (2, 2)
+
+
+def test_invert_with_no_level_left_is_zero_on_grids():
+    # the empty sum is zeros of the grid's shape, so a point call gives 0j
+    # as a lift does
+    x, y = np.array([1.2, 0.3]), np.array([0.7, 2.0])
+    for rebuilt in (invert_rchat(2, 2, {}), invert_rchat(2, 2, {1: lambda z: z}, L=0)):
+        assert rebuilt(1.2, 0.7) == 0j
+        values = rebuilt.func.grid(x, y)
+        assert values.shape == (2,) and not values.any()
+
+
+@pytest.mark.parametrize("L", [-1, True, 0.5, "2"])
+def test_invert_rejects_a_bad_truncation_level(L):
+    with pytest.raises(DomainError):
+        invert_rchat(2, 2, {0: lambda z: math.exp(-z)}, L=L)
 
 
 def test_invert_truncation_drops_high_levels():

@@ -1,6 +1,7 @@
 """Rule construction against scipy, exactness degrees, adaptive honesty."""
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from holobreak import quadrature
 from holobreak.juhl import (
     JuhlParams,
-    _power_positive_cut,
     cone_constants,
     cone_fourier_laplace,
     holographic_integral,
@@ -467,9 +467,17 @@ def test_integrate_walks_a_last_axis_longer_than_a_chunk():
     _assert_chunks_walk_the_grid(calls, rules)
 
 
-@pytest.mark.parametrize("orders", [(80,), (8, 8), (65, 65), (13, 17, 19), (3, 4160)])
+@pytest.mark.parametrize("orders", [(80,), (8, 8), (65, 65), (13, 17, 19), (3, 65 * 64)])
 def test_integrate_hands_f_read_only_node_arrays(orders):
-    rules = [build_rule(("legendre", 0.0, 1.0), n) for n in orders]
+    # the last axis longer than a chunk is 65 Legendre panels of order 64:
+    # one order-4160 Legendre rule would spend seconds in its eigensolve
+    rules = [
+        build_rule(("panels", [(k, k + 1.0) for k in range(65)]), 64)
+        if n == 65 * 64
+        else build_rule(("legendre", 0.0, 1.0), n)
+        for n in orders
+    ]
+    assert rules[-1].order == orders[-1]
 
     def scribble(*xs):
         for x in xs:
@@ -600,8 +608,18 @@ def test_region_equals_meshgrid_pass(tol):
     assert res.evaluations == evals
 
 
-def test_holographic_integral_equals_four_loop_sum():
-    params, order, radius = JuhlParams(3, 3.0, 1), 6, 20.0
+def _power_cut_reference(w, s):
+    """w^s with arg w in (0, 2pi), one point in cmath: the kernel power
+    written out apart from the program's `_power_positive_cut`."""
+    a = cmath.phase(w)
+    if a <= 0.0:
+        a += 2.0 * math.pi
+    return cmath.exp(complex(s) * (math.log(abs(w)) + 1j * a))
+
+
+def _four_loop_sum(params, order, radius):
+    """holographic_integral's quadrature, got and wanted: the program's value
+    and its four nested loops over the product rule, term by term."""
     zeta = (0.4 + 2.0j, -0.3 + 0.3j, 0.1 - 0.2j)
 
     def g(tau):
@@ -622,12 +640,22 @@ def test_holographic_integral_equals_four_loop_sum():
                 for x2, w2 in zip(rule_x.nodes, rule_x.weights):
                     tau2 = complex(x2, eta2)
                     d2 = z2 - tau2.conjugate()
-                    kern = _power_positive_cut(d1 * d1 - d2 * d2 - z3 * z3, -nu)
+                    kern = _power_cut_reference(d1 * d1 - d2 * d2 - z3 * z3, -nu)
                     total += ws * wt * w1 * w2 * kern * g((tau1, tau2))
     edge_scale = (0.5 * radius) ** (nu - 1.0)
     want = cone_constants(params)["adjoint_const"] * z3**params.ell * 0.5 * edge_scale**2 * total
+    return holographic_integral(params, g, zeta, radius=radius, order=order), want
 
-    got = holographic_integral(params, g, zeta, radius=radius, order=order)
+
+def test_holographic_integral_equals_four_loop_sum():
+    # nu = 4: the kernel power is an integer power
+    got, want = _four_loop_sum(JuhlParams(3, 3.0, 1), 6, 20.0)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_holographic_integral_equals_four_loop_sum_at_half_integer_nu():
+    # nu = 7/2: the kernel power takes the argument in (0, 2pi)
+    got, want = _four_loop_sum(JuhlParams(3, 2.5, 1), 6, 20.0)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 

@@ -596,6 +596,14 @@ def test_inversion_truncation():
         assert rel(rec(z1, z2), evaluate(low, (z1, z2))) < 1e-8
 
 
+@pytest.mark.parametrize("L", [-1, True, 0.5, "2"])
+def test_inversion_rejects_a_bad_truncation_level(L):
+    # a truncation level is an ell: -1 would drop every level, True and 0.5
+    # would act as 1 and 0
+    with pytest.raises(DomainError):
+        invert_rc(2, 2, {0: lambda z: 1.0}, L=L)
+
+
 # ---------------------------------------------------------------------------
 # zero classification
 
