@@ -31,6 +31,7 @@ import numpy as np
 
 from .l2_model import i_power
 from .quadrature import (
+    ArrayFormula,
     build_rule,
     geometric_panels,
     integrate,
@@ -41,13 +42,14 @@ from .quadrature import (
 from .special_poly import (
     DomainError,
     PoleError,
-    check_ell,
     complex_gamma,
+    gamma_quotient,
     gegenbauer_a,
     gegenbauer_inflated,
     gegenbauer_norm_sq,
     gegenbauer_poly,
     is_exact,
+    levels,
     pochhammer,
 )
 from .term_algebra import (
@@ -361,27 +363,26 @@ def coefficient_ladder(params: JuhlParams):
 # multiplication model on the cone and the fiber transform
 
 
-class ConeLift:
+class ConeLift(ArrayFormula):
     """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
 
     In the fiber chart y = (y', -sqrt(Q') v) of `iota_cone` the lift is
     (1 - v^2)^(lam - n/2) times `_fiber_values`, the one place its formula
     is written.  `grid` is the lift on node arrays, one coordinate array per
     axis and one cone check per grid, and `juhl_hat_apply` evaluates it
-    along a fiber; a one-point call runs it on one-element arrays and
-    returns a Python scalar.  `phi_isometry_ratio` and
-    `cone_fourier_laplace` fold the weight into a Jacobi rule and read
-    `_fiber_values` itself.
+    along a fiber; a one-point call takes the point as one tuple.
+    `phi_isometry_ratio` and `cone_fourier_laplace` fold the weight into a
+    Jacobi rule and read `_fiber_values` itself.
     """
 
     def __init__(self, params: JuhlParams, h):
         self.lam = _real_scalar(params.lam, "weight")
         self.n, self.ell = params.n, params.ell
         self.profile = gegenbauer_inflated(self.ell, float(params.alpha))
-        self._h_grid = _grid(h)
+        self._h_grid = node_values(h, packed=True)
 
     def __call__(self, y):
-        return self.grid(*(np.array([c]) for c in _real_vector(y)))[0].item()
+        return super().__call__(*_real_vector(y))
 
     def _fiber_values(self, y_prime, q_prime, w):
         """Q'^(-(ell + 1/2)) (inflated C)(Q', w) h(y') at w = -y_n, with h
@@ -400,14 +401,6 @@ class ConeLift:
             self._fiber_values(y_prime, q_prime, -y[-1])
             * (q / q_prime) ** (self.lam - self.n / 2.0)
         )
-
-
-def _grid(F):
-    """Array form of a function of one point: a lift's own `grid`, or a
-    callable that takes the point as a tuple, through `node_values`, which
-    passes it the tuple of node arrays and falls back to one call per
-    point when that fails."""
-    return F.grid if isinstance(F, ConeLift) else node_values(F, packed=True)
 
 
 def phi_cone_apply(params: JuhlParams, h) -> ConeLift:
@@ -450,7 +443,7 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
     poly = gegenbauer_poly(ell, alpha)
     root = math.sqrt(q_prime)
-    values = _grid(F)
+    values = node_values(F, packed=True)
 
     def along(v):
         return values(*_fiber(y_prime, root, v)) * poly(v)
@@ -522,9 +515,11 @@ def kernel_normalization(n: int, lam):
 
 
 def _fourier_norm_const(m: int, s: float) -> float:
-    # (2 pi)^(3m/2 - 1) 2^(-m/2) Gamma(s - m/2) Gamma(s - m + 1); at m = 1
-    # this reduces by Legendre duplication to 2 pi 2^(1 - 2s) Gamma(2s - 1),
-    # the classical half-plane Parseval constant
+    """(2 pi)^(3m/2 - 1) 2^(-m/2) Gamma(s - m/2) Gamma(s - m + 1); at m = 1
+    this reduces by Legendre duplication to 2 pi 2^(1 - 2s) Gamma(2s - 1),
+    the classical half-plane Parseval constant.  No lgamma sum would help
+    past a Gamma overflow: with nothing to divide by, the constant is past
+    the double range there too (b_4 at s = 200.5 is about 2.5e739)."""
     g1 = complex_gamma(s - m / 2.0)
     g2 = complex_gamma(s - m + 1.0)
     return (2.0 * math.pi) ** (1.5 * m - 1.0) * 2.0 ** (-0.5 * m) * (g1 * g2).real
@@ -539,20 +534,19 @@ def cone_c_ell(params: JuhlParams) -> float:
 
 def cone_r_ell(params: JuhlParams) -> float:
     """Transform-constant ratio r_ell = b_prev / b_n of one level, by its
-    Gamma closed form.  Gamma poles surface as PoleError."""
+    Gamma closed form, through the lgamma sum past a Gamma overflow (see
+    `special_poly.gamma_quotient`).  Gamma poles surface as PoleError."""
     lam = _real_scalar(params.lam, "weight")
     n, ell = params.n, params.ell
-    num = (
-        math.sqrt(2.0)
-        * complex_gamma(lam + ell - (n - 1) / 2.0)
-        * complex_gamma(lam + ell - n + 2.0)
-    )
-    den = (
-        (2.0 * math.pi) ** 1.5
-        * complex_gamma(lam - n / 2.0)
-        * complex_gamma(lam - n + 1.0)
-    )
-    return (num / den).real
+    up = (lam + ell - (n - 1) / 2.0, lam + ell - n + 2.0)
+    down = (lam - n / 2.0, lam - n + 1.0)
+
+    def direct():
+        num = math.sqrt(2.0) * complex_gamma(up[0]) * complex_gamma(up[1])
+        den = (2.0 * math.pi) ** 1.5 * complex_gamma(down[0]) * complex_gamma(down[1])
+        return (num / den).real
+
+    return gamma_quotient(direct, up, down, (), math.log(math.sqrt(2.0) / (2.0 * math.pi) ** 1.5))
 
 
 def cone_constants(params: JuhlParams) -> dict:
@@ -696,7 +690,7 @@ def holographic_integral(
     z1, z2, z3 = zeta
     z3_pow = z3**params.ell
     z3_sq = z3 * z3
-    g_values = _grid(g)
+    g_values = node_values(g, packed=True)
 
     def integrand(s_val, t_val, x1, x2):
         tau1 = x1 + 1j * (0.5 * (s_val + t_val))
@@ -847,21 +841,12 @@ def invert_juhl(
     runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
     transform integrates a lift in the chart of `cone_fourier_laplace`,
     `iota_cone` applied again and again, with the lift's weight folded into
-    the last fiber rule, which needs lam > n/2 - 1.  Levels above L, a
-    nonnegative integer when given, are dropped.  Returns a callable on the
-    n-tube.
+    the last fiber rule, which needs lam > n/2 - 1.  Levels above L are
+    dropped (see `special_poly.levels`).  Returns a callable on the n-tube.
     """
-    if L is not None:
-        check_ell(L)
+    items = levels(components, L)
     if method is None:
         method = "holographic" if n == 3 else "l2"
-    items = []
-    for ell, comp in sorted(components.items()):
-        if not isinstance(ell, int) or ell < 0:
-            raise DomainError(f"component level must be a natural number, got {ell!r}")
-        if L is not None and ell > L:
-            continue
-        items.append((ell, comp))
 
     if method == "holographic":
         if n != 3:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import geometric_panels, integrate_adaptive, integrate_region, node_values
+from .quadrature import (ArrayFormula, geometric_panels, integrate_adaptive, integrate_region,
+                         node_values)
 from .rc_transform import RCParams, c_ell
-from .special_poly import DomainError, check_ell, jacobi_poly
+from .special_poly import DomainError, jacobi_poly, levels
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -32,8 +33,8 @@ def i_power(k: int) -> complex:
 
 @dataclass(frozen=True)
 class L2Fn:
-    """One-point callable, or a lift's array formula (`_Lift`), together
-    with its declared weight exponents.
+    """One-point callable, or a lift's array formula (a
+    `quadrature.ArrayFormula`), together with its declared weight exponents.
 
     weights has one entry for a half-line function (space with measure
     x^(1-lam) dx) and two for a quarter-plane function (product measure
@@ -57,23 +58,10 @@ def l2fn(func, *weights) -> L2Fn:
     return L2Fn(func, tuple(weights))
 
 
-@dataclass(frozen=True)
-class _Lift:
-    """A lift as one array formula, `grid`; a one-point call runs it on
-    one-element arrays and returns a Python scalar."""
-
-    grid: object
-
-    def __call__(self, *point):
-        return self.grid(*(np.array([c], dtype=float) for c in point))[0].item()
-
-
 def _grid(f):
-    """Array form of a function, bare or in an L2Fn: a lift's own formula,
-    or a user's callable through `node_values`, which tries it on the node
-    arrays and falls back to one call per point when that fails."""
-    f = f.func if isinstance(f, L2Fn) else f
-    return f.grid if isinstance(f, _Lift) else node_values(f)
+    """Array form of a function, bare or in an L2Fn (see
+    `quadrature.node_values`)."""
+    return node_values(f.func if isinstance(f, L2Fn) else f)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +115,7 @@ def phi_apply(params, h) -> L2Fn:
 
     with P the degree-ell Jacobi polynomial for (a, b) = (alpha, beta) and
     v(x, y) = (y-x)/(x+y).  Scales half-line norms by c_ell.  The lift is
-    one array formula (`_Lift`), evaluated on whole node arrays.
+    one `ArrayFormula`, evaluated on whole node arrays.
     """
     if isinstance(h, L2Fn) and h.weights != (params.lam3,):
         raise DomainError(f"phi_apply needs a function of declared weight {params.lam3}")
@@ -141,7 +129,7 @@ def phi_apply(params, h) -> L2Fn:
         z = x + y
         return x**a * y**b * z**-drop * poly((y - x) / z) * h_values(z)
 
-    return L2Fn(_Lift(lifted), (params.lam1, params.lam2))
+    return L2Fn(ArrayFormula(lifted), (params.lam1, params.lam2))
 
 
 def rchat_apply(params, F, z, method: str = "legendre"):
@@ -182,25 +170,21 @@ def rchat_apply(params, F, z, method: str = "legendre"):
 def invert_rchat(lam1, lam2, components, L=None) -> L2Fn:
     """Reassemble a quarter-plane function from its one-variable pieces:
     the sum over ell of (i^ell / c_ell) times the lift of components[ell],
-    truncated at L when given, a nonnegative integer like ell; like each
-    lift, the sum is a `_Lift`, and with no level left it is zero on every
-    grid."""
-    if L is not None:
-        check_ell(L)
+    truncated at L when given (see `special_poly.levels`); like each lift,
+    the sum is an `ArrayFormula`, and with no level left it is zero on
+    every grid."""
     lifts = []
-    for ell in sorted(components):
-        if L is not None and ell > L:
-            continue
+    for ell, comp in levels(components, L):
         p = RCParams(lam1, lam2, ell)
         weight = i_power(ell) / complex(c_ell(lam1, lam2, ell))
         # a component of any declared weight lifts, as an array formula
-        lifts.append((weight, phi_apply(p, _Lift(_grid(components[ell]))).func.grid))
+        lifts.append((weight, phi_apply(p, ArrayFormula(_grid(comp))).func.grid))
 
     def reassembled(x, y):
         zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
         return sum((w * g(x, y) for w, g in lifts), zero)
 
-    return L2Fn(_Lift(reassembled), (lam1, lam2))
+    return L2Fn(ArrayFormula(reassembled), (lam1, lam2))
 
 
 # ---------------------------------------------------------------------------

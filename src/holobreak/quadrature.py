@@ -50,16 +50,17 @@ across chunks, so a result equals the plain nested-loop sum bit for bit
 wherever the chunk boundaries fall.  A non-finite pass total raises
 DomainError.
 
-A user-supplied function (a profile, a component, a test integrand)
-reaches an integrand through `node_values`, the one adapter.  It tries the
-function on the chunk's whole node arrays first and keeps the result only
-when the call raised nothing, warned nothing, and returned a finite float
-or complex array of the chunk's shape; otherwise it calls the function
-once per point, as `pointwise` does, and keeps doing so.  A function that
-runs on arrays without error must give the same values there as point by
-point; one that does not, such as a `math.exp` call or an `if` on its
-argument, is evaluated point by point with its own errors and values.  The
-library's own integrands evaluate whole chunks in numpy.
+Every function a transform is handed (a profile, a component, a lift, a
+test integrand) reaches an integrand through `node_values`, the one
+adapter.  A lift is an `ArrayFormula`, whose own `grid` it hands over.  A
+user's function it tries on the chunk's whole node arrays first and keeps
+the result only when the call raised nothing, warned nothing, and returned
+a finite float or complex array of the chunk's shape; otherwise it calls
+the function once per point, as `pointwise` does, and keeps doing so.  A
+function that runs on arrays without error must give the same values
+there as point by point; one that does not, such as a `math.exp` call or
+an `if` on its argument, is evaluated point by point with its own errors
+and values.
 
 `integrate_region` holds the one order-doubling loop over a list of specs,
 and `integrate_adaptive` is its one-axis case.  Their rule is "converges or
@@ -251,15 +252,29 @@ def _on_arrays(f: Callable, xs, packed: bool):
     return out
 
 
+class ArrayFormula:
+    """A function the library writes on node arrays, such as a lift, as
+    `grid`; a one-point call runs it on one-element float arrays and
+    returns a Python scalar."""
+
+    def __init__(self, grid: Callable):
+        self.grid = grid
+
+    def __call__(self, *point):
+        return self.grid(*(np.array([c], dtype=float) for c in point))[0].item()
+
+
 def node_values(f: Callable, packed: bool = False) -> Callable:
-    """Array form of a user-supplied function: given equal-length node
-    arrays, f's values at their points.  f takes one argument per array,
-    or, when packed, the point as one tuple.
+    """Array form of a function: given equal-length node arrays, f's
+    values at their points.  An `ArrayFormula` gives its own `grid`; any
+    other f takes one argument per array, or, when packed, one tuple.
 
     Each call first tries f on the whole arrays (see `_on_arrays` for what
     a result must pass); when that fails, it calls f once per point, like
     `pointwise`, and every later call of this adapter does the same, so f's
     own errors and warnings surface from a per-point call."""
+    if isinstance(f, ArrayFormula):
+        return f.grid
     arrays = True
 
     def values(*xs):

@@ -20,15 +20,19 @@ from types import MappingProxyType
 
 from .quadrature import build_rule, integrate, node_values
 from .special_poly import (
+    _LOG2,
+    _LOG_PI,
     DomainError,
     PoleError,
     as_integer,
     beta,
     check_ell,
     complex_gamma,
+    gamma_quotient,
     is_exact,
     jacobi_inflated,
     jacobi_variant,
+    levels,
     pochhammer,
     reciprocal_gamma,
 )
@@ -201,34 +205,7 @@ def _c_ell_value(n1, n2, d, t, ell: int):
             return (-1) ** ell * num
         return num * reciprocal_gamma(d) / (t * math.factorial(ell))
 
-    return _unless_overflow(direct, (n1, n2), (d, ell + 1), (t,))
-
-
-_LOG2, _LOG_PI = math.log(2.0), math.log(math.pi)
-
-
-def _unless_overflow(direct, up, down, divisors, log_factor=0.0):
-    """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors)
-    times exp(log_factor).
-
-    Where a Gamma factor or the product overflows and every argument and
-    divisor is a positive real, the quotient is the exp of a sum of lgamma
-    and log terms instead.  Every value that direct() computes is returned
-    as it is."""
-    def positive():
-        return all(not isinstance(x, complex) and x > 0 for x in (*up, *down, *divisors))
-
-    try:
-        value = direct()
-    except OverflowError:
-        if not positive():
-            raise
-    else:
-        if value != math.inf or not positive():
-            return value
-    terms = [log_factor, *map(math.lgamma, up)]
-    terms += [-math.lgamma(x) for x in down] + [-math.log(x) for x in divisors]
-    return math.exp(math.fsum(terms))
+    return gamma_quotient(direct, (n1, n2), (d, ell + 1), (t,))
 
 
 def _gamma_arg(num: int, den: int, exact):
@@ -269,7 +246,7 @@ def b_const(lam):
         power, arg = (2 * q - n) / q, _gamma_arg(n - q, q, lambda: lam - 1)
     else:
         power, arg = 2 - lam, lam - 1
-    return _unless_overflow(
+    return gamma_quotient(
         lambda: 2.0 ** power * math.pi * complex_gamma(arg),
         (arg,), (), (), power * _LOG2 + _LOG_PI,
     )
@@ -289,7 +266,7 @@ def r_ell(lam1, lam2, ell: int):
         low1, low2 = (n1 - q1) / q1, (n2 - q2) / q2
     else:
         top, low1, low2 = lam1 + lam2 + 2 * ell - 1, lam1 - 1, lam2 - 1
-    return _unless_overflow(
+    return gamma_quotient(
         lambda: complex_gamma(top) * reciprocal_gamma(low1) * reciprocal_gamma(low2)
         / (2 ** (2 * ell + 2) * math.pi),
         (top,), (low1, low2), (2 ** (2 * ell + 2), math.pi),
@@ -410,30 +387,19 @@ def casimir_P(lam1, lam2, f: HoloSum) -> HoloSum:
 
 def project(params: RCParams, f: HoloSum):
     """Projector (1/c_ell) backward-after-forward onto the order-ell
-    summand, returned as an evaluable function of (z1, z2)."""
+    summand, returned as an evaluable function of (z1, z2): the one-level
+    inverse series."""
     g = rc_apply(params, f)
-    weight = 1 / c_ell(params.lam1, params.lam2, params.ell)
-
-    def component(z1, z2):
-        return weight * psi_quadrature(params, lambda z: evaluate(g, (z,)), z1, z2)
-
-    return component
+    return invert_rc(params.lam1, params.lam2, {params.ell: lambda z: evaluate(g, (z,))})
 
 
 def invert_rc(lam1, lam2, components, L=None):
     """Reassemble a two-variable function from its one-variable pieces:
     sum over ell of (1/c_ell) times the backward transform of components[ell],
-    truncated at L when given, a nonnegative integer like ell.  Each
-    component must be evaluable on segments joining upper half-plane
-    points."""
-    if L is not None:
-        check_ell(L)
-    chosen = []
-    for ell in sorted(components):
-        if L is not None and ell > L:
-            continue
-        p = RCParams(lam1, lam2, ell)
-        chosen.append((1 / c_ell(lam1, lam2, ell), p, components[ell]))
+    truncated at L when given (see `special_poly.levels`).  Each component
+    must be evaluable on segments joining upper half-plane points."""
+    chosen = [(1 / c_ell(lam1, lam2, ell), RCParams(lam1, lam2, ell), g)
+              for ell, g in levels(components, L)]
 
     def reassembled(z1, z2):
         return sum(w * psi_quadrature(p, g, z1, z2) for w, p, g in chosen)

@@ -123,7 +123,8 @@ def beta(a, b):
     """
     na = as_integer(a)
     nb = as_integer(b)
-    nab = as_integer(a + b)
+    ab = a + b
+    nab = as_integer(ab)
     pa = na is not None and na <= 0
     pb = nb is not None and nb <= 0
     pab = nab is not None and nab <= 0
@@ -143,7 +144,37 @@ def beta(a, b):
         return (-1) ** bi * math.factorial(bi - 1) * Fraction(
             math.factorial(p), math.factorial(m)
         )
-    return complex_gamma(a) * complex_gamma(b) * reciprocal_gamma(a + b)
+    return gamma_quotient(
+        lambda: complex_gamma(a) * complex_gamma(b) * reciprocal_gamma(ab), (a, b), (ab,), ()
+    )
+
+
+_LOG2, _LOG_PI = math.log(2.0), math.log(math.pi)
+
+
+def gamma_quotient(direct, up, down, divisors, log_factor=0.0):
+    """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors)
+    times exp(log_factor): the one overflow rule of the Gamma quotients.
+
+    Where direct() raises OverflowError or gives inf, or nan from inf / inf,
+    and every argument and divisor is a positive real, the quotient is the
+    exp of a sum of lgamma and log terms instead; past the double range
+    that raises OverflowError too.  Every finite value of direct() is
+    returned as it is."""
+    def positive():
+        return all(not isinstance(x, complex) and x > 0 for x in (*up, *down, *divisors))
+
+    try:
+        value = direct()
+    except OverflowError:
+        if not positive():
+            raise
+    else:
+        if math.isfinite(abs(value)) or not positive():
+            return value
+    terms = [log_factor, *map(math.lgamma, up)]
+    terms += [-math.lgamma(x) for x in down] + [-math.log(x) for x in divisors]
+    return math.exp(math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +314,17 @@ def check_ell(ell):
         raise DomainError("ell must be a nonnegative integer")
 
 
+def levels(components, L=None):
+    """The (ell, component) pairs an inverse series sums, in ell order and
+    without the levels above L.  L, when given, and every key pass
+    `check_ell` before anything is sorted."""
+    if L is not None:
+        check_ell(L)
+    for ell in components:
+        check_ell(ell)
+    return [(ell, components[ell]) for ell in sorted(components) if L is None or ell <= L]
+
+
 def _jacobi_coeffs(ell: int, alpha, beta_):
     """(alpha+beta_+ell+1)_j (alpha+j+1)_(ell-j) / (j! (ell-j)!) for j = 0..ell:
     the coefficients the Jacobi builds share, returned as (cs, den).
@@ -380,15 +422,20 @@ def jacobi_norm_sq(ell: int, alpha, beta_):
     b = float(beta_)
     if a <= -1 or b <= -1:
         raise DomainError("jacobi_norm_sq needs alpha, beta > -1")
+    log_factor = (a + b + 1) * _LOG2
     if ell == 0:
         # the generic denominator hits Gamma(a+b+1) which may sit at a pole;
         # the (a+b+1) prefactor absorbs it
-        return 2.0 ** (a + b + 1) * complex_gamma(a + 1) * complex_gamma(
-            b + 1
-        ) * reciprocal_gamma(a + b + 2)
-    num = 2.0 ** (a + b + 1) * complex_gamma(ell + a + 1) * complex_gamma(ell + b + 1)
-    den = (2 * ell + a + b + 1) * complex_gamma(ell + a + b + 1) * math.factorial(ell)
-    return num / den
+        return gamma_quotient(
+            lambda: 2.0 ** (a + b + 1) * complex_gamma(a + 1) * complex_gamma(b + 1)
+            * reciprocal_gamma(a + b + 2),
+            (a + 1, b + 1), (a + b + 2,), (), log_factor,
+        )
+    return gamma_quotient(
+        lambda: 2.0 ** (a + b + 1) * complex_gamma(ell + a + 1) * complex_gamma(ell + b + 1)
+        / ((2 * ell + a + b + 1) * complex_gamma(ell + a + b + 1) * math.factorial(ell)),
+        (ell + a + 1, ell + b + 1), (ell + a + b + 1, ell + 1), (2 * ell + a + b + 1,), log_factor,
+    )
 
 
 def d_ell_weight(ell: int, alpha, beta_):
@@ -445,6 +492,8 @@ def gegenbauer_norm_sq(ell: int, alpha):
     if a == 0.0:
         # removable limit: the family itself degenerates
         return math.pi if ell == 0 else 0.0
-    num = math.pi * 2.0 ** (1 - 2 * a) * complex_gamma(ell + 2 * a)
-    den = math.factorial(ell) * (ell + a) * complex_gamma(a) ** 2
-    return num / den
+    return gamma_quotient(
+        lambda: math.pi * 2.0 ** (1 - 2 * a) * complex_gamma(ell + 2 * a)
+        / (math.factorial(ell) * (ell + a) * complex_gamma(a) ** 2),
+        (ell + 2 * a,), (ell + 1, a, a), (ell + a,), _LOG_PI + (1 - 2 * a) * _LOG2,
+    )

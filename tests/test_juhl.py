@@ -5,12 +5,13 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobreak import juhl
+from holobreak import juhl, quadrature
 from holobreak.juhl import (
     JUHL_ROUTES,
     ConeLift,
@@ -45,6 +46,7 @@ from holobreak.quadrature import (
     geometric_panels,
     integrate_adaptive,
     integrate_region,
+    node_values,
     pointwise,
 )
 from holobreak.special_poly import (
@@ -376,6 +378,22 @@ def test_lift_grid_checks_every_point():
     assert type(lift(X3A)) is float
 
 
+def test_node_values_hands_a_lift_its_own_grid(monkeypatch):
+    # no array guard and no per-point fallback for a library array formula
+    def refuse(*args):
+        raise AssertionError("a lift went through the user-function adapter")
+
+    # the profile is an array formula too, so no user function sits inside
+    h = quadrature.ArrayFormula(lambda y1, y2: 1.0 + 0.5 * y2)
+    lift = phi_cone_apply(JuhlParams(3, 2.5, 1), h)
+    monkeypatch.setattr(quadrature, "_on_arrays", refuse)
+    monkeypatch.setattr(quadrature, "_each_point", refuse)
+    for packed in (False, True):
+        assert node_values(lift, packed=packed) == lift.grid
+    y = [np.array(c) for c in ([2.0, 1.2], [0.3, -0.4], [-0.2, 0.5])]
+    assert np.array_equal(node_values(lift, packed=True)(*y), lift.grid(*y))
+
+
 def test_lift_isometry_ratio_pointwise():
     for n, lam, ells, pts in [
         (3, 2.5, (0, 1, 2, 3, 4), (P2A, P2B)),
@@ -577,6 +595,27 @@ def test_operator_norm_positivity_sweep():
             for ell in range(13):
                 val = juhl_operator_norm_sq(JuhlParams(n, lam, ell))
                 assert val > 0, (n, lam, ell)
+
+
+def _mp_operator_norm_sq(n, lam, ell):
+    """r_ell c_ell of the cone at (n, lam, ell) in mpmath."""
+    lam, g = mpmath.mpf(lam), mpmath.gamma
+    alpha = lam - mpmath.mpf(n - 1) / 2
+    r = (mpmath.sqrt(2) * g(lam + ell - mpmath.mpf(n - 1) / 2) * g(lam + ell - n + 2)
+         / ((2 * mpmath.pi) ** 1.5 * g(lam - mpmath.mpf(n) / 2) * g(lam - n + 1)))
+    c = (mpmath.pi * 2 ** (1 - 2 * alpha) * g(ell + 2 * alpha)
+         / (mpmath.factorial(ell) * (ell + alpha) * g(alpha) ** 2))
+    return r * c
+
+
+@pytest.mark.parametrize("n, lam, ell", [(4, 200.5, 2), (3, 150.5, 1), (5, 300.25, 3)])
+def test_operator_norm_past_gamma_overflow_matches_mpmath(n, lam, ell):
+    # a Gamma factor overflows, or the two Gamma products of r_ell do and
+    # their quotient is inf / inf; the constant is finite
+    with mpmath.workdps(40):
+        want = _mp_operator_norm_sq(n, lam, ell)
+        got = juhl_operator_norm_sq(JuhlParams(n, lam, ell))
+        assert float(abs((got - want) / want)) < 1e-12
 
 
 def test_constants_flag_gamma_poles():
@@ -827,7 +866,7 @@ def two_branch_transform(F, zeta, n, rho_exponent=0.0, y_max=40.0, tol=1e-6,
     ]
     if n == 4:
         axes.append(("legendre", 0.0, math.pi))
-    values = juhl._grid(F)
+    values = node_values(F, packed=True)
 
     def integrand(y1, u, theta, *rest):
         rho = 0.5 * (1.0 + u)
@@ -1068,6 +1107,16 @@ def test_inverse_rejects_a_bad_truncation_level(L):
     for components in ({0: lambda t: 1.0}, {}):
         with pytest.raises(DomainError):
             invert_juhl(3, 3.0, components, L=L)
+
+
+@pytest.mark.parametrize("keys", [(0, "a"), (1.0,), (True,), (-1,)],
+                         ids=["mixed", "float", "bool", "negative"])
+@pytest.mark.parametrize("method", ["holographic", "l2"])
+def test_inverse_rejects_a_bad_level_key(keys, method):
+    # the level rule of every inverse series: a mixed key set used to raise
+    # a bare TypeError from sorted, and 1.0 and True passed as levels
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        invert_juhl(3, 3.0, dict.fromkeys(keys, lambda t: 1.0), method=method)
 
 
 def test_inverse_empty_and_errors():

@@ -202,22 +202,38 @@ def test_lift_point_calls_return_python_scalars():
 
 
 def test_quadratures_take_lifts_as_arrays(monkeypatch):
-    # node_values is for functions a user wrote; a lift reaches the
-    # quadrature as its own array formula
+    # a lift reaches the quadrature as its own array formula: node_values
+    # hands over its grid, and neither the array guard nor the per-point
+    # fallback runs for it.  The profile is an array formula too, so no
+    # user function sits inside the lift.
+    def refuse(*args):
+        raise AssertionError("a lift went through the user-function adapter")
+
+    p = RCParams(2, 2, 1)
+    lam3 = float(p.lam3)
+    h = l2fn(quadrature.ArrayFormula(lambda z: z ** (lam3 - 1) * np.exp(-z)), lam3)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_on_arrays", refuse)
+        patch.setattr(quadrature, "_each_point", refuse)
+        lifted = phi_apply(p, h)
+        assert isinstance(lifted.func, quadrature.ArrayFormula)
+        assert node_values(lifted.func) is lifted.func.grid
+        ratio = weighted_norm_sq(lifted) / weighted_norm_sq(h)
+        rebuilt = invert_rchat(2, 2, {1: h})
+        assert node_values(rebuilt.func, packed=True) is rebuilt.func.grid
+        back = rchat_apply(p, rebuilt, 1.3, method="jacobi")
+    assert rel(ratio, float(c_ell(2, 2, 1))) < 1e-8
+    assert rel(back, h(1.3)) < 1e-9
+
+    # each function a user wrote is wrapped once
     wrapped = []
 
     def recording(f):
-        wrapped.append(f)
+        if not isinstance(f, quadrature.ArrayFormula):
+            wrapped.append(f)
         return node_values(f)
 
     monkeypatch.setattr(l2_model, "node_values", recording)
-    p = RCParams(2, 2, 1)
-    h = ktype_fn(float(p.lam3))
-    ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)
-    assert rel(ratio, float(c_ell(2, 2, 1))) < 1e-8
-    assert wrapped == [h.func, h.func]
-
-    wrapped.clear()
     h0 = lambda z: math.exp(-z)
     g2 = l2fn(lambda z: z * math.exp(-z), 5.0)
     rebuilt = invert_rchat(2, 2.5, {0: h0, 2: g2})
@@ -314,6 +330,15 @@ def test_invert_with_no_level_left_is_zero_on_grids():
 def test_invert_rejects_a_bad_truncation_level(L):
     with pytest.raises(DomainError):
         invert_rchat(2, 2, {0: lambda z: math.exp(-z)}, L=L)
+
+
+@pytest.mark.parametrize("keys", [(0, "a"), (1.0,), (True,), (-1,)],
+                         ids=["mixed", "float", "bool", "negative"])
+def test_invert_rejects_a_bad_level_key(keys):
+    # a mixed key set used to raise a bare TypeError from sorted, and 1.0
+    # and True passed as levels
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        invert_rchat(2, 2, dict.fromkeys(keys, lambda z: math.exp(-z)))
 
 
 def test_invert_truncation_drops_high_levels():

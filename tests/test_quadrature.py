@@ -6,6 +6,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -174,6 +175,19 @@ def test_rule_parameters_must_be_finite(spec):
 def test_rule_weight_mass_overflow_raises(spec):
     with pytest.raises(DomainError, match="weight mass of .* overflows|not a positive finite float"):
         build_rule(spec, 5)
+
+
+@pytest.mark.parametrize("spec", [("jacobi", 200.0, 200.0), ("jacobi", 150.5, 300.0, 0.0, 1.0)])
+def test_rule_weight_mass_past_gamma_overflow(spec):
+    # Gamma(alpha+beta+2) overflows, but the mass 2^(alpha+beta+1)
+    # B(alpha+1, beta+1), times half the interval's width to the power
+    # alpha+beta+1 on an interval, is a finite double
+    alpha, beta = spec[1:3]
+    scale = 1.0 if len(spec) == 3 else ((spec[4] - spec[3]) / 2) ** (alpha + beta + 1)
+    with mpmath.workdps(40):
+        want = 2 ** mpmath.mpf(alpha + beta + 1) * mpmath.beta(alpha + 1, beta + 1) * scale
+        mass = build_rule(spec, 8).weights.sum()
+        assert float(abs((mass - want) / want)) < 1e-12
 
 
 def _fresh(spec, order):

@@ -560,6 +560,17 @@ def test_projection_reaches_its_component_in_one_array_call(monkeypatch):
     assert rel(got, evaluate(target, (z1, z2))) < 1e-9
 
 
+@pytest.mark.parametrize("lam1, lam2, ell", [(F(2), F(2), 1), (F(5, 2), 3, 2), (2.5, 3.0, 0)])
+def test_projection_is_the_one_level_inversion(lam1, lam2, ell):
+    p = RCParams(lam1, lam2, ell)
+    f = add(psi_ktype_closed_form(RCParams(lam1, lam2, 0)), psi_ktype_closed_form(p))
+    g = rc_apply(p, f)
+    one_level = invert_rc(lam1, lam2, {ell: lambda z: evaluate(g, (z,))})
+    proj = project(p, f)
+    for z1, z2 in default_tube_points(2)[:4]:
+        assert proj(z1, z2) == one_level(z1, z2)
+
+
 def test_projection_kills_other_summands():
     p = RCParams(F(2), F(2), 1)
     alien = psi_ktype_closed_form(RCParams(F(2), F(2), 0))
@@ -602,6 +613,15 @@ def test_inversion_rejects_a_bad_truncation_level(L):
     # would act as 1 and 0
     with pytest.raises(DomainError):
         invert_rc(2, 2, {0: lambda z: 1.0}, L=L)
+
+
+@pytest.mark.parametrize("keys", [(0, "a"), (1.0,), (True,), (-1,)],
+                         ids=["mixed", "float", "bool", "negative"])
+def test_inversion_rejects_a_bad_level_key(keys):
+    # a mixed key set used to raise a bare TypeError from sorted, and 1.0
+    # and True passed as levels
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        invert_rc(2, 2, dict.fromkeys(keys, lambda z: 1.0))
 
 
 # ---------------------------------------------------------------------------

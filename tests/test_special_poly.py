@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.special as sps
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from holobreak.special_poly import (
     jacobi_norm_sq,
     jacobi_poly,
     jacobi_variant,
+    levels,
     pochhammer,
     poly_one,
     poly_two,
@@ -274,6 +276,23 @@ def test_polynomial_builders_need_int_degree(build, ell):
         build(ell)
 
 
+def test_levels_sorts_and_truncates():
+    comps = {3: "c", 0: "a", 1: "b"}
+    assert levels(comps) == [(0, "a"), (1, "b"), (3, "c")]
+    assert levels(comps, L=1) == [(0, "a"), (1, "b")]
+    assert levels(comps, L=0) == [(0, "a")]
+    assert levels({}, L=2) == [] and levels({2: "c"}, L=1) == []
+
+
+@pytest.mark.parametrize("keys, L", [((0, "a"), None), ((1.0,), None), ((True,), None),
+                                     ((-1,), None), ((0,), -1), ((0,), True), ((), 0.5)])
+def test_levels_take_the_ell_rule(keys, L):
+    # every key and L pass check_ell, before sorting: {0, "a"} is not a
+    # TypeError from sorted, and neither 1.0 nor True is a level
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        levels(dict.fromkeys(keys), L)
+
+
 @given(rationals.filter(lambda a: a > 0), st.integers(min_value=0, max_value=7))
 @settings(max_examples=30, deadline=None)
 def test_gegenbauer_value_at_one(alpha, ell):
@@ -366,3 +385,60 @@ def test_poly_two_items_sorted_and_zero_dropped():
     q = poly_two({(1, 0): F(2), (0, 1): F(0)})
     assert q.items() == (((1, 0), F(2)),)
     assert q.total_degrees() == [1]
+
+
+# ---------------------------------------------------------------------------
+# Gamma quotients past a Gamma overflow, against mpmath
+
+
+def _mp(x):
+    return mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator
+
+
+def _mp_jacobi_norm_sq(ell, a, b):
+    a, b, g = _mp(a), _mp(b), mpmath.gamma
+    return (2 ** (a + b + 1) * g(ell + a + 1) * g(ell + b + 1)
+            / ((2 * ell + a + b + 1) * g(ell + a + b + 1) * mpmath.factorial(ell)))
+
+
+def _mp_gegenbauer_norm_sq(ell, a):
+    a, g = _mp(a), mpmath.gamma
+    return mpmath.pi * 2 ** (1 - 2 * a) * g(ell + 2 * a) / (mpmath.factorial(ell) * (ell + a) * g(a) ** 2)
+
+
+# each point overflows a Gamma factor of the direct product; the value is
+# a finite double
+OVERFLOW_CASES = [
+    (lambda: beta(200.5, 200.5), lambda: mpmath.beta(200.5, 200.5)),
+    (lambda: beta(F(401, 2), 3), lambda: mpmath.beta(_mp(F(401, 2)), 3)),
+    (lambda: beta(180.25, 0.5), lambda: mpmath.beta(180.25, 0.5)),
+    (lambda: jacobi_norm_sq(3, 180.5, 2.5), lambda: _mp_jacobi_norm_sq(3, 180.5, 2.5)),
+    (lambda: jacobi_norm_sq(0, 300.5, 200.5), lambda: _mp_jacobi_norm_sq(0, 300.5, 200.5)),
+    (lambda: jacobi_norm_sq(5, F(401, 2), -0.5), lambda: _mp_jacobi_norm_sq(5, F(401, 2), -0.5)),
+    (lambda: gegenbauer_norm_sq(2, 200.5), lambda: _mp_gegenbauer_norm_sq(2, 200.5)),
+    (lambda: gegenbauer_norm_sq(7, F(361, 4)), lambda: _mp_gegenbauer_norm_sq(7, F(361, 4))),
+]
+
+
+@pytest.mark.parametrize("got, want", OVERFLOW_CASES)
+def test_gamma_quotients_past_overflow_match_mpmath(got, want):
+    with mpmath.workdps(40):
+        assert float(abs((got() - want()) / want())) < 1e-12
+
+
+def test_gamma_quotients_keep_raising_off_the_positive_reals():
+    # the lgamma sum needs every argument positive: beta at a negative
+    # non-integer still raises as the direct product does
+    with pytest.raises(OverflowError):
+        beta(-200.5, 0.5)
+
+
+@pytest.mark.parametrize("ell, a, b", [(1, 0.5, 1.5), (3, 2.5, -0.5), (6, 10.25, 3.0), (2, 80.0, 1.5)])
+def test_gamma_quotients_below_overflow_keep_the_direct_product(ell, a, b):
+    # where the direct product is finite, it is returned bit for bit
+    g = complex_gamma
+    num = 2.0 ** (a + b + 1) * g(ell + a + 1) * g(ell + b + 1)
+    assert jacobi_norm_sq(ell, a, b) == num / ((2 * ell + a + b + 1) * g(ell + a + b + 1) * math.factorial(ell))
+    assert beta(a, b) == g(a) * g(b) * reciprocal_gamma(a + b)
+    num = math.pi * 2.0 ** (1 - 2 * a) * g(ell + 2 * a)
+    assert gegenbauer_norm_sq(ell, a) == num / (math.factorial(ell) * (ell + a) * g(a) ** 2)
