@@ -36,13 +36,21 @@ them runs once per distinct value:
   object per distinct base.
 - A base's derivative in each variable is computed once and kept, read-only,
   on the base itself, so this cache is bounded by the registry.
-- A sum's hash is computed on first use and kept on the sum.
+- A sum's hash is computed on first use and kept on the sum, and a base's
+  image under each restriction is computed once (bounded by the registry).
 - A whole `differentiate(f, var, times)` call on an exact sum, and the
   expansion of a base to a nonnegative integer power, are each memoized in an
   LRU cache of 128 entries (a bound measured on the exact benchmark ladders).
   The Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders
   of partial derivatives of one input, so a ladder climbed again by another
-  route or rung is read back.
+  route or rung is read back.  `juhl.lorentz_laplacian` memoizes its exact
+  calls in the same way.
+
+Restriction and `prune` share one test of whether a base vanishes under the
+substitution.  `prune` drops the terms that a restriction after a given
+number of further derivative passes is certain to kill, so a ladder that
+ends in a restriction (`rc_apply` on the K-type generator) climbs only what
+survives it.
 
 An exact `differentiate` call that misses the cache climbs in class-offset
 coordinates.  The sum is split
@@ -457,7 +465,7 @@ def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
             continue
         if len(b.entries) == 1:
             e, c = b.entries[0]
-            if isinstance(p, Fraction) and p.denominator == 1 and p > 0:
+            if _positive_int(p):
                 n = int(p)
                 coeff = coeff * c**n
                 mono = tuple(m + n * ei for m, ei in zip(mono, e))
@@ -722,6 +730,31 @@ def _join_pair(e):
     return (e[0] + e[1],)
 
 
+_CUTS = {"last-zero": _cut_last, "diagonal": _join_pair}
+
+
+@functools.lru_cache(maxsize=None)
+def _restricted_base(b: BasePoly, kind: str):
+    """b under the `kind` substitution, interned, or None when b vanishes
+    identically there: the one test by which `restrict` and `prune` decide
+    that a base vanishes.  Bounded by the base registry."""
+    cut, m = _CUTS[kind], {}
+    for e, c in b.entries:
+        e = cut(e)
+        if e is not None:
+            m[e] = m[e] + c if e in m else c
+    entries = tuple(sorted((e, c) for e, c in m.items() if c))
+    return _intern(b.arity - 1, entries) if entries else None
+
+
+def _positive_int(p) -> bool:
+    return isinstance(p, Fraction) and p.denominator == 1 and p > 0
+
+
+def _vanishing_exponents(t: HoloTerm, kind: str) -> list:
+    return [p for b, p in t.bases if _restricted_base(b, kind) is None]
+
+
 def restrict(f: HoloSum, kind: str) -> HoloSum:
     """Restrict to a boundary by substituting exponents.
 
@@ -732,45 +765,51 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     applied to the term monomial and to every base entry, and `term` folds
     the bases that became constants or single monomials.
 
-    A base that vanishes identically under the substitution kills its term
-    when its exponent is a positive integer and raises
-    SingularRestrictionError otherwise.
+    A term with bases that vanish identically under the substitution raises
+    SingularRestrictionError when any of them has an exponent that is not a
+    positive integer, whatever the order of the bases, and vanishes
+    otherwise.
     """
     if kind == "last-zero":
         if f.arity < 1:
             raise DomainError("nothing to restrict")
-        cut = _cut_last
     elif kind == "diagonal":
         if f.arity != 2:
             raise DomainError("diagonal restriction needs arity 2")
-        cut = _join_pair
     else:
         raise DomainError(f"unknown restriction {kind!r}")
-    arity = f.arity - 1
+    arity, cut = f.arity - 1, _CUTS[kind]
     out = []
     for t in f.terms:
         mono = cut(t.monomial)
         if mono is None:
             continue
-        bases = []
-        for b, p in t.bases:
-            m: dict = {}
-            for e, c in b.entries:
-                e = cut(e)
-                if e is not None:
-                    m[e] = m[e] + c if e in m else c
-            entries = tuple(sorted((e, c) for e, c in m.items() if c))
-            if entries:
-                bases.append((_intern(arity, entries), p))
-            elif isinstance(p, Fraction) and p.denominator == 1 and p > 0:
-                break  # the term vanishes
-            else:
-                raise SingularRestrictionError(
-                    f"base vanishes under {kind} with exponent {p!r}"
-                )
-        else:
+        vanishing = _vanishing_exponents(t, kind)
+        if not all(map(_positive_int, vanishing)):
+            raise SingularRestrictionError(f"bases vanish under {kind} with exponents {vanishing}")
+        if not vanishing:
+            bases = [(_restricted_base(b, kind), p) for b, p in t.bases]
             out.append(term(arity, t.coefficient, mono, bases))
     return holo_sum(arity, out)
+
+
+def has_vanishing_base(f: HoloSum, kind: str) -> bool:
+    return any(_vanishing_exponents(t, kind) for t in f.terms)
+
+
+def prune(f: HoloSum, kind: str, passes: int) -> HoloSum:
+    """f without the terms that the `kind` restriction is certain to kill
+    after at most `passes` more derivative passes: those whose vanishing
+    bases all have positive integer exponents, one of them above `passes`
+    (a pass lowers an exponent by at most one).  A term `restrict` would
+    raise on is kept.  No kept term shares a signature with a dropped one,
+    so each kept coefficient is built by the same operations as before."""
+    def doomed(t):
+        ps = _vanishing_exponents(t, kind)
+        return bool(ps) and all(map(_positive_int, ps)) and max(ps) > passes
+
+    kept = tuple(t for t in f.terms if not doomed(t))
+    return f if len(kept) == len(f.terms) else HoloSum(f.arity, kept)
 
 
 # ---------------------------------------------------------------------------

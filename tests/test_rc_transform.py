@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holobreak
-from holobreak import rc_transform
+from holobreak import rc_transform, term_algebra
 from holobreak.quadrature import build_rule
 from holobreak.rc_transform import (
     RC_ROUTES,
@@ -37,9 +37,11 @@ from holobreak.rc_transform import (
 )
 from holobreak.special_poly import DomainError, PoleError, beta, jacobi_poly, pochhammer
 from holobreak.term_algebra import (
+    SingularRestrictionError,
     add,
     base_poly,
     casimir_diag,
+    combine,
     constant,
     default_tube_points,
     differentiate,
@@ -322,6 +324,75 @@ def test_cross_order_components_vanish():
         p = RCParams(F(2), F(2), ell_op)
         gen = ktype_generator(RCParams(F(2), F(2), ell_gen))
         assert equal(rc_apply(p, gen), holo_sum(1, []))
+
+
+def climb_everything(p, f, route):
+    """rc_apply without pruning: every d1^i d2^j f in full, then restrict."""
+    pieces = [(c, differentiate(differentiate(f, 0, i), 1, j))
+              for (i, j), c in rc_transform._operator_coefficients(p, route).items()]
+    return restrict(combine(2, pieces), "diagonal")
+
+
+@pytest.mark.parametrize("route", RC_ROUTES)
+@pytest.mark.parametrize("lam1, lam2", [(F(5, 2), F(3)), (2.3, 1.7)])
+def test_pruned_ladder_matches_climbing_everything_on_ktype(route, lam1, lam2):
+    for ell in range(11):
+        p = RCParams(lam1, lam2, ell)
+        f = ktype_generator(p)
+        assert to_text(rc_apply(p, f, route)) == to_text(climb_everything(p, f, route)), ell
+
+
+def test_pruned_ladder_keeps_one_term_per_rung(monkeypatch):
+    # on the K-type generator every pass but the one on (z1 - z2)^ell is cut
+    sizes = []
+
+    def recording(f, kind, passes):
+        g = term_algebra.prune(f, kind, passes)
+        sizes.append(len(g.terms))
+        return g
+
+    monkeypatch.setattr(rc_transform, "prune", recording)
+    p = RCParams(F(5, 2), F(3), 6)
+    rc_apply(p, ktype_generator(p))
+    assert sizes and set(sizes) == {1}
+
+
+# z1 - z2 and 2 z1 - 2 z2 vanish on the diagonal; the other bases do not
+VANISHING = (pair_diff(), base_poly(2, {(1, 0): 2, (0, 1): -2}))
+STAYING = (var_plus_i(2, 0), var_plus_i(2, 1),
+           base_poly(2, {(1, 0): 1, (0, 1): 1, (0, 0): qqi(2, 1)}))
+
+
+@st.composite
+def diagonal_sums(draw):
+    # mostly positive integer powers of the vanishing bases, now and then one
+    # that restriction must refuse; fractional powers on the others
+    vanishing_exp = st.one_of(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([F(1, 2), F(-1), F(-5, 3)]))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        bases = [(b, draw(vanishing_exp)) for b in VANISHING]
+        for b in draw(st.lists(st.sampled_from(STAYING), unique=True, max_size=2)):
+            bases.append((b, F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3])))))
+        coeff = F(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 4)))
+        mono = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms.append(term(2, coeff, mono, bases))
+    return holo_sum(2, terms)
+
+
+def outcome(fn, *args):
+    try:
+        return to_text(fn(*args))
+    except SingularRestrictionError:
+        return "raises"
+
+
+@given(diagonal_sums(), st.integers(0, 4), st.sampled_from(RC_ROUTES),
+       st.sampled_from([(F(5, 2), F(3)), (2.3, 1.7)]))
+@settings(max_examples=60, deadline=None)
+def test_pruned_ladder_matches_climbing_everything(f, ell, route, lams):
+    p = RCParams(*lams, ell)
+    assert outcome(rc_apply, p, f, route) == outcome(climb_everything, p, f, route)
 
 
 # ---------------------------------------------------------------------------

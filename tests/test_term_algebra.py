@@ -622,6 +622,39 @@ def test_restrict_singular_exponent_raises():
         restrict(g, "diagonal")
 
 
+@pytest.mark.parametrize("powers", [(F(1, 2), F(2)), (F(2), F(1, 2)), (F(3), F(-1))])
+def test_restrict_raises_whatever_the_base_order(powers):
+    # 2 z1 - 2 z2 sorts before z1 - z2; both vanish on the diagonal, and a
+    # refused power on either raises, beside a positive power on the other
+    twice = base_poly(2, {(1, 0): 2, (0, 1): -2})
+    for bases in ([(diff_base(), powers[0]), (twice, powers[1])],
+                  [(diff_base(), powers[1]), (twice, powers[0])]):
+        with pytest.raises(SingularRestrictionError):
+            restrict(holo_sum(2, [term(2, 1, (0, 0), bases)]), "diagonal")
+
+
+def test_restrict_kills_positive_powers_of_two_vanishing_bases():
+    twice = base_poly(2, {(1, 0): 2, (0, 1): -2})
+    f = holo_sum(2, [term(2, 1, (1, 0), [(diff_base(), F(2)), (twice, F(3)),
+                                         (zeta_plus_i(2, 0), F(-5, 2))])])
+    assert restrict(f, "diagonal").is_zero()
+
+
+def test_prune_drops_only_what_restriction_must_kill():
+    z1i, twice = zeta_plus_i(2, 0), base_poly(2, {(1, 0): 2, (0, 1): -2})
+    doomed = term(2, 1, (0, 0), [(diff_base(), F(3)), (z1i, F(-2))])
+    reached = term(2, 2, (0, 0), [(diff_base(), F(2)), (z1i, F(-2))])
+    refused = term(2, 3, (0, 0), [(diff_base(), F(3)), (twice, F(1, 2))])
+    plain = term(2, 4, (1, 0), [(z1i, F(-1, 2))])
+    f = holo_sum(2, [doomed, reached, refused, plain])
+    kept = term_algebra.prune(f, "diagonal", 2)
+    assert kept.terms == tuple(t for t in f.terms if t != doomed)
+    assert len(kept.terms) == 3
+    assert term_algebra.prune(f, "diagonal", 3) is f
+    assert term_algebra.has_vanishing_base(f, "diagonal")
+    assert not term_algebra.has_vanishing_base(holo_sum(2, [plain]), "diagonal")
+
+
 def test_restrict_base_becoming_constant_folds():
     b = base_poly(2, {(0, 1): 1, (0, 0): 2})  # z2 + 2
     f = holo_sum(2, [term(2, 1, (1, 0), [(b, F(-2))])])
