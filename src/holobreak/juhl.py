@@ -22,7 +22,6 @@ so the principal branch is the wrong tool here.  See `_power_positive_cut`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,6 @@ from .term_algebra import (
     ExactnessError,
     HoloSum,
     _expand_base_power,
-    _is_exact_sum,
     base_poly,
     canonical_form,
     combine,
@@ -213,23 +211,13 @@ JUHL_ROUTES = ("coefficients", "inflated")
 
 def lorentz_laplacian(f: HoloSum, nvars: int) -> HoloSum:
     """Signature (1, nvars-1) wave operator acting on the leading variables;
-    `nvars` is an int, not a bool.  Calls on exact sums, by `differentiate`'s
-    rule, are memoized (LRU, 128): the wave ladder Delta'^k f is the same for
-    every ell, and one exact-ladder benchmark repetition asks 144 times for
-    36 distinct ones.  Float sums, which can equal exact ones, are not."""
+    `nvars` is an int, not a bool."""
     if not isinstance(nvars, int) or isinstance(nvars, bool):
         raise DomainError(f"nvars must be an int, got {nvars!r}")
     if not 1 <= nvars <= f.arity:
         raise DomainError(f"laplacian over {nvars} of {f.arity} variables")
-    return (_exact_laplacian if _is_exact_sum(f) else _laplacian)(f, nvars)
-
-
-def _laplacian(f: HoloSum, nvars: int) -> HoloSum:
     pieces = [(1 if j == 0 else -1, differentiate(f, j, 2)) for j in range(nvars)]
     return combine(f.arity, pieces)
-
-
-_exact_laplacian = functools.lru_cache(maxsize=128)(_laplacian)
 
 
 def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSum:

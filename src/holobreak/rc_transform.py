@@ -137,28 +137,26 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
     two-index coefficient sum directly, "inflated" and "variant" substitute
     the partial derivatives into the two bivariate Jacobi forms.  Each
     d1^i f is built once, and the sum is normalized once before restriction.
-
-    When a base of f vanishes on the diagonal, as z1 - z2 does, the climb
-    takes one memoized pass at a time and drops, at the input and after each
-    pass, the terms the restriction is certain to kill (`prune`): of the
-    K-type generator's Leibniz terms only those with every derivative on
-    (z1 - z2)^ell survive.  The output is unchanged, bit for bit.
+    When a base of f vanishes on the diagonal, each pass is one call, and
+    `prune` drops the terms the restriction must kill at the input and after
+    every pass; other inputs climb whole calls, measured faster than a prune
+    that finds nothing.
     """
     if f.arity != 2:
         raise DomainError("rc_apply needs a two-variable sum")
     coeffs = _operator_coefficients(params, route)
     depth = max(map(sum, coeffs), default=0)
-    pruned = has_vanishing_base(f, "diagonal")
+    pruned = has_vanishing_base(f)
 
     def climb(g, var, times, done):  # d_var^times g, g being `done` passes above f
         if not pruned:
             return differentiate(g, var, times)
         for k in range(done + 1, done + times + 1):
-            g = prune(differentiate(g, var), "diagonal", depth - k)
+            g = prune(differentiate(g, var), depth - k)
         return g
 
     ladder, top = {}, 0  # i -> d1^i f, each rung built from the one below
-    start = prune(f, "diagonal", depth) if pruned else f
+    start = prune(f, depth) if pruned else f
     for i in sorted({i for i, _ in coeffs}):
         ladder[i], top = climb(ladder.get(top, start), 0, i - top, top), i
     pieces = [(c, climb(ladder[i], 1, j, i)) for (i, j), c in coeffs.items()]

@@ -43,14 +43,10 @@ them runs once per distinct value:
   LRU cache of 128 entries (a bound measured on the exact benchmark ladders).
   The Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders
   of partial derivatives of one input, so a ladder climbed again by another
-  route or rung is read back.  `juhl.lorentz_laplacian` memoizes its exact
-  calls in the same way.
+  route or rung is read back.
 
-Restriction and `prune` share one test of whether a base vanishes under the
-substitution.  `prune` drops the terms that a restriction after a given
-number of further derivative passes is certain to kill, so a ladder that
-ends in a restriction (`rc_apply` on the K-type generator) climbs only what
-survives it.
+`restrict` and `prune` share one test of whether a base vanishes; `prune`
+drops the terms a diagonal restriction a few passes later must kill.
 
 An exact `differentiate` call that misses the cache climbs in class-offset
 coordinates.  The sum is split
@@ -735,9 +731,8 @@ _CUTS = {"last-zero": _cut_last, "diagonal": _join_pair}
 
 @functools.lru_cache(maxsize=None)
 def _restricted_base(b: BasePoly, kind: str):
-    """b under the `kind` substitution, interned, or None when b vanishes
-    identically there: the one test by which `restrict` and `prune` decide
-    that a base vanishes.  Bounded by the base registry."""
+    """b under the `kind` substitution, interned, or None when it vanishes
+    there: the one vanishing test of `restrict` and `prune`."""
     cut, m = _CUTS[kind], {}
     for e, c in b.entries:
         e = cut(e)
@@ -765,10 +760,9 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     applied to the term monomial and to every base entry, and `term` folds
     the bases that became constants or single monomials.
 
-    A term with bases that vanish identically under the substitution raises
-    SingularRestrictionError when any of them has an exponent that is not a
-    positive integer, whatever the order of the bases, and vanishes
-    otherwise.
+    A term whose bases that vanish identically under the substitution all
+    have positive integer exponents vanishes; any other exponent on one of
+    them, whatever the base order, raises SingularRestrictionError.
     """
     if kind == "last-zero":
         if f.arity < 1:
@@ -793,19 +787,18 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     return holo_sum(arity, out)
 
 
-def has_vanishing_base(f: HoloSum, kind: str) -> bool:
-    return any(_vanishing_exponents(t, kind) for t in f.terms)
+def has_vanishing_base(f: HoloSum) -> bool:
+    """Whether a base of f vanishes on the diagonal z1 = z2."""
+    return any(_vanishing_exponents(t, "diagonal") for t in f.terms)
 
 
-def prune(f: HoloSum, kind: str, passes: int) -> HoloSum:
-    """f without the terms that the `kind` restriction is certain to kill
-    after at most `passes` more derivative passes: those whose vanishing
-    bases all have positive integer exponents, one of them above `passes`
-    (a pass lowers an exponent by at most one).  A term `restrict` would
-    raise on is kept.  No kept term shares a signature with a dropped one,
-    so each kept coefficient is built by the same operations as before."""
+def prune(f: HoloSum, passes: int) -> HoloSum:
+    """f without the terms the diagonal restriction must kill after at most
+    `passes` more derivative passes (each lowers an exponent by at most one):
+    all their vanishing bases have positive integer exponents, one above
+    `passes`.  No kept term shares a signature with a dropped one."""
     def doomed(t):
-        ps = _vanishing_exponents(t, kind)
+        ps = _vanishing_exponents(t, "diagonal")
         return bool(ps) and all(map(_positive_int, ps)) and max(ps) > passes
 
     kept = tuple(t for t in f.terms if not doomed(t))

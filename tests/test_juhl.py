@@ -323,32 +323,6 @@ def test_full_wave_scalars_match_symbolic():
             assert equal(cur, want, "exact"), (n, lam, k)
 
 
-def test_lorentz_laplacian_memo_is_bounded():
-    cache = juhl._exact_laplacian
-    sums = [monomial(3, (k + 2, 2, 1), F(k + 1, 7)) for k in range(200)]
-    for f in sums:
-        lorentz_laplacian(f, 3)
-    assert cache.cache_info().currsize <= 128
-    hits = cache.cache_info().hits
-    again = lorentz_laplacian(sums[-1], 3)
-    assert cache.cache_info().hits == hits + 1
-    assert again is lorentz_laplacian(sums[-1], 3)
-
-
-def test_lorentz_laplacian_memo_keeps_float_sums_out():
-    q = base_poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
-    exact = holo_sum(3, [term(3, 1, None, [(q, F(-2))])])
-    inexact = holo_sum(3, [term(3, 1, None, [(q, -2 + 0j)])])
-    # equal and hashing alike, so a memo keyed by value alone would mix them
-    assert exact == inexact and hash(exact) == hash(inexact)
-    want = to_text(lorentz_laplacian(exact, 3))
-    size = juhl._exact_laplacian.cache_info().currsize
-    got = lorentz_laplacian(inexact, 3)
-    assert juhl._exact_laplacian.cache_info().currsize == size
-    assert to_text(got) != want
-    assert {type(p) for t in got.terms for _, p in t.bases} == {complex}
-
-
 @pytest.mark.parametrize("nvars", [True, False, 2.0, np.int64(2), "2"])
 def test_lorentz_laplacian_rejects_non_int_nvars(nvars):
     with pytest.raises(DomainError):

@@ -346,8 +346,8 @@ def test_pruned_ladder_keeps_one_term_per_rung(monkeypatch):
     # on the K-type generator every pass but the one on (z1 - z2)^ell is cut
     sizes = []
 
-    def recording(f, kind, passes):
-        g = term_algebra.prune(f, kind, passes)
+    def recording(f, passes):
+        g = term_algebra.prune(f, passes)
         sizes.append(len(g.terms))
         return g
 

@@ -647,12 +647,12 @@ def test_prune_drops_only_what_restriction_must_kill():
     refused = term(2, 3, (0, 0), [(diff_base(), F(3)), (twice, F(1, 2))])
     plain = term(2, 4, (1, 0), [(z1i, F(-1, 2))])
     f = holo_sum(2, [doomed, reached, refused, plain])
-    kept = term_algebra.prune(f, "diagonal", 2)
+    kept = term_algebra.prune(f, 2)
     assert kept.terms == tuple(t for t in f.terms if t != doomed)
     assert len(kept.terms) == 3
-    assert term_algebra.prune(f, "diagonal", 3) is f
-    assert term_algebra.has_vanishing_base(f, "diagonal")
-    assert not term_algebra.has_vanishing_base(holo_sum(2, [plain]), "diagonal")
+    assert term_algebra.prune(f, 3) is f
+    assert term_algebra.has_vanishing_base(f)
+    assert not term_algebra.has_vanishing_base(holo_sum(2, [plain]))
 
 
 def test_restrict_base_becoming_constant_folds():
