@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Walk one function through the bidifferential pairing three ways.
 
-The pairing has three implementations that must agree term for term: the
-double sum over derivative splits, the single-variable reduction after
-restricting to the diagonal, and the generating-kernel route.  This script
-runs all three on a small rational example, checks exact agreement, then
-shows the two identities that pin the normalization down: the Casimir
+The pairing has three routes that must agree term for term, each building
+the same operator sum_{i+j=ell} c_ij d1^i d2^j before restricting to the
+diagonal: ``coefficients`` writes the two-index coefficient sum c_ij
+directly, while ``inflated`` and ``variant`` read c_ij off the two
+bivariate Jacobi forms, ``jacobi_inflated`` (the homogeneous inflation
+(-1)^ell (x+y)^ell P((y-x)/(x+y))) and ``jacobi_variant`` (the
+homogenization y^ell P(1 + 2x/y), at its own Jacobi parameters).  This
+script runs all three on a small rational example, checks exact agreement,
+then shows the two identities that pin the normalization down: the Casimir
 eigenvalue on the level generator and the composition constant.
 """
 

@@ -42,6 +42,7 @@ from .quadrature import (
 from .special_poly import (
     DomainError,
     PoleError,
+    check_ell,
     complex_gamma,
     gamma_quotient,
     gegenbauer_a,
@@ -87,8 +88,7 @@ class JuhlParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 3:
             raise DomainError(f"need integer dimension n >= 3, got {self.n!r}")
-        if not isinstance(self.ell, int) or isinstance(self.ell, bool) or self.ell < 0:
-            raise DomainError(f"need integer ell >= 0, got {self.ell!r}")
+        check_ell(self.ell)
 
     @property
     def nu(self):

@@ -381,8 +381,8 @@ def casimir_P(lam1, lam2, f: HoloSum) -> HoloSum:
 
         (z1 - z2)^2 d1 d2 - lam2 (z1 - z2) d1 + lam1 (z1 - z2) d2
 
-    Equals -2(casimir_diag - (lam1+lam2)(lam1+lam2-2)/8) on every
-    two-variable sum.
+    Equals -2(sl2_casimir((lam1, lam2), f) - (lam1+lam2)(lam1+lam2-2)/8 f)
+    on every two-variable sum f.
     """
     if f.arity != 2:
         raise DomainError("casimir_P needs a two-variable sum")

@@ -280,22 +280,10 @@ class PolyTwoVar:
     def is_homogeneous(self, degree: int) -> bool:
         return self.total_degrees() in ([], [degree])
 
-    def __add__(self, other: "PolyTwoVar") -> "PolyTwoVar":
-        m = dict(self.coefficients)
-        for key, c in other.coefficients:
-            m[key] = m.get(key, 0) + c
-        return poly_two(m)
-
     def __mul__(self, scalar):
         return poly_two({key: scalar * c for key, c in self.coefficients})
 
     __rmul__ = __mul__
-
-    def __sub__(self, other: "PolyTwoVar") -> "PolyTwoVar":
-        return self + (-1) * other
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
 
 def poly_two(mapping) -> PolyTwoVar:

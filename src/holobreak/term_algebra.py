@@ -5,13 +5,14 @@ is a polynomial of degree at most two with exact Gaussian-rational
 coefficients, raised to an exponent that may be an exact rational or an
 arbitrary complex number.  Sums of terms are closed under exactly the
 operations the transforms need -- differentiation, restriction to a
-hyperplane or the diagonal, pointwise evaluation, the sl2 actions -- and
+hyperplane or the diagonal, pointwise evaluation, the sl2 action -- and
 nothing else: there is deliberately no general term-times-term product.
 Restriction is an exponent substitution: one map on exponent tuples,
 applied to the term monomial and to every base entry.  Composite operators
-(the sl2 actions and Casimirs here, the Rankin-Cohen, Casimir and Juhl
-operators built on them) collect their pieces with `combine` and normalize
-once, through a single `holo_sum` pass.
+(`sl2_action` and `sl2_casimir` here, which take one weight per variable,
+and the Rankin-Cohen, Casimir and Juhl operators built on them) collect
+their pieces with `combine` and normalize once, through a single
+`holo_sum` pass.
 
 Two equality modes are provided.  Exact mode decides equality of sums with
 rational data by canonicalizing the difference: within each base, exponents
@@ -762,7 +763,8 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
 
     A term whose bases that vanish identically under the substitution all
     have positive integer exponents vanishes; any other exponent on one of
-    them, whatever the base order, raises SingularRestrictionError.
+    them, whatever the base order and whether or not the monomial vanishes,
+    raises SingularRestrictionError.
     """
     if kind == "last-zero":
         if f.arity < 1:
@@ -775,13 +777,11 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     arity, cut = f.arity - 1, _CUTS[kind]
     out = []
     for t in f.terms:
-        mono = cut(t.monomial)
-        if mono is None:
-            continue
         vanishing = _vanishing_exponents(t, kind)
         if not all(map(_positive_int, vanishing)):
             raise SingularRestrictionError(f"bases vanish under {kind} with exponents {vanishing}")
-        if not vanishing:
+        mono = cut(t.monomial)
+        if mono is not None and not vanishing:
             bases = [(_restricted_base(b, kind), p) for b, p in t.bases]
             out.append(term(arity, t.coefficient, mono, bases))
     return holo_sum(arity, out)
@@ -1105,14 +1105,18 @@ def _equal_each_point(f: HoloSum, g: HoloSum, tol: float, pts) -> bool:
 # sl2 actions
 
 
-def _sl2(generator: str, weights, f: HoloSum) -> HoloSum:
+def sl2_action(generator: str, weights, f: HoloSum) -> HoloSum:
     """Sum over the variables z_k of the one-variable action with weight
     weights[k]: H acts by -lam - 2 z d/dz, X by -d/dz, Y by lam z + z^2 d/dz.
-    H takes its scalar parts as one piece after the derivative parts, Y its
-    scalar parts first; that order fixes how float coefficients round."""
+    On two variables this is the diagonal tensor-product action; weights may
+    be exact or complex.  H takes its scalar parts as one piece after the
+    derivative parts, Y its scalar parts first; that order fixes how float
+    coefficients round."""
     if generator not in ("H", "X", "Y"):
         raise DomainError(f"unknown sl2 generator {generator!r}")
     n = f.arity
+    if not isinstance(weights, (tuple, list)) or len(weights) != n:
+        raise DomainError(f"need one weight per variable of a {n}-variable sum, got {weights!r}")
 
     def z(k, p, g):  # z_k^p g
         return times_monomial(g, [p * (i == k) for i in range(n)])
@@ -1128,50 +1132,16 @@ def _sl2(generator: str, weights, f: HoloSum) -> HoloSum:
     return combine(n, pieces)
 
 
-def _casimir(weights, f: HoloSum) -> HoloSum:
-    """(H^2 + 2XY + 2YX)/8 of the action `_sl2` gives, normalized once;
-    XY and YX come first, so float sums group as H^2 + (2XY + 2YX)."""
-    h2 = _sl2("H", weights, _sl2("H", weights, f))
-    xy = _sl2("X", weights, _sl2("Y", weights, f))
-    yx = _sl2("Y", weights, _sl2("X", weights, f))
+def sl2_casimir(weights, f: HoloSum) -> HoloSum:
+    """(H^2 + 2XY + 2YX)/8 of the action `sl2_action` gives, normalized
+    once; the scalar lam(lam-2)/8 on one-variable sums.  XY and YX come
+    first, so float sums group as H^2 + (2XY + 2YX)."""
+    h2 = sl2_action("H", weights, sl2_action("H", weights, f))
+    xy = sl2_action("X", weights, sl2_action("Y", weights, f))
+    yx = sl2_action("Y", weights, sl2_action("X", weights, f))
     return combine(
         f.arity, [(Fraction(1, 4), xy), (Fraction(1, 4), yx), (Fraction(1, 8), h2)]
     )
-
-
-def sl2_action(generator: str, lam, f: HoloSum) -> HoloSum:
-    """Infinitesimal action of one sl2 generator on a one-variable sum.
-
-    H acts by -lam - 2 z d/dz, X by -d/dz, Y by lam z + z^2 d/dz; lam may
-    be exact or complex.
-    """
-    if f.arity != 1:
-        raise DomainError("sl2_action needs a one-variable sum")
-    return _sl2(generator, (lam,), f)
-
-
-def casimir_sl2(lam, f: HoloSum) -> HoloSum:
-    """(H^2 + 2XY + 2YX)/8 through the sl2 action; scalar lam(lam-2)/8 on
-    one-variable sums."""
-    if f.arity != 1:
-        raise DomainError("casimir_sl2 needs a one-variable sum")
-    return _casimir((lam,), f)
-
-
-def sl2_action_pair(generator: str, lam1, lam2, f: HoloSum) -> HoloSum:
-    """Diagonal tensor-product action of one sl2 generator on a two-variable
-    sum, each slot carrying its own weight."""
-    if f.arity != 2:
-        raise DomainError("sl2_action_pair needs a two-variable sum")
-    return _sl2(generator, (lam1, lam2), f)
-
-
-def casimir_diag(lam1, lam2, f: HoloSum) -> HoloSum:
-    """Diagonal Casimir action on a two-variable sum via the tensor-product
-    generators."""
-    if f.arity != 2:
-        raise DomainError("casimir_diag needs a two-variable sum")
-    return _casimir((lam1, lam2), f)
 
 
 # ---------------------------------------------------------------------------

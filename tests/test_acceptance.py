@@ -61,7 +61,6 @@ from holobreak.term_algebra import (
     qqi,
     scale,
     sl2_action,
-    sl2_action_pair,
     term,
 )
 
@@ -155,8 +154,8 @@ def test_criterion_02_route_equivalence_and_intertwining():
               RCParams(F(2), F(3), 4)):
         for f in library[:6]:
             for gen in "HXY":
-                lhs = rc_apply(p, sl2_action_pair(gen, p.lam1, p.lam2, f))
-                rhs = sl2_action(gen, p.lam3, rc_apply(p, f))
+                lhs = rc_apply(p, sl2_action(gen, (p.lam1, p.lam2), f))
+                rhs = sl2_action(gen, (p.lam3,), rc_apply(p, f))
                 assert equal(lhs, rhs), (p, gen)
     finish(2, "route equivalence and intertwining", t0, 30.0)
 

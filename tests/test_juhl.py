@@ -147,6 +147,12 @@ def test_params_validation():
     assert q.alpha == 1.0 and q.nu == 3.5
 
 
+@pytest.mark.parametrize("ell", [-1, 1.0, True], ids=repr)
+def test_params_ell_rule_is_check_ell(ell):
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        JuhlParams(3, 2, ell)
+
+
 def test_q_form_values():
     assert q_form((1.0, 0.0, 0.0)) == 1.0
     assert abs(q_form(X3A) - 3.87) < 1e-14

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import holobreak
 from holobreak import rc_transform, term_algebra
+from holobreak.cli import _rc_library
 from holobreak.quadrature import build_rule
 from holobreak.rc_transform import (
     RC_ROUTES,
@@ -40,7 +41,6 @@ from holobreak.term_algebra import (
     SingularRestrictionError,
     add,
     base_poly,
-    casimir_diag,
     combine,
     constant,
     default_tube_points,
@@ -53,7 +53,7 @@ from holobreak.term_algebra import (
     restrict,
     scale,
     sl2_action,
-    sl2_action_pair,
+    sl2_casimir,
     sub,
     term,
     to_text,
@@ -284,9 +284,23 @@ def test_sl2_intertwining_exact():
     for p in (RCParams(F(2), F(2), 1), RCParams(F(3, 2), F(5, 2), 2)):
         for f in fs:
             for gen in "HXY":
-                lhs = rc_apply(p, sl2_action_pair(gen, p.lam1, p.lam2, f))
-                rhs = sl2_action(gen, p.lam3, rc_apply(p, f))
+                lhs = rc_apply(p, sl2_action(gen, (p.lam1, p.lam2), f))
+                rhs = sl2_action(gen, (p.lam3,), rc_apply(p, f))
                 assert equal(lhs, rhs), (p, gen)
+
+
+@pytest.mark.parametrize("lams", [(F(2), F(3)), (F(5, 2), F(7, 3))], ids=lambda lams: "-".join(map(str, lams)))
+def test_casimir_intertwines_exact(lams):
+    # RC_ell carries the pair Casimir at (lam1, lam2) to the one-variable
+    # Casimir at lam3; at lam3 + 1 the same identity must fail
+    for ell in range(4):
+        p = RCParams(*lams, ell)
+        for name, f in _rc_library():
+            image = rc_apply(p, f)
+            assert not image.is_zero(), (name, ell)
+            lhs = rc_apply(p, sl2_casimir((p.lam1, p.lam2), f))
+            assert equal(lhs, sl2_casimir((p.lam3,), image)), (name, ell)
+            assert not equal(lhs, sl2_casimir((p.lam3 + 1,), image)), (name, ell)
 
 
 def test_casimir_annihilates_weight_product():
@@ -305,7 +319,7 @@ def test_casimir_matches_diagonal_casimir():
     lam1, lam2 = F(3, 2), F(5, 2)
     shift = (lam1 + lam2) * (lam1 + lam2 - 2) / 8
     for f in library():
-        lhs = scale(sub(casimir_diag(lam1, lam2, f), scale(f, shift)), F(-2))
+        lhs = scale(sub(sl2_casimir((lam1, lam2), f), scale(f, shift)), F(-2))
         assert equal(lhs, casimir_P(lam1, lam2, f))
 
 

@@ -29,8 +29,6 @@ from holobreak.term_algebra import (
     add,
     base_poly,
     canonical_form,
-    casimir_diag,
-    casimir_sl2,
     combine,
     constant,
     default_tube_points,
@@ -45,7 +43,7 @@ from holobreak.term_algebra import (
     restrict,
     scale,
     sl2_action,
-    sl2_action_pair,
+    sl2_casimir,
     sub,
     term,
     times_monomial,
@@ -633,6 +631,18 @@ def test_restrict_raises_whatever_the_base_order(powers):
             restrict(holo_sum(2, [term(2, 1, (0, 0), bases)]), "diagonal")
 
 
+def test_restrict_judges_bases_even_where_the_monomial_vanishes():
+    # z2 * z2^(-3/2) is z2^(-1/2), singular at z2 = 0, though its monomial
+    # alone would vanish there; a base that does not vanish leaves the term
+    # to its monomial
+    z2 = base_poly(2, {(0, 1): 1})
+    f = holo_sum(2, [term(2, 1, (0, 1), [(z2, F(-3, 2))])])
+    with pytest.raises(SingularRestrictionError):
+        restrict(f, "last-zero")
+    g = holo_sum(2, [term(2, 1, (0, 1), [(zeta_plus_i(2, 0), F(-1, 2))])])
+    assert restrict(g, "last-zero").is_zero()
+
+
 def test_restrict_kills_positive_powers_of_two_vanishing_bases():
     twice = base_poly(2, {(1, 0): 2, (0, 1): -2})
     f = holo_sum(2, [term(2, 1, (1, 0), [(diff_base(), F(2)), (twice, F(3)),
@@ -830,7 +840,7 @@ def test_scalar_evaluate_is_bit_identical_to_the_reference(f, pts):
 
 def test_scalar_evaluate_is_bit_identical_on_operator_outputs():
     # sums in which many terms share their base values and powers
-    f = casimir_diag(F(5, 2), F(3), ktype(F(5, 2), F(3), 4))
+    f = sl2_casimir((F(5, 2), F(3)), ktype(F(5, 2), F(3), 4))
     for g in (f, differentiate(f, 0, 2)):
         assert len(g.terms) > 5
         for pt in default_tube_points(2, 5):
@@ -1013,7 +1023,7 @@ def test_canonical_form_empty_iff_zero():
 @pytest.mark.parametrize("power", [0, 1, 3])
 def test_casimir_scalar_on_polynomials(lam, power):
     f = monomial(1, (power,))
-    got = casimir_sl2(lam, f)
+    got = sl2_casimir((lam,), f)
     want = scale(f, lam * (lam - 2) / 8)
     assert equal(got, want)
 
@@ -1022,7 +1032,7 @@ def test_casimir_scalar_on_ktype_vector():
     lam = F(7, 3)
     b = zeta_plus_i(1, 0)
     f = holo_sum(1, [term(1, 1, (0,), [(b, -lam - 2)])])
-    got = casimir_sl2(lam, f)
+    got = sl2_casimir((lam,), f)
     assert equal(got, scale(f, lam * (lam - 2) / 8))
 
 
@@ -1032,7 +1042,7 @@ def test_sl2_h_action_on_ktype():
     lam = F(3)
     b = zeta_plus_i(1, 0)
     f = holo_sum(1, [term(1, 1, (0,), [(b, -lam)])])
-    got = sl2_action("H", lam, f)
+    got = sl2_action("H", (lam,), f)
     df = differentiate(f, 0)
     want = add(scale(f, -lam), scale(times_monomial(df, (1,)), F(-2)))
     assert equal(got, want)
@@ -1045,8 +1055,21 @@ def test_sl2_h_action_on_ktype():
 def test_diag_casimir_scalar_on_embedded_ktype(lam1, lam2, ell):
     lam3 = lam1 + lam2 + 2 * ell
     f = ktype(lam1, lam2, ell)
-    got = casimir_diag(lam1, lam2, f)
+    got = sl2_casimir((lam1, lam2), f)
     assert equal(got, scale(f, lam3 * (lam3 - 2) / 8))
+
+
+def test_sl2_action_and_casimir_need_one_weight_per_variable():
+    f1, f2 = ktype(F(2), F(3), 0), monomial(1, (2,))
+    for f, bad in ((f1, (F(2),)), (f1, (F(2), F(3), 1)), (f2, (1, 2)), (f2, ()),
+                   (f1, F(2)), (f2, 2.5), (f2, 1 + 1j)):
+        with pytest.raises(DomainError, match="one weight per variable"):
+            sl2_action("H", bad, f)
+        with pytest.raises(DomainError, match="one weight per variable"):
+            sl2_casimir(bad, f)
+    for gen in ("E", "h", None):
+        with pytest.raises(DomainError, match="unknown sl2 generator"):
+            sl2_action(gen, (F(2),), f2)
 
 
 def test_combine_normalizes_one_linear_combination():
@@ -1103,7 +1126,7 @@ SL2_TEXT = {
         '  (term 1.5142857142857142 (mono 4 0))',
         ')',
     ],
-    ("casimir_diag", None, 0): [
+    ("pair", "casimir", 0): [
         '(sum 2',
         '  (term -0.85 (mono 0 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
         '  (term 3/4 (mono 0 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
@@ -1141,7 +1164,7 @@ SL2_TEXT = {
         '  (term (c 1.2285714285714286 0.11428571428571428) (mono 4 0))',
         ')',
     ],
-    ("casimir_diag", None, 1): [
+    ("pair", "casimir", 1): [
         '(sum 2',
         '  (term (c -1.05 0.35) (mono 0 1) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -3/2))',
         '  (term 3/4 (mono 0 2) (pow (base ((0 0) (c 0 1)) ((0 1) 1)) -5/2))',
@@ -1153,13 +1176,13 @@ SL2_TEXT = {
         '  (term (c 0.5167857142857146 -0.4180952380952381) (mono 3 0))',
         ')',
     ],
-    ("casimir_sl2", None, 0): [
+    ("one", "casimir", 0): [
         '(sum 1',
         '  (term 0.08625000000000016 (mono 1) (pow (base ((0) (c 0 1)) ((1) 1)) -5/2))',
         '  (term 0.028750000000000053 (mono 2))',
         ')',
     ],
-    ("casimir_sl2", None, 1): [
+    ("one", "casimir", 1): [
         '(sum 1',
         '  (term (c -0.1337499999999998 0.02999999999999997) (mono 1) (pow (base ((0) (c 0 1)) ((1) 1)) -5/2))',
         '  (term (c -0.04458333333333342 0.009999999999999981) (mono 2))',
@@ -1170,20 +1193,18 @@ SL2_TEXT = {
 
 @pytest.mark.parametrize("key", list(SL2_TEXT), ids=str)
 def test_sl2_actions_and_casimirs_text_pinned(key):
-    op, gen, i = key
+    vars_, op, i = key
     g2 = holo_sum(2, [
         term(2, F(1, 3), (2, 1)),
         term(2, F(2, 7), (3, 0)),
         term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))]),
     ])
     g1 = holo_sum(1, [term(1, F(1, 3), (2,)), term(1, 1, (1,), [(zeta_plus_i(1, 0), F(-5, 2))])])
-    pair = ((2.3, 1.7), (1.3 + 0.4j, 2.1 - 0.7j))[i]
-    if op == "pair":
-        got = sl2_action_pair(gen, *pair, g2)
-    elif op == "casimir_diag":
-        got = casimir_diag(*pair, g2)
+    if vars_ == "pair":
+        f, weights = g2, ((2.3, 1.7), (1.3 + 0.4j, 2.1 - 0.7j))[i]
     else:
-        got = casimir_sl2((2.3, 1.3 + 0.4j)[i], g1)
+        f, weights = g1, ((2.3,), (1.3 + 0.4j,))[i]
+    got = sl2_casimir(weights, f) if op == "casimir" else sl2_action(op, weights, f)
     assert to_text(got).split("\n") == SL2_TEXT[key]
 
 
