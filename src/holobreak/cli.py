@@ -37,10 +37,12 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .special_poly import (
     DomainError,
@@ -133,6 +135,10 @@ def parse_grid(text: str, key: str) -> tuple:
     values = tuple(parse_value(p) for p in text.split(",") if p.strip())
     if not values:
         raise ConfigError(f"empty parameter grid for {key}")
+    # a value given twice, as 2 and 4/2 or 2 and 2.0, would be two cases of one point
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key} grid repeats the value {value}")
     return values
 
 
@@ -324,8 +330,7 @@ class SuiteConfig:
 # ---------------------------------------------------------------------------
 # case records
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     computed: object
     reference: object
     abs_err: object
@@ -334,15 +339,43 @@ class CaseResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     key: str
     params: dict
-    run: object  # () -> CaseResult
+    fragments: tuple  # '"name": <json>' of each param, in sorted-name order
+    run: object  # (*args) -> CaseResult
+    args: tuple = ()
 
 
-# json.dumps(record, sort_keys=True) without building an encoder per call
+# json.dumps(value, sort_keys=True) without building an encoder per call
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the scalars of a record, written as json writes them; x - x is 0 for a finite x
+_SCALAR_JSON = {
+    type(None): lambda v: "null", bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__, str: json.encoder.encode_basestring_ascii,
+    float: lambda x: float.__repr__(x) if x - x == 0 else _NONFINITE[float.__repr__(x)],
+}
+
+
+def _json(value) -> str:
+    """json.dumps(value, sort_keys=True): scalars directly, anything else,
+    errors included, through the json encoder."""
+    return _SCALAR_JSON.get(type(value), _sorted_json)(value)
+
+
+def _fragment(name: str, value) -> str:
+    return f"{_json(name)}: {_json(value)}"
+
+
+def _record_text(r: dict, params: str) -> str:
+    """json.dumps(r, sort_keys=True) for a record without ms, written in the
+    schema's key order; `params` is the text of r["params"]."""
+    note = f'"note": {_json(r["note"])}, ' if "note" in r else ""
+    return (f'{{"abs_err": {_json(r["abs_err"])}, "case": {_json(r["case"])}, '
+            f'"computed": {_json(r["computed"])}, {note}"params": {params}, '
+            f'"pass": {_json(r["pass"])}, "reference": {_json(r["reference"])}, '
+            f'"rel_err": {_json(r["rel_err"])}, "suite": {_json(r["suite"])}}}')
 
 
 def _stream_line(text: str, ms: float) -> str:
@@ -357,8 +390,9 @@ class VerificationReport:
 
     The hash covers exactly the bytes of
     json.dumps({"suite", "mode", "seed", "records": <records without ms>},
-    sort_keys=True): `add` encodes each record once, and that text feeds
-    both the digest and the record's stream line."""
+    sort_keys=True).  One writer, `_record_text`, emits every record line,
+    byte-equal to that formula: `add` writes each record once, and that text
+    feeds both the digest and the record's stream line."""
 
     suite: str
     mode: str
@@ -374,9 +408,9 @@ class VerificationReport:
         head, mark, self._footer = opened.partition('"records": [')
         self._digest = hashlib.sha256((head + mark).encode())
 
-    def add(self, record: dict, ms: float) -> str:
-        """Append a record given without `ms`; return its stream line."""
-        text = _sorted_json(record)
+    def add(self, record: dict, params: str, ms: float) -> str:
+        """Append a record given without `ms`, its params written `params`; return its line."""
+        text = _record_text(record, params)
         self._digest.update(((", " if self.records else "") + text).encode())
         record["ms"] = ms
         self.records.append(record)
@@ -410,7 +444,7 @@ class VerificationReport:
 
     def to_jsonl(self) -> str:
         lines = [
-            _stream_line(_sorted_json({k: v for k, v in r.items() if k != "ms"}), r["ms"])
+            _stream_line(_record_text(r, _json(r["params"])), r["ms"])
             for r in self.records
         ]
         lines.append(json.dumps(self.summary()))
@@ -495,14 +529,16 @@ def _reported(computed, note) -> CaseResult:
 
 
 def _grid(cfg: SuiteConfig, *axes):
-    """Yield (tag, params, values) for each point of the product of the axes.
+    """Yield (tag, params, fragments, values) for each point of the product
+    of the axes.
 
     An axis is a SuiteConfig grid name ("lam1", "lam2", "lam", "n"), "ell"
     for 0..ell_max, or a tuple (name, values) or (name, values, slug, param).
-    An entry v reads name=slug(v) in the tag and name: param(v) in the params;
+    An entry v reads name=slug(v) in the tag and name: param(v) in the params,
+    and its fragment, '"name": <JSON of param(v)>', is written once, here;
     by default slug is _slug (two digits for ell) and param is _encode.
-    `values` holds the point's entries in axis order.  Every n entry must be
-    at least 3."""
+    `fragments` holds the point's fragments in sorted-name order, `values`
+    its entries in axis order.  Every n entry must be at least 3."""
     names, rendered = [], []
     for axis in axes:
         if isinstance(axis, str):
@@ -512,15 +548,24 @@ def _grid(cfg: SuiteConfig, *axes):
         if name == "n" and min(values, default=3) < 3:
             raise ConfigError(f"{cfg.suite} needs dimensions n >= 3, got {min(values)}")
         names.append(name)
-        rendered.append([(v, f"{name}={slug(v)}", param(v)) for v in values])
+        shown = [(v, param(v)) for v in values]
+        rendered.append([(v, f"{name}={slug(v)}", p, _fragment(name, p)) for v, p in shown])
+    # the fragments in sorted-name order; one index alone would pick a str
+    order = sorted(range(len(names)), key=names.__getitem__)
+    in_order = itemgetter(*order) if len(order) > 1 else tuple
     for point in itertools.product(*rendered):
-        values, tags, params = zip(*point)
-        yield "/".join(tags), dict(zip(names, params)), values
+        values, tags, params, fragments = zip(*point)
+        yield "/".join(tags), dict(zip(names, params)), in_order(fragments), values
 
 
 def _family(cases: list, name: str, grid, check) -> None:
-    cases.extend(Case(f"{name}/{tag}", params, partial(check, *values))
-                 for tag, params, values in grid)
+    cases.extend(Case(f"{name}/{tag}", params, fragments, check, values)
+                 for tag, params, fragments, values in grid)
+
+
+def _case(key: str, params: dict, run) -> Case:
+    """A case whose params are given, not drawn from a grid."""
+    return Case(key, params, tuple(_fragment(k, params[k]) for k in sorted(params)), run)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +709,7 @@ def _build_bernstein_sato(cfg: SuiteConfig, rng) -> list:
         if not higher:
             return result
         rungs = ", ".join(f"j={j}" for j, _ in higher)
-        return replace(result, passed=False, note=f"nonzero higher rungs: {rungs}")
+        return result._replace(passed=False, note=f"nonzero higher rungs: {rungs}")
 
     cases = []
     _family(cases, "eigen-constant", _grid(cfg, "n", "lam", "ell"), eigen_constant)
@@ -725,11 +770,11 @@ def _build_kernels(cfg: SuiteConfig, rng) -> list:
         return _close(got, want, CLOSED_FORM_TOL)
 
     cases = [
-        Case("kernel-anchor/half-plane", {"n": 1, "lam": 1},
-             lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL)),
-        Case("kernel-anchor/rank-two", {"n": 2, "lam": 4},
-             lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2,
-                            CLOSED_FORM_TOL)),
+        _case("kernel-anchor/half-plane", {"n": 1, "lam": 1},
+              lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL)),
+        _case("kernel-anchor/rank-two", {"n": 2, "lam": 4},
+              lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2,
+                             CLOSED_FORM_TOL)),
     ]
     _family(cases, "zero-class",
             _grid(cfg, ("lam1", ints1, _signed, int), ("lam2", ints2, _signed, int), "ell"),
@@ -769,29 +814,24 @@ def run_suite(config: SuiteConfig, stream=None) -> VerificationReport:
 
     report = VerificationReport(config.suite, config.mode, config.seed)
     t_start = time.perf_counter()
-    for case in sorted(cases, key=lambda c: c.key):
+    for key, params, fragments, run, args in sorted(cases, key=lambda c: c.key):
         t0 = time.perf_counter()
         try:
-            result = case.run()
+            result = run(*args)
         except Exception as exc:  # a broken case must not hide the rest
             result = CaseResult(None, None, None, None, False,
                                 f"{type(exc).__name__}: {exc}")
         ms = (time.perf_counter() - t0) * 1000.0
-        record = {
-            "suite": config.suite,
-            "case": case.key,
-            "params": case.params,
-            "computed": result.computed,
-            "reference": result.reference,
-            "abs_err": result.abs_err,
-            "rel_err": result.rel_err,
-            "pass": result.passed,
-        }
-        if result.note:
-            record["note"] = result.note
-        line = report.add(record, round(ms, 3))
+        computed, reference, abs_err, rel_err, passed, note = result
+        record = {"suite": config.suite, "case": key, "params": params, "computed": computed,
+                  "reference": reference, "abs_err": abs_err, "rel_err": rel_err,
+                  "pass": passed}
+        if note:
+            record["note"] = note
+        line = report.add(record, "{" + ", ".join(fragments) + "}", round(ms, 3))
         if stream is not None:
-            print(line, file=stream, flush=True)
+            stream.write(line + "\n")
+            stream.flush()
     report.elapsed_ms = (time.perf_counter() - t_start) * 1000.0
     return report
 

@@ -152,29 +152,43 @@ def beta(a, b):
 _LOG2, _LOG_PI = math.log(2.0), math.log(math.pi)
 
 
+def _pole(x) -> bool:
+    n = as_integer(x)
+    return n is not None and n <= 0
+
+
 def gamma_quotient(direct, up, down, divisors, log_factor=0.0):
     """direct(), the quotient prod Gamma(up) / (prod Gamma(down) prod divisors)
     times exp(log_factor): the one overflow rule of the Gamma quotients.
 
     Where direct() raises OverflowError or gives inf, or nan from inf / inf,
-    and every argument and divisor is a positive real, the quotient is the
-    exp of a sum of lgamma and log terms instead; past the double range
-    that raises OverflowError too.  Every finite value of direct() is
-    returned as it is."""
-    def positive():
-        return all(not isinstance(x, complex) and x > 0 for x in (*up, *down, *divisors))
+    and every argument and divisor is real, no `up` argument is a pole and
+    no divisor is 0, the quotient comes from lgamma and log terms instead:
+    a `down` argument at a pole makes it exactly 0, as reciprocal_gamma
+    does; otherwise it is the exp of their sum, with the sign of each
+    negative divisor and of each Gamma at a negative argument, which is
+    negative after an odd number of poles.  Past the double range that
+    raises OverflowError too.  Every finite value of direct() is returned
+    as it is."""
+    def loggable():
+        return (not any(isinstance(x, complex) for x in (*up, *down, *divisors))
+                and not any(map(_pole, up)) and all(divisors))
 
     try:
         value = direct()
     except OverflowError:
-        if not positive():
+        if not loggable():
             raise
     else:
-        if math.isfinite(abs(value)) or not positive():
+        if math.isfinite(abs(value)) or not loggable():
             return value
+    if any(map(_pole, down)):
+        return 0.0
+    negatives = [x for x in (*up, *down) if x < 0 and math.floor(-x) % 2 == 0]
+    negatives += [x for x in divisors if x < 0]
     terms = [log_factor, *map(math.lgamma, up)]
-    terms += [-math.lgamma(x) for x in down] + [-math.log(x) for x in divisors]
-    return math.exp(math.fsum(terms))
+    terms += [-math.lgamma(x) for x in down] + [-math.log(abs(x)) for x in divisors]
+    return (-1.0) ** len(negatives) * math.exp(math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import holobreak
 from holobreak.cli import (
     _EVAL_FORMS,
     _EVAL_HELP,
+    _fragment,
+    _json,
+    _record_text,
     NEGATIVE_VALUE,
     SUITE_DEFAULTS,
     SUITES,
@@ -466,6 +471,64 @@ def test_default_grids_keep_their_cases(suite, exact):
     assert_record_contract(report, stream.getvalue())
 
 
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308]),
+)
+_TEXT = st.text(st.characters(codec=None), max_size=12)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**60, 10**60),
+                     _FLOATS, _TEXT)
+# {"re", "im"} pairs in float and in exact mode, and lists of them
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, st.fixed_dictionaries({"re": _FLOATS, "im": _FLOATS}),
+              st.fixed_dictionaries({"re": _TEXT, "im": _TEXT})),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+_RECORDS = st.fixed_dictionaries(
+    {"suite": _TEXT, "case": _TEXT,
+     "params": st.dictionaries(_TEXT, _VALUES, max_size=4),
+     "computed": _VALUES, "reference": _VALUES,
+     "abs_err": st.one_of(st.none(), _FLOATS), "rel_err": st.one_of(st.none(), _FLOATS),
+     "pass": st.booleans()},
+    optional={"note": _TEXT},
+)
+
+
+@given(record=_RECORDS)
+@example(record={"suite": "kernels", "case": "a\u00e9\x00\u2028/\"\\", "params": {},
+                 "computed": [1.5, {"re": -0.0, "im": math.inf}], "reference": 10**40,
+                 "abs_err": math.nan, "rel_err": 5e-324, "pass": True, "note": "\t\u03bb"})
+@settings(max_examples=300, deadline=None)
+def test_record_writer_matches_json_dumps(record):
+    want = json.dumps(record, sort_keys=True)
+    assert _record_text(record, _json(record["params"])) == want
+    fragments = [_fragment(k, record["params"][k]) for k in sorted(record["params"])]
+    params = "{" + ", ".join(fragments) + "}"
+    assert _record_text(record, params) == want
+    report = VerificationReport(record["suite"], "float", 1)
+    line = report.add(dict(record), params, 0.25)
+    assert line == want[:-1] + ', "ms": 0.25}'
+    assert report.content_hash() == formula_hash(report)
+    assert report.to_jsonl().splitlines()[0] == line
+
+
+@pytest.mark.parametrize("bad", [
+    {1, 2}, object(), b"bytes", 1 + 2j, [1.0, {3}], {"re": 1.0, 2: 3.0},
+])
+def test_record_writer_rejects_what_json_dumps_rejects(bad):
+    record = {"suite": "kernels", "case": "k", "params": {}, "computed": bad,
+              "reference": None, "abs_err": None, "rel_err": None, "pass": False}
+    with pytest.raises(Exception) as want:
+        json.dumps(record, sort_keys=True)
+    with pytest.raises(want.type) as got:
+        _record_text(record, "{}")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(want.type) as got:
+        _fragment("x", bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_empty_report_hashes_by_the_formula():
     report = VerificationReport("kernels", "float", 414213)
     assert report.content_hash() == formula_hash(report)
@@ -500,6 +563,19 @@ def test_verify_rc_identities_example_all_pass(capsys):
     assert lines[-1]["failed"] == 0
 
 
+def test_b_ratio_at_a_negative_weight_past_gamma_overflow(capsys):
+    # Gamma(lam1 + lam2 + 2 ell - 1) overflows and Gamma(lam1 - 1) < 0:
+    # r_ell still has its finite value, so every b-ratio record passes
+    code, lines = run_lines(
+        capsys,
+        ["verify", "l2-plancherel", "--lambda1", "-1/2", "--lambda2", "180",
+         "--lambda", "3", "--ell-max", "1"],
+    )
+    assert code == 0
+    ratios = [r for r in lines[:-1] if r["case"].startswith("b-ratio/")]
+    assert len(ratios) == 2 and all(r["pass"] for r in ratios)
+
+
 def test_verify_exit_one_on_failure(capsys):
     code, lines = run_lines(
         capsys,
@@ -514,6 +590,20 @@ def test_verify_empty_grid_is_config_error(capsys):
     code = main(["verify", "ortho-poly", "--lambda1", ""])
     assert code == 2
     assert "empty parameter grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text, repeated", [
+    ("lambda1", "2,4/2", "2"), ("lambda2", "2, 3, 2.0", "2.0"), ("n", "3,4,3", "3"),
+])
+def test_repeated_grid_value_is_config_error(key, text, repeated, tmp_path, capsys):
+    # a flag and a config-file line go through the same reader
+    want = f"error: {key} grid repeats the value {repeated}\n"
+    assert main(["verify", "rc-plancherel", f"--{key}", text]) == 2
+    assert capsys.readouterr() == ("", want)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert main(["verify", "rc-plancherel", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", want)
 
 
 @pytest.mark.parametrize("suite, argv", [

@@ -507,10 +507,11 @@ def digits40():
 
 
 # (lam1, lam2, ell) where a Gamma factor of the direct product overflows but
-# the constant is finite; the last c_ell point overflows only the product
-# Gamma(lam1) Gamma(lam2), which is inf without raising
+# the constant is finite; the sixth c_ell point overflows only the product
+# Gamma(lam1) Gamma(lam2), which is inf without raising, and the last is
+# negative, with Gamma(-200.5) < 0
 LARGE_C_ELL = [(90.5, 90.5, 1), (F(181, 2), F(181, 2), 1), (120.0, 80.25, 3),
-               (300.5, 2.5, 0), (150.0, 151.0, 0), (0.01, 171.6, 0)]
+               (300.5, 2.5, 0), (150.0, 151.0, 0), (0.01, 171.6, 0), (-200.5, 400.25, 0)]
 LARGE_R_ELL = [(150.5, 150.5, 1), (F(301, 2), F(301, 2), 1), (200.25, 3.5, 4),
                (90.0, 90.0, 0), (400, 10, 2)]
 
@@ -536,13 +537,13 @@ def test_r_ell_past_gamma_overflow_matches_mpmath(lam1, lam2, ell, digits40):
 
 
 def test_constants_past_double_range_still_overflow(digits40):
-    # the lgamma route covers finite values only: beyond the double range,
-    # and off the positive reals, the OverflowError stands
+    # the lgamma route covers finite values on the real line only: beyond
+    # the double range, and off the real line, the OverflowError stands
     assert _mp_r_ell(600.5, 600.5, 1) > 1e308
     with pytest.raises(OverflowError):
         r_ell(600.5, 600.5, 1)
     with pytest.raises(OverflowError):
-        c_ell(-200.5, 400.25, 0)
+        c_ell(-200.5 + 1j, 400.25, 0)
     assert _mp_b(200.5) > 1e308
     with pytest.raises(OverflowError):
         b_const(200.5)

@@ -31,6 +31,7 @@ from holobreak.special_poly import (
     reciprocal_gamma,
     _jacobi_coeffs,
 )
+from holobreak.rc_transform import r_ell
 
 F = Fraction
 
@@ -427,10 +428,33 @@ def test_gamma_quotients_past_overflow_match_mpmath(got, want):
 
 
 def test_gamma_quotients_keep_raising_off_the_positive_reals():
-    # the lgamma sum needs every argument positive: beta at a negative
-    # non-integer still raises as the direct product does
+    # the lgamma sum needs every argument real: off the real line beta
+    # still raises as the direct product does
     with pytest.raises(OverflowError):
-        beta(-200.5, 0.5)
+        beta(-200.5 + 0.5j, 0.5)
+
+
+def _mp_r_ell(lam1, lam2, ell):
+    lam1, lam2 = _mp(lam1), _mp(lam2)
+    return (mpmath.gamma(lam1 + lam2 + 2 * ell - 1) * mpmath.rgamma(lam1 - 1)
+            * mpmath.rgamma(lam2 - 1) / (2 ** (2 * ell + 2) * mpmath.pi))
+
+
+# a negative weight overflows Gamma of the numerator; the Gamma at the
+# negative argument is negative for -3/2 and -7/3 and positive for -7/2
+@pytest.mark.parametrize("lam1, lam2, ell", [
+    (F(-1, 2), 300, 0), (-2.5, 250.0, 2), (F(-4, 3), F(601, 2), 1), (F(-1, 2), 180, 0),
+])
+def test_gamma_quotients_past_overflow_at_negative_arguments_match_mpmath(lam1, lam2, ell):
+    with mpmath.workdps(40):
+        want = _mp_r_ell(lam1, lam2, ell)
+        assert float(abs((r_ell(lam1, lam2, ell) - want) / want)) < 1e-12
+
+
+def test_gamma_quotients_past_overflow_are_zero_at_a_down_pole():
+    # 1/Gamma(-200) and 1/Gamma(-3) vanish, as reciprocal_gamma has them
+    assert beta(-200.5, 0.5) == 0.0
+    assert r_ell(300, -2, 0) == 0.0
 
 
 @pytest.mark.parametrize("ell, a, b", [(1, 0.5, 1.5), (3, 2.5, -0.5), (6, 10.25, 3.0), (2, 80.0, 1.5)])
