@@ -39,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -686,8 +686,10 @@ def _build_l2_plancherel(cfg: SuiteConfig, rng) -> list:
         num = halfplane_norm_sq(G, lamf, xmax=cfg.radius, ymax=cfg.radius)
         return _close(num / (gamma / 2**lamf), b_const(lamf), cfg.tol)
 
+    b_input = lru_cache(maxsize=None, typed=True)(b_const)  # once per grid weight
+
     def b_ratio(l1, l2, ell):
-        got = r_ell(l1, l2, ell) * b_const(l1) * b_const(l2)
+        got = r_ell(l1, l2, ell) * b_input(l1) * b_input(l2)
         return _close(got, b_const(l1 + l2 + 2 * ell), CLOSED_FORM_TOL)
 
     cases = []

@@ -38,6 +38,7 @@ from .special_poly import (
 )
 from .term_algebra import (
     HoloSum,
+    apply_operator,
     base_poly,
     combine,
     differentiate,
@@ -135,28 +136,27 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
 
     All three routes build the same operator; "coefficients" writes the
     two-index coefficient sum directly, "inflated" and "variant" substitute
-    the partial derivatives into the two bivariate Jacobi forms.  Each
-    d1^i f is built once, and the sum is normalized once before restriction.
-    When a base of f vanishes on the diagonal, each pass is one call, and
+    the partial derivatives into the two bivariate Jacobi forms.  The
+    operator is one `apply_operator` call, so on an exact input every route,
+    weight pair and order reads the same derivative lattice.  When a base of
+    f vanishes on the diagonal, f is climbed one pass at a time instead, and
     `prune` drops the terms the restriction must kill at the input and after
-    every pass; other inputs climb whole calls, measured faster than a prune
-    that finds nothing.
+    every pass; each d1^i f is then built once, from the rung below.
     """
     if f.arity != 2:
         raise DomainError("rc_apply needs a two-variable sum")
     coeffs = _operator_coefficients(params, route)
+    if not has_vanishing_base(f):
+        return restrict(apply_operator(f, coeffs.items()), "diagonal")
     depth = max(map(sum, coeffs), default=0)
-    pruned = has_vanishing_base(f)
 
     def climb(g, var, times, done):  # d_var^times g, g being `done` passes above f
-        if not pruned:
-            return differentiate(g, var, times)
         for k in range(done + 1, done + times + 1):
             g = prune(differentiate(g, var), depth - k)
         return g
 
     ladder, top = {}, 0  # i -> d1^i f, each rung built from the one below
-    start = prune(f, depth) if pruned else f
+    start = prune(f, depth)
     for i in sorted({i for i, _ in coeffs}):
         ladder[i], top = climb(ladder.get(top, start), 0, i - top, top), i
     pieces = [(c, climb(ladder[i], 1, j, i)) for (i, j), c in coeffs.items()]

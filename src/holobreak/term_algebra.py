@@ -39,26 +39,26 @@ them runs once per distinct value:
   on the base itself, so this cache is bounded by the registry.
 - A sum's hash is computed on first use and kept on the sum, and a base's
   image under each restriction is computed once (bounded by the registry).
-- A whole `differentiate(f, var, times)` call on an exact sum, and the
-  expansion of a base to a nonnegative integer power, are each memoized in an
-  LRU cache of 128 entries (a bound measured on the exact benchmark ladders).
-  The Rankin-Cohen routes and the Juhl and Bernstein-Sato rungs climb ladders
-  of partial derivatives of one input, so a ladder climbed again by another
-  route or rung is read back.
+- An exact sum's derivative lattice, and the expansion of a base to a
+  nonnegative integer power, are each memoized in an LRU cache of 128
+  entries (a bound measured on the exact benchmark ladders).  A lattice keeps
+  every partial derivative d^alpha f it has built and builds the next by one
+  pass from a neighbour, so the routes, weights and orders that climb
+  ladders of one input resume from its top rung.
 
 `restrict` and `prune` share one test of whether a base vanishes; `prune`
 drops the terms a diagonal restriction a few passes later must kill.
 
-An exact `differentiate` call that misses the cache climbs in class-offset
-coordinates.  The sum is split
-once into classes, a class being one base with one exponent modulo 1, so
-that each term is its monomial plus one integer numerator per class.  Every
-pass is then integer arithmetic on a dict, with no Fraction exponent and no
-sort, and one normal sum is rebuilt at the end.  `canonical_form` reads the
-same split.
+The lattice holds each derivative in class-offset coordinates.  The sum is
+split once into classes, a class being one base with one exponent modulo 1,
+so that each term is its monomial plus one integer numerator per class.
+Every pass is integer arithmetic on a dict, with no Fraction exponent and
+no sort.  `differentiate` rebuilds one normal sum from one state;
+`apply_operator` sums an operator over the states and rebuilds once.
+`canonical_form` reads the same split.
 
 Only exact sums, every coefficient a QQi and every exponent a Fraction,
-enter the derivative cache: a float sum can compare and hash equal to an
+enter the lattice memo: a float sum can compare and hash equal to an
 exact one (exponent 2 + 0j against Fraction(2), a coefficient part -0.0
 against 0.0) and still differentiate to a sum that prints differently.
 
@@ -563,13 +563,12 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
 
     `var` and `times` must be ints (not bools) and `times` nonnegative;
     `times == 0` returns f.  An exact sum (every coefficient a QQi, every
-    exponent a Fraction; its derivatives are exact too) goes through
-    `_exact_differentiate`, which climbs all `times` passes in class-offset
-    coordinates and is memoized per (sum, variable, times).  A float sum
-    takes `times` passes of `_derivative` and is never cached: a sum with
-    exponent 2 + 0j compares and hashes equal to the one with Fraction(2),
-    and a coefficient part -0.0 equal to 0.0, yet their derivatives print
-    differently.
+    exponent a Fraction; its derivatives are exact too) reads the state of
+    its derivative lattice (`_lattice`) and rebuilds one normal sum.  A
+    float sum takes `times` passes of `_derivative` and is never cached: a
+    sum with exponent 2 + 0j compares and hashes equal to the one with
+    Fraction(2), and a coefficient part -0.0 equal to 0.0, yet their
+    derivatives print differently.
     """
     ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (var, times))
     if not ints or times < 0:
@@ -577,10 +576,33 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     if not 0 <= var < f.arity:
         raise DomainError(f"variable {var} out of range")
     if times and _is_exact_sum(f):
-        return _exact_differentiate(f, var, times)
+        lattice = _lattice(f)
+        return lattice.rebuild(lattice.state((0,) * var + (times,) + (0,) * (f.arity - var - 1)))
     for _ in range(times):
         f = _derivative(f, var)
     return f
+
+
+def apply_operator(f: HoloSum, terms) -> HoloSum:
+    """The sum of c * d^alpha f over the (alpha, c) pairs, alpha holding one
+    derivative count per variable.  On an exact sum the states of f's
+    lattice are summed, in pair order, and one normal sum is rebuilt; on a
+    float sum each piece climbs its variables in index order and the pieces
+    are `combine`d, so its coefficients round as they always have."""
+    terms = [(_exponents(alpha), c) for alpha, c in terms]
+    if any(len(alpha) != f.arity or min(alpha, default=0) < 0 for alpha, _ in terms):
+        raise DomainError(f"need {f.arity} derivative counts >= 0 per term, got {terms!r}")
+    if not _is_exact_sum(f):
+        pieces = [(c, functools.reduce(lambda g, vt: differentiate(g, *vt), enumerate(alpha), f))
+                  for alpha, c in terms]
+        return combine(f.arity, pieces)
+    lattice, out = _lattice(f), {}
+    for alpha, c in terms:
+        for k, v in lattice.state(alpha).items():
+            v = v * c
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
+    return lattice.rebuild({k: v for k, v in out.items() if v})
 
 
 def _derivative(f: HoloSum, var: int) -> HoloSum:
@@ -642,35 +664,47 @@ def _class_split(f: HoloSum) -> tuple:
     return tuple((b, d) for b, _, d in order), rows
 
 
-# One repetition of the exact-ladder benchmark makes 3,684 calls with times
-# >= 1 on exact sums, over 783 distinct (sum, variable, times) keys; 128
-# entries read back 2,574 of the 2,901 repeats (64 read back as many), and
-# holding all 783 cost about 2 MB more peak memory.  A lookup hashes each sum
-# object once (`HoloSum.__hash__` keeps the value), and a call that misses
-# reads each class's base derivative from the base, which keeps one per
-# variable: that store is bounded by the base registry.
-@functools.lru_cache(maxsize=128)
-def _exact_differentiate(f: HoloSum, var: int, times: int) -> HoloSum:
-    """`times` passes of `_derivative` on an exact sum, in class-offset
-    coordinates: f is split once (`_class_split`), every pass maps int
-    tuples to QQi coefficients, and one normal sum is rebuilt at the end.
+class _Lattice:
+    """The partial derivatives d^alpha f of one exact sum f, each a state
+    {(monomial, nums): QQi} over f's one `_class_split`.
 
-    A pass lowers the monomial exponent m of `var` with factor m, and each
-    class numerator n with factor n/d times the base's derivative, to
-    n - d; an integer class at n = 1 drops its base there, as `_derivative`
-    does.  The rebuild orders terms as `holo_sum` does: by monomial, then by
-    each (base, exponent), with the exponent compared as (numerator,
-    denominator), the order of `e_key`, not by value.
+    A state is one integer pass above the state one below it in its last
+    nonzero variable, so the Rankin-Cohen keys (l - j, j) of order l each
+    sit one pass above a key of order l - 1.  A pass lowers the monomial
+    exponent m of `var` with factor m, and each class numerator n with
+    factor n/d times the base's derivative, to n - d; an integer class at
+    n = 1 drops its base there, as `_derivative` does.  `rebuild` orders
+    terms as `holo_sum` does: by monomial, then by each (base, exponent),
+    the exponent compared as (numerator, denominator), as `e_key` does.
     """
-    classes, rows = _class_split(f)
-    steps = []  # (class, d, [(base exponent, re, im, denominator * d)])
-    for j, (b, d) in enumerate(classes):
-        db = b.differentiate(var)
-        if db:
-            steps.append((j, d, [(e, dc._a, dc._b, dc._d * d) for e, dc in db.items()]))
-    terms = {(mono, nums): c for c, mono, nums in rows}
-    add = operator.add
-    for _ in range(times):
+
+    def __init__(self, f: HoloSum):
+        self.arity = f.arity
+        self.classes, rows = _class_split(f)
+        self.states = {(0,) * f.arity: {(mono, nums): c for c, mono, nums in rows}}
+        self._steps = [  # per variable: [(class, d, [(e, re, im, den * d)])]
+            [(j, d, [(e, c._a, c._b, c._d * d) for e, c in b.differentiate(var).items()])
+             for j, (b, d) in enumerate(self.classes) if b.differentiate(var)]
+            for var in range(f.arity)
+        ]
+        first: dict = {}  # base -> its first class, a rank in base order
+        self._rank = [first.setdefault(b, j) for j, (b, _) in enumerate(self.classes)]
+        self._pairs: dict = {}  # (class, numerator) -> (base, exponent)
+
+    def state(self, alpha: tuple) -> dict:
+        """d^alpha f, kept with every state on its path; do not mutate it."""
+        path = []
+        while alpha not in self.states:  # down to the nearest kept state
+            var = max(k for k, a in enumerate(alpha) if a)
+            path.append((alpha, var))
+            alpha = alpha[:var] + (alpha[var] - 1,) + alpha[var + 1 :]
+        state = self.states[alpha]
+        for alpha, var in reversed(path):
+            state = self.states[alpha] = self._pass(state, var)
+        return state
+
+    def _pass(self, terms: dict, var: int) -> dict:
+        steps, add = self._steps[var], operator.add
         out: dict = {}
         for (mono, nums), c in terms.items():
             a, b, q = c._a, c._b, c._d
@@ -691,32 +725,36 @@ def _exact_differentiate(f: HoloSum, var: int, times: int) -> HoloSum:
                     v = _make(an * x - bn * y, an * y + bn * x, q * w)
                     prev = out.get(k)
                     out[k] = v if prev is None else prev + v
-        terms = {k: v for k, v in out.items() if v}
-    return _rebuild(f.arity, classes, terms)
+        return {k: v for k, v in out.items() if v}
+
+    def rebuild(self, terms: dict) -> HoloSum:
+        """The normal sum of class-offset terms {(monomial, nums): coefficient}."""
+        classes, rank, pairs = self.classes, self._rank, self._pairs
+
+        def signature(item):
+            (mono, nums), _ = item
+            return mono, tuple((rank[j], n, classes[j][1]) for j, n in enumerate(nums) if n)
+
+        out = []
+        for (mono, nums), c in sorted(terms.items(), key=signature):
+            bases = []
+            for j, n in enumerate(nums):
+                if n:
+                    bp = pairs.get((j, n))
+                    if bp is None:
+                        b, d = classes[j]
+                        bp = pairs[(j, n)] = (b, Fraction(n, d))
+                    bases.append(bp)
+            out.append(HoloTerm(c, mono, tuple(bases)))
+        return HoloSum(self.arity, tuple(out))
 
 
-def _rebuild(arity: int, classes: tuple, terms: dict) -> HoloSum:
-    """The normal sum of class-offset terms {(monomial, nums): coefficient}."""
-    first: dict = {}  # base -> its first class, a rank in base order
-    rank = [first.setdefault(b, j) for j, (b, _) in enumerate(classes)]
-    pairs: dict = {}  # (class, numerator) -> (base, exponent)
-
-    def signature(item):
-        (mono, nums), _ = item
-        return mono, tuple((rank[j], n, classes[j][1]) for j, n in enumerate(nums) if n)
-
-    out = []
-    for (mono, nums), c in sorted(terms.items(), key=signature):
-        bases = []
-        for j, n in enumerate(nums):
-            if n:
-                bp = pairs.get((j, n))
-                if bp is None:
-                    b, d = classes[j]
-                    bp = pairs[(j, n)] = (b, Fraction(n, d))
-                bases.append(bp)
-        out.append(HoloTerm(c, mono, tuple(bases)))
-    return HoloSum(arity, tuple(out))
+# One exact-ladder benchmark repetition makes 1,288 lookups over 347 sums; 128
+# entries read back all 941 repeats an unbounded memo would (64 read 932).
+@functools.lru_cache(maxsize=128)
+def _lattice(f: HoloSum) -> _Lattice:
+    """One derivative lattice per distinct exact sum; a lookup hashes it once."""
+    return _Lattice(f)
 
 
 def _cut_last(e):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobreak import juhl, quadrature
+from holobreak import juhl, quadrature, term_algebra
 from holobreak.juhl import (
     JUHL_ROUTES,
     ConeLift,
@@ -60,6 +60,8 @@ from holobreak.term_algebra import (
     ExactnessError,
     base_poly,
     canonical_form,
+    combine,
+    differentiate,
     equal,
     holo_sum,
     monomial,
@@ -327,6 +329,32 @@ def test_full_wave_scalars_match_symbolic():
             cur = lorentz_laplacian(cur, n)
             want = holo_sum(n, [term(n, s[k], None, [(base, -lam - k)])])
             assert equal(cur, want, "exact"), (n, lam, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_unrestricted_operator_matches_a_climb_from_scratch(n, monkeypatch):
+    # the orders 0..8 and both routes share one wave ladder per input; each
+    # must equal the operator whose ladder is rebuilt for it alone, every
+    # wave a combine of whole differentiate calls
+    lam = F(7, 2)
+    inputs = [
+        holo_sum(n, [term(n, 1, None, [(juhl._wave_base(n), -lam)])]),
+        holo_sum(n, [term(n, F(2, 3), (1,) + (0,) * (n - 1), [(juhl._wave_base(n), -lam)]),
+                     term(n, qqi(0, 1), (0,) * (n - 1) + (2,), [])]),
+    ]
+    cases = [(f, ell, route) for f in inputs for ell in range(9) for route in JUHL_ROUTES]
+    shared = [to_text(juhl._unrestricted_operator(JuhlParams(n, lam, ell), f, route))
+              for f, ell, route in cases]
+
+    def laplacian(g, m):
+        return combine(g.arity, [(1 if j == 0 else -1, differentiate(g, j, 2)) for j in range(m)])
+
+    monkeypatch.setattr(juhl, "_wave_ladder", lambda f: [f])
+    monkeypatch.setattr(juhl, "lorentz_laplacian", laplacian)
+    for (f, ell, route), text in zip(cases, shared):
+        term_algebra._lattice.cache_clear()
+        got = juhl._unrestricted_operator(JuhlParams(n, lam, ell), f, route)
+        assert to_text(got) == text, (ell, route)
 
 
 @pytest.mark.parametrize("nvars", [True, False, 2.0, np.int64(2), "2"])

@@ -303,6 +303,21 @@ def test_casimir_intertwines_exact(lams):
             assert not equal(lhs, sl2_casimir((p.lam3 + 1,), image)), (name, ell)
 
 
+@pytest.mark.parametrize("lams", [(F(2), F(3)), (F(5, 2), F(7, 3))], ids=lambda lams: "-".join(map(str, lams)))
+def test_rc_apply_matches_whole_call_climb(lams):
+    # every route and order reads one derivative lattice per input; each
+    # must give the restriction of the combined whole differentiate calls
+    for name, f in _rc_library():
+        for ell in range(11):
+            p = RCParams(*lams, ell)
+            for route in RC_ROUTES:
+                table = rc_transform._operator_coefficients(p, route)
+                pieces = [(c, differentiate(differentiate(f, 0, i), 1, j))
+                          for (i, j), c in table.items()]
+                want = restrict(combine(2, pieces), "diagonal")
+                assert to_text(rc_apply(p, f, route)) == to_text(want), (name, ell, route)
+
+
 def test_casimir_annihilates_weight_product():
     f = ktype_generator(RCParams(F(2), F(3), 0))
     assert equal(casimir_P(F(2), F(3), f), holo_sum(2, []))

@@ -27,6 +27,7 @@ from holobreak.term_algebra import (
     QQi,
     SingularRestrictionError,
     add,
+    apply_operator,
     base_poly,
     canonical_form,
     combine,
@@ -550,7 +551,7 @@ def test_class_offset_ladder_matches_per_term_path(f, var, times):
 
 
 def test_derivative_memo_is_bounded():
-    cache = term_algebra._exact_differentiate
+    cache = term_algebra._lattice
     sums = [monomial(1, (k + 1,), F(k + 1, 7)) for k in range(200)]
     for f in sums:
         differentiate(f, 0)
@@ -558,6 +559,70 @@ def test_derivative_memo_is_bounded():
     hits = cache.cache_info().hits
     assert differentiate(sums[-1], 0) == monomial(1, (199,), F(200 * 200, 7))
     assert cache.cache_info().hits == hits + 1
+
+
+def combined_pieces(f, terms, climb=differentiate):
+    """The operator as one `combine` of its pieces, each climbed variable by
+    variable in index order."""
+    pieces = []
+    for alpha, c in terms:
+        g = f
+        for var, times in enumerate(alpha):
+            g = climb(g, var, times)
+        pieces.append((c, g))
+    return combine(f.arity, pieces)
+
+
+# the identity, a wave operator, a third-order Rankin-Cohen shape and an
+# operator that names one multi-index twice
+OPERATORS = (
+    [((0, 0), 1)],
+    [((2, 0), 1), ((0, 2), -1)],
+    [((3, 0), F(1, 2)), ((2, 1), qqi(0, -3)), ((1, 2), F(-7, 3)), ((0, 3), 2)],
+    [((1, 1), qqi(2, 1)), ((0, 0), F(5)), ((4, 0), -1), ((1, 1), F(-1, 3))],
+)
+
+
+@pytest.mark.parametrize("f", CLASS_LADDERS)
+@pytest.mark.parametrize("terms", OPERATORS)
+def test_apply_operator_matches_combined_pieces(f, terms):
+    got = to_text(apply_operator(f, terms))
+    assert got == to_text(combined_pieces(f, terms))
+    assert got == to_text(combined_pieces(f, terms, differentiate_by_term))
+
+
+operators = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+              st.one_of(gaussian, exact_numbers, small_complex)),
+    max_size=4,
+)
+
+
+@given(st.booleans().flatmap(random_sums), operators)
+@settings(max_examples=100)
+def test_apply_operator_matches_combined_pieces_on_random_sums(f, terms):
+    assert to_text(apply_operator(f, terms)) == to_text(combined_pieces(f, terms))
+
+
+@pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), (-1, 2), (1.5, 0), (True, 0)])
+def test_apply_operator_rejects_bad_counts(alpha):
+    with pytest.raises(DomainError):
+        apply_operator(monomial(2, (3, 3)), [((0, 0), 1), (alpha, 1)])
+
+
+def test_float_twin_never_enters_the_lattice():
+    b = zeta_plus_i(1, 0)
+    exact = holo_sum(1, [term(1, 1, (0,), [(b, F(3))])])
+    twin = holo_sum(1, [term(1, 1, (0,), [(b, 3 + 0j)])])
+    assert exact == twin and hash(exact) == hash(twin)
+    want = to_text(differentiate(exact, 0, 2))  # the exact sum's lattice is kept
+    info = term_algebra._lattice.cache_info()
+    got = [differentiate(twin, 0, 2), apply_operator(twin, [((2,), 1)])]
+    assert term_algebra._lattice.cache_info() == info
+    assert want.endswith(" 1))\n)")
+    for d in got:
+        assert to_text(d).endswith(" 1.0))\n)") and to_text(d) != want
+        assert [type(p) for t in d.terms for _, p in t.bases] == [complex]
 
 
 @pytest.mark.parametrize("var, times", [(0, -1), (True, 1), (0, True), (0.0, 1), (0, 1.0)])
