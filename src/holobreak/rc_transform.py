@@ -33,6 +33,7 @@ from .special_poly import (
     jacobi_inflated,
     jacobi_variant,
     levels,
+    log_gamma_quotient,
     pochhammer,
     reciprocal_gamma,
 )
@@ -50,7 +51,6 @@ from .term_algebra import (
     restrict,
     scale,
     term,
-    times_monomial,
 )
 
 RC_ROUTES = ("coefficients", "inflated", "variant")
@@ -252,27 +252,35 @@ def c_ell(lam1, lam2, ell: int):
     return _c_ell_value(lam1 + ell, lam2 + ell, lam1 + lam2 + ell - 1, lam3 - 1, ell)
 
 
+def _b_quotient(lam) -> tuple:
+    """The `gamma_quotient` arguments of b_const(lam)."""
+    if is_exact(lam):
+        n, q = lam.numerator, lam.denominator
+        power, arg = (2 * q - n) / q, _gamma_arg(n - q, q, lambda: lam - 1)
+    else:
+        power, arg = 2 - lam, lam - 1
+    return (lambda: 2.0 ** power * math.pi * complex_gamma(arg),
+            (arg,), (), (), power * _LOG2 + _LOG_PI)
+
+
 def b_const(lam):
     """Squared-norm constant of the boundary Fourier transform on weighted
     half-plane spaces; poles at lam in {1, 0, -1, ...}.  An exact weight is
     read as its integer numerator over its denominator.  Where Gamma(lam - 1)
     overflows at real lam > 1, the value comes from `math.lgamma`: the power
     of 2 keeps b finite past that point (b(180.5) is about 4.8e272)."""
-    if is_exact(lam):
-        n, q = lam.numerator, lam.denominator
-        power, arg = (2 * q - n) / q, _gamma_arg(n - q, q, lambda: lam - 1)
-    else:
-        power, arg = 2 - lam, lam - 1
-    return gamma_quotient(
-        lambda: 2.0 ** power * math.pi * complex_gamma(arg),
-        (arg,), (), (), power * _LOG2 + _LOG_PI,
-    )
+    return gamma_quotient(*_b_quotient(lam))
 
 
-def r_ell(lam1, lam2, ell: int):
-    """Quotient b(lam3) / (b(lam1) b(lam2)), continued through the zeros of
-    the denominator by reciprocal gammas.  Exact weights are read as integer
-    numerators over their denominators, as in c_ell_status."""
+def log_b_const(lam):
+    """(sign, log|b_const(lam)|) for a real weight off the poles, by
+    `log_gamma_quotient`; finite where b_const leaves the double range
+    (b(300) is about 1e520)."""
+    return log_gamma_quotient(*_b_quotient(lam)[1:])
+
+
+def _r_quotient(lam1, lam2, ell: int) -> tuple:
+    """The `gamma_quotient` arguments of r_ell(lam1, lam2, ell)."""
     check_ell(ell)
     if is_exact(lam1) and is_exact(lam2):
         n1, q1 = lam1.numerator, lam1.denominator
@@ -283,11 +291,24 @@ def r_ell(lam1, lam2, ell: int):
         low1, low2 = (n1 - q1) / q1, (n2 - q2) / q2
     else:
         top, low1, low2 = lam1 + lam2 + 2 * ell - 1, lam1 - 1, lam2 - 1
-    return gamma_quotient(
+    return (
         lambda: complex_gamma(top) * reciprocal_gamma(low1) * reciprocal_gamma(low2)
         / (2 ** (2 * ell + 2) * math.pi),
         (top,), (low1, low2), (2 ** (2 * ell + 2), math.pi),
     )
+
+
+def r_ell(lam1, lam2, ell: int):
+    """Quotient b(lam3) / (b(lam1) b(lam2)), continued through the zeros of
+    the denominator by reciprocal gammas.  Exact weights are read as integer
+    numerators over their denominators, as in c_ell_status."""
+    return gamma_quotient(*_r_quotient(lam1, lam2, ell))
+
+
+def log_r_ell(lam1, lam2, ell: int):
+    """(sign, log|r_ell|) for real weights, by `log_gamma_quotient`; the sign
+    is 0.0 where r_ell vanishes."""
+    return log_gamma_quotient(*_r_quotient(lam1, lam2, ell)[1:])
 
 
 def rc_operator_norm_sq(params: RCParams) -> float:
@@ -386,16 +407,12 @@ def casimir_P(lam1, lam2, f: HoloSum) -> HoloSum:
     """
     if f.arity != 2:
         raise DomainError("casimir_P needs a two-variable sum")
-    d1 = differentiate(f, 0)
-    d2 = differentiate(f, 1)
-    d12 = differentiate(d1, 1)
     l1, l2 = _exp(lam1), _exp(lam2)
-    pieces = [
-        (1, d12, (2, 0)), (-2, d12, (1, 1)), (1, d12, (0, 2)),
-        (-l2, d1, (1, 0)), (l2, d1, (0, 1)),
-        (l1, d2, (1, 0)), (-l1, d2, (0, 1)),
-    ]
-    return combine(2, [(c, times_monomial(g, e)) for c, g, e in pieces])
+    return apply_operator(f, [
+        ((1, 1), 1, (2, 0)), ((1, 1), -2, (1, 1)), ((1, 1), 1, (0, 2)),
+        ((1, 0), -l2, (1, 0)), ((1, 0), l2, (0, 1)),
+        ((0, 1), l1, (1, 0)), ((0, 1), -l1, (0, 1)),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -163,13 +163,10 @@ def gamma_quotient(direct, up, down, divisors, log_factor=0.0):
 
     Where direct() raises OverflowError or gives inf, or nan from inf / inf,
     and every argument and divisor is real, no `up` argument is a pole and
-    no divisor is 0, the quotient comes from lgamma and log terms instead:
-    a `down` argument at a pole makes it exactly 0, as reciprocal_gamma
-    does; otherwise it is the exp of their sum, with the sign of each
-    negative divisor and of each Gamma at a negative argument, which is
-    negative after an odd number of poles.  Past the double range that
-    raises OverflowError too.  Every finite value of direct() is returned
-    as it is."""
+    no divisor is 0, the quotient is sign * exp(log) of
+    `log_gamma_quotient`; a `down` argument at a pole makes it exactly 0, as
+    reciprocal_gamma does.  Past the double range that raises OverflowError
+    too.  Every finite value of direct() is returned as it is."""
     def loggable():
         return (not any(isinstance(x, complex) for x in (*up, *down, *divisors))
                 and not any(map(_pole, up)) and all(divisors))
@@ -182,13 +179,24 @@ def gamma_quotient(direct, up, down, divisors, log_factor=0.0):
     else:
         if math.isfinite(abs(value)) or not loggable():
             return value
+    sign, log = log_gamma_quotient(up, down, divisors, log_factor)
+    return sign * math.exp(log)
+
+
+def log_gamma_quotient(up, down, divisors, log_factor=0.0):
+    """(sign, log|q|) of the quotient q that `gamma_quotient` takes, from
+    lgamma and log terms, for real arguments and divisors with no `up`
+    argument at a pole and no divisor 0.  A `down` argument at a pole makes
+    q exactly 0: (0.0, -inf).  The sign is -1.0 after an odd count of
+    negative divisors and of Gammas negative at negative arguments, +1.0
+    otherwise.  log|q| stays finite past the double range of q."""
     if any(map(_pole, down)):
-        return 0.0
+        return 0.0, -math.inf
     negatives = [x for x in (*up, *down) if x < 0 and math.floor(-x) % 2 == 0]
     negatives += [x for x in divisors if x < 0]
     terms = [log_factor, *map(math.lgamma, up)]
     terms += [-math.lgamma(x) for x in down] + [-math.log(abs(x)) for x in divisors]
-    return (-1.0) ** len(negatives) * math.exp(math.fsum(terms))
+    return (-1.0) ** len(negatives), math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ operations the transforms need -- differentiation, restriction to a
 hyperplane or the diagonal, pointwise evaluation, the sl2 action -- and
 nothing else: there is deliberately no general term-times-term product.
 Restriction is an exponent substitution: one map on exponent tuples,
-applied to the term monomial and to every base entry.  Composite operators
-(`sl2_action` and `sl2_casimir` here, which take one weight per variable,
-and the Rankin-Cohen, Casimir and Juhl operators built on them) collect
-their pieces with `combine` and normalize once, through a single
-`holo_sum` pass.
+applied to the term monomial and to every base entry.  A differential
+operator with polynomial coefficients -- `sl2_action` here, the
+Rankin-Cohen, Casimir and wave operators elsewhere -- is one table of rows
+c z^m d^alpha f that `apply_operator` sums and normalizes once; operators
+that add whole sums, such as `sl2_casimir`, `combine` them in one pass.
 
 Two equality modes are provided.  Exact mode decides equality of sums with
 rational data by canonicalizing the difference: within each base, exponents
@@ -538,8 +538,8 @@ def sub(f: HoloSum, g: HoloSum) -> HoloSum:
 
 def times_monomial(f: HoloSum, exponents) -> HoloSum:
     """f times z^exponents, the one sanctioned product (a polynomial factor
-    is a `combine` of these).  Shifting every monomial alike keeps the terms
-    distinct and in order, so the product is already normal."""
+    is the m of `apply_operator` rows).  Shifting every monomial alike keeps
+    the terms distinct and in order, so the product is already normal."""
     e = _exponents(exponents)
     if len(e) != f.arity or any(k < 0 for k in e):
         raise DomainError(f"bad monomial {e!r}")
@@ -583,22 +583,29 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     return f
 
 
-def apply_operator(f: HoloSum, terms) -> HoloSum:
-    """The sum of c * d^alpha f over the (alpha, c) pairs, alpha holding one
-    derivative count per variable.  On an exact sum the states of f's
-    lattice are summed, in pair order, and one normal sum is rebuilt; on a
-    float sum each piece climbs its variables in index order and the pieces
-    are `combine`d, so its coefficients round as they always have."""
-    terms = [(_exponents(alpha), c) for alpha, c in terms]
-    if any(len(alpha) != f.arity or min(alpha, default=0) < 0 for alpha, _ in terms):
-        raise DomainError(f"need {f.arity} derivative counts >= 0 per term, got {terms!r}")
+def apply_operator(f: HoloSum, rows) -> HoloSum:
+    """The sum of c * z^m * d^alpha f over the rows (alpha, c, m), or (alpha,
+    c) with m = 0, alpha and m holding one count per variable.  On an exact
+    sum f's lattice states are shifted by m and summed, in row order, and one
+    normal sum is rebuilt; on a float sum each distinct alpha climbs once, in
+    variable order, and the pieces are `combine`d, so its coefficients round
+    as they always have."""
+    n, zero = f.arity, (0,) * f.arity
+    rows = [(_exponents(r[0]), r[1], _exponents(*r[2:]) if len(r) > 2 else zero) for r in rows]
+    if (any(len(a) != n or len(m) != n for a, _, m in rows)
+            or any(k < 0 for a, _, m in rows for k in a + m)):
+        raise DomainError(f"need {n} counts >= 0 in each alpha and m, got {rows!r}")
     if not _is_exact_sum(f):
-        pieces = [(c, functools.reduce(lambda g, vt: differentiate(g, *vt), enumerate(alpha), f))
-                  for alpha, c in terms]
-        return combine(f.arity, pieces)
+        climbed = {a: functools.reduce(lambda g, vt: differentiate(g, *vt), enumerate(a), f)
+                   for a in {a for a, _, _ in rows}}
+        return combine(f.arity, [(c, times_monomial(climbed[a], m)) for a, c, m in rows])
     lattice, out = _lattice(f), {}
-    for alpha, c in terms:
-        for k, v in lattice.state(alpha).items():
+    for alpha, c, m in rows:
+        state = lattice.state(alpha)
+        if m is not zero:  # a row given with m
+            state = {(tuple(map(operator.add, mono, m)), nums): v
+                     for (mono, nums), v in state.items()}
+        for k, v in state.items():
             v = v * c
             prev = out.get(k)
             out[k] = v if prev is None else prev + v
@@ -1147,27 +1154,23 @@ def sl2_action(generator: str, weights, f: HoloSum) -> HoloSum:
     """Sum over the variables z_k of the one-variable action with weight
     weights[k]: H acts by -lam - 2 z d/dz, X by -d/dz, Y by lam z + z^2 d/dz.
     On two variables this is the diagonal tensor-product action; weights may
-    be exact or complex.  H takes its scalar parts as one piece after the
-    derivative parts, Y its scalar parts first; that order fixes how float
-    coefficients round."""
+    be exact or complex.  The action is one `apply_operator` table: H takes
+    its scalar parts as one row after the derivative rows, Y its scalar rows
+    first; that order fixes how float coefficients round."""
     if generator not in ("H", "X", "Y"):
         raise DomainError(f"unknown sl2 generator {generator!r}")
     n = f.arity
     if not isinstance(weights, (tuple, list)) or len(weights) != n:
         raise DomainError(f"need one weight per variable of a {n}-variable sum, got {weights!r}")
-
-    def z(k, p, g):  # z_k^p g
-        return times_monomial(g, [p * (i == k) for i in range(n)])
-
-    derivs = [differentiate(f, k) for k in range(n)]
+    e = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     if generator == "H":
-        pieces = [(-2, z(k, 1, d)) for k, d in enumerate(derivs)] + [(-sum(weights), f)]
+        rows = [(e[k], -2, e[k]) for k in range(n)] + [((0,) * n, -sum(weights))]
     elif generator == "X":
-        pieces = [(-1, d) for d in derivs]
+        rows = [(e[k], -1) for k in range(n)]
     else:
-        pieces = [(lam, z(k, 1, f)) for k, lam in enumerate(weights)]
-        pieces += [(1, z(k, 2, d)) for k, d in enumerate(derivs)]
-    return combine(n, pieces)
+        rows = [((0,) * n, lam, e[k]) for k, lam in enumerate(weights)]
+        rows += [(ek, 1, tuple(2 * x for x in ek)) for ek in e]
+    return apply_operator(f, rows)
 
 
 def sl2_casimir(weights, f: HoloSum) -> HoloSum:

@@ -6,19 +6,24 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import holobreak
+from holobreak import juhl
 from holobreak.cli import (
     _EVAL_FORMS,
     _EVAL_HELP,
+    _build_l2_plancherel,
+    _close_logs,
+    _encode,
     _fragment,
     _json,
     _record_text,
@@ -26,6 +31,7 @@ from holobreak.cli import (
     SUITE_DEFAULTS,
     SUITES,
     VERIFY_OPTIONS,
+    CLOSED_FORM_TOL,
     ConfigError,
     SuiteConfig,
     VerificationReport,
@@ -36,8 +42,8 @@ from holobreak.cli import (
     read_config_file,
     run_suite,
 )
-from holobreak.rc_transform import RCParams, c_ell
-from holobreak.term_algebra import evaluate
+from holobreak.rc_transform import RCParams, c_ell, log_b_const, log_r_ell
+from holobreak.term_algebra import evaluate, qqi, scale
 from holobreak.rc_transform import psi_ktype_closed_form
 
 
@@ -574,6 +580,99 @@ def test_b_ratio_at_a_negative_weight_past_gamma_overflow(capsys):
     assert code == 0
     ratios = [r for r in lines[:-1] if r["case"].startswith("b-ratio/")]
     assert len(ratios) == 2 and all(r["pass"] for r in ratios)
+
+
+def test_b_ratio_past_the_double_range_compares_logs(capsys):
+    # b(300) is about 1e520: each side is compared as (sign, log|value|)
+    code, lines = run_lines(
+        capsys, ["verify", "l2-plancherel", "--lambda1", "-1/2", "--lambda2", "300"],
+    )
+    assert code == 0 and lines[-1]["failed"] == 0
+    ratios = [r for r in lines[:-1] if r["case"].startswith("b-ratio/")]
+    assert len(ratios) == 3
+    for r in ratios:
+        assert r["pass"] and r["note"] == "compared as logs of |value|; signs +1 and +1"
+        assert r["computed"] > 1000 and r["abs_err"] <= CLOSED_FORM_TOL
+
+
+def _b_ratio_records(lam1, lam2, ell_max):
+    grids = {**SUITE_DEFAULTS["l2-plancherel"], "lam1": (lam1,), "lam2": (lam2,), "ell_max": ell_max}
+    cfg = SuiteConfig(suite="l2-plancherel", exact=True, seed=0, **grids)
+    cases = _build_l2_plancherel(cfg, random.Random(0))
+    return [c.run(*c.args) for c in cases if c.key.startswith("b-ratio/")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=-3, max_value=1000, max_denominator=4),
+       st.fractions(min_value=190, max_value=1000, max_denominator=4),
+       st.integers(0, 3))
+def test_b_ratio_records_hold_at_large_weights(lam1, lam2, ell_max):
+    # weights off the poles of b, one of them past the point where b leaves
+    # the double range or near it
+    assume(lam1.denominator > 1 or lam1 > 1)
+    results = _b_ratio_records(lam1, lam2, ell_max)
+    assert len(results) == ell_max + 1
+    assert all(r.passed for r in results), results
+
+
+def test_b_ratio_in_logs_fails_against_a_shifted_reference():
+    # negative control: b(lam3 + 1) differs from b(lam3) by the factor
+    # (lam3 - 1)/2, so the log comparison must fail
+    lam1, lam2, ell = Fraction(-1, 2), 300, 1
+    lam3 = lam1 + lam2 + 2 * ell
+    factors = [log_r_ell(lam1, lam2, ell), log_b_const(lam1), log_b_const(lam2)]
+    got = math.prod(s for s, _ in factors), math.fsum(x for _, x in factors)
+    assert _close_logs(got, log_b_const(lam3), CLOSED_FORM_TOL).passed
+    shifted = _close_logs(got, log_b_const(lam3 + 1), CLOSED_FORM_TOL)
+    assert not shifted.passed
+    assert shifted.abs_err == pytest.approx(math.log((lam3 - 1) / 2))
+
+
+def test_b_ratio_in_logs_fails_on_a_sign_mismatch():
+    result = _close_logs((1.0, 1200.0), (-1.0, 1200.0), CLOSED_FORM_TOL)
+    assert not result.passed and result.abs_err == 0.0
+    assert result.note == "compared as logs of |value|; signs +1 and -1"
+
+
+def test_rc_routes_record_the_route_that_differs(capsys, monkeypatch):
+    real = holobreak.cli.rc_apply
+
+    def doubled_variant(params, f, route="coefficients"):
+        g = real(params, f, route)
+        return scale(g, 2) if route == "variant" else g
+
+    monkeypatch.setattr(holobreak.cli, "rc_apply", doubled_variant)
+    code, lines = run_lines(
+        capsys, ["verify", "rc-identities", "--lambda1", "2", "--lambda2", "3", "--ell-max", "1"],
+    )
+    assert code == 1
+    routes = [r for r in lines[:-1] if r["case"].startswith("rc-routes/")]
+    assert len(routes) == lines[-1]["failed"] == 6
+    assert all(r["note"] == "route variant differs" and r["computed"] is False for r in routes)
+
+
+def test_bernstein_sato_records_nonzero_higher_rungs(capsys, monkeypatch):
+    # one more d_n^2 in the order-2 operator adds 2 lam Q^(-lam-1) to its
+    # image: the peel leaves a rung j = 1
+    real = juhl.gegenbauer_a
+    monkeypatch.setattr(juhl, "gegenbauer_a",
+                        lambda ell, k, alpha: real(ell, k, alpha) + (ell == 2 and k == 0))
+    q0, higher = juhl.bernstein_sato_verify(juhl.JuhlParams(3, Fraction(7, 2), 2))
+    assert higher == [(1, qqi(7))]
+    code, lines = run_lines(
+        capsys, ["verify", "bernstein-sato", "--n", "3", "--lambda", "7/2", "--ell-max", "2"],
+    )
+    assert code == 1
+    failed = [r for r in lines[:-1] if not r["pass"]]
+    assert [r["case"] for r in failed] == ["eigen-constant/n=3/lam=7/2/ell=02"]
+    assert failed[0]["note"] == "nonzero higher rungs: j=1"
+
+
+def test_encode_raises_on_a_value_no_case_returns():
+    # _close and its siblings encode inside the case, so a check that
+    # returned such a value would become a failed record
+    with pytest.raises(TypeError, match="no record encoding for tuple"):
+        _encode((1, 2))
 
 
 def test_verify_exit_one_on_failure(capsys):

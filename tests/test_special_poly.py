@@ -25,13 +25,14 @@ from holobreak.special_poly import (
     jacobi_poly,
     jacobi_variant,
     levels,
+    log_gamma_quotient,
     pochhammer,
     poly_one,
     poly_two,
     reciprocal_gamma,
     _jacobi_coeffs,
 )
-from holobreak.rc_transform import r_ell
+from holobreak.rc_transform import log_b_const, log_r_ell, r_ell
 
 F = Fraction
 
@@ -449,6 +450,38 @@ def test_gamma_quotients_past_overflow_at_negative_arguments_match_mpmath(lam1, 
     with mpmath.workdps(40):
         want = _mp_r_ell(lam1, lam2, ell)
         assert float(abs((r_ell(lam1, lam2, ell) - want) / want)) < 1e-12
+
+
+def _mp_b_const(lam):
+    lam = _mp(lam)
+    return 2 ** (2 - lam) * mpmath.pi * mpmath.gamma(lam - 1)
+
+
+# weights up to about 1000, where b leaves the double range (b(300) is
+# about 1e520); b(1/2) and b(-4/3) are negative, and so is r_ell there
+@pytest.mark.parametrize("lam1, lam2, ell", [
+    (F(-1, 2), 300, 0), (F(-1, 2), 300, 2), (F(1, 2), F(1999, 2), 3), (F(-4, 3), 999, 1),
+    (400.25, 600.5, 3), (3, 1000, 0), (F(997, 4), F(3, 2), 2),
+])
+def test_log_b_const_and_log_r_ell_match_mpmath(lam1, lam2, ell):
+    lam3 = lam1 + lam2 + 2 * ell
+    pairs = [(log_r_ell(lam1, lam2, ell), lambda: _mp_r_ell(lam1, lam2, ell))]
+    pairs += [(log_b_const(lam), lambda lam=lam: _mp_b_const(lam)) for lam in (lam1, lam2, lam3)]
+    with mpmath.workdps(50):
+        for (sign, log), want in pairs:
+            want = want()
+            assert sign == mpmath.sign(want)
+            want_log = float(mpmath.log(abs(want)))
+            assert abs(log - want_log) <= 1e-12 * max(1.0, abs(want_log))
+
+
+def test_log_gamma_quotient_signs_and_zero():
+    # (sign, log|q|) of Gamma(-1/2) / (Gamma(-3/2) * -2) and of a quotient
+    # with a down pole
+    sign, log = log_gamma_quotient((-0.5,), (-1.5,), (-2,))
+    assert sign == 1.0 and log == pytest.approx(math.log(0.75))
+    assert log_gamma_quotient((300,), (-2,), ()) == (0.0, -math.inf)
+    assert log_r_ell(300, -2, 0) == (0.0, -math.inf)
 
 
 def test_gamma_quotients_past_overflow_are_zero_at_a_down_pole():

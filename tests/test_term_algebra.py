@@ -563,23 +563,28 @@ def test_derivative_memo_is_bounded():
 
 def combined_pieces(f, terms, climb=differentiate):
     """The operator as one `combine` of its pieces, each climbed variable by
-    variable in index order."""
+    variable in index order and then multiplied by its monomial, if any."""
     pieces = []
-    for alpha, c in terms:
+    for alpha, c, *m in terms:
         g = f
         for var, times in enumerate(alpha):
             g = climb(g, var, times)
-        pieces.append((c, g))
+        pieces.append((c, times_monomial(g, *m) if m else g))
     return combine(f.arity, pieces)
 
 
-# the identity, a wave operator, a third-order Rankin-Cohen shape and an
-# operator that names one multi-index twice
+# the identity, a wave operator, a third-order Rankin-Cohen shape, an
+# operator that names one multi-index twice, the shape of `casimir_P`, and
+# rows with and without a monomial whose terms meet
 OPERATORS = (
     [((0, 0), 1)],
     [((2, 0), 1), ((0, 2), -1)],
     [((3, 0), F(1, 2)), ((2, 1), qqi(0, -3)), ((1, 2), F(-7, 3)), ((0, 3), 2)],
     [((1, 1), qqi(2, 1)), ((0, 0), F(5)), ((4, 0), -1), ((1, 1), F(-1, 3))],
+    [((1, 1), 1, (2, 0)), ((1, 1), -2, (1, 1)), ((1, 1), 1, (0, 2)),
+     ((1, 0), F(-3), (1, 0)), ((1, 0), 3, (0, 1)), ((0, 1), F(5, 2), (1, 0)),
+     ((0, 1), F(-5, 2), (0, 1))],
+    [((1, 0), qqi(0, 1), (1, 0)), ((0, 0), 2), ((2, 0), F(-1, 2), (2, 0)), ((0, 0), -2, (0, 0))],
 )
 
 
@@ -591,9 +596,10 @@ def test_apply_operator_matches_combined_pieces(f, terms):
     assert got == to_text(combined_pieces(f, terms, differentiate_by_term))
 
 
+counts = st.tuples(st.integers(0, 3), st.integers(0, 3))
+coefficients = st.one_of(gaussian, exact_numbers, small_complex)
 operators = st.lists(
-    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-              st.one_of(gaussian, exact_numbers, small_complex)),
+    st.one_of(st.tuples(counts, coefficients), st.tuples(counts, coefficients, counts)),
     max_size=4,
 )
 
@@ -608,6 +614,13 @@ def test_apply_operator_matches_combined_pieces_on_random_sums(f, terms):
 def test_apply_operator_rejects_bad_counts(alpha):
     with pytest.raises(DomainError):
         apply_operator(monomial(2, (3, 3)), [((0, 0), 1), (alpha, 1)])
+    with pytest.raises(DomainError):
+        apply_operator(monomial(2, (3, 3)), [((0, 0), 1), ((1, 0), 1, alpha)])
+
+
+def test_apply_operator_rejects_a_row_of_four():
+    with pytest.raises(TypeError):
+        apply_operator(monomial(2, (3, 3)), [((1, 0), 1, (0, 1), (1, 0))])
 
 
 def test_float_twin_never_enters_the_lattice():
@@ -1339,3 +1352,11 @@ def test_parse_error_carries_offset(text, pos):
     with pytest.raises(ParseError) as info:
         from_text(text)
     assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("exponent, want", [("(c 1/2 0)", Fraction(1, 2)), ("(c 1/2 1)", 0.5 + 1j)])
+def test_from_text_reads_an_exact_complex_exponent(exponent, want):
+    # an exact (c re im) exponent is a Fraction when im is 0, else complex
+    f = from_text(f"(sum 1 (term 1 (mono 0) (pow (base ((1) 1) ((0) (c 0 1))) {exponent})))")
+    ((_, p),) = f.terms[0].bases
+    assert p == want and type(p) is type(want)
