@@ -273,11 +273,16 @@ def juhl_sbo_apply(
 
 
 def q_constant(n: int, ell: int, lam):
-    """Eigenvalue polynomial (2^ell / ell!) (2 lam - n + 1)_ell (lam)_ell."""
+    """Eigenvalue polynomial (2^ell / ell!) (2 lam - n + 1)_ell (lam)_ell.
+
+    Raises OverflowError when a float or complex value is not finite."""
     if ell < 0:
         raise DomainError("q_constant needs ell >= 0")
     lead = Fraction(2**ell, math.factorial(ell))
-    return lead * pochhammer(2 * lam - n + 1, ell) * pochhammer(lam, ell)
+    value = lead * pochhammer(2 * lam - n + 1, ell) * pochhammer(lam, ell)
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise OverflowError(f"q_constant({n}, {ell}, {lam!r}) is not finite")
+    return value
 
 
 def _wave_base(n: int):
@@ -310,23 +315,23 @@ def bernstein_sato_verify(params: JuhlParams):
     applied = _unrestricted_operator(params, f, "coefficients")
     canon = canonical_form(applied)
 
-    floor_sig = None
+    # the floor F = -lam - ell is the lowest power of Q on the ladder; at an
+    # integer F >= 0 every rung is a polynomial that canonical_form expands
+    # in full, so the floor reads as Q^0 and rung j as Q^(j + F)
+    floor = -lam - ell
+    polynomial = floor.denominator == 1 and floor >= 0
+    lift = int(floor) if polynomial else 0
+    want = () if polynomial else ((q_base, floor),)
     remaining = {}
     for (mono, sig), coeff in canon.items():
-        if len(sig) != 1:
-            raise ArithmeticError(f"unexpected base structure {sig!r}")
-        if floor_sig is None:
-            floor_sig = sig
-        elif sig != floor_sig:
-            raise ArithmeticError("mixed base exponents after canonicalization")
+        if sig != want:
+            raise ArithmeticError(f"unexpected base structure {sig!r}, expected {want!r}")
         remaining[mono] = coeff
-    if floor_sig is not None and floor_sig[0][1] != -lam - ell:
-        raise ArithmeticError(f"unexpected floor exponent {floor_sig!r}")
 
     extracted = {}
     for j in range(ell // 2, -1, -1):
         probe = [0] * n
-        probe[0] = 2 * j
+        probe[0] = 2 * (j + lift)
         probe[-1] = ell - 2 * j
         probe = tuple(probe)
         c = remaining.get(probe)
@@ -336,7 +341,7 @@ def bernstein_sato_verify(params: JuhlParams):
         extracted[j] = c
         shift = [0] * n
         shift[-1] = ell - 2 * j
-        for e, w in _expand_base_power(q_base, j):
+        for e, w in _expand_base_power(q_base, j + lift):
             key = tuple(a + b for a, b in zip(e, shift))
             prev = remaining.get(key, qqi(0))
             nxt = prev - c * w

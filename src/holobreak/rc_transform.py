@@ -41,14 +41,9 @@ from .term_algebra import (
     HoloSum,
     apply_operator,
     base_poly,
-    combine,
-    differentiate,
     evaluate,
-    has_vanishing_base,
     holo_sum,
-    prune,
     qqi,
-    restrict,
     scale,
     term,
 )
@@ -137,30 +132,11 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
     All three routes build the same operator; "coefficients" writes the
     two-index coefficient sum directly, "inflated" and "variant" substitute
     the partial derivatives into the two bivariate Jacobi forms.  The
-    operator is one `apply_operator` call, so on an exact input every route,
-    weight pair and order reads the same derivative lattice.  When a base of
-    f vanishes on the diagonal, f is climbed one pass at a time instead, and
-    `prune` drops the terms the restriction must kill at the input and after
-    every pass; each d1^i f is then built once, from the rung below.
+    operator and the restriction are one `apply_operator` call: on an exact
+    input the routes read one derivative lattice, which drops what the
+    restriction must kill when a base of f vanishes on the diagonal.
     """
-    if f.arity != 2:
-        raise DomainError("rc_apply needs a two-variable sum")
-    coeffs = _operator_coefficients(params, route)
-    if not has_vanishing_base(f):
-        return restrict(apply_operator(f, coeffs.items()), "diagonal")
-    depth = max(map(sum, coeffs), default=0)
-
-    def climb(g, var, times, done):  # d_var^times g, g being `done` passes above f
-        for k in range(done + 1, done + times + 1):
-            g = prune(differentiate(g, var), depth - k)
-        return g
-
-    ladder, top = {}, 0  # i -> d1^i f, each rung built from the one below
-    start = prune(f, depth)
-    for i in sorted({i for i, _ in coeffs}):
-        ladder[i], top = climb(ladder.get(top, start), 0, i - top, top), i
-    pieces = [(c, climb(ladder[i], 1, j, i)) for (i, j), c in coeffs.items()]
-    return restrict(combine(2, pieces), "diagonal")
+    return apply_operator(f, _operator_coefficients(params, route).items(), "diagonal")
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ them runs once per distinct value:
   pass from a neighbour, so the routes, weights and orders that climb
   ladders of one input resume from its top rung.
 
-`restrict` and `prune` share one test of whether a base vanishes; `prune`
-drops the terms a diagonal restriction a few passes later must kill.
+`apply_operator(f, rows, kind)` climbs a lattice that drops the terms the
+restriction `kind` must kill when a base of f vanishes under it; that lattice
+and `restrict` share one test of whether a base vanishes.
 
 The lattice holds each derivative in class-offset coordinates.  The sum is
 split once into classes, a class being one base with one exponent modulo 1,
@@ -583,14 +584,19 @@ def differentiate(f: HoloSum, var: int, times: int = 1) -> HoloSum:
     return f
 
 
-def apply_operator(f: HoloSum, rows) -> HoloSum:
+def apply_operator(f: HoloSum, rows, restriction=None) -> HoloSum:
     """The sum of c * z^m * d^alpha f over the rows (alpha, c, m), or (alpha,
-    c) with m = 0, alpha and m holding one count per variable.  On an exact
-    sum f's lattice states are shifted by m and summed, in row order, and one
+    c) with m = 0, alpha and m holding one count per variable, restricted by
+    `restriction` when it is a kind that `restrict` takes.  On an exact sum
+    f's lattice states are shifted by m and summed, in row order, and one
     normal sum is rebuilt; on a float sum each distinct alpha climbs once, in
     variable order, and the pieces are `combine`d, so its coefficients round
-    as they always have."""
+    as they always have.  A bad kind or arity raises before any pass.  An
+    exact f with a base that vanishes under the restriction climbs a lattice
+    that drops what the restriction must kill (see `_Lattice`)."""
     n, zero = f.arity, (0,) * f.arity
+    if restriction is not None:
+        _check_restriction(f, restriction)
     rows = [(_exponents(r[0]), r[1], _exponents(*r[2:]) if len(r) > 2 else zero) for r in rows]
     if (any(len(a) != n or len(m) != n for a, _, m in rows)
             or any(k < 0 for a, _, m in rows for k in a + m)):
@@ -598,18 +604,25 @@ def apply_operator(f: HoloSum, rows) -> HoloSum:
     if not _is_exact_sum(f):
         climbed = {a: functools.reduce(lambda g, vt: differentiate(g, *vt), enumerate(a), f)
                    for a in {a for a, _, _ in rows}}
-        return combine(f.arity, [(c, times_monomial(climbed[a], m)) for a, c, m in rows])
-    lattice, out = _lattice(f), {}
-    for alpha, c, m in rows:
-        state = lattice.state(alpha)
-        if m is not zero:  # a row given with m
-            state = {(tuple(map(operator.add, mono, m)), nums): v
-                     for (mono, nums), v in state.items()}
-        for k, v in state.items():
-            v = v * c
-            prev = out.get(k)
-            out[k] = v if prev is None else prev + v
-    return lattice.rebuild({k: v for k, v in out.items() if v})
+        out = combine(f.arity, [(c, times_monomial(climbed[a], m)) for a, c, m in rows])
+    else:
+        if restriction is not None and any(_restricted_base(b, restriction) is None
+                                           for t in f.terms for b, _ in t.bases):
+            lattice = _lattice(f, restriction, max((sum(a) for a, _, _ in rows), default=0))
+        else:
+            lattice = _lattice(f)
+        acc = {}
+        for alpha, c, m in rows:
+            state = lattice.state(alpha)
+            if m is not zero:  # a row given with m
+                state = {(tuple(map(operator.add, mono, m)), nums): v
+                         for (mono, nums), v in state.items()}
+            for k, v in state.items():
+                v = v * c
+                prev = acc.get(k)
+                acc[k] = v if prev is None else prev + v
+        out = lattice.rebuild({k: v for k, v in acc.items() if v})
+    return out if restriction is None else restrict(out, restriction)
 
 
 def _derivative(f: HoloSum, var: int) -> HoloSum:
@@ -683,12 +696,20 @@ class _Lattice:
     n = 1 drops its base there, as `_derivative` does.  `rebuild` orders
     terms as `holo_sum` does: by monomial, then by each (base, exponent),
     the exponent compared as (numerator, denominator), as `e_key` does.
+
+    A lattice for a restriction kind and a depth drops each term whose
+    classes with a vanishing base are all integer classes at positive
+    numerators, one above the passes left to the depth: a pass lowers such a
+    numerator by at most one, so the restriction kills every descendant.
     """
 
-    def __init__(self, f: HoloSum):
-        self.arity = f.arity
+    def __init__(self, f: HoloSum, restriction=None, depth: int = 0):
+        self.arity, self.depth = f.arity, depth
         self.classes, rows = _class_split(f)
-        self.states = {(0,) * f.arity: {(mono, nums): c for c, mono, nums in rows}}
+        self._vanishing = [(j, d) for j, (b, d) in enumerate(self.classes)
+                           if restriction and _restricted_base(b, restriction) is None]
+        root = {(mono, nums): c for c, mono, nums in rows}
+        self.states = {(0,) * f.arity: self._prune(root, depth)}
         self._steps = [  # per variable: [(class, d, [(e, re, im, den * d)])]
             [(j, d, [(e, c._a, c._b, c._d * d) for e, c in b.differentiate(var).items()])
              for j, (b, d) in enumerate(self.classes) if b.differentiate(var)]
@@ -707,8 +728,16 @@ class _Lattice:
             alpha = alpha[:var] + (alpha[var] - 1,) + alpha[var + 1 :]
         state = self.states[alpha]
         for alpha, var in reversed(path):
-            state = self.states[alpha] = self._pass(state, var)
+            state = self.states[alpha] = self._prune(self._pass(state, var), self.depth - sum(alpha))
         return state
+
+    def _prune(self, terms: dict, passes: int) -> dict:
+        """terms without those the restriction kills after `passes` more."""
+        def kept(nums):
+            held = [(nums[j], d) for j, d in self._vanishing if nums[j]]
+            return not held or any(d != 1 or n < 0 for n, d in held) or max(held)[0] <= passes
+
+        return {k: c for k, c in terms.items() if kept(k[1])} if self._vanishing else terms
 
     def _pass(self, terms: dict, var: int) -> dict:
         steps, add = self._steps[var], operator.add
@@ -756,12 +785,13 @@ class _Lattice:
         return HoloSum(self.arity, tuple(out))
 
 
-# One exact-ladder benchmark repetition makes 1,288 lookups over 347 sums; 128
-# entries read back all 941 repeats an unbounded memo would (64 read 932).
+# One exact-ladder benchmark repetition makes 624 lookups over 119 lattices; 128
+# entries, or 32, read back all 505 repeats (16 read 496); CI's deepest needs 103.
 @functools.lru_cache(maxsize=128)
-def _lattice(f: HoloSum) -> _Lattice:
-    """One derivative lattice per distinct exact sum; a lookup hashes it once."""
-    return _Lattice(f)
+def _lattice(f: HoloSum, restriction=None, depth: int = 0) -> _Lattice:
+    """One derivative lattice per distinct exact sum, and per restriction kind
+    and depth when it prunes; a lookup hashes f once."""
+    return _Lattice(f, restriction, depth)
 
 
 def _cut_last(e):
@@ -778,7 +808,7 @@ _CUTS = {"last-zero": _cut_last, "diagonal": _join_pair}
 @functools.lru_cache(maxsize=None)
 def _restricted_base(b: BasePoly, kind: str):
     """b under the `kind` substitution, interned, or None when it vanishes
-    there: the one vanishing test of `restrict` and `prune`."""
+    there: the one vanishing test of `restrict` and of a pruning lattice."""
     cut, m = _CUTS[kind], {}
     for e, c in b.entries:
         e = cut(e)
@@ -792,8 +822,15 @@ def _positive_int(p) -> bool:
     return isinstance(p, Fraction) and p.denominator == 1 and p > 0
 
 
-def _vanishing_exponents(t: HoloTerm, kind: str) -> list:
-    return [p for b, p in t.bases if _restricted_base(b, kind) is None]
+def _check_restriction(f: HoloSum, kind) -> None:
+    if kind == "last-zero":
+        if f.arity < 1:
+            raise DomainError("nothing to restrict")
+    elif kind == "diagonal":
+        if f.arity != 2:
+            raise DomainError("diagonal restriction needs arity 2")
+    else:
+        raise DomainError(f"unknown restriction {kind!r}")
 
 
 def restrict(f: HoloSum, kind: str) -> HoloSum:
@@ -811,18 +848,11 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
     them, whatever the base order and whether or not the monomial vanishes,
     raises SingularRestrictionError.
     """
-    if kind == "last-zero":
-        if f.arity < 1:
-            raise DomainError("nothing to restrict")
-    elif kind == "diagonal":
-        if f.arity != 2:
-            raise DomainError("diagonal restriction needs arity 2")
-    else:
-        raise DomainError(f"unknown restriction {kind!r}")
+    _check_restriction(f, kind)
     arity, cut = f.arity - 1, _CUTS[kind]
     out = []
     for t in f.terms:
-        vanishing = _vanishing_exponents(t, kind)
+        vanishing = [p for b, p in t.bases if _restricted_base(b, kind) is None]
         if not all(map(_positive_int, vanishing)):
             raise SingularRestrictionError(f"bases vanish under {kind} with exponents {vanishing}")
         mono = cut(t.monomial)
@@ -830,24 +860,6 @@ def restrict(f: HoloSum, kind: str) -> HoloSum:
             bases = [(_restricted_base(b, kind), p) for b, p in t.bases]
             out.append(term(arity, t.coefficient, mono, bases))
     return holo_sum(arity, out)
-
-
-def has_vanishing_base(f: HoloSum) -> bool:
-    """Whether a base of f vanishes on the diagonal z1 = z2."""
-    return any(_vanishing_exponents(t, "diagonal") for t in f.terms)
-
-
-def prune(f: HoloSum, passes: int) -> HoloSum:
-    """f without the terms the diagonal restriction must kill after at most
-    `passes` more derivative passes (each lowers an exponent by at most one):
-    all their vanishing bases have positive integer exponents, one above
-    `passes`.  No kept term shares a signature with a dropped one."""
-    def doomed(t):
-        ps = _vanishing_exponents(t, "diagonal")
-        return bool(ps) and all(map(_positive_int, ps)) and max(ps) > passes
-
-    kept = tuple(t for t in f.terms if not doomed(t))
-    return f if len(kept) == len(f.terms) else HoloSum(f.arity, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +912,10 @@ def evaluate(f: HoloSum, point):
     if any(isinstance(z, np.ndarray) for z in point):
         return _evaluate_arrays(f, point)
     pt = tuple(complex(z) for z in point)
-    total = _sum_terms(f, pt, lambda b: b.evaluate(pt), _principal_power)
+    try:
+        total = _sum_terms(f, pt, lambda b: b.evaluate(pt), _principal_power)
+    except OverflowError as exc:  # a complex power past the double range
+        raise DomainError(f"value at {pt!r} is not finite: {exc}") from None
     if not cmath.isfinite(total):
         raise DomainError(f"value {total!r} at {point!r} is not finite")
     return total

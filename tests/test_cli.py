@@ -1,6 +1,7 @@
 """Command harness: grids, suite runner, report format, determinism, eval."""
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import holobreak
-from holobreak import juhl
+from holobreak import juhl, rc_transform, term_algebra
 from holobreak.cli import (
     _EVAL_FORMS,
     _EVAL_HELP,
@@ -438,6 +439,27 @@ DEFAULT_EXACT_HASHES = {
     "bernstein-sato": "0757f77a62d353bde063816b128ce212941e9b6cc38b3f29980555534bf7026b",
     "rc-identities": "ba8a71611344386d79e04272011d28e9850ecb8e2c1c1e73b4a26ce0ede49edd",
 }
+
+
+def test_exact_hashes_hold_with_every_memo_cut_to_one_entry(monkeypatch):
+    # a run whose records depended on what a memo holds, or on the order in
+    # which entries leave it, would lose its hash here
+    def one_entry(cached):
+        return functools.lru_cache(maxsize=1)(cached.__wrapped__)
+
+    lattice, power = one_entry(term_algebra._lattice), one_entry(term_algebra._expand_base_power)
+    waves, table = one_entry(juhl._wave_ladder), one_entry(rc_transform._exact_table)
+    monkeypatch.setattr(term_algebra, "_lattice", lattice)
+    monkeypatch.setattr(term_algebra, "_expand_base_power", power)
+    monkeypatch.setattr(juhl, "_expand_base_power", power)
+    monkeypatch.setattr(juhl, "_wave_ladder", waves)
+    monkeypatch.setattr(rc_transform, "_exact_table", table)
+    for suite, want in DEFAULT_EXACT_HASHES.items():
+        report = run_suite(SuiteConfig(suite=suite, exact=True, **SUITE_DEFAULTS[suite]))
+        assert report.content_hash() == want, suite
+    for cached in (lattice, power, waves, table):
+        info = cached.cache_info()
+        assert info.currsize == 1 and info.misses > 1, info
 
 
 def formula_hash(report) -> str:
@@ -896,6 +918,17 @@ def test_eval_non_finite_value_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value (inf+0j) at ((1e+200+0j),) is not finite" in captured.err
+
+
+def test_eval_q_constant_past_the_double_range_is_an_error(capsys):
+    # 2^400/400! underflows to 0.0 and each Pochhammer product to inf, so
+    # the float product was nan, printed with exit code 0
+    assert main(["eval", "q_constant", "3", "400", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q_constant(3, 400, 1e+300) is not finite" in captured.err
+    assert main(["eval", "q_constant", "3", "2", "2.5"]) == 0
+    assert capsys.readouterr().out == "210.0\n"
 
 
 def test_eval_point_arity_mismatch(capsys):

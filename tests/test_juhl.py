@@ -296,14 +296,37 @@ def test_eigen_constant_frozen_values():
     assert q_constant(5, 0, F(9, 2)) == 1
 
 
+def test_q_constant_raises_where_the_float_value_is_not_finite():
+    with pytest.raises(OverflowError, match="is not finite"):
+        q_constant(3, 400, 1e300)
+    with pytest.raises(OverflowError, match="is not finite"):
+        q_constant(3, 400, complex(1e300, 1))
+    assert q_constant(3, 2, 2.5) == 210.0
+    assert q_constant(3, 2, 1.5 + 2j) == -185 - 230j
+    assert q_constant(3, 400, F(10**300)) > 0  # exact values never overflow
+
+
 def test_eigen_identity_exact_sweep():
+    # at lam = 0, -1, -2, -3 and ell <= -lam every rung z_n^(ell-2j)
+    # Q^(-lam-ell+j) is a polynomial, which canonical_form expands in full
     for n in (3, 4, 5):
-        for lam in (F(n) - F(1, 2), F(n) + F(1, 3)):
+        for lam in (F(n) - F(1, 2), F(n) + F(1, 3), F(0), F(-1), F(-2), F(-3)):
             for ell in range(7):
                 q0, higher = bernstein_sato_verify(JuhlParams(n, lam, ell))
                 assert higher == [], (n, lam, ell)
                 want = q_constant(n, ell, lam)
                 assert q0.re == want and q0.im == 0, (n, lam, ell)
+
+
+def test_eigen_identity_peel_sees_a_wrong_rung_at_a_polynomial_floor(monkeypatch):
+    # one more d_n^2 in the order-2 operator adds 2 lam Q^(-lam-1) = -6 Q^2
+    # to its image at lam = -3, where the floor reads as Q^0 and rung j as
+    # Q^(j + 1): the peel leaves a rung j = 1
+    assert bernstein_sato_verify(JuhlParams(3, F(-3), 2)) == (qqi(672), [])
+    real = juhl.gegenbauer_a
+    monkeypatch.setattr(juhl, "gegenbauer_a",
+                        lambda ell, k, alpha: real(ell, k, alpha) + (ell == 2 and k == 0))
+    assert bernstein_sato_verify(JuhlParams(3, F(-3), 2))[1] == [(1, qqi(-6))]
 
 
 def test_eigen_identity_needs_exact_weight():

@@ -139,21 +139,23 @@ def test_rc_order_one_explicit():
 @pytest.mark.parametrize("route", RC_ROUTES)
 def test_rc_apply_climbs_one_derivative_ladder(monkeypatch, route):
     # at ell = 8 each d1^i f is built once: 8 passes in z1 up the ladder and
-    # 0 + 1 + ... + 8 = 36 in z2 off its rungs, 44 single-derivative passes
+    # 0 + 1 + ... + 8 = 36 in z2 off its rungs, 44 single-derivative passes;
+    # the routes after the first read every state back
     passes = []
+    climb = term_algebra._Lattice._pass
 
-    def counting(f, var, times=1):
-        passes.append((var, times))
-        return differentiate(f, var, times)
+    def counting(self, terms, var):
+        passes.append(var)
+        return climb(self, terms, var)
 
-    monkeypatch.setattr(rc_transform, "differentiate", counting)
+    term_algebra._lattice.cache_clear()
+    monkeypatch.setattr(term_algebra._Lattice, "_pass", counting)
     p = RCParams(F(5, 2), F(3), 8)
     f = ktype_generator(RCParams(F(5, 2), F(3), 1))
-    got = rc_apply(p, f, route)
+    got = [rc_apply(p, f, r) for r in (route,) + tuple(r for r in RC_ROUTES if r != route)]
     monkeypatch.undo()
-    assert sum(t for v, t in passes if v == 0) == 8
-    assert sum(t for v, t in passes if v == 1) == 36
-    assert equal(got, rc_apply(p, f, "coefficients"))
+    assert passes.count(0) == 8 and passes.count(1) == 36 and len(passes) == 44
+    assert all(equal(g, got[0]) for g in got)
 
 
 def test_rc_apply_text_pinned_at_float_and_complex_weights():
@@ -371,19 +373,15 @@ def test_pruned_ladder_matches_climbing_everything_on_ktype(route, lam1, lam2):
         assert to_text(rc_apply(p, f, route)) == to_text(climb_everything(p, f, route)), ell
 
 
-def test_pruned_ladder_keeps_one_term_per_rung(monkeypatch):
-    # on the K-type generator every pass but the one on (z1 - z2)^ell is cut
-    sizes = []
-
-    def recording(f, passes):
-        g = term_algebra.prune(f, passes)
-        sizes.append(len(g.terms))
-        return g
-
-    monkeypatch.setattr(rc_transform, "prune", recording)
+def test_pruned_ladder_keeps_one_term_per_rung():
+    # on the K-type generator every pass but the one on (z1 - z2)^ell is cut,
+    # in each of the 1 + 6 + 21 states that the order-6 operator reads
     p = RCParams(F(5, 2), F(3), 6)
-    rc_apply(p, ktype_generator(p))
-    assert sizes and set(sizes) == {1}
+    f = ktype_generator(p)
+    rc_apply(p, f)
+    states = term_algebra._lattice(f, "diagonal", 6).states
+    assert len(states) == 28
+    assert {len(s) for s in states.values()} == {1}
 
 
 # z1 - z2 and 2 z1 - 2 z2 vanish on the diagonal; the other bases do not

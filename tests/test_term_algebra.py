@@ -735,12 +735,74 @@ def test_prune_drops_only_what_restriction_must_kill():
     refused = term(2, 3, (0, 0), [(diff_base(), F(3)), (twice, F(1, 2))])
     plain = term(2, 4, (1, 0), [(z1i, F(-1, 2))])
     f = holo_sum(2, [doomed, reached, refused, plain])
-    kept = term_algebra.prune(f, 2)
-    assert kept.terms == tuple(t for t in f.terms if t != doomed)
-    assert len(kept.terms) == 3
-    assert term_algebra.prune(f, 3) is f
-    assert term_algebra.has_vanishing_base(f)
-    assert not term_algebra.has_vanishing_base(holo_sum(2, [plain]))
+    # the root state of a depth-2 diagonal lattice is f without the one term
+    # that two passes cannot save; at depth 3 nothing is doomed
+    for depth, kept in ((2, [reached, refused, plain]), (3, [doomed, reached, refused, plain])):
+        lattice = term_algebra._Lattice(f, "diagonal", depth)
+        assert lattice.rebuild(lattice.state((0, 0))) == holo_sum(2, kept)
+    rows = [((2, 0), 1), ((1, 1), F(-3, 2)), ((0, 2), qqi(0, 1)), ((1, 0), 5, (0, 1))]
+    saved = holo_sum(2, [doomed, reached, plain])
+    assert not restrict(apply_operator(saved, rows), "diagonal").is_zero()
+    assert to_text(apply_operator(saved, rows, "diagonal")) == to_text(
+        restrict(apply_operator(saved, rows), "diagonal"))
+    with pytest.raises(SingularRestrictionError):
+        apply_operator(f, rows, "diagonal")
+
+
+# z3, z2 z3 - 3 z3 and z3^2 + i z1 z3 vanish at z3 = 0; z1 + i, z2 + z3 + 2i
+# and z1^2 - z2^2 - z3^2 do not
+LAST_ZERO_VANISHING = tuple(base_poly(3, m) for m in (
+    {(0, 0, 1): 1}, {(0, 1, 1): 1, (0, 0, 1): -3}, {(0, 0, 2): 1, (1, 0, 1): qqi(0, 1)}))
+LAST_ZERO_STAYING = tuple(base_poly(3, m) for m in (
+    {(1, 0, 0): 1, (0, 0, 0): qqi(0, 1)}, {(0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): qqi(0, 2)},
+    {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1}))
+
+
+@st.composite
+def last_zero_sums(draw):
+    # mostly nonnegative integer powers of the bases that vanish at z3 = 0,
+    # now and then one that restriction must refuse; fractional powers on
+    # the others
+    vanishing_exp = st.one_of(st.integers(0, 4), st.integers(0, 4),
+                              st.sampled_from([F(1, 2), F(-1), F(-5, 3)]))
+    terms = [term(3, 1, None, [(LAST_ZERO_VANISHING[1], F(2))])]  # one base vanishes
+    for _ in range(draw(st.integers(0, 3))):
+        picks = draw(st.lists(st.sampled_from(LAST_ZERO_VANISHING), unique=True, max_size=2))
+        bases = [(b, draw(vanishing_exp)) for b in picks]
+        for b in draw(st.lists(st.sampled_from(LAST_ZERO_STAYING), unique=True, max_size=2)):
+            bases.append((b, F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3])))))
+        mono = tuple(draw(st.integers(0, 2)) for _ in range(3))
+        terms.append(term(3, draw(gaussian), mono, bases))
+    return holo_sum(3, terms)
+
+
+three_counts = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3))
+three_variable_operators = st.lists(
+    st.one_of(st.tuples(three_counts, gaussian), st.tuples(three_counts, gaussian, three_counts)),
+    min_size=1, max_size=4,
+)
+
+
+@given(last_zero_sums(), three_variable_operators)
+@settings(max_examples=80, deadline=None)
+def test_pruning_lattice_matches_restricting_afterwards_at_last_zero(f, rows):
+    want = outcome(lambda: to_text(restrict(apply_operator(f, rows), "last-zero")))
+    assert outcome(lambda: to_text(apply_operator(f, rows, "last-zero"))) == want
+
+
+@pytest.mark.parametrize("f, kind", [
+    (monomial(1, (2,)), "diagonal"), (monomial(3, (1, 1, 1)), "diagonal"),
+    (monomial(2, (1, 1)), "first-zero"), (monomial(2, (1, 1)), ["diagonal"]),
+    (constant(0, 1), "last-zero"),
+])
+def test_apply_operator_checks_the_restriction_before_any_pass(monkeypatch, f, kind):
+    with pytest.raises(DomainError) as want:
+        restrict(f, kind)
+    monkeypatch.setattr(term_algebra._Lattice, "_pass", None)
+    monkeypatch.setattr(term_algebra, "differentiate", None)
+    with pytest.raises(DomainError) as got:
+        apply_operator(f, [((1,) * f.arity, 1)], kind)
+    assert str(got.value) == str(want.value)
 
 
 def test_restrict_base_becoming_constant_folds():
@@ -830,6 +892,15 @@ def test_evaluate_rejects_non_finite_values():
     with pytest.raises(DomainError, match="is not finite"):
         equal(big, big, "sampled", points=[(1e200,)])
     assert evaluate(big, (0.5,)) == 5e299
+    # (1e200 i)^3 raises OverflowError inside Python's complex power; the
+    # array path hands that point to the one-point path, which names it
+    cube = monomial(1, (3,))
+    with pytest.raises(DomainError, match=r"value at \(1e\+200j,\) is not finite"):
+        evaluate(cube, (1e200j,))
+    with pytest.raises(DomainError, match=r"value at \(1e\+200j,\) is not finite"):
+        evaluate(cube, (np.array([2.0, 1e200j]),))
+    assert abs(evaluate(cube, (1e100j,)) + 1e300j) < 1e286
+    assert np.allclose(evaluate(cube, (np.array([2.0, 1e100j]),)), [8, -1e300j], rtol=1e-14)
 
 
 def reference_principal_power(b: complex, p) -> complex:
@@ -855,20 +926,25 @@ def reference_principal_power(b: complex, p) -> complex:
 
 
 def reference_evaluate(f: HoloSum, point) -> complex:
-    """One-point evaluation as it stood before the array path, kept verbatim:
-    every base value and power recomputed for every term."""
+    """One-point evaluation as it stood before the array path: every base
+    value and power recomputed for every term.  Kept verbatim but for one
+    contract `evaluate` states: a complex power past the double range raises
+    DomainError naming the point, not a bare OverflowError."""
     if len(point) != f.arity:
         raise DomainError("point arity mismatch")
     pt = tuple(complex(z) for z in point)
     total = 0j
-    for t in f.terms:
-        v = complex(t.coefficient)
-        for z, m in zip(pt, t.monomial):
-            if m:
-                v = v * z**m
-        for b, p in t.bases:
-            v = v * reference_principal_power(b.evaluate(pt), p)
-        total += v
+    try:
+        for t in f.terms:
+            v = complex(t.coefficient)
+            for z, m in zip(pt, t.monomial):
+                if m:
+                    v = v * z**m
+            for b, p in t.bases:
+                v = v * reference_principal_power(b.evaluate(pt), p)
+            total += v
+    except OverflowError as exc:
+        raise DomainError(f"value at {pt!r} is not finite: {exc}") from None
     if not cmath.isfinite(total):
         raise DomainError(f"value {total!r} at {point!r} is not finite")
     return total
