@@ -17,10 +17,10 @@ entries keep it in float mode.  Closed-form against closed-form checks use
 a fixed tight tolerance; quadrature against closed-form checks use the
 configurable one.
 
-A suite is one SUITE_DEFAULTS entry, one builder in _SUITE_BUILDERS, and in
-that builder one case function per family, taking the grid values as
-arguments and returning a CaseResult, plus one _family line that names the
-family and declares its axes through _grid.
+A suite is one builder decorated with _suite, and in that builder one case
+function per family, taking the grid values as arguments and returning a
+CaseResult, plus one _family line that names the family and declares its
+axes through _grid.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .special_poly import (
     DomainError,
@@ -217,67 +217,6 @@ def read_config_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # suite configuration
 
-SUITE_DEFAULTS = {
-    "ortho-poly": {
-        "lam1": (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)),
-        "lam2": (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)),
-        "lam": (),
-        "n": (),
-        "ell_max": 6,
-        "tol": 1e-10,
-    },
-    "rc-identities": {
-        "lam1": (Fraction(2), Fraction(5, 2)),
-        "lam2": (Fraction(2), Fraction(3)),
-        "lam": (),
-        "n": (),
-        "ell_max": 4,
-        "tol": 1e-9,
-    },
-    "rc-plancherel": {
-        "lam1": (Fraction(2), Fraction(5, 2)),
-        "lam2": (Fraction(2), Fraction(3)),
-        "lam": (),
-        "n": (),
-        "ell_max": 2,
-        "tol": 1e-7,
-    },
-    "l2-plancherel": {
-        "lam1": (Fraction(2), Fraction(5, 2)),
-        "lam2": (Fraction(2), Fraction(3)),
-        "lam": (Fraction(3), Fraction(4)),
-        "n": (),
-        "ell_max": 2,
-        "tol": 1e-3,
-    },
-    "bernstein-sato": {
-        "lam1": (),
-        "lam2": (),
-        "lam": (Fraction(2), Fraction(7, 2), Fraction(4)),
-        "n": (3, 4, 5),
-        "ell_max": 4,
-        "tol": 1e-12,
-    },
-    "juhl-plancherel": {
-        "lam1": (),
-        "lam2": (),
-        "lam": (Fraction(3), Fraction(7, 2)),
-        "n": (3,),
-        "ell_max": 2,
-        "tol": 1e-7,
-    },
-    "kernels": {
-        "lam1": tuple(Fraction(k) for k in range(-6, 7)),
-        "lam2": tuple(Fraction(k) for k in range(-6, 7)),
-        "lam": (Fraction(3), Fraction(7, 2)),
-        "n": (3, 4),
-        "ell_max": 4,
-        "tol": 1e-10,
-    },
-}
-
-SUITES = tuple(sorted(SUITE_DEFAULTS))
-
 
 def _require_positive_finite(value: float, name: str) -> None:
     """A value at or below zero, -inf included, is a sign problem; nan and
@@ -293,13 +232,13 @@ class SuiteConfig:
     """Everything one suite run depends on; constructed once, then read-only."""
 
     suite: str
-    lam1: tuple
-    lam2: tuple
-    lam: tuple
-    n: tuple
     ell_max: int
     tol: float
     exact: bool
+    lam1: tuple = ()
+    lam2: tuple = ()
+    lam: tuple = ()
+    n: tuple = ()
     order: int = 64
     radius: float = 60.0
     seed: int = 414213
@@ -569,9 +508,9 @@ def _grid(cfg: SuiteConfig, *axes):
         yield "/".join(tags), dict(zip(names, params)), in_order(fragments), values
 
 
-def _family(cases: list, name: str, grid, check) -> None:
-    cases.extend(Case(f"{name}/{tag}", params, fragments, check, values)
-                 for tag, params, fragments, values in grid)
+def _family(name: str, grid, check) -> Iterator[Case]:
+    return (Case(f"{name}/{tag}", params, fragments, check, values)
+            for tag, params, fragments, values in grid)
 
 
 def _case(key: str, params: dict, run) -> Case:
@@ -581,6 +520,26 @@ def _case(key: str, params: dict, run) -> Case:
 
 # ---------------------------------------------------------------------------
 # suite builders
+
+
+# suite name -> its SuiteConfig keyword defaults, and -> its builder; filled by _suite
+SUITE_DEFAULTS: dict = {}
+_SUITE_BUILDERS: dict = {}
+
+
+def _suite(name: str, **defaults):
+    """Register the decorated builder, (cfg, rng) -> its cases, as suite `name`
+    with `defaults`, its SuiteConfig keywords, which name only the grids it reads."""
+    def register(build):
+        SUITE_DEFAULTS[name] = defaults
+        _SUITE_BUILDERS[name] = build
+        return build
+
+    return register
+
+
+# the Rankin-Cohen weight pair of rc-identities, rc-plancherel and l2-plancherel
+_RC_WEIGHTS = {"lam1": (Fraction(2), Fraction(5, 2)), "lam2": (Fraction(2), Fraction(3))}
 
 
 def _squared(poly):
@@ -594,8 +553,12 @@ def _squared(poly):
     return square
 
 
-def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
+@_suite("ortho-poly", lam1=(Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)),
+        lam2=(Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)), ell_max=6, tol=1e-10)
+def _build_ortho_poly(cfg: SuiteConfig, rng) -> Iterator[Case]:
     def jacobi_norm(a, b, ell):
+        if a <= -1 or b <= -1:
+            return _reported(None, "outside the Jacobi range (alpha or beta <= -1), not checked")
         rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
         quad = integrate(_squared(jacobi_poly(ell, a, b)), rule)
         return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
@@ -607,13 +570,11 @@ def _build_ortho_poly(cfg: SuiteConfig, rng) -> list:
 
     alphas = [v - 1 for v in cfg.need("lam1")]
     betas = [v - 1 for v in cfg.need("lam2")]
-    cases = []
-    _family(cases, "jacobi-norm", _grid(cfg, ("alpha", alphas), ("beta", betas), "ell"),
-            jacobi_norm)
-    _family(cases, "gegenbauer-norm",
-            _grid(cfg, ("alpha", [a for a in alphas if float(a) > -0.5]), "ell"),
-            gegenbauer_norm)
-    return cases
+    yield from _family("jacobi-norm", _grid(cfg, ("alpha", alphas), ("beta", betas), "ell"),
+                       jacobi_norm)
+    yield from _family("gegenbauer-norm",
+                       _grid(cfg, ("alpha", [a for a in alphas if float(a) > -0.5]), "ell"),
+                       gegenbauer_norm)
 
 
 def _rc_library() -> list:
@@ -628,7 +589,8 @@ def _rc_library() -> list:
     ]
 
 
-def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
+@_suite("rc-identities", **_RC_WEIGHTS, ell_max=4, tol=1e-9)
+def _build_rc_identities(cfg: SuiteConfig, rng) -> Iterator[Case]:
     pts2 = default_tube_points(2, 12, rng)
     pts1 = default_tube_points(1, 12, rng)
 
@@ -656,16 +618,15 @@ def _build_rc_identities(cfg: SuiteConfig, rng) -> list:
         want = holo_sum(1, [term(1, coeff, (0,), [(zi, -p.lam3)])])
         return _bool_case(same(got, want, pts1), True)
 
-    cases = []
     for name, f in _rc_library():
-        _family(cases, f"rc-routes/{name}", _grid(cfg, "lam1", "lam2", "ell"),
-                partial(rc_routes, f))
-    _family(cases, "casimir-eigen", _grid(cfg, "lam1", "lam2", "ell"), casimir_eigen)
-    _family(cases, "ktype-composition", _grid(cfg, "lam1", "lam2", "ell"), ktype_composition)
-    return cases
+        yield from _family(f"rc-routes/{name}", _grid(cfg, "lam1", "lam2", "ell"),
+                           partial(rc_routes, f))
+    yield from _family("casimir-eigen", _grid(cfg, "lam1", "lam2", "ell"), casimir_eigen)
+    yield from _family("ktype-composition", _grid(cfg, "lam1", "lam2", "ell"), ktype_composition)
 
 
-def _build_rc_plancherel(cfg: SuiteConfig, rng) -> list:
+@_suite("rc-plancherel", **_RC_WEIGHTS, ell_max=2, tol=1e-7)
+def _build_rc_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
     def lift_isometry(l1, l2, ell):
         p = RCParams(l1, l2, ell)
         lam3 = float(p.lam3)
@@ -673,21 +634,24 @@ def _build_rc_plancherel(cfg: SuiteConfig, rng) -> list:
         ratio = weighted_norm_sq(phi_apply(p, h)) / weighted_norm_sq(h)
         return _close(ratio, float(c_ell(l1, l2, ell)), cfg.tol)
 
-    cases = []
-    _family(cases, "lift-isometry", _grid(cfg, "lam1", "lam2", "ell"), lift_isometry)
-    return cases
+    yield from _family("lift-isometry", _grid(cfg, "lam1", "lam2", "ell"), lift_isometry)
 
 
-def _build_l2_plancherel(cfg: SuiteConfig, rng) -> list:
+@_suite("l2-plancherel", **_RC_WEIGHTS, lam=(Fraction(3), Fraction(4)), ell_max=2, tol=1e-3)
+def _build_l2_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
     probes = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.2)) for _ in range(3)]
 
     def transform_image(lam, probe):
+        if lam <= 0:
+            return _reported(None, "outside the transform's domain (lam <= 0), not checked")
         lamf = float(lam)
         F = l2fn(lambda z: z ** (lamf - 1) * math.exp(-z), lamf)
         want = math.gamma(lamf) * (1 - 1j * probe) ** (-lamf)
         return _close(fourier_laplace(F, probe), want, 1e-8)
 
     def fourier_isometry(lam):
+        if lam <= 1:
+            return _reported(None, "outside the weighted Bergman range (lam <= 1), not checked")
         lamf = float(lam)
         gamma = math.gamma(lamf)
 
@@ -698,11 +662,16 @@ def _build_l2_plancherel(cfg: SuiteConfig, rng) -> list:
         return _close(num / (gamma / 2**lamf), b_const(lamf), cfg.tol)
 
     b_input = lru_cache(maxsize=None, typed=True)(b_const)  # once per grid weight
+    # b's poles are the integers <= 1, and lam3 > 2 when lam1, lam2 > 1
+    near_poles = any(lam <= 1 for lam in cfg.lam1 + cfg.lam2)
 
     def b_ratio(l1, l2, ell):
+        lam3 = l1 + l2 + 2 * ell
+        if near_poles and any(lam <= 1 and lam == math.floor(lam) for lam in (l1, l2, lam3)):
+            return _reported(None, "lam1, lam2 or lam3 is a pole of b, not checked")
         try:
             got = r_ell(l1, l2, ell) * b_input(l1) * b_input(l2)
-            want = b_const(l1 + l2 + 2 * ell)
+            want = b_const(lam3)
             if math.isfinite(abs(got)) and math.isfinite(abs(want)):
                 return _close(got, want, CLOSED_FORM_TOL)
         except OverflowError:
@@ -710,18 +679,19 @@ def _build_l2_plancherel(cfg: SuiteConfig, rng) -> list:
         # past the double range: both sides as (sign, log|value|)
         factors = [log_r_ell(l1, l2, ell), log_b_const(l1), log_b_const(l2)]
         got = math.prod(s for s, _ in factors), math.fsum(x for _, x in factors)
-        return _close_logs(got, log_b_const(l1 + l2 + 2 * ell), CLOSED_FORM_TOL)
+        return _close_logs(got, log_b_const(lam3), CLOSED_FORM_TOL)
 
-    cases = []
     # a probe reads by its index in the tag and by its value in the params
-    _family(cases, "transform-image",
-            _grid(cfg, "lam", ("probe", probes, probes.index, _encode)), transform_image)
-    _family(cases, "fourier-isometry", _grid(cfg, "lam"), fourier_isometry)
-    _family(cases, "b-ratio", _grid(cfg, "lam1", "lam2", "ell"), b_ratio)
-    return cases
+    yield from _family("transform-image",
+                       _grid(cfg, "lam", ("probe", probes, probes.index, _encode)),
+                       transform_image)
+    yield from _family("fourier-isometry", _grid(cfg, "lam"), fourier_isometry)
+    yield from _family("b-ratio", _grid(cfg, "lam1", "lam2", "ell"), b_ratio)
 
 
-def _build_bernstein_sato(cfg: SuiteConfig, rng) -> list:
+@_suite("bernstein-sato", lam=(Fraction(2), Fraction(7, 2), Fraction(4)), n=(3, 4, 5),
+        ell_max=4, tol=1e-12)
+def _build_bernstein_sato(cfg: SuiteConfig, rng) -> Iterator[Case]:
     if not all(isinstance(lam, Fraction) for lam in cfg.need("lam")):
         raise ConfigError("bernstein-sato needs rational weights; write 7/2, not 3.5")
 
@@ -733,9 +703,7 @@ def _build_bernstein_sato(cfg: SuiteConfig, rng) -> list:
         rungs = ", ".join(f"j={j}" for j, _ in higher)
         return result._replace(passed=False, note=f"nonzero higher rungs: {rungs}")
 
-    cases = []
-    _family(cases, "eigen-constant", _grid(cfg, "n", "lam", "ell"), eigen_constant)
-    return cases
+    yield from _family("eigen-constant", _grid(cfg, "n", "lam", "ell"), eigen_constant)
 
 
 def _cone_probe(dim: int) -> tuple:
@@ -744,7 +712,8 @@ def _cone_probe(dim: int) -> tuple:
     return ((1.5, 0.4, 0.2, 0.1, -0.15, 0.05) + tail)[:dim]
 
 
-def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
+@_suite("juhl-plancherel", lam=(Fraction(3), Fraction(7, 2)), n=(3,), ell_max=2, tol=1e-7)
+def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
     def cone_isometry(n, lam, ell):
         if not float(lam) > n - 1:
             return _reported(None, "outside the unitary range (lam <= n - 1), not checked")
@@ -759,17 +728,18 @@ def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> list:
             return _reported("pole", f"{exc}, reported only")
         return _close(consts["r_ell"] * consts["b_n"], consts["b_prev"], CLOSED_FORM_TOL)
 
-    cases = []
-    _family(cases, "cone-isometry", _grid(cfg, "n", "lam", "ell"), cone_isometry)
-    _family(cases, "transform-ratio", _grid(cfg, "n", "lam", "ell"), transform_ratio)
-    return cases
+    yield from _family("cone-isometry", _grid(cfg, "n", "lam", "ell"), cone_isometry)
+    yield from _family("transform-ratio", _grid(cfg, "n", "lam", "ell"), transform_ratio)
 
 
 def _signed(value) -> str:
     return f"{int(value):+03d}"
 
 
-def _build_kernels(cfg: SuiteConfig, rng) -> list:
+@_suite("kernels", lam1=tuple(Fraction(k) for k in range(-6, 7)),
+        lam2=tuple(Fraction(k) for k in range(-6, 7)), lam=(Fraction(3), Fraction(7, 2)),
+        n=(3, 4), ell_max=4, tol=1e-10)
+def _build_kernels(cfg: SuiteConfig, rng) -> Iterator[Case]:
     ints1 = [int(v) for v in cfg.need("lam1") if isinstance(v, Fraction) and v.denominator == 1]
     ints2 = [int(v) for v in cfg.need("lam2") if isinstance(v, Fraction) and v.denominator == 1]
     if not ints1 or not ints2:
@@ -791,31 +761,19 @@ def _build_kernels(cfg: SuiteConfig, rng) -> list:
         )
         return _close(got, want, CLOSED_FORM_TOL)
 
-    cases = [
-        _case("kernel-anchor/half-plane", {"n": 1, "lam": 1},
-              lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL)),
-        _case("kernel-anchor/rank-two", {"n": 2, "lam": 4},
-              lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2,
-                             CLOSED_FORM_TOL)),
-    ]
-    _family(cases, "zero-class",
-            _grid(cfg, ("lam1", ints1, _signed, int), ("lam2", ints2, _signed, int), "ell"),
-            zero_class)
-    _family(cases, "adjoint-factorization",
-            _grid(cfg, "n", "lam", ("ell", range(min(cfg.ell_max, 2) + 1))),
-            adjoint_factorization)
-    return cases
+    yield _case("kernel-anchor/half-plane", {"n": 1, "lam": 1},
+                lambda: _close(kernel_normalization(1, 1.0), -1.0 / math.pi, CLOSED_FORM_TOL))
+    yield _case("kernel-anchor/rank-two", {"n": 2, "lam": 4},
+                lambda: _close(kernel_normalization(2, 4.0), 576.0 / math.pi**2,
+                               CLOSED_FORM_TOL))
+    yield from _family("zero-class", _grid(cfg, ("lam1", ints1, _signed, int),
+                                           ("lam2", ints2, _signed, int), "ell"), zero_class)
+    yield from _family("adjoint-factorization",
+                       _grid(cfg, "n", "lam", ("ell", range(min(cfg.ell_max, 2) + 1))),
+                       adjoint_factorization)
 
 
-_SUITE_BUILDERS = {
-    "ortho-poly": _build_ortho_poly,
-    "rc-identities": _build_rc_identities,
-    "rc-plancherel": _build_rc_plancherel,
-    "l2-plancherel": _build_l2_plancherel,
-    "bernstein-sato": _build_bernstein_sato,
-    "juhl-plancherel": _build_juhl_plancherel,
-    "kernels": _build_kernels,
-}
+SUITES = tuple(sorted(SUITE_DEFAULTS))
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +785,7 @@ def run_suite(config: SuiteConfig, stream=None) -> VerificationReport:
     collect one record per case.  A per-case exception becomes a failed
     record rather than aborting the run."""
     rng = random.Random(config.seed)
-    cases = _SUITE_BUILDERS[config.suite](config, rng)
+    cases = list(_SUITE_BUILDERS[config.suite](config, rng))
     if not cases:
         raise ConfigError(f"suite {config.suite} produced an empty case grid")
     keys = [c.key for c in cases]

@@ -133,8 +133,9 @@ def rc_apply(params: RCParams, f: HoloSum, route: str = "coefficients") -> HoloS
     two-index coefficient sum directly, "inflated" and "variant" substitute
     the partial derivatives into the two bivariate Jacobi forms.  The
     operator and the restriction are one `apply_operator` call: on an exact
-    input the routes read one derivative lattice, which drops what the
-    restriction must kill when a base of f vanishes on the diagonal.
+    input the routes read f's one shared derivative lattice, or, when a base
+    of f vanishes on the diagonal, each call climbs a lattice of its own that
+    drops what the restriction must kill.
     """
     return apply_operator(f, _operator_coefficients(params, route).items(), "diagonal")
 

@@ -593,7 +593,8 @@ def apply_operator(f: HoloSum, rows, restriction=None) -> HoloSum:
     variable order, and the pieces are `combine`d, so its coefficients round
     as they always have.  A bad kind or arity raises before any pass.  An
     exact f with a base that vanishes under the restriction climbs a lattice
-    that drops what the restriction must kill (see `_Lattice`)."""
+    built for this call alone, to this operator's order, that drops what the
+    restriction must kill (see `_Lattice`)."""
     n, zero = f.arity, (0,) * f.arity
     if restriction is not None:
         _check_restriction(f, restriction)
@@ -608,7 +609,7 @@ def apply_operator(f: HoloSum, rows, restriction=None) -> HoloSum:
     else:
         if restriction is not None and any(_restricted_base(b, restriction) is None
                                            for t in f.terms for b, _ in t.bases):
-            lattice = _lattice(f, restriction, max((sum(a) for a, _, _ in rows), default=0))
+            lattice = _Lattice(f, restriction, max((sum(a) for a, _, _ in rows), default=0))
         else:
             lattice = _lattice(f)
         acc = {}
@@ -785,13 +786,13 @@ class _Lattice:
         return HoloSum(self.arity, tuple(out))
 
 
-# One exact-ladder benchmark repetition makes 624 lookups over 119 lattices; 128
-# entries, or 32, read back all 505 repeats (16 read 496); CI's deepest needs 103.
+# One exact-ladder benchmark repetition makes 592 lookups over 87 lattices; 128
+# entries, or 32, read back all 505 repeats (16 read 502); CI's deepest needs 55.
 @functools.lru_cache(maxsize=128)
-def _lattice(f: HoloSum, restriction=None, depth: int = 0) -> _Lattice:
-    """One derivative lattice per distinct exact sum, and per restriction kind
-    and depth when it prunes; a lookup hashes f once."""
-    return _Lattice(f, restriction, depth)
+def _lattice(f: HoloSum) -> _Lattice:
+    """One unpruned derivative lattice per distinct exact sum; a lookup hashes
+    f once."""
+    return _Lattice(f)
 
 
 def _cut_last(e):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -147,6 +148,14 @@ def test_option_vocabulary_is_unchanged():
         "q_constant N ELL LAM | ktype L1 L2 ELL --at 'Z1 Z2' | "
         "psi_ktype L1 L2 ELL --at 'Z1 Z2' | '(sum ...)' --at 'Z1 ...'"
     )
+
+
+def test_readme_names_exactly_the_registered_suites():
+    # a suite registered with _suite must be documented, and a documented
+    # suite must exist
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"^Suites: ([^.]*)\.", text, re.MULTILINE).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == list(SUITES)
 
 
 # key, a valid text, an invalid text (None where every text is valid); a
@@ -356,6 +365,34 @@ def test_juhl_suite_reports_outside_unitary_range():
     assert any("unitary range" in note for note in notes)
 
 
+# a family reports each grid point outside its domain, without failing it,
+# and still checks the point just inside each boundary (transform-image at
+# 0 < lam < 1 is checked and fails: its quadrature does not converge there)
+@pytest.mark.parametrize("suite, family, grids, inside", [
+    ("ortho-poly", "jacobi-norm",
+     dict(lam1=(Fraction(0), Fraction(-1, 2), Fraction(1, 10)), lam2=(Fraction(2), Fraction(0))),
+     {"jacobi-norm/alpha=-9/10/beta=1/ell=00"}),
+    ("l2-plancherel", "transform-image", dict(lam=(Fraction(0), Fraction(-1, 2), Fraction(1, 2))),
+     {f"transform-image/lam=1/2/probe={k}" for k in range(3)}),
+    ("l2-plancherel", "fourier-isometry",
+     dict(lam=(Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(11, 10))),
+     {"fourier-isometry/lam=11/10"}),
+    ("l2-plancherel", "b-ratio",
+     dict(lam1=(Fraction(1), Fraction(0), Fraction(-1, 2)), lam2=(Fraction(2), Fraction(-1, 2))),
+     {"b-ratio/lam1=-1/2/lam2=2/ell=00"}),
+])
+def test_points_outside_a_family_domain_are_reported(suite, family, grids, inside):
+    report = run_suite(small_config(suite, ell_max=0, **grids))
+    records = [r for r in report.records if r["case"].startswith(family + "/")]
+    assert inside < {r["case"] for r in records}
+    for r in records:
+        if r["case"] in inside:
+            assert "not checked" not in r.get("note", ""), r
+        else:
+            assert r["pass"] and r["reference"] is None, r
+            assert r["note"].endswith(", not checked"), r
+
+
 def test_juhl_suite_checks_isometry_in_range():
     cfg = small_config("juhl-plancherel", lam=(Fraction(3),), ell_max=1)
     report = run_suite(cfg)
@@ -390,12 +427,17 @@ def test_kernels_pole_collisions_reported_not_asserted():
     assert all("reported only" in r.get("note", "") for r in zero_class)
 
 
-def test_broken_case_becomes_failed_record():
-    cfg = small_config("ortho-poly", lam1=(Fraction(-2),), lam2=(Fraction(1),), ell_max=0)
-    report = run_suite(cfg)
+def test_broken_case_becomes_failed_record(monkeypatch):
+    # every jacobi-norm case raises; the gegenbauer-norm cases still run
+    def broken(*args):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(holobreak.cli, "jacobi_poly", broken)
+    report = run_suite(small_config("ortho-poly", ell_max=0))
     bad = [r for r in report.records if not r["pass"]]
-    assert bad
-    assert all("note" in r for r in bad)
+    assert bad and all(r["case"].startswith("jacobi-norm/") for r in bad)
+    assert all(r["note"] == "RuntimeError: broken" for r in bad)
+    assert len(bad) < len(report.records)
 
 
 # ---------------------------------------------------------------------------

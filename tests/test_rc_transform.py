@@ -138,9 +138,12 @@ def test_rc_order_one_explicit():
 
 @pytest.mark.parametrize("route", RC_ROUTES)
 def test_rc_apply_climbs_one_derivative_ladder(monkeypatch, route):
-    # at ell = 8 each d1^i f is built once: 8 passes in z1 up the ladder and
-    # 0 + 1 + ... + 8 = 36 in z2 off its rungs, 44 single-derivative passes;
-    # the routes after the first read every state back
+    # at ell = 8 each d1^i f is built once per lattice: 8 passes in z1 up the
+    # ladder and 0 + 1 + ... + 8 = 36 in z2 off its rungs, 44 single-derivative
+    # passes.  The level-0 generator has no base that vanishes on the
+    # diagonal, so all routes share its lattice and the routes after the first
+    # read every state back; the level-1 generator's lattice is pruned, and
+    # each call climbs its own
     passes = []
     climb = term_algebra._Lattice._pass
 
@@ -151,11 +154,14 @@ def test_rc_apply_climbs_one_derivative_ladder(monkeypatch, route):
     term_algebra._lattice.cache_clear()
     monkeypatch.setattr(term_algebra._Lattice, "_pass", counting)
     p = RCParams(F(5, 2), F(3), 8)
-    f = ktype_generator(RCParams(F(5, 2), F(3), 1))
-    got = [rc_apply(p, f, r) for r in (route,) + tuple(r for r in RC_ROUTES if r != route)]
-    monkeypatch.undo()
-    assert passes.count(0) == 8 and passes.count(1) == 36 and len(passes) == 44
-    assert all(equal(g, got[0]) for g in got)
+    routes = (route,) + tuple(r for r in RC_ROUTES if r != route)
+    for level, climbs in [(0, 1), (1, len(routes))]:
+        passes.clear()
+        f = ktype_generator(RCParams(F(5, 2), F(3), level))
+        got = [rc_apply(p, f, r) for r in routes]
+        assert passes.count(0) == 8 * climbs and passes.count(1) == 36 * climbs, level
+        assert len(passes) == 44 * climbs, level
+        assert all(equal(g, got[0]) for g in got)
 
 
 def test_rc_apply_text_pinned_at_float_and_complex_weights():
@@ -377,11 +383,22 @@ def test_pruned_ladder_keeps_one_term_per_rung():
     # on the K-type generator every pass but the one on (z1 - z2)^ell is cut,
     # in each of the 1 + 6 + 21 states that the order-6 operator reads
     p = RCParams(F(5, 2), F(3), 6)
-    f = ktype_generator(p)
-    rc_apply(p, f)
-    states = term_algebra._lattice(f, "diagonal", 6).states
-    assert len(states) == 28
-    assert {len(s) for s in states.values()} == {1}
+    lattice = term_algebra._Lattice(ktype_generator(p), "diagonal", 6)
+    for alpha in rc_transform._operator_coefficients(p, "coefficients"):
+        lattice.state(alpha)
+    assert len(lattice.states) == 28
+    assert {len(s) for s in lattice.states.values()} == {1}
+
+
+def test_pruned_lattice_stays_out_of_the_memo():
+    # a pruned lattice is built for one call's operator order and never
+    # read again, so it takes no slot from the shared lattices
+    term_algebra._lattice.cache_clear()
+    before = term_algebra._lattice.cache_info().currsize
+    for ell in range(1, 4):  # from ell = 1 the generator holds (z1 - z2)^ell
+        p = RCParams(F(5, 2), F(3), ell)
+        rc_apply(p, ktype_generator(p))
+    assert term_algebra._lattice.cache_info().currsize == before
 
 
 # z1 - z2 and 2 z1 - 2 z2 vanish on the diagonal; the other bases do not
