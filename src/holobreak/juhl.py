@@ -341,10 +341,11 @@ def bernstein_sato_verify(params: JuhlParams):
         extracted[j] = c
         shift = [0] * n
         shift[-1] = ell - 2 * j
-        for e, w in _expand_base_power(q_base, j + lift):
+        den, entries = _expand_base_power(q_base, j + lift)
+        for e, re, im in entries:
             key = tuple(a + b for a, b in zip(e, shift))
             prev = remaining.get(key, qqi(0))
-            nxt = prev - c * w
+            nxt = prev - c * qqi(Fraction(re, den), Fraction(im, den))
             if not nxt:
                 remaining.pop(key, None)
             else:

@@ -56,7 +56,12 @@ so that each term is its monomial plus one integer numerator per class.
 Every pass is integer arithmetic on a dict, with no Fraction exponent and
 no sort.  `differentiate` rebuilds one normal sum from one state;
 `apply_operator` sums an operator over the states and rebuilds once.
-`canonical_form` reads the same split.
+`canonical_form` reads the same split and expands in Gaussian integers:
+`_expand_base_power(b, n)` gives b^n as (den, ((exponent, re, im), ...)),
+integer entries over den = D^n for D the lcm of b's entry denominators, and
+`_sparse_product` multiplies (re, im) pairs.  Each term expands over its own
+denominator, the terms of one signature are summed over their common
+denominator, and each nonzero output coefficient becomes one QQi, at one gcd.
 
 Only exact sums, every coefficient a QQi and every exponent a Fraction,
 enter the lattice memo: a float sum can compare and hash equal to an
@@ -1021,29 +1026,34 @@ def _require_exact(f: HoloSum):
 
 
 def _sparse_product(p: dict, q) -> dict:
-    """Product of two sparse polynomials, `p` an exponent->coefficient dict
-    and `q` its (exponent, coefficient) pairs; zero sums are kept."""
+    """Product of two sparse polynomials with Gaussian-integer coefficients,
+    `p` an exponent->(re, im) dict and `q` its (exponent, re, im) triples;
+    zero sums are kept."""
     out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = c1 * c2
+    add = operator.add
+    for e1, (a1, b1) in p.items():
+        for e2, a2, b2 in q:
+            e = tuple(map(add, e1, e2))
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             prev = out.get(e)
-            out[e] = v if prev is None else prev + v
+            out[e] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     return out
 
 
 @functools.lru_cache(maxsize=128)
 def _expand_base_power(b: BasePoly, n: int) -> tuple:
-    """The nonzero entries of b**n as (exponent, QQi) pairs (n >= 0).
+    """b**n (n >= 0) as (den, ((exponent, re, im), ...)): its nonzero entries
+    as Gaussian integers over den = D**n, D the lcm of b's entry denominators.
 
     Memoized per (base, n) in an LRU of 128 entries; a base hashes by its
     precomputed key, and the result is a tuple, so a shared entry cannot be
     mutated by a caller."""
-    acc = {(0,) * b.arity: QQI_ONE}
+    d = math.lcm(*(c._d for _, c in b.entries))
+    entries = [(e, c._a * (d // c._d), c._b * (d // c._d)) for e, c in b.entries]
+    acc = {(0,) * b.arity: (1, 0)}
     for _ in range(n):
-        acc = {k: v for k, v in _sparse_product(acc, b.entries).items() if v}
-    return tuple(acc.items())
+        acc = {k: v for k, v in _sparse_product(acc, entries).items() if v[0] or v[1]}
+    return d**n, tuple((k, re, im) for k, (re, im) in acc.items())
 
 
 def canonical_form(f: HoloSum) -> dict:
@@ -1053,7 +1063,10 @@ def canonical_form(f: HoloSum) -> dict:
     Within each base, exponents in the same integer-difference class are
     rewritten over the minimal one (terms lacking the base join the integer
     class at exponent zero when the class minimum is negative), and the
-    integer surplus is expanded into monomials.
+    integer surplus is expanded into monomials.  Each term expands in
+    Gaussian integers over one denominator; the terms of one signature are
+    summed over their common denominator, so each output coefficient costs
+    one gcd.
     """
     _require_exact(f)
     classes, rows = _class_split(f)
@@ -1065,7 +1078,7 @@ def canonical_form(f: HoloSum) -> dict:
         lows.append(min(present + [0]) if d == 1 else min(present))
     floors = [(b, Fraction(low, d)) for (b, d), low in zip(classes, lows)]
 
-    out: dict = {}  # sig -> {monomial: coefficient}: sig hashed once per term
+    out: dict = {}  # sig -> [den, {monomial: [re, im]}]: sig hashed once per term
     for c, mono, nums in rows:
         present = {classes[j][0] for j, n in enumerate(nums) if n}
         residual = []
@@ -1082,14 +1095,34 @@ def canonical_form(f: HoloSum) -> dict:
                     expanders.append((b, (n - low) // d))
         # the classes come in base order, one per base in a term
         sig = tuple(residual)
-        pieces = {mono: exactify(c)}
+        c = exactify(c)
+        den, pieces = c._d, {mono: (c._a, c._b)}
         for b, k in expanders:
-            pieces = _sparse_product(pieces, _expand_base_power(b, k))
-        acc = out.setdefault(sig, {})
-        for m, v in pieces.items():
+            d, entries = _expand_base_power(b, k)
+            pieces = _sparse_product(pieces, entries)
+            den *= d
+        # the signature's sum is kept over the lcm of its terms' denominators
+        common = out.get(sig)
+        if common is None:
+            common = out[sig] = [den, {}]
+        elif common[0] % den:
+            lcm = math.lcm(common[0], den)
+            s = lcm // common[0]
+            for v in common[1].values():
+                v[0] *= s
+                v[1] *= s
+            common[0] = lcm
+        s = common[0] // den
+        acc = common[1]
+        for m, (re, im) in pieces.items():
             prev = acc.get(m)
-            acc[m] = v if prev is None else prev + v
-    return {(m, sig): v for sig, acc in out.items() for m, v in acc.items() if v}
+            if prev is None:
+                acc[m] = [re * s, im * s]
+            else:
+                prev[0] += re * s
+                prev[1] += im * s
+    return {(m, sig): _make(re, im, den)
+            for sig, (den, acc) in out.items() for m, (re, im) in acc.items() if re or im}
 
 
 _SAMPLE_SEED = 20260822

@@ -652,12 +652,20 @@ def test_differentiate_zero_times_returns_the_sum():
 def test_cached_base_power_is_immutable():
     b = zeta_plus_i(1, 0)
     cube = term_algebra._expand_base_power(b, 3)
-    assert isinstance(cube, tuple)
+    assert isinstance(cube, tuple) and isinstance(cube[1], tuple)
     with pytest.raises(TypeError):
-        cube[0] = ((0,), qqi(5))
+        cube[1][0] = ((0,), 5, 0)
     assert term_algebra._expand_base_power(b, 3) is cube
-    # (z + i)^3 = z^3 + 3i z^2 - 3z - i
-    assert dict(cube) == {(3,): qqi(1), (2,): qqi(0, 3), (1,): qqi(-3), (0,): qqi(0, -1)}
+    # (z + i)^3 = z^3 + 3i z^2 - 3z - i, in Gaussian integers over 1
+    den, entries = cube
+    assert den == 1
+    assert {e: (re, im) for e, re, im in entries} == {
+        (3,): (1, 0), (2,): (0, 3), (1,): (-3, 0), (0,): (0, -1)}
+    # (z/2 + i/3)^2 = (9 z^2 + 12i z - 4) / 36, over (lcm 6)^2
+    den, entries = term_algebra._expand_base_power(
+        base_poly(1, {(1,): F(1, 2), (0,): qqi(0, F(1, 3))}), 2)
+    assert den == 36
+    assert {e: (re, im) for e, re, im in entries} == {(2,): (9, 0), (1,): (0, 12), (0,): (-4, 0)}
 
 
 # --- restriction -----------------------------------------------------------
@@ -1168,6 +1176,112 @@ def test_canonical_form_empty_iff_zero():
     f = ktype(F(2), F(3), 1)
     assert canonical_form(sub(f, f)) == {}
     assert canonical_form(f) != {}
+
+
+def reference_sparse_product(p: dict, q) -> dict:
+    """Product of two sparse polynomials, `p` an exponent->coefficient dict
+    and `q` its (exponent, coefficient) pairs; zero sums are kept."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = c1 * c2
+            prev = out.get(e)
+            out[e] = v if prev is None else prev + v
+    return out
+
+
+def reference_expand_base_power(b: BasePoly, n: int) -> tuple:
+    """The nonzero entries of b**n as (exponent, QQi) pairs (n >= 0)."""
+    acc = {(0,) * b.arity: term_algebra.QQI_ONE}
+    for _ in range(n):
+        acc = {k: v for k, v in reference_sparse_product(acc, b.entries).items() if v}
+    return tuple(acc.items())
+
+
+def reference_canonical_form(f: HoloSum) -> dict:
+    """`canonical_form` as it stood when every product and sum made a QQi,
+    kept verbatim but for the helper names and without the power memo."""
+    term_algebra._require_exact(f)
+    classes, rows = term_algebra._class_split(f)
+    # each class's least numerator; integer classes start at zero, so that a
+    # sum of purely positive powers expands completely
+    lows = []
+    for (_, d), col in zip(classes, zip(*(nums for *_, nums in rows))):
+        present = [n for n in col if n]
+        lows.append(min(present + [0]) if d == 1 else min(present))
+    floors = [(b, Fraction(low, d)) for (b, d), low in zip(classes, lows)]
+
+    out: dict = {}  # sig -> {monomial: coefficient}: sig hashed once per term
+    for c, mono, nums in rows:
+        present = {classes[j][0] for j, n in enumerate(nums) if n}
+        residual = []
+        expanders = []
+        for j, n in enumerate(nums):
+            b, d = classes[j]
+            low = lows[j]
+            # an integer class with a negative minimum also pulls in the
+            # terms that lack its base
+            if n or (d == 1 and low < 0 and b not in present):
+                if low:
+                    residual.append(floors[j])
+                if n > low:
+                    expanders.append((b, (n - low) // d))
+        # the classes come in base order, one per base in a term
+        sig = tuple(residual)
+        pieces = {mono: term_algebra.exactify(c)}
+        for b, k in expanders:
+            pieces = reference_sparse_product(pieces, reference_expand_base_power(b, k))
+        acc = out.setdefault(sig, {})
+        for m, v in pieces.items():
+            prev = acc.get(m)
+            acc[m] = v if prev is None else prev + v
+    return {(m, sig): v for sig, acc in out.items() for m, v in acc.items() if v}
+
+
+# BASE_POOL without its constant base, which folds into a complex
+# coefficient under a fractional power, plus bases whose entries carry
+# denominators: z1 + i/2, and z1/3 + (1/2 + i) z2 with entry lcm 6
+CANONICAL_POOL = tuple(m for m in BASE_POOL if list(m) != [(0, 0)]) + (
+    {(1, 0): 1, (0, 0): qqi(0, F(1, 2))},
+    {(1, 0): F(1, 3), (0, 1): qqi(F(1, 2), 1)},
+)
+
+
+@st.composite
+def canonical_inputs(draw):
+    """An exact sum f with exponent denominators 1 to 4 and Gaussian
+    coefficients over several denominators, and f b - (sum of c z^e f over
+    the entries c z^e of a base b), which canonical_form must cancel."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.sampled_from(CANONICAL_POOL), max_size=3))
+        bases = [(base_poly(2, m), draw(st.fractions(-4, 4, max_denominator=4)))
+                 for m in picks]
+        mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        terms.append(term(2, draw(st.one_of(gaussian, exact_numbers)), mono, bases))
+    f = holo_sum(2, terms)
+    b = base_poly(2, draw(st.sampled_from(CANONICAL_POOL)))
+    times_b = holo_sum(2, [term(2, t.coefficient, t.monomial, t.bases + ((b, 1),))
+                           for t in f.terms])
+    expanded = combine(2, [(c, times_monomial(f, e)) for e, c in b.entries])
+    return f, sub(times_b, expanded)
+
+
+@given(canonical_inputs())
+@settings(max_examples=200, deadline=None)
+def test_canonical_form_matches_the_reference(inputs):
+    f, zero = inputs
+    assert list(canonical_form(f).items()) == list(reference_canonical_form(f).items())
+    assert canonical_form(zero) == reference_canonical_form(zero) == {}
+
+
+@pytest.mark.parametrize("f", CLASS_LADDERS)
+@pytest.mark.parametrize("var", [0, 1])
+@pytest.mark.parametrize("times", range(4))
+def test_canonical_form_matches_the_reference_on_class_ladders(f, var, times):
+    g = differentiate(f, var, times)
+    assert list(canonical_form(g).items()) == list(reference_canonical_form(g).items())
 
 
 # --- sl2 and casimir -------------------------------------------------------
