@@ -372,10 +372,6 @@ def test_juhl_suite_reports_outside_unitary_range():
     ("ortho-poly", "jacobi-norm",
      dict(lam1=(Fraction(0), Fraction(-1, 2), Fraction(1, 10)), lam2=(Fraction(2), Fraction(0))),
      {"jacobi-norm/alpha=-9/10/beta=1/ell=00"}),
-    # gegenbauer_norm(a) has weight (1 - x^2)^(a - 1/2): alpha = -3/4 lies
-    # outside, alpha = -1/4 inside
-    ("ortho-poly", "gegenbauer-norm", dict(lam1=(Fraction(1, 4), Fraction(3, 4))),
-     {"gegenbauer-norm/alpha=-1/4/ell=00"}),
     ("l2-plancherel", "transform-image", dict(lam=(Fraction(0), Fraction(-1, 2), Fraction(1, 2))),
      {f"transform-image/lam=1/2/probe={k}" for k in range(3)}),
     ("l2-plancherel", "fourier-isometry",
@@ -384,6 +380,10 @@ def test_juhl_suite_reports_outside_unitary_range():
     ("l2-plancherel", "b-ratio",
      dict(lam1=(Fraction(1), Fraction(0), Fraction(-1, 2)), lam2=(Fraction(2), Fraction(-1, 2))),
      {"b-ratio/lam1=-1/2/lam2=2/ell=00"}),
+    # gegenbauer_norm(a) has weight (1 - x^2)^(a - 1/2): alpha = -3/4 lies
+    # outside, alpha = -1/4 inside
+    ("ortho-poly", "gegenbauer-norm", dict(lam1=(Fraction(1, 4), Fraction(3, 4))),
+     {"gegenbauer-norm/alpha=-1/4/ell=00"}),
 ])
 def test_points_outside_a_family_domain_are_reported(suite, family, grids, inside):
     report = run_suite(small_config(suite, ell_max=0, **grids))
