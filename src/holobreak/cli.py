@@ -186,7 +186,6 @@ VERIFY_OPTIONS = {
     "tol": ("tol", _parse_with(float), None),
     "exact": ("exact", _parse_bool, "force exact rational comparisons"),
     "order": ("order", _parse_with(int), "quadrature order"),
-    "radius": ("radius", _parse_with(float), "truncation radius"),
     "seed": ("seed", _parse_with(int), None),
     "report": ("report_path", lambda text, key: text, "write the JSON-lines report here"),
     "csv": ("csv_out", _parse_bool, "also write a CSV table beside the report"),
@@ -240,7 +239,6 @@ class SuiteConfig:
     lam: tuple = ()
     n: tuple = ()
     order: int = 64
-    radius: float = 60.0
     seed: int = 414213
     report_path: str = ""
     csv_out: bool = False
@@ -255,7 +253,6 @@ class SuiteConfig:
             raise ConfigError(f"ell-max must be nonnegative, got {self.ell_max}")
         if self.order < 4:
             raise ConfigError(f"quadrature order must be at least 4, got {self.order}")
-        _require_positive_finite(self.radius, "truncation radius")
 
     @property
     def mode(self) -> str:
@@ -658,7 +655,7 @@ def _build_l2_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
         def G(zeta):
             return gamma * (1 - 1j * zeta) ** (-lamf)
 
-        num = halfplane_norm_sq(G, lamf, xmax=cfg.radius, ymax=cfg.radius)
+        num = halfplane_norm_sq(G, lamf)
         return _close(num / (gamma / 2**lamf), b_const(lamf), cfg.tol)
 
     b_input = lru_cache(maxsize=None, typed=True)(b_const)  # once per grid weight

@@ -6,8 +6,8 @@ one-variable function to two variables; `rchat_apply` integrates back down
 along the anti-diagonal segments x + y = z.  In the slanted coordinates
 (z, v) of `iota` the pair diagonalizes into a Jacobi expansion along v,
 which is what the inversion series `invert_rchat` sums.  `fourier_laplace`
-bridges to the half-plane picture, with `halfplane_norm_sq` providing the
-truncated norm on the other side.
+bridges to the half-plane picture, and `halfplane_norm_sq` computes the
+weighted Bergman norm on the other side, over the unit disc.
 """
 
 from __future__ import annotations
@@ -244,55 +244,70 @@ def weighted_inner(f: L2Fn, g: L2Fn):
 
 
 def fourier_laplace(F, zeta):
-    """Boundary transform integral of F(z) e^(i zeta z) over (0, inf) for
+    """Boundary transform integral of F(x) e^(i zeta x) over (0, inf) for
     zeta in the upper half plane.
 
     The half line is truncated at 40 and split into geometrically growing
-    panels, the smallest at the origin so fractional-power behavior of F is
-    resolved; F must be negligible past 40.  Raises DomainError when the
-    quadrature does not converge.
+    panels, the smallest, (0, 1/64), at the origin; F must be negligible
+    past 40.  A function of declared weight lam behaves like x^(lam-1) at
+    0, so the first panel is the Gauss-Jacobi axis
+    ("jacobi", 0, lam - 1, 0, 1/64), whose rule weight is x^(lam-1)
+    itself, and the integrand there is F(x) x^(1-lam) e^(i zeta x); a bare
+    callable reads the exponent lam - 1 as 0, a Legendre panel.  The other
+    panels are plain Legendre.  Raises DomainError for a declared weight
+    lam <= 0, and when either part does not converge.
     """
     if complex(zeta).imag <= 0:
         raise DomainError("fourier_laplace needs Im zeta > 0")
+    expo = 0.0
+    if isinstance(F, L2Fn):
+        if F.arity != 1:
+            raise DomainError("fourier_laplace needs a one-variable function")
+        lam = float(F.weights[0])
+        if not lam > 0:
+            raise DomainError("fourier_laplace needs a declared weight lam > 0")
+        expo = lam - 1
     values = _grid(F)
-
-    def g(z):
-        return values(z) * np.exp(1j * zeta * z)
-
-    return integrate_region(
-        g,
-        [("panels", geometric_panels(0.0, 40.0, first=1.0 / 64.0))],
-        tol=_TOL,
-        start_order=16,
-        max_order=128,
-    ).value
+    panels = geometric_panels(0.0, 40.0, first=1.0 / 64.0)
+    parts = [(lambda x: values(x) * x**-expo * np.exp(1j * zeta * x),
+              ("jacobi", 0.0, expo, 0.0, panels[0][1])),
+             (lambda x: values(x) * np.exp(1j * zeta * x), ("panels", panels[1:]))]
+    return sum(integrate_region(g, [axis], tol=_TOL, start_order=16, max_order=128).value
+               for g, axis in parts)
 
 
-def halfplane_norm_sq(G, lam, xmax: float = 60.0, ymax: float = 60.0) -> float:
-    """Truncated squared norm of a half-plane function against the weight
-    (Im zeta)^(lam-2): panels cover |Re zeta| <= xmax, 0 < Im zeta <= ymax.
+def halfplane_norm_sq(G, lam) -> float:
+    """Squared norm of a half-plane function against the weight
+    (Im zeta)^(lam-2), lam > 1, integrated over the unit disc.
 
-    The first Im zeta panel (0, h) is the Gauss-Jacobi axis
-    ("jacobi", 0, lam - 2, 0, h), whose rule weight is the singular
-    (Im zeta)^(lam-2) itself, so the integrand there is |G|^2.  The other
-    panels are plain Legendre.  Raises DomainError, with the error
-    estimate, when either part does not converge to 1e-7.  Truncation error
-    falls with the decay of G, so xmax/ymax set the floor."""
+    The Cayley map zeta = i(1 + w)/(1 - w) takes |w| < 1 onto the upper
+    half plane, with Im zeta = (1 - |w|^2)/|1 - w|^2 and
+    dzeta/dw = 2i/(1 - w)^2, so
+
+        (Im zeta)^(lam-2) |dzeta/dw|^2 = 4 (1 - |w|^2)^(lam-2) |1 - w|^(-2 lam).
+
+    With w = sqrt(t) e^(i theta) the area element is
+    dA = r dr dtheta = dt dtheta / 2, hence
+
+        ||G||^2 = 2 int_0^(2 pi) int_0^1 |G(zeta(w))|^2 |1 - w|^(-2 lam) (1 - t)^(lam-2) dt dtheta,
+
+    an integral over a compact domain with no cut-off.  theta runs on the
+    periodic rule and t on ("jacobi", lam - 2, 0, 0, 1), whose rule weight
+    is (1 - t)^(lam-2) itself.  Within a few ulps of lam = 1 that rule has
+    a node at t = 1 exactly; no periodic node sits at theta = 0, so the
+    pole w = 1 of the Cayley map is never a node.  G(zeta(w)) (1 - w)^(-lam) is holomorphic on
+    the disc for G in the weighted Bergman space, and a K-type
+    (zeta - i)^k (zeta + i)^(-lam-k) becomes a multiple of w^k.  Raises
+    DomainError, with the error estimate, when the integral does not
+    converge."""
     if not float(lam) > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
     values = _grid(G)
-    expo = float(lam) - 2
-    right = geometric_panels(0.0, xmax, first=1.0)
-    xi_axis = ("panels", [(-b, -a) for a, b in reversed(right)] + right)
-    eta_panels = geometric_panels(0.0, ymax, first=0.5)
-    parts = [(lambda xi, eta: np.abs(values(xi + 1j * eta)) ** 2,
-              ("jacobi", 0.0, expo, 0.0, eta_panels[0][1]))]
-    if len(eta_panels) > 1:
-        parts.append((lambda xi, eta: np.abs(values(xi + 1j * eta)) ** 2 * eta**expo,
-                      ("panels", eta_panels[1:])))
-    total = 0.0
-    for density, eta_axis in parts:
-        total += integrate_region(
-            density, [xi_axis, eta_axis], tol=1e-7, start_order=8, max_order=32
-        ).value
-    return float(total)
+    lamf = float(lam)
+
+    def density(theta, t):
+        w = np.sqrt(t) * np.exp(1j * theta)
+        return np.abs(values(1j * (1 + w) / (1 - w))) ** 2 * np.abs(1 - w) ** (-2 * lamf)
+
+    axes = [("periodic",), ("jacobi", lamf - 2, 0.0, 0.0, 1.0)]
+    return 2 * integrate_region(density, axes, tol=_TOL, start_order=8, max_order=64).value

@@ -1,8 +1,9 @@
-"""Gaussian quadrature rules and adaptive tensor integration.
+"""Gaussian and periodic quadrature rules and adaptive tensor integration.
 
-Rules are built by the eigenvalue route: the three-term recurrence of the
-orthogonal family is symmetrized into a Jacobi matrix, whose eigenvalues are
-the nodes and whose first eigenvector components square to the weights.
+Gaussian rules are built by the eigenvalue route: the three-term recurrence
+of the orthogonal family is symmetrized into a Jacobi matrix, whose
+eigenvalues are the nodes and whose first eigenvector components square to
+the weights.  The periodic rule needs no eigen step.
 
 Every rule is named by an axis spec, and `build_rule(spec, order)` is the
 one constructor:
@@ -15,17 +16,22 @@ one constructor:
   gamma > -1, scale > 0
 - ``("panels", [(a, b), ...])``:     one Legendre rule per panel, all of
   them moved from one base rule
+- ``("periodic",)``:                 plain dtheta on [0, 2 pi), the n-point
+  trapezoid rule: nodes 2 pi (j + 1/2)/n, weights 2 pi/n; no node sits
+  at 0
 
 A rule on an interval is the rule on (-1, 1) moved by the affine map
 x = a + (b-a)(1+u)/2, which scales the weights by ((b-a)/2)^(alpha+beta+1).
-An n-point rule integrates polynomials through degree 2n-1 against its
-weight; the test suite pins that at 1e-13 relative.
+An n-point Gaussian rule integrates polynomials through degree 2n-1
+against its weight, and the n-point periodic rule trigonometric
+polynomials of degree below n; the test suite pins both at 1e-13.
 
-Each distinct rule is built once per process: the eigenvalue step is kept
-in an LRU cache of 256 entries keyed by order, weight parameters and their
-types (a Fraction parameter rounds differently from the equal float), and
-only the cheap interval and panel moves are redone per call.  Rule arrays
-are read-only, so a shared rule cannot be changed in place.  `build_rule`
+Each distinct Gaussian rule is built once per process: the eigenvalue step
+is kept in an LRU cache of 256 entries keyed by order, weight parameters
+and their types (a Fraction parameter rounds differently from the equal
+float), and only the cheap interval and panel moves, and the periodic
+rule's layout, are redone per call.  Rule arrays are read-only, so a
+shared rule cannot be changed in place.  `build_rule`
 checks that the order is an int >= 1 and every parameter finite before the
 lookup, and raises DomainError for a weight mass that overflows.
 
@@ -190,12 +196,15 @@ def _rule_arrays(spec, order: int):
             base = _jacobi_rule(order, 0.0, 0.0)
             moved = [_on_interval(base, 0.0, 0.0, a, b) for a, b in panels]
             return np.concatenate([m[0] for m in moved]), np.concatenate([m[1] for m in moved])
+        case ("periodic",):
+            step = 2.0 * math.pi / order
+            return (np.arange(order) + 0.5) * step, np.full(order, step)
     raise DomainError(f"unknown rule spec {spec!r}")
 
 
 def build_rule(spec, order: int) -> QuadratureRule:
-    """Build the n-point Gaussian rule an axis spec names (see the module
-    docstring for the spec forms).  A `panels` spec builds its Legendre base
+    """Build the n-point rule an axis spec names (see the module docstring
+    for the spec forms).  A `panels` spec builds its Legendre base
     rule once and moves it onto every panel.  The order must be an int >= 1
     and every parameter finite; a weight mass that is not a positive finite
     float raises DomainError.  The rule's arrays are read-only."""

@@ -98,15 +98,10 @@ def test_suite_config_validation():
         small_config("ortho-poly", tol=0.0)
     with pytest.raises(ConfigError):
         small_config("ortho-poly", ell_max=-1)
-    with pytest.raises(ConfigError):
-        small_config("ortho-poly", radius=-1.0)
-    # a non-finite tolerance would pass every case, a non-finite radius
-    # would reach the quadrature panels
+    # a non-finite tolerance would pass every case
     for bad in (math.inf, math.nan):
         with pytest.raises(ConfigError):
             small_config("ortho-poly", tol=bad)
-        with pytest.raises(ConfigError):
-            small_config("ortho-poly", radius=bad)
 
 
 def test_config_file_parsing(tmp_path):
@@ -133,12 +128,12 @@ def test_option_vocabulary_is_unchanged():
     flags = {s for a in sub.choices["verify"]._actions for s in a.option_strings}
     assert flags == {
         "-h", "--help", "--lambda1", "--lambda2", "--lambda", "--n", "--ell-max",
-        "--tol", "--exact", "--order", "--radius", "--seed", "--report", "--csv",
+        "--tol", "--exact", "--order", "--seed", "--report", "--csv",
         "--config",
     }
     assert set(VERIFY_OPTIONS) == {
         "lambda1", "lambda2", "lambda", "n", "ell_max", "tol", "exact",
-        "seed", "order", "radius", "report", "csv",
+        "seed", "order", "report", "csv",
     }
     assert set(_EVAL_FORMS) == {
         "constant", "c_ell", "r_ell", "b", "b_const", "q_constant", "ktype", "psi_ktype",
@@ -169,7 +164,6 @@ OPTION_TEXTS = [
     ("tol", "1e-6", "abc"),
     ("exact", "yes", "maybe"),
     ("order", "32", "x"),
-    ("radius", "40", "1e400"),
     ("seed", "7", "1.5"),
     ("report", "out/r.jsonl", None),
     ("csv", "yes", "sometimes"),
@@ -213,26 +207,16 @@ def test_negative_values_on_the_command_line(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_non_finite_tol_and_radius_are_config_errors(tmp_path, capsys):
+def test_non_finite_tol_is_a_config_error(capsys):
     code = main(["verify", "rc-plancherel", "--tol", "inf", "--ell-max", "0"])
     assert code == 2
     assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("radius = 1e400\n")
-    code = main(["verify", "l2-plancherel", "--config", str(cfg), "--ell-max", "0"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: truncation radius must be finite, got inf\n"
 
 
-def test_nan_tol_and_radius_read_as_not_finite(tmp_path, capsys):
+def test_nan_tol_reads_as_not_finite(capsys):
     code = main(["verify", "rc-plancherel", "--tol", "nan", "--ell-max", "0"])
     assert code == 2
     assert capsys.readouterr().err == "error: tolerance must be finite, got nan\n"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("radius = nan\n")
-    code = main(["verify", "l2-plancherel", "--config", str(cfg), "--ell-max", "0"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: truncation radius must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("token, word", [
@@ -366,8 +350,8 @@ def test_juhl_suite_reports_outside_unitary_range():
 
 
 # a family reports each grid point outside its domain, without failing it,
-# and still checks the point just inside each boundary (transform-image at
-# 0 < lam < 1 is checked and fails: its quadrature does not converge there)
+# and still checks the point just inside each boundary (that those points
+# pass is required by test_l2_plancherel_passes_near_the_edge_of_the_weights)
 @pytest.mark.parametrize("suite, family, grids, inside", [
     ("ortho-poly", "jacobi-norm",
      dict(lam1=(Fraction(0), Fraction(-1, 2), Fraction(1, 10)), lam2=(Fraction(2), Fraction(0))),
@@ -395,6 +379,21 @@ def test_points_outside_a_family_domain_are_reported(suite, family, grids, insid
         else:
             assert r["pass"] and r["reference"] is None, r
             assert r["note"].endswith(", not checked"), r
+
+
+def test_l2_plancherel_passes_near_the_edge_of_the_weights(capsys):
+    # transform-image folds x^(lam - 1) into its edge panel, and
+    # fourier-isometry integrates over the disc with no cut-off, so both pass
+    # as lam falls toward their domains' edges (0 and 1)
+    code, lines = run_lines(capsys, [
+        "verify", "l2-plancherel", "--lambda", "1/2,11/10,3/2,7/4",
+        "--lambda1", "2", "--lambda2", "2", "--ell-max", "0",
+    ])
+    *records, summary = lines
+    assert code == 0 and (summary["cases"], summary["failed"]) == (17, 0)
+    unchecked = {r["case"] for r in records if "not checked" in r.get("note", "")}
+    assert unchecked == {"fourier-isometry/lam=1/2"}
+    assert all(r["pass"] for r in records)
 
 
 def test_juhl_suite_checks_isometry_in_range():
@@ -743,14 +742,17 @@ def test_encode_raises_on_a_value_no_case_returns():
         _encode((1, 2))
 
 
-def test_verify_exit_one_on_failure(capsys):
+def test_verify_exit_one_on_failure(capsys, monkeypatch):
+    # the disc norm meets b_const to rounding, so a norm scaled by 2 stands
+    # in for a failing case
+    norm = holobreak.cli.halfplane_norm_sq
+    monkeypatch.setattr(holobreak.cli, "halfplane_norm_sq", lambda G, lam: 2 * norm(G, lam))
     code, lines = run_lines(
         capsys,
-        ["verify", "l2-plancherel", "--lambda", "3", "--ell-max", "0",
-         "--tol", "1e-15"],
+        ["verify", "l2-plancherel", "--lambda", "3", "--ell-max", "0"],
     )
     assert code == 1
-    assert lines[-1]["failed"] >= 1
+    assert lines[-1]["failed"] == 1
 
 
 def test_verify_empty_grid_is_config_error(capsys):

@@ -513,7 +513,8 @@ def test_weighted_norm_unconverged_paths():
 
 
 def test_fourier_laplace_pairs():
-    F = l2fn(lambda z: math.exp(-z), 1.5)
+    # e^(-z) is the weight-1 K-type: its edge exponent lam - 1 is 0
+    F = l2fn(lambda z: math.exp(-z), 1.0)
     for zeta in (1j, 0.5j, 1 + 1j, -0.7 + 0.8j):
         got = fourier_laplace(F, zeta)
         assert abs(got - 1 / (1 - 1j * zeta)) < 1e-10
@@ -545,35 +546,126 @@ def test_fourier_laplace_isometry_ratio():
 
     num = halfplane_norm_sq(G, lam)
     den = math.gamma(lam) / 2**lam
-    assert rel(num / den, b_const(lam)) < 1e-3
+    assert rel(num / den, b_const(lam)) < 1e-12
 
 
-def test_halfplane_norm_converges_at_half_integer_weight(monkeypatch):
-    # the Jacobi edge panel absorbs the eta^(lam - 2) singularity, so both
-    # parts converge by order 16; the gap to b_const is the truncation.
-    # Each pass builds one base rule per axis, however many panels it has:
-    # 2 parts x 2 passes x 2 axes
+def _recording(monkeypatch):
+    """The IntegralResults of every l2_model integral, in call order."""
     results = []
-    builds = []
-    jacobi_rule = quadrature._jacobi_rule
 
     def recording(*args, **kwargs):
         res = integrate_region(*args, **kwargs)
         results.append(res)
         return res
 
+    monkeypatch.setattr(l2_model, "integrate_region", recording)
+    return results
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.1, 1.5, 2.5, 3.0, 4.0])
+def test_fourier_laplace_folds_the_declared_weight_into_the_first_panel(monkeypatch, lam):
+    # F ~ x^(lam-1) at 0, which the first panel's Jacobi weight carries; at
+    # lam <= 3/2 plain Legendre panels do not converge
+    results = _recording(monkeypatch)
+    F = ktype_fn(lam)
+    for zeta in (0.3 + 0.7j, -0.4 + 1.1j):
+        want = math.gamma(lam) * (1 - 1j * zeta) ** (-lam)
+        assert abs(fourier_laplace(F, zeta) / want - 1) < 1e-12, zeta
+    # the edge panel and the other eleven, each at orders 16 and 32
+    assert [r.evaluations for r in results] == [48, 528] * 2
+
+
+def test_fourier_laplace_of_a_bare_callable_reads_exponent_zero():
+    # the same rules as a declared weight 1, whose edge exponent is 0
+    def f(z):
+        return math.exp(-z)
+
+    for zeta in (1j, 1 + 0.5j, -0.7 + 0.8j):
+        got = fourier_laplace(f, zeta)
+        assert abs(got - 1 / (1 - 1j * zeta)) < 1e-10
+        assert got == fourier_laplace(l2fn(f, 1.0), zeta)
+
+
+def test_fourier_laplace_rejects_a_nonpositive_weight():
+    for lam in (0.0, -0.5):
+        with pytest.raises(DomainError, match="declared weight lam > 0"):
+            fourier_laplace(l2fn(lambda z: math.exp(-z), lam), 1j)
+    with pytest.raises(DomainError, match="one-variable"):
+        fourier_laplace(l2fn(lambda x, y: 1.0, 2.0, 2.0), 1j)
+
+
+def test_fourier_laplace_raises_on_an_edge_the_weight_does_not_declare():
+    # the declared weight is read as the edge exponent x^(lam - 1), as in
+    # weighted_norm_sq: e^(-z) declared at 3/2 leaves x^(-1/2) on the edge
+    # panel, which does not converge, so the call raises instead of
+    # returning a wrong value
+    F = l2fn(lambda z: math.exp(-z), 1.5)
+    with pytest.raises(DomainError, match="did not converge"):
+        fourier_laplace(F, 1j)
+    with pytest.raises(DomainError, match="did not converge"):
+        weighted_norm_sq(F)
+
+
+def test_halfplane_norm_converges_at_half_integer_weight(monkeypatch):
+    # one integral over the disc, whose (1 - t)^(lam - 2) edge is the t
+    # rule's weight: it converges at order 16.  The periodic axis needs no
+    # eigen step, so each of the two passes builds one Jacobi rule
+    builds = []
+    jacobi_rule = quadrature._jacobi_rule
+
     def counted(*args):
         builds.append(args)
         return jacobi_rule(*args)
 
-    monkeypatch.setattr(l2_model, "integrate_region", recording)
+    results = _recording(monkeypatch)
     monkeypatch.setattr(quadrature, "_jacobi_rule", counted)
     lam = 2.5
     gamma = math.gamma(lam)
     num = halfplane_norm_sq(lambda zeta: gamma * (1 - 1j * zeta) ** (-lam), lam)
-    assert len(results) == 2 and all(r.converged for r in results)
-    assert len(builds) == 8
-    assert rel(num / (gamma / 2**lam), b_const(lam)) < 1e-3
+    assert len(results) == 1 and results[0].converged
+    assert results[0].evaluations == 8 * 8 + 16 * 16
+    assert builds == [(8, lam - 2, 0.0), (16, lam - 2, 0.0)]
+    assert rel(num / (gamma / 2**lam), b_const(lam)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1.0, max_value=20.0, exclude_min=True))
+def test_halfplane_norm_on_the_disc_meets_b_const(lam):
+    gamma = math.gamma(lam)
+    num = halfplane_norm_sq(lambda zeta: gamma * (1 - 1j * zeta) ** (-lam), lam)
+    assert abs(num / (gamma / 2**lam) / b_const(lam) - 1) < 1e-12
+
+
+def _psi(lam, k):
+    """The half-plane K-type (zeta - i)^k (zeta + i)^(-lam-k), which the
+    Cayley map sends to (2i)^(-lam) w^k (1 - w)^lam."""
+    return lambda zeta: (zeta - 1j) ** k * (zeta + 1j) ** (-lam - k)
+
+
+@pytest.mark.parametrize("lam", [1.1, 2.5])
+def test_halfplane_norms_of_the_ktypes(lam):
+    norms = [halfplane_norm_sq(_psi(lam, k), lam) for k in range(5)]
+    for k, norm in enumerate(norms):
+        rising = math.prod(lam + j for j in range(k))
+        assert abs(norm / norms[0] / (math.factorial(k) / rising) - 1) < 1e-12, k
+        closed = 4 ** (1 - lam) * math.pi * math.factorial(k) / ((lam - 1) * rising)
+        assert abs(norm / closed - 1) < 1e-12, k
+
+
+def test_disc_norm_with_the_wrong_weight_exponent_fails(monkeypatch):
+    # negative control: (1 - t)^(lam - 1) in place of (1 - t)^(lam - 2)
+    # scales the norm of a constant on the disc by (lam - 1)/lam
+    def shifted(f, axes, **kwargs):
+        axes = [(s[0], s[1] + 1, *s[2:]) if s[0] == "jacobi" else s for s in axes]
+        return integrate_region(f, axes, **kwargs)
+
+    monkeypatch.setattr(l2_model, "integrate_region", shifted)
+    lam = 2.5
+    gamma = math.gamma(lam)
+    num = halfplane_norm_sq(lambda zeta: gamma * (1 - 1j * zeta) ** (-lam), lam)
+    ratio = num / (gamma / 2**lam) / b_const(lam)
+    assert not abs(ratio - 1) < 1e-12
+    assert abs(ratio / ((lam - 1) / lam) - 1) < 1e-12
 
 
 def test_halfplane_norm_raises_when_unconverged():
@@ -582,17 +674,6 @@ def test_halfplane_norm_raises_when_unconverged():
 
     with pytest.raises(DomainError, match="did not converge"):
         halfplane_norm_sq(jump, 3.0)
-
-
-def test_halfplane_norm_edge_panel_alone():
-    # ymax inside the first eta panel leaves only the Jacobi edge part
-    gamma = math.gamma(3.0)
-
-    def G(zeta):
-        return gamma * (1 - 1j * zeta) ** -3.0
-
-    thin, edge, full = (halfplane_norm_sq(G, 3.0, ymax=y) for y in (0.4, 0.5, 60.0))
-    assert 0 < thin < edge < full
 
 
 def test_halfplane_norm_domain():

@@ -20,7 +20,6 @@ from holobreak.juhl import (
     cone_fourier_laplace,
     holographic_integral,
 )
-from holobreak.l2_model import halfplane_norm_sq
 from holobreak.quadrature import (
     IntegralResult,
     build_rule,
@@ -105,6 +104,21 @@ def test_laguerre_exactness_closed_form(order):
         assert rel(got, want) < 1e-13
 
 
+@pytest.mark.parametrize("order", [1, 3, 8, 20])
+def test_periodic_exactness_below_degree_n(order):
+    # e^(ik theta) integrates to 2 pi at k = 0 and to 0 at 0 < |k| < n; at
+    # k = n every node, 2 pi (j + 1/2)/n, sees e^(ik theta) = -1, so the
+    # rule stops there
+    rule = build_rule(("periodic",), order)
+    for k in range(-order + 1, order):
+        got = integrate(lambda t: np.exp(1j * k * t), rule)
+        assert rel(got, 2 * math.pi if k == 0 else 0.0) < 1e-13, k
+    assert rel(integrate(lambda t: np.cos(order * t), rule), -2 * math.pi) < 1e-13
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
 def test_legendre_exactness_closed_form():
     a, b = -0.5, 2.0
     rule = build_rule(("legendre", a, b), 10)
@@ -137,6 +151,8 @@ def test_rule_domain_errors():
         build_rule(("jacobi", 0.5), 5)
     with pytest.raises(DomainError):
         build_rule(("hermite",), 5)
+    with pytest.raises(DomainError):
+        build_rule(("periodic", 0.0, 1.0), 5)
     with pytest.raises(DomainError):
         build_rule(("jacobi", 0.0, 0.0), 0)
 
@@ -547,14 +563,9 @@ def test_geometric_panels_reject_non_finite_arguments(inner, outer, first):
 
 
 def test_transforms_reject_an_infinite_cut_in_one_short_message():
-    calls = [
-        lambda: cone_fourier_laplace(lambda y: 1.0, (0.0 + 1.0j, 0.0j, 0.0j), 3, y_max=math.inf),
-        lambda: halfplane_norm_sq(lambda z: 1.0, 3.0, xmax=math.inf),
-    ]
-    for call in calls:
-        with pytest.raises(DomainError, match="needs finite inner, outer and first") as info:
-            call()
-        assert len(str(info.value)) < 100
+    with pytest.raises(DomainError, match="needs finite inner, outer and first") as info:
+        cone_fourier_laplace(lambda y: 1.0, (0.0 + 1.0j, 0.0j, 0.0j), 3, y_max=math.inf)
+    assert len(str(info.value)) < 100
 
 
 def test_integrate_needs_a_rule():
