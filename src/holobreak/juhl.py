@@ -133,12 +133,6 @@ def _real_vector(y):
         raise DomainError(f"bad cone point {y!r}") from exc
 
 
-def in_cone(y) -> bool:
-    """Membership in the open time-like cone: positive form, positive y1."""
-    y = _real_vector(y)
-    return q_form(y) > 0 and y[0] > 0
-
-
 def _cone_point(y, what: str):
     """(y, Q(y)) for a real point of the open cone, converted once; raises
     DomainError naming `what` when y is outside the cone."""
@@ -164,37 +158,6 @@ def _cone_grid(y, dim: int):
 def _fiber(y_prime, root: float, v):
     """Coordinate arrays of the fiber points (y', -root v) over v."""
     return [np.full(v.shape, c) for c in y_prime] + [-root * v]
-
-
-def iota_cone(y_prime, v):
-    """Fiber chart (y', v) -> (y', -sqrt(Q(y')) v) over the one-lower cone."""
-    y_prime, q_prime = _cone_point(y_prime, "base point")
-    v = float(v)
-    if not -1.0 < v < 1.0:
-        raise DomainError(f"fiber coordinate must lie in (-1, 1), got {v}")
-    return y_prime + (-math.sqrt(q_prime) * v,)
-
-
-def weight_M_cone(params: JuhlParams, y_prime, v) -> float:
-    """Fiber weight Q(y')^((ell+1)/2) (1 - v^2)^(n/2 - lam).
-
-    Defined for v in [-1, 1]; an endpoint with a negative exponent on
-    1 - v^2 is rejected rather than returned as infinity.
-    """
-    lam = _real_scalar(params.lam, "weight exponent")
-    y_prime, q_prime = _base_point(params, y_prime)
-    v = float(v)
-    if not -1.0 <= v <= 1.0:
-        raise DomainError(f"fiber coordinate must lie in [-1, 1], got {v}")
-    expo = params.n / 2.0 - lam
-    edge = 1.0 - v * v
-    if edge == 0.0:
-        if expo < 0:
-            raise DomainError("weight is singular at v = +-1 for this lam")
-        fiber = 1.0 if expo == 0 else 0.0
-    else:
-        fiber = edge**expo
-    return q_prime ** (0.5 * (params.ell + 1)) * fiber
 
 
 def cone_density(lam, y) -> float:
@@ -356,28 +319,6 @@ def bernstein_sato_verify(params: JuhlParams):
     return extracted[0], higher
 
 
-def coefficient_ladder(params: JuhlParams):
-    """Re-expansion coefficients of the operator over the full wave operator.
-
-    Substituting (partial wave) = (full wave) + d_n^2 turns the a_k ladder
-    into sum_m p_m (full wave)^m d_n^(ell-2m) with
-    p_m = sum_(k>=m) C(k, m) a_k; alongside, s_k is the scalar produced by
-    k full-wave hits on Q^(-lam):  s_0 = 1,
-    s_(k+1) = s_k * 2(lam+k)(2(lam+k) - n + 2).
-    """
-    n, ell, lam = params.n, params.ell, params.lam
-    top = ell // 2
-    a = [gegenbauer_a(ell, k, params.alpha) for k in range(top + 1)]
-    p = [
-        sum(math.comb(k, m) * a[k] for k in range(m, top + 1))
-        for m in range(top + 1)
-    ]
-    s = [Fraction(1) if is_exact(lam) else 1.0]
-    for k in range(top):
-        s.append(s[-1] * 2 * (lam + k) * (2 * (lam + k) - n + 2))
-    return p, s
-
-
 # ---------------------------------------------------------------------------
 # multiplication model on the cone and the fiber transform
 
@@ -385,11 +326,12 @@ def coefficient_ladder(params: JuhlParams):
 class ConeLift(ArrayFormula):
     """Holographic lift of h to the n-dimensional cone (see `phi_cone_apply`).
 
-    In the fiber chart y = (y', -sqrt(Q') v) of `iota_cone` the lift is
-    (1 - v^2)^(lam - n/2) times `_fiber_values`, the one place its formula
-    is written.  `grid` is the lift on node arrays, one coordinate array per
-    axis and one cone check per grid, and `juhl_hat_apply` evaluates it
-    along a fiber; a one-point call takes the point as one tuple.
+    In the fiber chart (y', v) -> y = (y', -sqrt(Q(y')) v) over the
+    one-lower cone the lift is (1 - v^2)^(lam - n/2) times `_fiber_values`,
+    the one place its formula is written.  `grid` is the lift on node
+    arrays, one coordinate array per axis and one cone check per grid, and
+    `juhl_hat_apply` evaluates it along a fiber; a one-point call takes the
+    point as one tuple.
     `phi_isometry_ratio` and `cone_fourier_laplace` fold the weight into a
     Jacobi rule and read `_fiber_values` itself.
     """
@@ -663,8 +605,10 @@ def _require_tube(z, dim: int, what: str):
     z = tuple(complex(c) for c in z)
     if len(z) != dim:
         raise DomainError(f"{what} must have {dim} coordinates, got {len(z)}")
-    if not in_cone(tuple(c.imag for c in z)):
-        raise DomainError(f"{what} {z!r} is outside the tube domain")
+    try:
+        _cone_point([c.imag for c in z], what)
+    except DomainError:
+        raise DomainError(f"{what} {z!r} is outside the tube domain") from None
     return z
 
 
@@ -727,10 +671,11 @@ def _cone_chart(d: int, y_max: float, folds):
     (axes, point), where `point(*nodes)` takes one node array per axis and
     returns the cone's coordinate arrays and the chart's Jacobian.
 
-    The chart is `iota_cone` applied again and again, from the half-line
-    y1 > 0 on geometric panels: y_k = -s_(k-1) v_k for k = 2 ... d, with
-    s_1 = y1 and s_k = s_(k-1) sqrt(1 - v_k^2), so that Q of the leading k
-    coordinates is s_k^2 and Q(y) = y1^2 prod (1 - v_k^2).  Each v_k runs
+    The chart is the fiber chart (y', v) -> (y', -sqrt(Q(y')) v) applied
+    again and again, from the half-line y1 > 0 on geometric panels:
+    y_k = -s_(k-1) v_k for k = 2 ... d, with s_1 = y1 and
+    s_k = s_(k-1) sqrt(1 - v_k^2), so that Q of the leading k coordinates
+    is s_k^2 and Q(y) = y1^2 prod (1 - v_k^2).  Each v_k runs
     on ``("jacobi", a_k, a_k)``, a_k = (d - k)/2 + folds[k - 2]: the
     Jacobian's own power of (1 - v_k^2) and a fold for that axis.  What is
     left of the Jacobian is y1^(d - 1); a caller that folds divides its
@@ -773,10 +718,11 @@ def cone_fourier_laplace(
     """Fourier-Laplace transform of F over the n-dimensional cone, n >= 3,
     cut at y1 = y_max.
 
-    Every F is integrated in one chart, `iota_cone` applied again and again
-    from the half-line y1 > 0 (see `_cone_chart`): y = (y1, -y1 v_2,
-    -s_2 v_3, ...), where 1 - rho^2 = Q(y)/y1^2 = prod (1 - v_k^2).  Only
-    the folds of the fiber axes differ.
+    Every F is integrated in one chart, the fiber chart (y', v) ->
+    (y', -sqrt(Q(y')) v) applied again and again from the half-line y1 > 0
+    (see `_cone_chart`): y = (y1, -y1 v_2, -s_2 v_3, ...), where
+    1 - rho^2 = Q(y)/y1^2 = prod (1 - v_k^2).  Only the folds of the fiber
+    axes differ.
 
     A lift (`phi_cone_apply`) folds -1/2 on every axis but the last and
     lam - n/2 on the last, the lift's own (1 - v^2)^(lam - n/2), so lam must
@@ -859,9 +805,10 @@ def invert_juhl(
     expects cone-model components on the lower cone, lifts each one, and
     runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
     transform integrates a lift in the chart of `cone_fourier_laplace`,
-    `iota_cone` applied again and again, with the lift's weight folded into
-    the last fiber rule, which needs lam > n/2 - 1.  Levels above L are
-    dropped (see `special_poly.levels`).  Returns a callable on the n-tube.
+    y = (y', -sqrt(Q(y')) v) applied again and again, with the lift's
+    weight folded into the last fiber rule, which needs lam > n/2 - 1.
+    Levels above L are dropped (see `special_poly.levels`).  Returns a
+    callable on the n-tube.
     """
     items = levels(components, L)
     if method is None:

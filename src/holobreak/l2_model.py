@@ -4,10 +4,11 @@ Functions live in weighted spaces on (0, inf) or (0, inf)^2, carrying their
 weight exponents with them.  The multiplication operator `phi_apply` maps a
 one-variable function to two variables; `rchat_apply` integrates back down
 along the anti-diagonal segments x + y = z.  In the slanted coordinates
-(z, v) of `iota` the pair diagonalizes into a Jacobi expansion along v,
-which is what the inversion series `invert_rchat` sums.  `fourier_laplace`
-bridges to the half-plane picture, and `halfplane_norm_sq` computes the
-weighted Bergman norm on the other side, over the unit disc.
+(x, y) = (z(1-v)/2, z(1+v)/2) the pair diagonalizes into a Jacobi
+expansion along v, which is what the inversion series `invert_rchat`
+sums.  `fourier_laplace` bridges to the half-plane picture, and
+`halfplane_norm_sq` computes the weighted Bergman norm on the other side,
+over the unit disc.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ class L2Fn:
     weights has one entry for a half-line function (space with measure
     x^(1-lam) dx) and two for a quarter-plane function (product measure
     x^(1-lam1) y^(1-lam2) dx dy).
+
+    `fourier_laplace` and `weighted_norm_sq` also read the declared weight
+    lam as the function's edge exponent x^(lam-1): each folds that power
+    into a Gauss rule (the first panel, the Laguerre axis), which fits a
+    lift or a K-type of that weight.  A function of the space with another
+    edge raises "did not converge" in both: e^(-x) declared at lam = 3/2
+    leaves x^(-1/2) on the edge.
     """
 
     func: object
@@ -66,21 +74,6 @@ def _grid(f):
 
 # ---------------------------------------------------------------------------
 # slanted coordinates
-
-
-def iota(z, v):
-    """Coordinate change (z, v) -> (x, y) = (z(1-v)/2, z(1+v)/2)."""
-    if not z > 0:
-        raise DomainError("iota needs z > 0")
-    if not -1 < v < 1:
-        raise DomainError("iota needs v in (-1, 1)")
-    return z * (1 - v) / 2, z * (1 + v) / 2
-
-
-def iota_inv(x, y):
-    if not (x > 0 and y > 0):
-        raise DomainError("iota_inv needs x, y > 0")
-    return x + y, (y - x) / (x + y)
 
 
 def weight_M(params, z, v):
@@ -135,15 +128,15 @@ def phi_apply(params, h) -> L2Fn:
 def rchat_apply(params, F, z, method: str = "legendre"):
     """Integrate a quarter-plane function down to one variable:
 
-        z^(ell+1)/(2 i^ell) * integral of P(v) F(iota(z, v)) over (-1, 1).
+        z^(ell+1)/(2 i^ell) * integral of P(v) F(z(1-v)/2, z(1+v)/2) over (-1, 1).
 
     method "legendre" integrates the product directly; "jacobi" folds the
     endpoint factors (1-v)^alpha (1+v)^beta into the quadrature weight,
     which is exact when F is a lift from phi_apply.  Raises if the adaptive
     quadrature does not converge.
     """
-    if not z > 0:
-        raise DomainError("rchat_apply needs z > 0")
+    if isinstance(z, complex) or not z > 0:
+        raise DomainError(f"rchat_apply needs a real z > 0, got {z!r}")
     values = _grid(F)
     poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 

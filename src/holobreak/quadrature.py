@@ -62,11 +62,11 @@ adapter.  A lift is an `ArrayFormula`, whose own `grid` it hands over.  A
 user's function it tries on the chunk's whole node arrays first and keeps
 the result only when the call raised nothing, warned nothing, and returned
 a finite float or complex array of the chunk's shape; otherwise it calls
-the function once per point, as `pointwise` does, and keeps doing so.  A
-function that runs on arrays without error must give the same values
-there as point by point; one that does not, such as a `math.exp` call or
-an `if` on its argument, is evaluated point by point with its own errors
-and values.
+the function once per point, with one Python scalar per axis, and keeps
+doing so.  A function that runs on arrays without error must give the
+same values there as point by point; one that does not, such as a
+`math.exp` call or an `if` on its argument, is evaluated point by point
+with its own errors and values.
 
 `integrate_region` holds the one order-doubling loop over a list of specs,
 and `integrate_adaptive` is its one-axis case.  Their rule is "converges or
@@ -229,16 +229,6 @@ def _each_point(f: Callable, xs, packed: bool) -> np.ndarray:
     return np.array([f(p) for p in points] if packed else [f(*p) for p in points])
 
 
-def pointwise(f: Callable) -> Callable:
-    """Array form of a one-point callable: given equal-length node arrays,
-    call f once per point with one Python scalar per array, in order, and
-    return the values as an array."""
-    def values(*xs):
-        return _each_point(f, xs, packed=False)
-
-    return values
-
-
 def _on_arrays(f: Callable, xs, packed: bool):
     """f's values on the whole node arrays xs, passed as read-only views, or
     None unless the call raised nothing, warned nothing and returned a
@@ -279,9 +269,10 @@ def node_values(f: Callable, packed: bool = False) -> Callable:
     other f takes one argument per array, or, when packed, one tuple.
 
     Each call first tries f on the whole arrays (see `_on_arrays` for what
-    a result must pass); when that fails, it calls f once per point, like
-    `pointwise`, and every later call of this adapter does the same, so f's
-    own errors and warnings surface from a per-point call."""
+    a result must pass); when that fails, it calls f once per point, with
+    one Python scalar per array, and every later call of this adapter does
+    the same, so f's own errors and warnings surface from a per-point
+    call."""
     if isinstance(f, ArrayFormula):
         return f.grid
     arrays = True

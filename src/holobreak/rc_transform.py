@@ -41,7 +41,6 @@ from .term_algebra import (
     HoloSum,
     apply_operator,
     base_poly,
-    evaluate,
     holo_sum,
     qqi,
     scale,
@@ -393,15 +392,7 @@ def casimir_P(lam1, lam2, f: HoloSum) -> HoloSum:
 
 
 # ---------------------------------------------------------------------------
-# projection, inversion, zero set
-
-
-def project(params: RCParams, f: HoloSum):
-    """Projector (1/c_ell) backward-after-forward onto the order-ell
-    summand, returned as an evaluable function of (z1, z2): the one-level
-    inverse series."""
-    g = rc_apply(params, f)
-    return invert_rc(params.lam1, params.lam2, {params.ell: lambda z: evaluate(g, (z,))})
+# inversion, zero set
 
 
 def invert_rc(lam1, lam2, components, L=None):

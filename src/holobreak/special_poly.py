@@ -448,11 +448,6 @@ def jacobi_norm_sq(ell: int, alpha, beta_):
     )
 
 
-def d_ell_weight(ell: int, alpha, beta_):
-    """Reciprocal Jacobi norm: the expansion weight of the Jacobi transform."""
-    return 1.0 / jacobi_norm_sq(ell, alpha, beta_)
-
-
 # ---------------------------------------------------------------------------
 # Gegenbauer family
 

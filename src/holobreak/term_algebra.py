@@ -508,18 +508,8 @@ def holo_sum(arity: int, terms: Iterable[HoloTerm]) -> HoloSum:
     return HoloSum(arity, tuple(out))
 
 
-def constant(arity: int, c) -> HoloSum:
-    return holo_sum(arity, [term(arity, c)])
-
-
 def monomial(arity: int, exponents, c=1) -> HoloSum:
     return holo_sum(arity, [term(arity, c, exponents)])
-
-
-def add(f: HoloSum, g: HoloSum) -> HoloSum:
-    if f.arity != g.arity:
-        raise DomainError("arity mismatch in add")
-    return holo_sum(f.arity, list(f.terms) + list(g.terms))
 
 
 def combine(arity: int, pieces) -> HoloSum:
@@ -542,13 +532,10 @@ def sub(f: HoloSum, g: HoloSum) -> HoloSum:
     return combine(f.arity, [(1, f), (-1, g)])
 
 
-def times_monomial(f: HoloSum, exponents) -> HoloSum:
-    """f times z^exponents, the one sanctioned product (a polynomial factor
-    is the m of `apply_operator` rows).  Shifting every monomial alike keeps
-    the terms distinct and in order, so the product is already normal."""
-    e = _exponents(exponents)
-    if len(e) != f.arity or any(k < 0 for k in e):
-        raise DomainError(f"bad monomial {e!r}")
+def _times_monomial(f: HoloSum, e: tuple) -> HoloSum:
+    """f times z^e, e a checked row monomial of `apply_operator`.  Shifting
+    every monomial alike keeps the terms distinct and in order, so the
+    product is already normal."""
     return HoloSum(f.arity, tuple(
         HoloTerm(t.coefficient, tuple(m + k for m, k in zip(t.monomial, e)), t.bases)
         for t in f.terms
@@ -610,7 +597,7 @@ def apply_operator(f: HoloSum, rows, restriction=None) -> HoloSum:
     if not _is_exact_sum(f):
         climbed = {a: functools.reduce(lambda g, vt: differentiate(g, *vt), enumerate(a), f)
                    for a in {a for a, _, _ in rows}}
-        out = combine(f.arity, [(c, times_monomial(climbed[a], m)) for a, c, m in rows])
+        out = combine(f.arity, [(c, _times_monomial(climbed[a], m)) for a, c, m in rows])
     else:
         if restriction is not None and any(_restricted_base(b, restriction) is None
                                            for t in f.terms for b, _ in t.bases):

@@ -50,9 +50,8 @@ from holobreak.special_poly import (
     jacobi_poly,
 )
 from holobreak.term_algebra import (
-    add,
     base_poly,
-    constant,
+    combine,
     default_tube_points,
     equal,
     evaluate,
@@ -120,7 +119,7 @@ def _twelve_term_library():
         monomial(2, (3, 0)),
         monomial(2, (2, 1), F(1, 2)),
         monomial(2, (0, 5), F(-2, 7)),
-        constant(2, F(3)),
+        holo_sum(2, [term(2, F(3))]),
         ktype_generator(RCParams(F(2), F(2), 2)),
         ktype_generator(RCParams(F(3, 2), F(5, 2), 1)),
         holo_sum(2, [term(2, F(2), (1, 0), [(var_plus_i(2, 0), F(-2))])]),
@@ -132,10 +131,7 @@ def _twelve_term_library():
             [term(2, 1, (0, 0),
                   [(var_plus_i(2, 0), F(-7, 3)), (var_plus_i(2, 1), F(-5, 2))])],
         ),
-        add(
-            holo_sum(2, [term(2, F(2), (1, 0), [(var_plus_i(2, 0), F(-2))])]),
-            monomial(2, (1, 1)),
-        ),
+        holo_sum(2, [term(2, F(2), (1, 0), [(var_plus_i(2, 0), F(-2))]), term(2, 1, (1, 1))]),
     ]
 
 
@@ -280,10 +276,7 @@ def test_criterion_09_inversion_round_trips():
     t0 = time.perf_counter()
     # holomorphic pair, two genuine components
     lam1 = lam2 = F(2)
-    f = add(
-        psi_ktype_closed_form(RCParams(lam1, lam2, 0)),
-        psi_ktype_closed_form(RCParams(lam1, lam2, 1)),
-    )
+    f = combine(2, [(1, psi_ktype_closed_form(RCParams(lam1, lam2, k))) for k in (0, 1)])
     comps = {}
     for ell in (0, 1):
         g = rc_apply(RCParams(lam1, lam2, ell), f)

@@ -18,15 +18,12 @@ from holobreak.juhl import (
     JuhlParams,
     adjoint_constant,
     bernstein_sato_verify,
-    coefficient_ladder,
     cone_c_ell,
     cone_constants,
     cone_density,
     cone_fourier_laplace,
     holographic_integral,
-    in_cone,
     invert_juhl,
-    iota_cone,
     juhl_hat_apply,
     juhl_operator_norm_sq,
     juhl_sbo_apply,
@@ -37,7 +34,6 @@ from holobreak.juhl import (
     q_constant,
     q_form,
     relative_kernel,
-    weight_M_cone,
     _power_positive_cut,
 )
 from holobreak.l2_model import i_power
@@ -47,11 +43,11 @@ from holobreak.quadrature import (
     integrate_adaptive,
     integrate_region,
     node_values,
-    pointwise,
 )
 from holobreak.special_poly import (
     DomainError,
     PoleError,
+    gegenbauer_a,
     gegenbauer_poly,
     pochhammer,
 )
@@ -86,6 +82,41 @@ S2 = (0.5 + 1.2j, 0.3 - 0.3j)
 def rel(a, b) -> float:
     scale_ = max(abs(a), abs(b), 1e-30)
     return abs(a - b) / scale_
+
+
+def pointwise(f):
+    """Array form of a one-point callable: f called once per point of the
+    node arrays, with one Python scalar per array."""
+    return lambda *xs: np.array([f(*p) for p in zip(*(x.tolist() for x in xs))])
+
+
+def iota_cone(y_prime, v):
+    """Fiber chart (y', v) -> (y', -sqrt(Q(y')) v) over the one-lower cone."""
+    return tuple(y_prime) + (-math.sqrt(q_form(y_prime)) * v,)
+
+
+def weight_M_cone(params, y_prime, v):
+    """Fiber weight Q(y')^((ell+1)/2) (1 - v^2)^(n/2 - lam)."""
+    return q_form(y_prime) ** ((params.ell + 1) / 2) * (1 - v * v) ** (params.n / 2 - params.lam)
+
+
+def coefficient_ladder(params):
+    """Re-expansion coefficients of the operator over the full wave operator.
+
+    Substituting (partial wave) = (full wave) + d_n^2 turns the a_k ladder
+    into sum_m p_m (full wave)^m d_n^(ell-2m) with
+    p_m = sum_(k>=m) C(k, m) a_k; alongside, s_k is the scalar produced by
+    k full-wave hits on Q^(-lam):  s_0 = 1,
+    s_(k+1) = s_k * 2(lam+k)(2(lam+k) - n + 2).  Exact weights only.
+    """
+    n, ell, lam = params.n, params.ell, params.lam
+    top = ell // 2
+    a = [gegenbauer_a(ell, k, params.alpha) for k in range(top + 1)]
+    p = [sum(math.comb(k, m) * a[k] for k in range(m, top + 1)) for m in range(top + 1)]
+    s = [F(1)]
+    for k in range(top):
+        s.append(s[-1] * 2 * (lam + k) * (2 * (lam + k) - n + 2))
+    return p, s
 
 
 def shifted_wave(arity, shifts, extra=None):
@@ -164,23 +195,21 @@ def test_q_form_values():
 
 
 def test_in_cone_membership():
-    assert in_cone((1.0, 0.0, 0.0))
-    assert in_cone(X3A) and in_cone(X3B)
-    assert in_cone(P2A) and in_cone(P2B)
-    assert not in_cone((1.0, 2.0, 0.0))
-    assert not in_cone((-1.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        in_cone(())
+    # the one cone test: of a point, and of the imaginary part of a tube point
+    for y in ((1.0, 0.0, 0.0), X3A, X3B, P2A, P2B):
+        assert juhl._cone_point(y, "point") == (y, q_form(y))
+    for y in ((1.0, 2.0, 0.0), (-1.0, 0.0, 0.0), ()):
+        with pytest.raises(DomainError):
+            juhl._cone_point(y, "point")
+    assert juhl._require_tube(Z3, 3, "evaluation point") == Z3
+    with pytest.raises(DomainError, match="is outside the tube domain"):
+        juhl._require_tube((0.1 + 1.0j, 2.0j, 0.0), 3, "evaluation point")
 
 
-def test_iota_cone_values_and_errors():
+def test_iota_cone_values():
     assert iota_cone(P2A, 0.0) == P2A + (0.0,)
     y = iota_cone((1.0, 0.0), 0.5)
-    assert y == (1.0, 0.0, -0.5) and in_cone(y)
-    with pytest.raises(DomainError):
-        iota_cone((1.0, 2.0), 0.1)
-    with pytest.raises(DomainError):
-        iota_cone(P2A, 1.0)
+    assert y == (1.0, 0.0, -0.5) and juhl._cone_point(y, "point")[1] == 0.75
 
 
 def test_fiber_measure_factorization():
@@ -194,18 +223,6 @@ def test_fiber_measure_factorization():
                 m = weight_M_cone(p, yp, v)
                 rhs = m * m * cone_density(p.nu, yp) * (1 - v * v) ** (lam - 1.5)
                 assert rel(lhs, rhs) < 1e-12
-
-
-def test_weight_M_cone_edges():
-    with pytest.raises(DomainError):
-        weight_M_cone(JuhlParams(3, 2.5, 1), P2A, 1.0)
-    p = JuhlParams(3, 1.5, 0)
-    assert rel(weight_M_cone(p, P2A, 1.0), math.sqrt(q_form(P2A))) < 1e-14
-    assert weight_M_cone(JuhlParams(3, 1.2, 0), P2A, -1.0) == 0.0
-    with pytest.raises(DomainError):
-        weight_M_cone(JuhlParams(3, 2 + 1j, 0), P2A, 0.0)
-    with pytest.raises(DomainError):
-        weight_M_cone(JuhlParams(3, 2.5, 0), (1.0, 2.0), 0.0)
 
 
 def test_cone_density_values():
@@ -564,9 +581,6 @@ def test_fiber_transform_errors():
     # the fiber coefficient checks the base point's length the same way
     with pytest.raises(DomainError, match="has 2 coordinates; n = 4 needs n - 1 = 3"):
         juhl_hat_apply(JuhlParams(4, 4.0, 0), lambda y: y[0], (1.5, 0.4), method="legendre")
-    # and so does the fiber weight
-    with pytest.raises(DomainError, match="has 2 coordinates; n = 4 needs n - 1 = 3"):
-        weight_M_cone(JuhlParams(4, 4.0, 0), (1.5, 0.4), 0.3)
     with pytest.raises(DomainError):
         juhl_hat_apply(p, lambda y: 1.0, P2A, method="simpson")
     jump = lambda y: 1.0 if y[2] > 0.1234 * y[0] else 0.0
@@ -802,6 +816,36 @@ def test_power_positive_cut_threshold_both_sides(s):
     got = _power_positive_cut(w, s)
     assert abs(got[0] - 1.0) < 1e-9
     assert abs(got[1] - cmath.exp(2j * math.pi * s)) < 1e-9
+
+
+NONINTEGER_EXPONENTS = [-3.5, -2.5, -0.75, 0.5, 1.7, -1.25 + 0.5j, 0.3 - 2.0j, 2j]
+
+
+@pytest.mark.parametrize("s", NONINTEGER_EXPONENTS, ids=repr)
+def test_power_positive_cut_is_continuous_across_the_negative_axis(s):
+    # arg w passes through pi there, inside (0, 2 pi): the values at
+    # -r + i eps r and -r - i eps r differ by about 2 |s| eps relative
+    for r in (1e-3, 0.5, 1.0, 7.0, 1e3):
+        for eps in (1e-9, 1e-7, 1e-5):
+            above, below = _power_positive_cut(np.array([complex(-r, eps * r), complex(-r, -eps * r)]), s)
+            assert abs(above - below) <= 10 * abs(s) * eps * abs(above), (r, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.tuples(st.floats(-6.0, 6.0), st.floats(-3.0, 3.0)).map(lambda c: complex(*c)).filter(
+        lambda s: s.imag != 0.0 or not s.real.is_integer()),
+    e=st.floats(-3.0, 3.0),
+    theta=st.floats(1e-6, 2.0 * math.pi - 1e-6),
+)
+def test_power_positive_cut_noninteger_exponents_match_mpmath(s, e, theta):
+    # off the integers w^s is exp(s (log r + i theta)) with theta = arg w in
+    # (0, 2 pi), here against mpmath at 30 digits
+    r = 10.0**e
+    got = _power_positive_cut(cmath.rect(r, theta), s)
+    with mpmath.workdps(30):
+        want = complex(mpmath.exp(mpmath.mpc(s) * (mpmath.log(r) + 1j * mpmath.mpf(theta))))
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_relative_kernel_agrees_with_principal_branch_off_cut():

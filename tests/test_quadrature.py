@@ -28,13 +28,18 @@ from holobreak.quadrature import (
     integrate_adaptive,
     integrate_region,
     node_values,
-    pointwise,
 )
 from holobreak.special_poly import DomainError, beta as beta_fn
 
 
 def rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def pointwise(f):
+    """Array form of a one-point callable: f called once per point of the
+    node arrays, with one Python scalar per array."""
+    return lambda *xs: np.array([f(*p) for p in zip(*(x.tolist() for x in xs))])
 
 
 PARAM_GRID = [0.0, 0.5, 1.0, 2.5, -0.5]

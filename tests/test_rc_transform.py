@@ -28,7 +28,6 @@ from holobreak.rc_transform import (
     casimir_P,
     invert_rc,
     ktype_generator,
-    project,
     psi_ktype_closed_form,
     psi_quadrature,
     r_ell,
@@ -39,10 +38,8 @@ from holobreak.rc_transform import (
 from holobreak.special_poly import DomainError, PoleError, beta, jacobi_poly, pochhammer
 from holobreak.term_algebra import (
     SingularRestrictionError,
-    add,
     base_poly,
     combine,
-    constant,
     default_tube_points,
     differentiate,
     equal,
@@ -82,13 +79,13 @@ def library():
     return [
         monomial(2, (3, 0)),
         monomial(2, (2, 1), F(1, 2)),
-        constant(2, F(3)),
+        holo_sum(2, [term(2, F(3))]),
         ktype_generator(RCParams(F(2), F(2), 2)),
         ktype_generator(RCParams(F(3, 2), F(5, 2), 1)),
         e1,
         e2,
         d3,
-        add(e1, add(e2, monomial(2, (1, 1)))),
+        combine(2, [(1, e1), (1, e2), (1, monomial(2, (1, 1)))]),
     ]
 
 
@@ -270,10 +267,7 @@ def test_rc_rejects_bad_input():
 @settings(max_examples=15, deadline=None)
 def test_route_agreement_property(lam1, lam2, ell):
     p = RCParams(lam1, lam2, ell)
-    f = add(
-        monomial(2, (2, 1), F(1, 2)),
-        holo_sum(2, [term(2, F(2), (1, 0), [(var_plus_i(2, 0), F(-2))])]),
-    )
+    f = holo_sum(2, [term(2, F(1, 2), (2, 1)), term(2, F(2), (1, 0), [(var_plus_i(2, 0), F(-2))])])
     base = rc_apply(p, f, "coefficients")
     for route in RC_ROUTES[1:]:
         assert equal(base, rc_apply(p, f, route))
@@ -551,6 +545,18 @@ LARGE_R_ELL = [(150.5, 150.5, 1), (F(301, 2), F(301, 2), 1), (200.25, 3.5, 4),
 LARGE_B = [172.75, 180.5, F(361, 2), F(741, 4), 189.0]
 
 
+def test_c_ell_at_integer_weights_is_the_exact_gamma_quotient(digits40):
+    # every Gamma factor is an integer below 10^40, so the 40-digit quotient
+    # is the correctly rounded value of the same rational as the Fraction
+    for lam1 in range(1, 12):
+        for lam2 in range(1, 12):
+            for ell in range(8):
+                got = c_ell(lam1, lam2, ell)
+                assert type(got) is F, (lam1, lam2, ell)
+                want = _mp_c_ell(lam1, lam2, ell)
+                assert mpmath.mpf(got.numerator) / got.denominator == want, (lam1, lam2, ell)
+
+
 @pytest.mark.parametrize("lam", LARGE_B)
 def test_b_const_past_gamma_overflow_matches_mpmath(lam, digits40):
     assert _mp_rel(b_const(lam), _mp_b(lam)) < 1e-12
@@ -648,59 +654,63 @@ def test_psi_closed_form_order_zero():
 # projection and inversion
 
 
+def one_level(p: RCParams, f):
+    """The projector (1/c_ell) backward-after-forward onto the order-ell
+    summand: the inverse series of the one component rc_apply(p, f)."""
+    return invert_rc(p.lam1, p.lam2, {p.ell: lambda z: evaluate(rc_apply(p, f), (z,))})
+
+
 def test_projection_fixes_its_summand():
     p = RCParams(F(2), F(2), 1)
     target = psi_ktype_closed_form(p)
-    proj = project(p, target)
+    proj = one_level(p, target)
     for z1, z2 in default_tube_points(2)[:5]:
         assert rel(proj(z1, z2), evaluate(target, (z1, z2))) < 1e-9
 
 
-def test_projection_reaches_its_component_in_one_array_call(monkeypatch):
-    # the 80 segment nodes go to evaluate as one array, not one call each
-    points = []
-
-    def recording(f, point):
-        points.append(point)
-        return evaluate(f, point)
-
-    monkeypatch.setattr(rc_transform, "evaluate", recording)
+def test_projection_reaches_its_component_in_one_array_call():
+    # the 80 segment nodes go to the component as one array, not one call each
     p = RCParams(F(2), F(2), 1)
     target = psi_ktype_closed_form(p)
+    g = rc_apply(p, target)
+    points = []
+
+    def component(z):
+        points.append(z)
+        return evaluate(g, (z,))
+
     z1, z2 = default_tube_points(2)[0]
-    got = project(p, target)(z1, z2)
-    monkeypatch.undo()
+    got = invert_rc(p.lam1, p.lam2, {p.ell: component})(z1, z2)
     assert len(points) == 1
-    (nodes,) = points[0]
+    (nodes,) = points
     assert isinstance(nodes, np.ndarray) and nodes.shape == (80,)
     assert rel(got, evaluate(target, (z1, z2))) < 1e-9
 
 
 @pytest.mark.parametrize("lam1, lam2, ell", [(F(2), F(2), 1), (F(5, 2), 3, 2), (2.5, 3.0, 0)])
 def test_projection_is_the_one_level_inversion(lam1, lam2, ell):
+    # the one-level inverse series of f = psi_0 + psi_ell keeps the order-ell
+    # summand, all of f when ell = 0
     p = RCParams(lam1, lam2, ell)
-    f = add(psi_ktype_closed_form(RCParams(lam1, lam2, 0)), psi_ktype_closed_form(p))
-    g = rc_apply(p, f)
-    one_level = invert_rc(lam1, lam2, {ell: lambda z: evaluate(g, (z,))})
-    proj = project(p, f)
+    low, summand = psi_ktype_closed_form(RCParams(lam1, lam2, 0)), psi_ktype_closed_form(p)
+    f = combine(2, [(1, low), (1, summand)])
+    kept = f if ell == 0 else summand
+    proj = one_level(p, f)
     for z1, z2 in default_tube_points(2)[:4]:
-        assert proj(z1, z2) == one_level(z1, z2)
+        assert rel(proj(z1, z2), evaluate(kept, (z1, z2))) < 1e-9
 
 
 def test_projection_kills_other_summands():
     p = RCParams(F(2), F(2), 1)
     alien = psi_ktype_closed_form(RCParams(F(2), F(2), 0))
-    proj = project(p, alien)
+    proj = one_level(p, alien)
     for z1, z2 in default_tube_points(2)[:3]:
         assert abs(proj(z1, z2)) < 1e-12
 
 
 def test_inversion_round_trip():
     lam1 = lam2 = F(2)
-    f = add(
-        psi_ktype_closed_form(RCParams(lam1, lam2, 0)),
-        psi_ktype_closed_form(RCParams(lam1, lam2, 1)),
-    )
+    f = combine(2, [(1, psi_ktype_closed_form(RCParams(lam1, lam2, k))) for k in (0, 1)])
     components = {}
     for ell in (0, 1):
         g = rc_apply(RCParams(lam1, lam2, ell), f)
@@ -713,7 +723,7 @@ def test_inversion_round_trip():
 def test_inversion_truncation():
     lam1 = lam2 = F(2)
     low = psi_ktype_closed_form(RCParams(lam1, lam2, 0))
-    f = add(low, psi_ktype_closed_form(RCParams(lam1, lam2, 1)))
+    f = combine(2, [(1, low), (1, psi_ktype_closed_form(RCParams(lam1, lam2, 1)))])
     components = {}
     for ell in (0, 1):
         g = rc_apply(RCParams(lam1, lam2, ell), f)

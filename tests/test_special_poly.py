@@ -15,7 +15,6 @@ from holobreak.special_poly import (
     PoleError,
     beta,
     complex_gamma,
-    d_ell_weight,
     gegenbauer_a,
     gegenbauer_inflated,
     gegenbauer_norm_sq,
@@ -335,15 +334,6 @@ def test_jacobi_norm_legendre_case():
 def test_jacobi_norm_chebyshev_edge():
     # alpha + beta = -1 hits the removable pole of the generic formula
     assert rel(jacobi_norm_sq(0, -0.5, -0.5), math.pi) < 1e-13
-
-
-def test_weight_is_reciprocal_norm():
-    for ell, a, b in [(0, 0.0, 0.0), (2, 0.5, 2.5), (4, -0.5, 1.0), (0, -0.5, -0.5)]:
-        assert rel(d_ell_weight(ell, a, b) * jacobi_norm_sq(ell, a, b), 1.0) < 1e-12
-
-
-def test_d_ell_weight_frozen_value():
-    assert rel(d_ell_weight(0, 0, 0), 0.5) < 1e-14
 
 
 def test_gegenbauer_norms():

@@ -18,6 +18,7 @@ from holobreak import term_algebra
 from holobreak.special_poly import DomainError, PoleError
 from holobreak.term_algebra import (
     _SAMPLE_SEED,
+    _times_monomial,
     BasePoly,
     BranchCutError,
     ExactnessError,
@@ -26,12 +27,10 @@ from holobreak.term_algebra import (
     ParseError,
     QQi,
     SingularRestrictionError,
-    add,
     apply_operator,
     base_poly,
     canonical_form,
     combine,
-    constant,
     default_tube_points,
     differentiate,
     equal,
@@ -47,7 +46,6 @@ from holobreak.term_algebra import (
     sl2_casimir,
     sub,
     term,
-    times_monomial,
     to_text,
 )
 
@@ -349,8 +347,9 @@ def test_monomial_exponents_must_be_integers(bad):
 
 @pytest.mark.parametrize("bad", [(0.7,), (False,), (np.float64(1.0),)])
 def test_times_monomial_exponents_must_be_integers(bad):
+    # the monomial m of an operator row (alpha, c, m), the factor z^m
     with pytest.raises(DomainError):
-        times_monomial(monomial(1, (1,)), bad)
+        apply_operator(monomial(1, (1,)), [((0,), 1, bad)])
 
 
 @pytest.mark.parametrize("bad", [(1.9,), (True,), (np.bool_(True),)])
@@ -362,7 +361,7 @@ def test_base_exponents_must_be_integers(bad):
 def test_numpy_integer_exponents_are_accepted():
     k = np.int64(2)
     assert to_text(monomial(2, (k, 1))) == to_text(monomial(2, (2, 1)))
-    assert times_monomial(monomial(1, (1,)), (np.int32(2),)) == monomial(1, (3,))
+    assert apply_operator(monomial(1, (1,)), [((0,), 1, (np.int32(2),))]) == monomial(1, (3,))
     assert base_poly(1, {(np.int8(1),): 1, (0,): qqi(0, 1)}) is zeta_plus_i(1, 0)
 
 
@@ -569,7 +568,7 @@ def combined_pieces(f, terms, climb=differentiate):
         g = f
         for var, times in enumerate(alpha):
             g = climb(g, var, times)
-        pieces.append((c, times_monomial(g, *m) if m else g))
+        pieces.append((c, _times_monomial(g, *m) if m else g))
     return combine(f.arity, pieces)
 
 
@@ -672,7 +671,7 @@ def test_cached_base_power_is_immutable():
 
 
 def test_restrict_last_zero_kills_positive_monomial():
-    f = add(monomial(3, (1, 0, 2)), monomial(3, (2, 1, 0), F(7)))
+    f = holo_sum(3, [term(3, 1, (1, 0, 2)), term(3, F(7), (2, 1, 0))])
     r = restrict(f, "last-zero")
     assert equal(r, monomial(2, (2, 1), F(7)))
 
@@ -801,7 +800,7 @@ def test_pruning_lattice_matches_restricting_afterwards_at_last_zero(f, rows):
 @pytest.mark.parametrize("f, kind", [
     (monomial(1, (2,)), "diagonal"), (monomial(3, (1, 1, 1)), "diagonal"),
     (monomial(2, (1, 1)), "first-zero"), (monomial(2, (1, 1)), ["diagonal"]),
-    (constant(0, 1), "last-zero"),
+    (holo_sum(0, [term(0, 1)]), "last-zero"),
 ])
 def test_apply_operator_checks_the_restriction_before_any_pass(monkeypatch, f, kind):
     with pytest.raises(DomainError) as want:
@@ -1149,7 +1148,7 @@ def test_exact_equality_expands_positive_powers_fully():
 
 
 def test_exact_mode_rejects_floats():
-    f = constant(1, 0.5)
+    f = holo_sum(1, [term(1, 0.5)])
     with pytest.raises(ExactnessError):
         equal(f, f, mode="exact")
 
@@ -1264,7 +1263,7 @@ def canonical_inputs(draw):
     b = base_poly(2, draw(st.sampled_from(CANONICAL_POOL)))
     times_b = holo_sum(2, [term(2, t.coefficient, t.monomial, t.bases + ((b, 1),))
                            for t in f.terms])
-    expanded = combine(2, [(c, times_monomial(f, e)) for e, c in b.entries])
+    expanded = combine(2, [(c, _times_monomial(f, e)) for e, c in b.entries])
     return f, sub(times_b, expanded)
 
 
@@ -1312,7 +1311,7 @@ def test_sl2_h_action_on_ktype():
     f = holo_sum(1, [term(1, 1, (0,), [(b, -lam)])])
     got = sl2_action("H", (lam,), f)
     df = differentiate(f, 0)
-    want = add(scale(f, -lam), scale(times_monomial(df, (1,)), F(-2)))
+    want = combine(1, [(-lam, f), (F(-2), _times_monomial(df, (1,)))])
     assert equal(got, want)
 
 
@@ -1343,9 +1342,9 @@ def test_sl2_action_and_casimir_need_one_weight_per_variable():
 def test_combine_normalizes_one_linear_combination():
     f = ktype(F(5, 2), F(3), 1)
     g = holo_sum(2, [term(2, F(1, 3), (2, 1)), term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))])])
-    h = times_monomial(g, (0, 1))
+    h = _times_monomial(g, (0, 1))
     got = combine(2, [(F(2), f), (qqi(0, 1), g), (-3, h)])
-    want = add(add(scale(f, F(2)), scale(g, qqi(0, 1))), scale(h, -3))
+    want = holo_sum(2, scale(f, F(2)).terms + scale(g, qqi(0, 1)).terms + scale(h, -3).terms)
     assert to_text(got) == to_text(want)
     assert to_text(combine(2, [(1, g), (-1, g)])) == to_text(holo_sum(2, []))
     with pytest.raises(DomainError):
@@ -1354,13 +1353,14 @@ def test_combine_normalizes_one_linear_combination():
 
 def test_times_monomial_shifts_every_term():
     g = holo_sum(2, [term(2, F(1, 3), (2, 1)), term(2, 1, (1, 0), [(zeta_plus_i(2, 1), F(-3, 2))])])
-    got = times_monomial(g, (1, 2))
+    got = _times_monomial(g, (1, 2))
     assert [t.monomial for t in got.terms] == [(2, 2), (3, 3)]
     assert [t.coefficient for t in got.terms] == [t.coefficient for t in g.terms]
     assert to_text(got) == to_text(holo_sum(2, got.terms))
+    # apply_operator checks a row's monomial before any shift
     for bad in ((1,), (0, -1)):
         with pytest.raises(DomainError):
-            times_monomial(g, bad)
+            apply_operator(g, [((0, 0), 1, bad)])
 
 
 # outputs recorded for one float and one complex weight: index 0 is
@@ -1480,10 +1480,7 @@ def test_sl2_actions_and_casimirs_text_pinned(key):
 
 
 def test_text_round_trip_exact():
-    f = add(
-        ktype(F(5, 2), F(3), 2),
-        holo_sum(2, [term(2, qqi(F(1, 3), F(-2)), (1, 4), [])]),
-    )
+    f = holo_sum(2, [*ktype(F(5, 2), F(3), 2).terms, term(2, qqi(F(1, 3), F(-2)), (1, 4), [])])
     text = to_text(f)
     back = from_text(text)
     assert equal(f, back)
@@ -1515,7 +1512,7 @@ def test_text_term_order_is_pinned():
 
 
 def test_text_round_trip_float_coefficient():
-    f = constant(1, 0.5 + 0.25j)
+    f = holo_sum(1, [term(1, 0.5 + 0.25j)])
     back = from_text(to_text(f))
     assert abs(evaluate(back, (0.3 + 1j,)) - evaluate(f, (0.3 + 1j,))) < 1e-15
 
