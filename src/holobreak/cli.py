@@ -90,8 +90,9 @@ from .juhl import (
     JuhlParams,
     adjoint_constant,
     bernstein_sato_verify,
+    cone_b_const,
     cone_c_ell,
-    cone_constants,
+    cone_r_ell,
     kernel_normalization,
     phi_isometry_ratio,
     q_constant,
@@ -719,11 +720,14 @@ def _build_juhl_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
         return _close(ratio, cone_c_ell(p), cfg.tol)
 
     def transform_ratio(n, lam, ell):
+        # no Gegenbauer norm enters, so alpha <= -1/2 is checked too
+        lam = float(lam)
         try:
-            consts = cone_constants(JuhlParams(n, float(lam), ell))
+            r = cone_r_ell(JuhlParams(n, lam, ell))
+            b_n, b_prev = cone_b_const(n, lam), cone_b_const(n - 1, lam + ell)
         except PoleError as exc:
             return _reported("pole", f"{exc}, reported only")
-        return _close(consts["r_ell"] * consts["b_n"], consts["b_prev"], CLOSED_FORM_TOL)
+        return _close(r * b_n, b_prev, CLOSED_FORM_TOL)
 
     yield from _family("cone-isometry", _grid(cfg, "n", "lam", "ell"), cone_isometry)
     yield from _family("transform-ratio", _grid(cfg, "n", "lam", "ell"), transform_ratio)
@@ -956,17 +960,24 @@ def _eval_expression(tokens, at_text):
 
 
 def _print_value(value, as_json: bool):
-    z = complex(value) if not isinstance(value, complex) else value
+    """Without --json an exact value prints exactly: an integer as digits,
+    any other as `float = p/q`, or as p/q alone past the double range."""
+    if isinstance(value, Fraction) and not as_json:
+        try:
+            text = str(value)
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            raise ConfigError(f"exact value too long to print ({exc})") from exc
+        if value.denominator != 1:
+            try:
+                text = f"{float(value)!r} = {text}"
+            except OverflowError:
+                pass
+        print(text)
+        return
+    z = complex(value)
     if as_json:
         print(json.dumps({"value_re": z.real, "value_im": z.imag}))
-        return
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            print(value)
-        else:
-            print(f"{float(value)!r} = {value}")
-        return
-    if z.imag == 0.0:
+    elif z.imag == 0.0:
         print(repr(z.real))
     else:
         print(repr(z))

@@ -475,8 +475,10 @@ def kernel_normalization(n: int, lam):
     return phase * (lam_c - n / 2.0) * rising / (2.0 * math.pi) ** n
 
 
-def _fourier_norm_const(m: int, s: float) -> float:
-    """(2 pi)^(3m/2 - 1) 2^(-m/2) Gamma(s - m/2) Gamma(s - m + 1); at m = 1
+def cone_b_const(m: int, s: float) -> float:
+    """Fourier-Laplace isometry constant b_m(s) of the cone level in
+    dimension m at weight s, the cone analogue of `rc_transform.b_const`:
+    (2 pi)^(3m/2 - 1) 2^(-m/2) Gamma(s - m/2) Gamma(s - m + 1); at m = 1
     this reduces by Legendre duplication to 2 pi 2^(1 - 2s) Gamma(2s - 1),
     the classical half-plane Parseval constant.  No lgamma sum would help
     past a Gamma overflow: with nothing to divide by, the constant is past
@@ -524,8 +526,8 @@ def cone_constants(params: JuhlParams) -> dict:
     return {
         "c_ell": cone_c_ell(params),
         "r_ell": cone_r_ell(params),
-        "b_n": _fourier_norm_const(n, lam),
-        "b_prev": _fourier_norm_const(n - 1, lam + params.ell),
+        "b_n": cone_b_const(n, lam),
+        "b_prev": cone_b_const(n - 1, lam + params.ell),
         "kernel_const": kernel_normalization(n, lam),
         "adjoint_const": adjoint_constant(params),
     }

@@ -8,8 +8,10 @@ output wherever the value is rational; otherwise it degrades to float or
 complex without complaint.
 
 Polynomial containers are deliberately small: dense coefficients in one
-variable, a sparse exponent map in two.  They support just enough arithmetic
-to state residual identities (ODE checks, homogeneity) in tests.
+variable, a sparse exponent map in two.  They carry no arithmetic: the
+builders below fill them, and the transforms read them back, by evaluation
+(on node arrays through `as_float`) or as the coefficient table of an
+operator (`items`, `coeff`).
 """
 from __future__ import annotations
 
@@ -217,15 +219,11 @@ class PolyOneVar:
     """Dense univariate polynomial, coefficients low degree first.
 
     Normalization strips exact zero leading coefficients, so a family whose
-    top coefficient collapses at special parameter values simply reports a
-    smaller degree.  The zero polynomial is (0,) with degree 0.
+    top coefficient collapses at special parameter values simply holds fewer
+    coefficients.  The zero polynomial is (0,).
     """
 
     coefficients: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, t):
         out = 0
@@ -239,36 +237,6 @@ class PolyOneVar:
         arithmetic (Fraction + float converts the Fraction), so the values
         agree with the exact polynomial's bit for bit."""
         return PolyOneVar(tuple(float(c) for c in self.coefficients))
-
-    def derivative(self) -> "PolyOneVar":
-        cs = [k * c for k, c in enumerate(self.coefficients)][1:]
-        return poly_one(cs)
-
-    def __add__(self, other: "PolyOneVar") -> "PolyOneVar":
-        n = max(len(self.coefficients), len(other.coefficients))
-        cs = [0] * n
-        for i, c in enumerate(self.coefficients):
-            cs[i] = cs[i] + c
-        for i, c in enumerate(other.coefficients):
-            cs[i] = cs[i] + c
-        return poly_one(cs)
-
-    def __sub__(self, other: "PolyOneVar") -> "PolyOneVar":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, PolyOneVar):
-            cs = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    cs[i + j] = cs[i + j] + a * b
-            return poly_one(cs)
-        return poly_one([other * c for c in self.coefficients])
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
 
 def poly_one(coeffs) -> PolyOneVar:
@@ -295,17 +263,6 @@ class PolyTwoVar:
         for (i, j), c in self.coefficients:
             out = out + c * x**i * y**j
         return out
-
-    def total_degrees(self):
-        return sorted({i + j for (i, j), _ in self.coefficients})
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return self.total_degrees() in ([], [degree])
-
-    def __mul__(self, scalar):
-        return poly_two({key: scalar * c for key, c in self.coefficients})
-
-    __rmul__ = __mul__
 
 
 def poly_two(mapping) -> PolyTwoVar:

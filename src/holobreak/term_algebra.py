@@ -437,9 +437,6 @@ class HoloSum:
     def __getstate__(self):
         return {"arity": self.arity, "terms": self.terms}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def term(arity: int, coefficient, monomial=None, bases=()) -> HoloTerm:
     """Normalize one term: merge duplicate bases, fold monomial bases.

@@ -421,6 +421,21 @@ def test_juhl_suite_probes_every_dimension():
     assert len(checked) == 3 and all(r["rel_err"] < 1e-7 for r in checked)
 
 
+def test_juhl_transform_ratio_is_checked_at_low_weights(capsys):
+    # r_ell b_n = b_prev reads no Gegenbauer norm, so weights where alpha =
+    # lam - (n - 1)/2 <= -1/2 are checked too; lam = 1/2 meets a Gamma pole
+    code, lines = run_lines(capsys, [
+        "verify", "juhl-plancherel", "--lambda", "1/4,1/2,3/4", "--n", "3,4", "--ell-max", "1",
+    ])
+    *records, summary = lines
+    assert code == 0 and (summary["cases"], summary["failed"]) == (24, 0)
+    ratios = [r for r in records if r["case"].startswith("transform-ratio/")]
+    checked = [r for r in ratios if r["rel_err"] is not None]
+    poles = [r for r in ratios if r.get("note", "").endswith(", reported only")]
+    assert len(checked) == 8 and all(r["pass"] for r in checked)
+    assert len(poles) == 4 and all(r["params"]["lam"] == "1/2" for r in poles)
+
+
 def test_kernels_pole_collisions_reported_not_asserted():
     cfg = small_config("kernels", lam1=(Fraction(-1),), lam2=(Fraction(0),), ell_max=0)
     report = run_suite(cfg)
@@ -977,6 +992,55 @@ def test_eval_q_constant_past_the_double_range_is_an_error(capsys):
     assert "q_constant(3, 400, 1e+300) is not finite" in captured.err
     assert main(["eval", "q_constant", "3", "2", "2.5"]) == 0
     assert capsys.readouterr().out == "210.0\n"
+
+
+# q_constant(3, 200, 200) is an integer of 718 digits; a rational past the
+# double range prints as p/q alone.  --json prints a pair of floats, so it
+# still fails on both
+_HUGE_RATIONAL = "1" * 400 + "/3"
+
+
+@pytest.mark.parametrize("argv, out, json_code", [
+    (["q_constant", "3", "200", "200"], f"{juhl.q_constant(3, 200, Fraction(200))}\n", 2),
+    (["constant", _HUGE_RATIONAL], f"{_HUGE_RATIONAL}\n", 2),
+    (["constant", "1/3"], "0.3333333333333333 = 1/3\n", 0),
+], ids=["integer", "rational", "finite"])
+def test_eval_prints_an_exact_value_exactly(argv, out, json_code, capsys):
+    assert main(["eval", *argv]) == 0
+    assert capsys.readouterr().out == out
+    assert main(["eval", *argv, "--json"]) == json_code
+    captured = capsys.readouterr()
+    if json_code:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: numeric overflow (integer division result too large for a float)\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_eval_exact_value_past_the_digit_limit_is_an_error(capsys):
+    # 5,251 digits, past Python's default limit of 4,300
+    assert main(["eval", "q_constant", "3", "1200", "1200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: exact value too long to print (Exceeds the limit (4300 digits)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["c_ell", "2", "2"], "c_ell takes lam1 lam2 ell, got 2 arguments"),
+    (["b", "3", "--at", "1j"], "--at does not apply to b"),
+    (["ktype", "2", "3", "1"], "ktype needs --at with two coordinates"),
+    (["ktype", "2", "3", "1", "--at", "1+1j"], "ktype needs a two-coordinate point"),
+    (["c_ell", "2", "2", "1.5"], "ell must be an integer, got '1.5'"),
+    (["(sum 1 (term 2 (mono 1)))", "--at", "x"], "cannot read coordinate 'x'"),
+    (["(sum 1 (term 2 (mono 1)))", "--at", " , "], "empty evaluation point"),
+    (["(sum 1 (term 2 (mono 1)))"], "textual sums need --at with one coordinate per variable"),
+])
+def test_eval_usage_errors_exit_2_with_a_message(argv, message, capsys):
+    assert main(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_eval_point_arity_mismatch(capsys):

@@ -18,6 +18,7 @@ from holobreak.juhl import (
     JuhlParams,
     adjoint_constant,
     bernstein_sato_verify,
+    cone_b_const,
     cone_c_ell,
     cone_constants,
     cone_density,
@@ -626,11 +627,9 @@ def test_fourier_constant_rank_one_closed_form():
     # the m = 1 member must collapse by Legendre duplication to the
     # classical half-plane Parseval constant 2 pi 2^(1-2s) Gamma(2s-1),
     # the same form the rank-one module verifies by quadrature
-    from holobreak.juhl import _fourier_norm_const
-
     for s in (2.0, 2.5, 3.0, 4.25):
         classical = 2.0 * math.pi * 2.0 ** (1.0 - 2.0 * s) * math.gamma(2.0 * s - 1.0)
-        assert rel(_fourier_norm_const(1, s), classical) < 1e-12, s
+        assert rel(cone_b_const(1, s), classical) < 1e-12, s
 
 
 def test_upper_kernel_matches_transform_of_inverse_density():

@@ -299,7 +299,7 @@ def test_casimir_intertwines_exact(lams):
         p = RCParams(*lams, ell)
         for name, f in _rc_library():
             image = rc_apply(p, f)
-            assert not image.is_zero(), (name, ell)
+            assert image.terms, (name, ell)
             lhs = rc_apply(p, sl2_casimir((p.lam1, p.lam2), f))
             assert equal(lhs, sl2_casimir((p.lam3,), image)), (name, ell)
             assert not equal(lhs, sl2_casimir((p.lam3 + 1,), image)), (name, ell)

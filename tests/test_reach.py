@@ -1,16 +1,22 @@
-"""The reach ledger: every public function of the six library modules is
-called by a `holobreak verify` suite at its defaults, by a demo, or by a CLI
-run that CI makes, or it is listed in UNREACHED next to what will reach it.
+"""The reach ledger: every public function and method of the six library
+modules is called by a `holobreak verify` suite at its defaults, by a demo,
+or by a CLI run that CI makes, or it is listed in UNREACHED (functions) or
+UNREACHED_METHODS (methods) next to what will reach it.
 
 A public function is a module-level function whose name does not start with
-an underscore and whose `__module__` is its module.  The probe runs in a
-fresh interpreter, so that a memo warmed by an earlier test cannot hide a
-call, and records every call under `sys.setprofile`.
-`PYTHONPATH=src python tests/test_reach.py` prints the unreached names.
+an underscore and whose `__module__` is its module.  A public method is a
+function or property getter in the body of a public class of those modules,
+whose name does not start with an underscore (so operator dunders stay out)
+and whose code lies in the module's file (so the methods `dataclass`
+generates stay out).  The probe runs in a fresh interpreter, so that a memo
+warmed by an earlier test cannot hide a call, and records every call under
+`sys.setprofile`.  `PYTHONPATH=src python tests/test_reach.py` prints the
+unreached names.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib.util
 import inspect
 import io
@@ -39,6 +45,11 @@ UNREACHED = {
     "term_algebra.registered_bases": "perfbench",
     "term_algebra.sl2_action": "item 20",
     "term_algebra.sl2_casimir": "item 20",
+}
+
+# the same for methods, by module.Class.name
+UNREACHED_METHODS = {
+    "special_poly.PolyTwoVar.coeff": "item 5",
 }
 
 MODULES = ("special_poly", "quadrature", "term_algebra", "rc_transform", "l2_model", "juhl")
@@ -73,10 +84,29 @@ def public_functions() -> dict:
     return out
 
 
-def unreached() -> list:
-    """Sorted names of the public functions that no run calls: the seven
-    suites at their defaults in both modes, CI's b-ratio run past the
-    double range, EVALS and the three demos."""
+def public_methods() -> dict:
+    """Qualified name -> method function (a property's getter), over the
+    public classes of the six library modules."""
+    out = {}
+    for name in MODULES:
+        module = importlib.import_module(f"holobreak.{name}")
+        for cls_name, cls in vars(module).items():
+            if (cls_name.startswith("_") or not inspect.isclass(cls)
+                    or cls.__module__ != module.__name__):
+                continue
+            for attr, obj in vars(cls).items():
+                f = obj.fget if isinstance(obj, property) else obj
+                if (not attr.startswith("_") and inspect.isfunction(f)
+                        and f.__code__.co_filename == module.__file__):
+                    out[f"{name}.{cls_name}.{attr}"] = f
+    return out
+
+
+def unreached() -> dict:
+    """Sorted names of the public functions ("functions") and methods
+    ("methods") that no run calls: the seven suites at their defaults in
+    both modes, CI's b-ratio run past the double range, EVALS and the three
+    demos."""
     from holobreak import cli
 
     runs = [["verify", s, *mode] for s in cli.SUITES for mode in ([], ["--exact"])]
@@ -97,7 +127,7 @@ def unreached() -> list:
         elif event == "c_call":  # an lru_cache wrapper is a C callable
             builtins.add(id(arg))
 
-    functions = public_functions()
+    functions, methods = public_functions(), public_methods()
     sys.setprofile(record)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -108,11 +138,15 @@ def unreached() -> list:
                 main()
     finally:
         sys.setprofile(None)
-    return sorted(name for name, f in functions.items()
-                  if inspect.unwrap(f).__code__ not in codes and id(f) not in builtins)
+    return {
+        "functions": sorted(name for name, f in functions.items()
+                            if inspect.unwrap(f).__code__ not in codes and id(f) not in builtins),
+        "methods": sorted(name for name, f in methods.items() if f.__code__ not in codes),
+    }
 
 
-def test_every_public_function_is_reached_or_listed():
+@functools.cache
+def _probe() -> dict:
     import holobreak
 
     src = str(Path(holobreak.__file__).resolve().parent.parent)
@@ -120,13 +154,24 @@ def test_every_public_function_is_reached_or_listed():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    found = set(json.loads(proc.stdout))
-    new = sorted(found - UNREACHED.keys())
+    return json.loads(proc.stdout)
+
+
+def _check_ledger(found: list, listed: dict, ledger: str):
+    new = sorted(set(found) - listed.keys())
     assert not new, (
         f"no suite, demo or CI run reaches {new}: reach them, or list each in "
-        "UNREACHED with the item that will reach it and a sentence in CHANGES.md")
-    gone = sorted(UNREACHED.keys() - found)
-    assert not gone, f"{gone} are reached now, or are no longer public: take them off UNREACHED"
+        f"{ledger} with the item that will reach it and a sentence in CHANGES.md")
+    gone = sorted(listed.keys() - set(found))
+    assert not gone, f"{gone} are reached now, or are no longer public: take them off {ledger}"
+
+
+def test_every_public_function_is_reached_or_listed():
+    _check_ledger(_probe()["functions"], UNREACHED, "UNREACHED")
+
+
+def test_every_public_method_is_reached_or_listed():
+    _check_ledger(_probe()["methods"], UNREACHED_METHODS, "UNREACHED_METHODS")
 
 
 if __name__ == "__main__":

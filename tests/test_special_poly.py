@@ -32,6 +32,7 @@ from holobreak.special_poly import (
     _jacobi_coeffs,
 )
 from holobreak.rc_transform import log_b_const, log_r_ell, r_ell
+from holobreak.term_algebra import apply_operator, canonical_form, holo_sum, qqi, term
 
 F = Fraction
 
@@ -108,6 +109,15 @@ def test_beta_pole_cancellation():
     assert beta(-2, 1) == F(-1, 2)
 
 
+@pytest.mark.parametrize("a, b, want", [
+    (1, -3, F(-1, 3)),  # B(1, x) = 1/x: the pole in b is swapped into a
+    (-3, 1, F(-1, 3)),
+    (2, -3, F(1, 6)),
+])
+def test_beta_pole_cancellation_in_either_argument(a, b, want):
+    assert beta(a, b) == want
+
+
 def test_beta_uncancelled_pole_raises():
     with pytest.raises(PoleError):
         beta(-1, 0.5)
@@ -138,6 +148,15 @@ def test_jacobi_endpoint_values(alpha, beta_, ell):
     assert p(F(-1)) == (-1) ** ell * pochhammer(beta_ + 1, ell) / math.factorial(ell)
 
 
+def _product(p, q):
+    """Coefficients of the product of two polynomials, low degree first."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def _falling(x, k):
     out = F(1)
     for i in range(k):
@@ -150,9 +169,7 @@ def _falling(x, k):
 def test_jacobi_rodrigues_oracle(alpha, beta_, ell):
     # Leibniz expansion of the ell-th derivative of (1-t)^(ell+a) (1+t)^(ell+b),
     # divided through by the weight; assembled independently of jacobi_poly.
-    one_minus = poly_one([F(1), F(-1)])
-    one_plus = poly_one([F(1), F(1)])
-    acc = poly_one([F(0)])
+    acc = [F(0)] * (ell + 1)
     for k in range(ell + 1):
         coeff = (
             F(math.comb(ell, k))
@@ -160,28 +177,32 @@ def test_jacobi_rodrigues_oracle(alpha, beta_, ell):
             * _falling(ell + alpha, k)
             * _falling(ell + beta_, ell - k)
         )
-        piece = poly_one([coeff])
+        piece = [coeff]
         for _ in range(ell - k):
-            piece = piece * one_minus
+            piece = _product(piece, (1, -1))
         for _ in range(k):
-            piece = piece * one_plus
-        acc = acc + piece
-    oracle = acc * F((-1) ** ell, 2**ell * math.factorial(ell))
-    assert jacobi_poly(ell, alpha, beta_) == oracle
+            piece = _product(piece, (1, 1))
+        acc = [a + b for a, b in zip(acc, piece, strict=True)]
+    scale = F((-1) ** ell, 2**ell * math.factorial(ell))
+    assert jacobi_poly(ell, alpha, beta_) == poly_one([scale * c for c in acc])
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_jacobi_ode_residual_vanishes(alpha, beta_, ell):
-    y = jacobi_poly(ell, alpha, beta_)
-    t = poly_one([F(0), F(1)])
-    one = poly_one([F(1)])
-    lhs = (
-        (one - t * t) * y.derivative().derivative()
-        + poly_one([beta_ - alpha, -(alpha + beta_ + 2)]) * y.derivative()
-        + ell * (ell + alpha + beta_ + 1) * y
-    )
-    assert lhs.is_zero()
+    # (1 - t^2) y'' + (beta - alpha - (alpha + beta + 2) t) y'
+    # + ell (ell + alpha + beta + 1) y, as one exact operator table on y
+    # written as a one-variable sum
+    coefficients = jacobi_poly(ell, alpha, beta_).coefficients
+    y = holo_sum(1, [term(1, c, (k,)) for k, c in enumerate(coefficients)])
+    rows = [
+        ((2,), 1), ((2,), -1, (2,)),
+        ((1,), beta_ - alpha), ((1,), -(alpha + beta_ + 2), (1,)),
+        ((0,), ell * (ell + alpha + beta_ + 1)),
+    ]
+    assert apply_operator(y, rows) == holo_sum(1, [])
+    # the sum holds exactly the coefficients special_poly built
+    assert canonical_form(y) == {((k,), ()): qqi(c) for k, c in enumerate(coefficients) if c}
 
 
 def _per_j_coeffs(ell, alpha, beta_):
@@ -224,7 +245,7 @@ def test_jacobi_inflated_degree_one():
 @given(rationals, rationals, st.integers(min_value=0, max_value=5))
 @settings(max_examples=25, deadline=None)
 def test_jacobi_inflated_homogeneous(alpha, beta_, ell):
-    assert jacobi_inflated(ell, alpha, beta_).is_homogeneous(ell)
+    assert all(i + j == ell for (i, j), _ in jacobi_inflated(ell, alpha, beta_).items())
 
 
 @given(rationals, rationals, st.integers(min_value=0, max_value=5))
@@ -241,8 +262,8 @@ def test_jacobi_inflated_recovers_polynomial(alpha, beta_, ell):
 @settings(max_examples=25, deadline=None)
 def test_variant_matches_inflated_by_parameter_flip(alpha, beta_, ell):
     flipped = jacobi_variant(ell, alpha, -alpha - beta_ - 2 * ell - 1)
-    target = (-1) ** ell * jacobi_inflated(ell, alpha, beta_)
-    assert flipped == target
+    target = {e: (-1) ** ell * c for e, c in jacobi_inflated(ell, alpha, beta_).items()}
+    assert flipped == poly_two(target)
 
 
 # --- gegenbauer family -----------------------------------------------------
@@ -369,14 +390,21 @@ def test_norm_domain_errors():
 def test_poly_one_normalization_and_degree():
     p = poly_one([F(1), F(2), F(0), F(0)])
     assert p.coefficients == (F(1), F(2))
-    assert p.degree == 1
-    assert poly_one([0, 0]).is_zero()
+    assert len(p.coefficients) - 1 == 1  # the degree
+    assert poly_one([0, 0]).coefficients == (0,)
 
 
 def test_poly_two_items_sorted_and_zero_dropped():
     q = poly_two({(1, 0): F(2), (0, 1): F(0)})
     assert q.items() == (((1, 0), F(2)),)
-    assert q.total_degrees() == [1]
+    assert [i + j for (i, j), _ in q.items()] == [1]
+
+
+@pytest.mark.parametrize("key, want", [((1, 0), F(2)), ((0, 1), 0), ((0, 0), 0), ((2, 5), 0)])
+def test_poly_two_coeff_reads_an_absent_key_as_zero(key, want):
+    # (0, 1) was given as a zero and dropped; the others never were
+    q = poly_two({(1, 0): F(2), (0, 1): F(0)})
+    assert q.coeff(*key) == want
 
 
 # ---------------------------------------------------------------------------

@@ -406,7 +406,7 @@ def test_like_terms_combine_and_zero_drops():
             term(1, F(-1, 2), (1,), [(b, F(-1))]),
         ],
     )
-    assert s.is_zero()
+    assert not s.terms
 
 
 # --- differentiation -------------------------------------------------------
@@ -693,7 +693,7 @@ def test_restrict_diagonal_merges_tube_bases():
 
 def test_restrict_diagonal_kills_positive_power_of_vanishing_base():
     f = ktype(F(2), F(3), 2)
-    assert restrict(f, "diagonal").is_zero()
+    assert not restrict(f, "diagonal").terms
 
 
 def test_restrict_singular_exponent_raises():
@@ -725,14 +725,14 @@ def test_restrict_judges_bases_even_where_the_monomial_vanishes():
     with pytest.raises(SingularRestrictionError):
         restrict(f, "last-zero")
     g = holo_sum(2, [term(2, 1, (0, 1), [(zeta_plus_i(2, 0), F(-1, 2))])])
-    assert restrict(g, "last-zero").is_zero()
+    assert not restrict(g, "last-zero").terms
 
 
 def test_restrict_kills_positive_powers_of_two_vanishing_bases():
     twice = base_poly(2, {(1, 0): 2, (0, 1): -2})
     f = holo_sum(2, [term(2, 1, (1, 0), [(diff_base(), F(2)), (twice, F(3)),
                                          (zeta_plus_i(2, 0), F(-5, 2))])])
-    assert restrict(f, "diagonal").is_zero()
+    assert not restrict(f, "diagonal").terms
 
 
 def test_prune_drops_only_what_restriction_must_kill():
@@ -749,7 +749,7 @@ def test_prune_drops_only_what_restriction_must_kill():
         assert lattice.rebuild(lattice.state((0, 0))) == holo_sum(2, kept)
     rows = [((2, 0), 1), ((1, 1), F(-3, 2)), ((0, 2), qqi(0, 1)), ((1, 0), 5, (0, 1))]
     saved = holo_sum(2, [doomed, reached, plain])
-    assert not restrict(apply_operator(saved, rows), "diagonal").is_zero()
+    assert restrict(apply_operator(saved, rows), "diagonal").terms
     assert to_text(apply_operator(saved, rows, "diagonal")) == to_text(
         restrict(apply_operator(saved, rows), "diagonal"))
     with pytest.raises(SingularRestrictionError):
@@ -1539,6 +1539,18 @@ def test_parse_error_carries_offset(text, pos):
     with pytest.raises(ParseError) as info:
         from_text(text)
     assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("(sum 1 (trem 1 (mono 1)))", "expected 'term', got 'trem'", 8),
+    ("(prod 1)", "expected 'sum', got 'prod'", 1),
+    ("(sum 1 (term 1 (mono 1) (power (base ((1) 1)) 2)))", "expected 'pow', got 'power'", 25),
+    ("sum 1", "expected '(', got 'sum'", 0),
+])
+def test_parse_error_names_the_token_it_expected(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        from_text(text)
+    assert str(info.value) == message and info.value.pos == pos
 
 
 @pytest.mark.parametrize("exponent, want", [("(c 1/2 0)", Fraction(1, 2)), ("(c 1/2 1)", 0.5 + 1j)])
