@@ -186,7 +186,6 @@ VERIFY_OPTIONS = {
     "ell_max": ("ell_max", _parse_with(int), None),
     "tol": ("tol", _parse_with(float), None),
     "exact": ("exact", _parse_bool, "force exact rational comparisons"),
-    "order": ("order", _parse_with(int), "quadrature order"),
     "seed": ("seed", _parse_with(int), None),
     "report": ("report_path", lambda text, key: text, "write the JSON-lines report here"),
     "csv": ("csv_out", _parse_bool, "also write a CSV table beside the report"),
@@ -239,7 +238,6 @@ class SuiteConfig:
     lam2: tuple = ()
     lam: tuple = ()
     n: tuple = ()
-    order: int = 64
     seed: int = 414213
     report_path: str = ""
     csv_out: bool = False
@@ -252,8 +250,6 @@ class SuiteConfig:
         _require_positive_finite(self.tol, "tolerance")
         if self.ell_max < 0:
             raise ConfigError(f"ell-max must be nonnegative, got {self.ell_max}")
-        if self.order < 4:
-            raise ConfigError(f"quadrature order must be at least 4, got {self.order}")
 
     @property
     def mode(self) -> str:
@@ -554,18 +550,19 @@ def _squared(poly):
 @_suite("ortho-poly", lam1=(Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)),
         lam2=(Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2)), ell_max=6, tol=1e-10)
 def _build_ortho_poly(cfg: SuiteConfig, rng) -> Iterator[Case]:
+    # ell_max + 1 nodes integrate every P_ell^2 of the run exactly: one rule per pair
+    rule = lru_cache(maxsize=None)(lambda a, b: build_rule(("jacobi", a, b), cfg.ell_max + 1))
+
     def jacobi_norm(a, b, ell):
         if a <= -1 or b <= -1:
             return _reported(None, "outside the Jacobi range (alpha or beta <= -1), not checked")
-        rule = build_rule(("jacobi", float(a), float(b)), cfg.order)
-        quad = integrate(_squared(jacobi_poly(ell, a, b)), rule)
+        quad = integrate(_squared(jacobi_poly(ell, a, b)), rule(float(a), float(b)))
         return _close(quad, complex(jacobi_norm_sq(ell, a, b)).real, cfg.tol)
 
     def gegenbauer_norm(a, ell):
         if a <= -0.5:
             return _reported(None, "outside the Gegenbauer range (alpha <= -1/2), not checked")
-        rule = build_rule(("jacobi", float(a) - 0.5, float(a) - 0.5), cfg.order)
-        quad = integrate(_squared(gegenbauer_poly(ell, a)), rule)
+        quad = integrate(_squared(gegenbauer_poly(ell, a)), rule(float(a) - 0.5, float(a) - 0.5))
         return _close(quad, complex(gegenbauer_norm_sq(ell, a)).real, cfg.tol)
 
     alphas = [v - 1 for v in cfg.need("lam1")]

@@ -199,7 +199,8 @@ def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSu
         raise DomainError(f"expected a sum in {n} variables, got {f.arity}")
     if route not in JUHL_ROUTES:
         raise DomainError(f"unknown route {route!r}; pick one of {JUHL_ROUTES}")
-    inflated = gegenbauer_inflated(ell, alpha) if route == "inflated" else None
+    # poly_two drops zero coefficients, so an absent exponent reads as 0
+    inflated = dict(gegenbauer_inflated(ell, alpha).items()) if route == "inflated" else None
     waves = _wave_ladder(f) if _is_exact_sum(f) else [f]
     pieces = []
     for k in range(ell // 2 + 1):
@@ -210,7 +211,7 @@ def _unrestricted_operator(params: JuhlParams, f: HoloSum, route: str) -> HoloSu
             coeff = gegenbauer_a(ell, k, alpha)
         else:
             # substitute u -> -wave, v -> i d/dz_n into the two-variable form
-            coeff = inflated.coeff(k, ell - 2 * k) * _I_QQI[(ell - 2 * k) % 4]
+            coeff = inflated.get((k, ell - 2 * k), 0) * _I_QQI[(ell - 2 * k) % 4]
             coeff = coeff * _I_QQI[(-ell) % 4]
             if k % 2:
                 coeff = -coeff
@@ -397,29 +398,27 @@ def juhl_hat_apply(params: JuhlParams, F, y_prime, method: str = "jacobi"):
     i^(-ell) Q'^((ell+1)/2).  Method `jacobi` folds the Gegenbauer weight
     (1-v^2)^(alpha - 1/2) into the rule, which is exact when F is a lifted
     function; `legendre` integrates the bare fiber restriction and suits
-    profiles without that boundary decay.  Non-convergence raises.
+    profiles without that boundary decay, and folds the exponent 0, whose
+    factor is exactly 1.  Non-convergence raises.
     """
     y_prime, q_prime = _base_point(params, y_prime)
     ell = params.ell
     alpha = _real_scalar(params.alpha, "Gegenbauer parameter")
+    if method == "jacobi":
+        a_w = alpha - 0.5
+        spec = ("jacobi", a_w, a_w)
+    elif method == "legendre":
+        spec, a_w = ("legendre", -1.0, 1.0), 0.0
+    else:
+        raise DomainError(f"unknown fiber method {method!r}")
     poly = gegenbauer_poly(ell, alpha)
     root = math.sqrt(q_prime)
     values = node_values(F, packed=True)
 
-    def along(v):
-        return values(*_fiber(y_prime, root, v)) * poly(v)
+    def g(v):
+        return values(*_fiber(y_prime, root, v)) * poly(v) * (1.0 - v * v) ** (-a_w)
 
-    if method == "jacobi":
-        a_w = alpha - 0.5
-
-        def g(v):
-            return along(v) * (1.0 - v * v) ** (-a_w)
-
-        res = integrate_adaptive(g, ("jacobi", a_w, a_w))
-    elif method == "legendre":
-        res = integrate_adaptive(along, ("legendre", -1.0, 1.0))
-    else:
-        raise DomainError(f"unknown fiber method {method!r}")
+    res = integrate_adaptive(g, spec)
     return i_power(-ell) * q_prime ** (0.5 * (ell + 1)) * res.value
 
 
@@ -793,7 +792,8 @@ def invert_juhl(
     lam,
     components: dict,
     L=None,
-    method: str | None = None,
+    *,
+    method: str,
     radius: float = 20.0,
     order: int = 24,
     y_max: float = 40.0,
@@ -801,9 +801,10 @@ def invert_juhl(
 ):
     """Assemble the inverse series from per-level components.
 
-    `components` maps ell to a component function.  Method `holographic`
-    (default at n = 3) expects holomorphic components on the lower tube and
-    pairs each against the kernel with weight 1/(r_ell c_ell); method `l2`
+    `components` maps ell to a component function of the kind the named
+    `method` takes.  Method `holographic` (n = 3 only) expects holomorphic
+    components on the lower tube and pairs each against the kernel, a
+    fixed-order smoke test, with weight 1/(r_ell c_ell); method `l2`
     expects cone-model components on the lower cone, lifts each one, and
     runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
     transform integrates a lift in the chart of `cone_fourier_laplace`,
@@ -813,9 +814,6 @@ def invert_juhl(
     callable on the n-tube.
     """
     items = levels(components, L)
-    if method is None:
-        method = "holographic" if n == 3 else "l2"
-
     if method == "holographic":
         if n != 3:
             raise DomainError("holographic assembly is only available at n = 3")

@@ -132,31 +132,27 @@ def rchat_apply(params, F, z, method: str = "legendre"):
 
     method "legendre" integrates the product directly; "jacobi" folds the
     endpoint factors (1-v)^alpha (1+v)^beta into the quadrature weight,
-    which is exact when F is a lift from phi_apply.  Raises if the adaptive
-    quadrature does not converge.
+    which is exact when F is a lift from phi_apply; "legendre" folds (0, 0),
+    whose factors are exactly 1.  Raises if the adaptive quadrature does not
+    converge.
     """
     if isinstance(z, complex) or not z > 0:
         raise DomainError(f"rchat_apply needs a real z > 0, got {z!r}")
+    if method == "legendre":
+        spec, a, b = ("legendre", -1.0, 1.0), 0.0, 0.0
+    elif method == "jacobi":
+        a, b = float(params.alpha), float(params.beta)
+        spec = ("jacobi", a, b)
+    else:
+        raise DomainError(f"unknown rchat_apply method {method!r}")
     values = _grid(F)
     poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 
-    if method == "legendre":
-        def integrand(v):
-            x, y = z * (1 - v) / 2, z * (1 + v) / 2
-            return poly(v) * values(x, y)
+    def integrand(v):
+        x, y = z * (1 - v) / 2, z * (1 + v) / 2
+        return poly(v) * values(x, y) * (1 - v) ** -a * (1 + v) ** -b
 
-        res = integrate_adaptive(integrand, ("legendre", -1.0, 1.0), tol=_TOL)
-    elif method == "jacobi":
-        a = float(params.alpha)
-        b = float(params.beta)
-
-        def integrand(v):
-            x, y = z * (1 - v) / 2, z * (1 + v) / 2
-            return poly(v) * values(x, y) * (1 - v) ** -a * (1 + v) ** -b
-
-        res = integrate_adaptive(integrand, ("jacobi", a, b), tol=_TOL)
-    else:
-        raise DomainError(f"unknown rchat_apply method {method!r}")
+    res = integrate_adaptive(integrand, spec, tol=_TOL)
     return float(z) ** (params.ell + 1) / 2 * i_power(-params.ell) * res.value
 
 

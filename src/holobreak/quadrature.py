@@ -73,6 +73,10 @@ and `integrate_adaptive` is its one-axis case.  Their rule is "converges or
 raises": they return once two successive passes agree to tol, and raise
 DomainError ("did not converge") when the schedule ends without such a pair,
 so no caller checks convergence itself.
+Two other callers of `integrate` run one order: `verify ortho-poly`, whose
+ell_max + 1 nodes are exact for its squared polynomials of degree <= 2 ell_max,
+and the smoke test `juhl.holographic_integral`, whose error comes from its
+truncation radius and whose guessed order the benchmark pins.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .quadrature import build_rule, integrate, node_values
+from .quadrature import integrate_adaptive, node_values
 from .special_poly import (
     _LOG2,
     _LOG_PI,
@@ -151,9 +151,9 @@ def c_ell_status(lam1, lam2, ell: int):
     denominator singularities collide and the limit depends on the
     direction of approach.  Each weight is held as its integer numerator
     over its denominator, so every pole, zero and collision test is an
-    integer test.  One Fraction is built, for a nonzero value at integer
-    weights; other nonzero values are float products of gamma values at
-    the correctly rounded quotients.
+    integer test.  One Fraction is built, for a nonzero value when either
+    weight is an integer; other nonzero values are float products of gamma
+    values at the correctly rounded quotients.
     """
     check_ell(ell)
     if not (is_exact(lam1) and is_exact(lam2)):
@@ -184,6 +184,15 @@ def c_ell_status(lam1, lam2, ell: int):
             (d + ell) * math.factorial(d - 1) * math.factorial(ell),
         )
         return ("nonzero", val)
+    if q1 == 1 or q2 == 1:
+        # at an integer lam2, Gamma(n2) is a factorial and Gamma(n1) / Gamma(d) =
+        # Gamma(n1) / Gamma(n1 + k), k = lam2 - 1, a Pochhammer quotient; or swapped
+        (m, qm), mi = ((m1, q1), m2) if q2 == 1 else ((m2, q2), m1)
+        k = mi - ell - 1
+        steps = math.prod(range(m + min(k, 0) * qm, m + max(k, 0) * qm, qm))
+        up, down = (qm ** k, steps) if k >= 0 else (steps, qm ** -k)
+        return ("nonzero", Fraction(math.factorial(mi - 1) * up * q,
+                                    tn * math.factorial(ell) * down))
     # int / int is correctly rounded, so each quotient is float() of the value
     return ("nonzero", _c_ell_value(m1 / q1, m2 / q2, dn / q, tn / q, ell))
 
@@ -214,9 +223,9 @@ def c_ell(lam1, lam2, ell: int):
     """Composition constant of the transform pair: forward after backward is
     c_ell times the identity.
 
-    Exact Fraction at integer weights, complex otherwise; raises PoleError
-    where the continuation has a pole or a direction-dependent limit (use
-    c_ell_status to classify without raising).
+    Exact Fraction when either weight is an integer, a gamma product
+    otherwise; raises PoleError where the continuation has a pole or a
+    direction-dependent limit (use c_ell_status to classify without raising).
     """
     check_ell(ell)
     if is_exact(lam1) and is_exact(lam2):
@@ -345,7 +354,8 @@ def psi_ktype_closed_form(params: RCParams) -> HoloSum:
 def psi_quadrature(params: RCParams, g, z1, z2):
     """Backward (holographic) transform of an evaluable one-variable
     function at the point (z1, z2): a weighted integral over the segment
-    joining z1 and z2, by 80-point Gauss-Jacobi quadrature.
+    joining z1 and z2, by order-doubling Gauss-Jacobi quadrature
+    (`integrate_adaptive`): it converges or raises DomainError.
 
     g is called on the array of segment nodes first, once per node only
     when that fails (see `quadrature.node_values`).  Needs real weights
@@ -359,9 +369,9 @@ def psi_quadrature(params: RCParams, g, z1, z2):
     b = float(p.lam2 + p.ell - 1)
     if a <= -1 or b <= -1:
         raise DomainError("psi_quadrature needs lam1 + ell > 0 and lam2 + ell > 0")
-    rule = build_rule(("jacobi", a, b), 80)
     values = node_values(g)
-    acc = integrate(lambda v: values(((z2 - z1) * v + (z1 + z2)) / 2), rule)
+    acc = integrate_adaptive(lambda v: values(((z2 - z1) * v + (z1 + z2)) / 2),
+                             ("jacobi", a, b)).value
     pref = (z1 - z2) ** p.ell / (
         2.0 ** float(p.lam1 + p.lam2 + 2 * p.ell - 1) * math.factorial(p.ell)
     )

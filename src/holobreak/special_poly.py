@@ -252,12 +252,6 @@ class PolyTwoVar:
     def items(self):
         return self.coefficients
 
-    def coeff(self, i: int, j: int):
-        for (a, b), c in self.coefficients:
-            if (a, b) == (i, j):
-                return c
-        return 0
-
     def __call__(self, x, y):
         out = 0
         for (i, j), c in self.coefficients:

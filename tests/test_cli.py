@@ -1,6 +1,7 @@
 """Command harness: grids, suite runner, report format, determinism, eval."""
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import io
@@ -44,6 +45,7 @@ from holobreak.cli import (
     read_config_file,
     run_suite,
 )
+from holobreak.quadrature import build_rule
 from holobreak.rc_transform import RCParams, c_ell, log_b_const, log_r_ell
 from holobreak.term_algebra import evaluate, qqi, scale
 from holobreak.rc_transform import psi_ktype_closed_form
@@ -128,12 +130,12 @@ def test_option_vocabulary_is_unchanged():
     flags = {s for a in sub.choices["verify"]._actions for s in a.option_strings}
     assert flags == {
         "-h", "--help", "--lambda1", "--lambda2", "--lambda", "--n", "--ell-max",
-        "--tol", "--exact", "--order", "--seed", "--report", "--csv",
+        "--tol", "--exact", "--seed", "--report", "--csv",
         "--config",
     }
     assert set(VERIFY_OPTIONS) == {
         "lambda1", "lambda2", "lambda", "n", "ell_max", "tol", "exact",
-        "seed", "order", "report", "csv",
+        "seed", "report", "csv",
     }
     assert set(_EVAL_FORMS) == {
         "constant", "c_ell", "r_ell", "b", "b_const", "q_constant", "ktype", "psi_ktype",
@@ -163,7 +165,6 @@ OPTION_TEXTS = [
     ("ell_max", "3", "2.5"),
     ("tol", "1e-6", "abc"),
     ("exact", "yes", "maybe"),
-    ("order", "32", "x"),
     ("seed", "7", "1.5"),
     ("report", "out/r.jsonl", None),
     ("csv", "yes", "sometimes"),
@@ -258,6 +259,35 @@ def test_ortho_poly_suite_passes():
     report = run_suite(cfg)
     assert report.failed_count == 0
     assert all(r["pass"] for r in report.records)
+
+
+@pytest.mark.parametrize("ell_max", [0, 6, 12])
+def test_ortho_poly_builds_one_exact_rule_per_weight_pair(monkeypatch, ell_max):
+    # ell_max + 1 Gauss nodes integrate every P_ell^2 of the run exactly, so
+    # the order comes from the degree, and each weight pair's rule serves
+    # every ell: the 16 Jacobi pairs and two Gegenbauer pairs, (-1/2, -1/2)
+    # and (2, 2), that are not Jacobi pairs too
+    built = []
+
+    def counted(spec, order):
+        built.append((spec, order))
+        return build_rule(spec, order)
+
+    monkeypatch.setattr(holobreak.cli, "build_rule", counted)
+    report = run_suite(SuiteConfig(suite="ortho-poly", exact=False,
+                                   **{**SUITE_DEFAULTS["ortho-poly"], "ell_max": ell_max}))
+    assert report.failed_count == 0
+    assert len(report.records) == 20 * (ell_max + 1)
+    assert len(built) == len(set(built)) == 18
+    assert {order for _, order in built} == {ell_max + 1}
+
+
+def test_quadrature_order_is_not_an_option(tmp_path, capsys):
+    assert "order" not in {f.name for f in dataclasses.fields(SuiteConfig)}
+    path = tmp_path / "run.cfg"
+    path.write_text("order = 64\n")
+    assert main(["verify", "ortho-poly", "--config", str(path)]) == 2
+    assert "unknown key 'order'" in capsys.readouterr().err
 
 
 def test_records_sorted_by_case_key():
@@ -882,6 +912,13 @@ def test_eval_named_constant(capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("0.1666666")
     assert out.endswith("= 1/6")
+
+
+def test_eval_c_ell_is_exact_with_one_integer_weight(capsys):
+    # Gamma(3 + 1) is a factorial and Gamma(7/2) / Gamma(11/2) a Pochhammer
+    # quotient, so c_ell(5/2, 3, 1) is rational
+    assert main(["eval", "c_ell", "5/2", "3", "1"]) == 0
+    assert capsys.readouterr().out == "0.05860805860805861 = 16/273\n"
 
 
 def test_eval_constant_integer(capsys):

@@ -2,9 +2,10 @@
 
 `c_ell_status`, `b_const`, `r_ell` and the three Jacobi folds hold exact
 data as integer numerators over one denominator.  The references below are
-the Fraction versions they replaced, kept verbatim so that every output is
-pinned: the same kind, the same value and the same type (`Fraction`,
-`float` or `complex`), and for float parameters the same bits.
+the Fraction versions they replaced, kept verbatim but for the exact branch
+of `ref_c_ell_status`, which covers every pair with an integer weight, so
+that every output is pinned: the same kind, the same value and the same type
+(`Fraction`, `float` or `complex`), and for float parameters the same bits.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from holobreak.rc_transform import b_const, c_ell_status, r_ell
+from holobreak.rc_transform import b_const, c_ell, c_ell_status, r_ell
 from holobreak.special_poly import (
     PolyOneVar,
     complex_gamma,
@@ -54,12 +55,17 @@ def ref_c_ell_status(lam1, lam2, ell: int):
     if t == 0:
         val = (-1) ** ell * complex_gamma(float(n1)) * complex_gamma(float(n2))
         return ("nonzero", val)
-    if n1.denominator == n2.denominator == d.denominator == 1:
-        val = F(
-            math.factorial(int(n1) - 1) * math.factorial(int(n2) - 1),
-            int(t * math.factorial(int(d) - 1) * math.factorial(ell)),
-        )
-        return ("nonzero", val)
+    if l1.denominator == 1 or l2.denominator == 1:
+        # Gamma(n_int) is a factorial; Gamma(n) / Gamma(d) steps from n to d by 1
+        n, n_int = (n1, n2) if l2.denominator == 1 else (n2, n1)
+        ratio, x = F(1), n
+        while x < d:
+            ratio /= x
+            x += 1
+        while x > d:
+            x -= 1
+            ratio *= x
+        return ("nonzero", math.factorial(int(n_int) - 1) * ratio / (t * math.factorial(ell)))
     val = (
         complex_gamma(float(n1))
         * complex_gamma(float(n2))
@@ -155,6 +161,8 @@ def weight_pairs(draw):
 
 @given(weight_pairs())
 @example((2, 3, 4))  # nonzero, integer weights
+@example((F(5, 2), 3, 1))  # nonzero, one integer weight: 16/273
+@example((F(7, 3), -1, 2))  # nonzero, one integer weight, d below n1
 @example((F(1, 2), F(3, 2), 3))  # nonzero, float value
 @example((F(-5, 2), F(1, 2), 1))  # zero
 @example((-2, F(1, 3), 1))  # pole
@@ -186,6 +194,23 @@ def test_c_ell_status_grid_covers_every_kind():
                 t_zero += l1 + l2 + 2 * ell - 1 == 0
     assert kinds == {"nonzero", "zero", "pole", "indeterminate"}
     assert t_zero > 0
+
+
+def test_c_ell_float_route_matches_the_exact_value():
+    # at float weights c_ell is a product of gamma values; where one weight
+    # is an integer, the exact value is a Fraction it must round to
+    checked = 0
+    for lam2 in range(-6, 13):
+        for lam1 in [F(k, 2) for k in range(-13, 26)]:
+            for ell in range(9):
+                kind, exact = c_ell_status(lam1, F(lam2), ell)
+                if kind != "nonzero":
+                    continue
+                assert type(exact) is F, (lam1, lam2, ell)
+                got = complex(c_ell(float(lam1), float(lam2), ell))
+                assert abs(got - float(exact)) <= 1e-14 * abs(exact), (lam1, lam2, ell)
+                checked += 1
+    assert checked > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -1211,9 +1211,10 @@ def test_transforms_agree_on_arrays_and_per_point():
 
 @pytest.mark.parametrize("L", [-1, True, 0.5, "2"])
 def test_inverse_rejects_a_bad_truncation_level(L):
-    for components in ({0: lambda t: 1.0}, {}):
-        with pytest.raises(DomainError):
-            invert_juhl(3, 3.0, components, L=L)
+    for method in ("holographic", "l2"):
+        for components in ({0: lambda t: 1.0}, {}):
+            with pytest.raises(DomainError):
+                invert_juhl(3, 3.0, components, L=L, method=method)
 
 
 @pytest.mark.parametrize("keys", [(0, "a"), (1.0,), (True,), (-1,)],
@@ -1227,14 +1228,19 @@ def test_inverse_rejects_a_bad_level_key(keys, method):
 
 
 def test_inverse_empty_and_errors():
-    assert invert_juhl(3, 3, {})(Z3) == 0j
+    assert invert_juhl(3, 3, {}, method="holographic")(Z3) == 0j
     assert invert_juhl(4, 4.0, {}, method="l2")((0.1 + 2j, 1j * 0.3, -0.2j, 0.1j)) == 0j
     with pytest.raises(DomainError):
         invert_juhl(4, 4.0, {0: lambda t: 1.0}, method="holographic")
     with pytest.raises(DomainError):
-        invert_juhl(3, 3.0, {-1: lambda t: 1.0})
+        invert_juhl(3, 3.0, {-1: lambda t: 1.0}, method="holographic")
     with pytest.raises(DomainError):
         invert_juhl(3, 3.0, {0: lambda t: 1.0}, method="series")
+    # the method is named, never picked from n: it decides what a component is
+    with pytest.raises(TypeError):
+        invert_juhl(3, 3.0, {0: lambda t: 1.0})
+    with pytest.raises(TypeError):
+        invert_juhl(3, 3.0, {0: lambda t: 1.0}, None, "holographic")
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,14 @@ def test_psi_domain_errors():
         psi_quadrature(RCParams(F(-3), F(2), 1), lambda z: 1.0, 1j, 2j)
 
 
+def test_psi_quadrature_raises_where_it_does_not_converge():
+    # a pole 1e-6 off the segment's midpoint: the integral is 0.392699j, which
+    # no order up to 512 resolves to 1e-10, so no value may come back
+    pole = 1 + 1.000001j
+    with pytest.raises(DomainError, match="did not converge"):
+        psi_quadrature(RCParams(2, 2, 0), lambda z: 1 / (z - pole), 1j, 2 + 1j)
+
+
 def test_psi_quadrature_matches_closed_form():
     points = default_tube_points(2)
     for p in [RCParams(F(2), F(2), ell) for ell in range(4)] + [
@@ -669,7 +677,8 @@ def test_projection_fixes_its_summand():
 
 
 def test_projection_reaches_its_component_in_one_array_call():
-    # the 80 segment nodes go to the component as one array, not one call each
+    # each pass of the order-doubling schedule hands the component its
+    # segment nodes as one array, never one call per node
     p = RCParams(F(2), F(2), 1)
     target = psi_ktype_closed_form(p)
     g = rc_apply(p, target)
@@ -681,9 +690,9 @@ def test_projection_reaches_its_component_in_one_array_call():
 
     z1, z2 = default_tube_points(2)[0]
     got = invert_rc(p.lam1, p.lam2, {p.ell: component})(z1, z2)
-    assert len(points) == 1
-    (nodes,) = points
-    assert isinstance(nodes, np.ndarray) and nodes.shape == (80,)
+    assert all(isinstance(nodes, np.ndarray) for nodes in points)
+    orders = [len(nodes) for nodes in points]
+    assert len(orders) >= 2 and orders == [16 * 2**k for k in range(len(orders))]
     assert rel(got, evaluate(target, (z1, z2))) < 1e-9
 
 
