@@ -190,6 +190,8 @@ VERIFY_OPTIONS = {
     "report": ("report_path", lambda text, key: text, "write the JSON-lines report here"),
     "csv": ("csv_out", _parse_bool, "also write a CSV table beside the report"),
 }
+# the fields every suite accepts, beside those it declares: the runner and the report read them
+_RUN_WIDE = ("exact", "seed", "report_path", "csv_out")
 
 
 def read_config_file(path: str) -> dict:
@@ -232,8 +234,8 @@ class SuiteConfig:
 
     suite: str
     ell_max: int
-    tol: float
     exact: bool
+    tol: float = CLOSED_FORM_TOL  # read only by a suite that declares tol
     lam1: tuple = ()
     lam2: tuple = ()
     lam: tuple = ()
@@ -523,7 +525,8 @@ _SUITE_BUILDERS: dict = {}
 
 def _suite(name: str, **defaults):
     """Register the decorated builder, (cfg, rng) -> its cases, as suite `name`
-    with `defaults`, its SuiteConfig keywords, which name only the grids it reads."""
+    with `defaults`, its SuiteConfig keywords: the grids, ell_max and tol it
+    reads, and nothing else; `verify` refuses any other option but `_RUN_WIDE`."""
     def register(build):
         SUITE_DEFAULTS[name] = defaults
         _SUITE_BUILDERS[name] = build
@@ -685,7 +688,7 @@ def _build_l2_plancherel(cfg: SuiteConfig, rng) -> Iterator[Case]:
 
 
 @_suite("bernstein-sato", lam=(Fraction(2), Fraction(7, 2), Fraction(4)), n=(3, 4, 5),
-        ell_max=4, tol=1e-12)
+        ell_max=4)
 def _build_bernstein_sato(cfg: SuiteConfig, rng) -> Iterator[Case]:
     if not all(isinstance(lam, Fraction) for lam in cfg.need("lam")):
         raise ConfigError("bernstein-sato needs rational weights; write 7/2, not 3.5")
@@ -736,12 +739,12 @@ def _signed(value) -> str:
 
 @_suite("kernels", lam1=tuple(Fraction(k) for k in range(-6, 7)),
         lam2=tuple(Fraction(k) for k in range(-6, 7)), lam=(Fraction(3), Fraction(7, 2)),
-        n=(3, 4), ell_max=4, tol=1e-10)
+        n=(3, 4), ell_max=4)
 def _build_kernels(cfg: SuiteConfig, rng) -> Iterator[Case]:
-    ints1 = [int(v) for v in cfg.need("lam1") if isinstance(v, Fraction) and v.denominator == 1]
-    ints2 = [int(v) for v in cfg.need("lam2") if isinstance(v, Fraction) and v.denominator == 1]
-    if not ints1 or not ints2:
-        raise ConfigError("kernels zero classification needs integer lam1/lam2 grids")
+    for v in cfg.need("lam1") + cfg.need("lam2"):
+        if not (isinstance(v, Fraction) and v.denominator == 1):
+            raise ConfigError(f"kernels zero classification needs integer lam1/lam2, got {v}")
+    ints1, ints2 = [int(v) for v in cfg.lam1], [int(v) for v in cfg.lam2]
 
     def zero_class(l1, l2, ell):
         predicted = zero_classification(l1, l2, l1 + l2 + 2 * ell)
@@ -820,13 +823,16 @@ def run_suite(config: SuiteConfig, stream=None) -> VerificationReport:
 
 def _resolve_config(args) -> SuiteConfig:
     file_vals = read_config_file(args.config) if args.config else {}
-    values = dict(SUITE_DEFAULTS[args.suite], exact=False)
+    reads = SUITE_DEFAULTS[args.suite]
+    values = dict(reads, exact=False)
     slash = floats = False
     for key, (name, parse, _) in VERIFY_OPTIONS.items():
         text = getattr(args, key)
         if text is None:
             text = file_vals.get(key)
         if text is not None:
+            if name not in reads and name not in _RUN_WIDE:
+                raise ConfigError(f"suite {args.suite} does not read --{key.replace('_', '-')}")
             values[name] = parse(text, key)
             if parse in (parse_grid, _parse_dims):
                 slash = slash or "/" in text

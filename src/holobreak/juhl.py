@@ -22,6 +22,7 @@ so the principal branch is the wrong tool here.  See `_power_positive_cut`.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .l2_model import i_power
+from .l2_model import _real_scalar, i_power
 from .quadrature import (
     ArrayFormula,
     build_rule,
@@ -101,14 +102,6 @@ class JuhlParams:
         if is_exact(self.lam):
             return Fraction(self.lam) - Fraction(self.n - 1, 2)
         return self.lam - (self.n - 1) / 2.0
-
-
-def _real_scalar(x, what: str) -> float:
-    if isinstance(x, complex):
-        if x.imag != 0:
-            raise DomainError(f"{what} must be real, got {x!r}")
-        return x.real
-    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +233,7 @@ def q_constant(n: int, ell: int, lam):
     """Eigenvalue polynomial (2^ell / ell!) (2 lam - n + 1)_ell (lam)_ell.
 
     Raises OverflowError when a float or complex value is not finite."""
-    if ell < 0:
-        raise DomainError("q_constant needs ell >= 0")
+    check_ell(ell)
     lead = Fraction(2**ell, math.factorial(ell))
     value = lead * pochhammer(2 * lam - n + 1, ell) * pochhammer(lam, ell)
     if isinstance(value, (float, complex)) and not cmath.isfinite(value):
@@ -787,47 +779,39 @@ def cone_fourier_laplace(
     ).value
 
 
-def invert_juhl(
-    n: int,
-    lam,
-    components: dict,
-    L=None,
-    *,
-    method: str,
-    radius: float = 20.0,
-    order: int = 24,
-    y_max: float = 40.0,
-    tol: float = 1e-6,
-):
+def invert_juhl(n: int, lam, components: dict, L=None, *, method: str, **options):
     """Assemble the inverse series from per-level components.
 
     `components` maps ell to a component function of the kind the named
     `method` takes.  Method `holographic` (n = 3 only) expects holomorphic
-    components on the lower tube and pairs each against the kernel, a
-    fixed-order smoke test, with weight 1/(r_ell c_ell); method `l2`
+    components on the lower tube and pairs each against the kernel through
+    `holographic_integral`, with weight 1/(r_ell c_ell); method `l2`
     expects cone-model components on the lower cone, lifts each one, and
-    runs the Fourier-Laplace transform with weight i^ell / c_ell.  The
-    transform integrates a lift in the chart of `cone_fourier_laplace`,
-    y = (y', -sqrt(Q(y')) v) applied again and again, with the lift's
-    weight folded into the last fiber rule, which needs lam > n/2 - 1.
-    Levels above L are dropped (see `special_poly.levels`).  Returns a
-    callable on the n-tube.
+    runs `cone_fourier_laplace` on the lift, with weight i^ell / c_ell.
+    `options` go to that transform (`radius`, `order`; `y_max`, `tol`,
+    ...); one it does not take raises TypeError before anything is
+    evaluated.  Levels above L are dropped (see `special_poly.levels`).
+    Returns a callable on the n-tube.
     """
     items = levels(components, L)
     if method == "holographic":
         if n != 3:
             raise DomainError("holographic assembly is only available at n = 3")
+        route, fills = holographic_integral, ("params", "g", "zeta")
 
         def level(p, comp):
             return (1.0 / (cone_r_ell(p) * cone_c_ell(p)),
-                    partial(holographic_integral, p, comp, radius=radius, order=order))
+                    partial(holographic_integral, p, comp, **options))
     elif method == "l2":
+        route, fills = cone_fourier_laplace, ("F", "zeta", "n")
+
         def level(p, comp):
             return (i_power(p.ell) / cone_c_ell(p),
-                    partial(cone_fourier_laplace, phi_cone_apply(p, comp), n=n, y_max=y_max,
-                            tol=tol))
+                    partial(cone_fourier_laplace, phi_cone_apply(p, comp), n=n, **options))
     else:
         raise DomainError(f"unknown assembly method {method!r}")
+    # the route's own arguments, then the options: an unknown or a repeated name raises
+    inspect.signature(route).bind_partial(**dict.fromkeys(fills), **options)
     plan = [level(JuhlParams(n, lam, ell), comp) for ell, comp in items]
 
     def assembled(zeta):

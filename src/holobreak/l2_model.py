@@ -27,6 +27,16 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 _TOL = 1e-10  # order-doubling tolerance of the half-line integrals
 
 
+def _real_scalar(x, what: str) -> float:
+    """float(x), where a complex x with a nonzero imaginary part raises
+    DomainError rather than float's TypeError."""
+    if isinstance(x, complex):
+        if x.imag != 0:
+            raise DomainError(f"{what} must be real, got {x!r}")
+        return x.real
+    return float(x)
+
+
 def i_power(k: int) -> complex:
     """Exact integer power of the imaginary unit."""
     return _I_POWERS[k % 4]
@@ -83,8 +93,8 @@ def weight_M(params, z, v):
         raise DomainError("weight_M needs z > 0")
     if not -1 <= v <= 1:
         raise DomainError("weight_M needs v in [-1, 1]")
-    a = float(params.alpha)
-    b = float(params.beta)
+    a = _real_scalar(params.alpha, "lam1 - 1")
+    b = _real_scalar(params.beta, "lam2 - 1")
     if v == 1 and a > 0:
         raise DomainError("weight_M has a pole at v = 1 for alpha > 0")
     if v == -1 and b > 0:
@@ -113,9 +123,9 @@ def phi_apply(params, h) -> L2Fn:
     if isinstance(h, L2Fn) and h.weights != (params.lam3,):
         raise DomainError(f"phi_apply needs a function of declared weight {params.lam3}")
     h_values = _grid(h)
-    a = float(params.alpha)
-    b = float(params.beta)
-    drop = float(params.lam1 + params.lam2 + params.ell - 1)
+    a = _real_scalar(params.alpha, "lam1 - 1")
+    b = _real_scalar(params.beta, "lam2 - 1")
+    drop = _real_scalar(params.lam1 + params.lam2 + params.ell - 1, "lam1 + lam2 + ell - 1")
     poly = jacobi_poly(params.ell, params.alpha, params.beta).as_float()
 
     def lifted(x, y):
@@ -136,12 +146,12 @@ def rchat_apply(params, F, z, method: str = "legendre"):
     whose factors are exactly 1.  Raises if the adaptive quadrature does not
     converge.
     """
-    if isinstance(z, complex) or not z > 0:
-        raise DomainError(f"rchat_apply needs a real z > 0, got {z!r}")
+    if isinstance(z, complex) or not 0 < z < np.inf:
+        raise DomainError(f"rchat_apply needs a real z > 0 that is finite, got {z!r}")
     if method == "legendre":
         spec, a, b = ("legendre", -1.0, 1.0), 0.0, 0.0
     elif method == "jacobi":
-        a, b = float(params.alpha), float(params.beta)
+        a, b = _real_scalar(params.alpha, "lam1 - 1"), _real_scalar(params.beta, "lam2 - 1")
         spec = ("jacobi", a, b)
     else:
         raise DomainError(f"unknown rchat_apply method {method!r}")
@@ -189,7 +199,8 @@ def _weighted_integral(values, weights):
     negligible for anything of finite norm, so a node whose factor is not
     finite contributes exactly 0.  Raises DomainError when the quadrature
     does not converge."""
-    expos = [2.0 - 2.0 * float(lam) for lam in weights]
+    lams = [_real_scalar(lam, "weight") for lam in weights]
+    expos = [2.0 - 2.0 * lam for lam in lams]
 
     def g(*xs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -198,7 +209,7 @@ def _weighted_integral(values, weights):
                 unfold = unfold * x**e
             return np.where(np.isfinite(unfold), values(*xs) * unfold, 0.0)
 
-    axes = [("laguerre", float(lam) - 1, 2.0) for lam in weights]
+    axes = [("laguerre", lam - 1, 2.0) for lam in lams]
     if len(axes) == 1:
         return integrate_adaptive(g, axes[0], tol=_TOL).value
     return integrate_region(g, axes, tol=_TOL).value
@@ -252,7 +263,7 @@ def fourier_laplace(F, zeta):
     if isinstance(F, L2Fn):
         if F.arity != 1:
             raise DomainError("fourier_laplace needs a one-variable function")
-        lam = float(F.weights[0])
+        lam = _real_scalar(F.weights[0], "declared weight")
         if not lam > 0:
             raise DomainError("fourier_laplace needs a declared weight lam > 0")
         expo = lam - 1
@@ -289,10 +300,10 @@ def halfplane_norm_sq(G, lam) -> float:
     (zeta - i)^k (zeta + i)^(-lam-k) becomes a multiple of w^k.  Raises
     DomainError, with the error estimate, when the integral does not
     converge."""
-    if not float(lam) > 1:
+    lamf = _real_scalar(lam, "weight")
+    if not lamf > 1:
         raise DomainError("halfplane_norm_sq needs lam > 1")
     values = _grid(G)
-    lamf = float(lam)
 
     def density(theta, t):
         w = np.sqrt(t) * np.exp(1j * theta)

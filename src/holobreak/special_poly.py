@@ -60,6 +60,8 @@ def pochhammer(x, k: int):
     """Rising factorial x(x+1)...(x+k-1); exact when x is exact."""
     if k < 0 or k != int(k):
         raise DomainError(f"pochhammer needs k in N, got {k!r}")
+    if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+        raise DomainError(f"pochhammer needs a finite x, got {x!r}")
     out = Fraction(1) if is_exact(x) else 1.0
     for j in range(int(k)):
         out = out * (x + j)
@@ -91,7 +93,8 @@ def _lanczos_gamma(z: complex) -> complex:
 
 
 def complex_gamma(z):
-    """Gamma function on C; raises PoleError at non-positive integers.
+    """Gamma function on C; raises PoleError at non-positive integers and
+    DomainError at an argument that is not finite.
 
     Real positive arguments go through math.gamma for full double precision;
     everything else uses a Lanczos evaluation with reflection.
@@ -101,6 +104,8 @@ def complex_gamma(z):
         raise PoleError(f"gamma pole at {z!r}")
     if type(z) is not float and isinstance(z, (int, Fraction)):
         z = float(z)
+    elif isinstance(z, (float, complex)) and not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got {z!r}")
     if isinstance(z, float):
         if z > 0:
             return math.gamma(z)

@@ -155,6 +155,17 @@ def test_readme_names_exactly_the_registered_suites():
     assert sorted(re.findall(r"`([^`]+)`", sentence)) == list(SUITES)
 
 
+def test_readme_lists_the_options_each_suite_reads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| ([^|]*) \| (yes|no)[^|]*\|$", text, re.MULTILINE)
+    flags = {"lam1": "--lambda1", "lam2": "--lambda2", "lam": "--lambda", "n": "--n"}
+    assert {suite: (grids.strip(), tol) for suite, grids, tol in rows} == {
+        suite: (", ".join(f"`{flags[f]}`" for f in flags if f in SUITE_DEFAULTS[suite]),
+                "yes" if "tol" in SUITE_DEFAULTS[suite] else "no")
+        for suite in SUITES
+    }
+
+
 # key, a valid text, an invalid text (None where every text is valid); a
 # switch flag takes no text and stands for the file line "key = yes"
 OPTION_TEXTS = [
@@ -180,22 +191,95 @@ def test_flag_and_file_line_read_alike(tmp_path, key, good, bad):
     flag = "--" + key.replace("_", "-")
     switch = key in ("exact", "csv")
     cfg = tmp_path / "run.cfg"
+    # kernels reads every grid but no tolerance
+    suite = "ortho-poly" if key == "tol" else "kernels"
 
     def via_file(text):
         cfg.write_text(f"{key} = {text}\n")
-        return resolve(["--config", str(cfg)])
+        return resolve(["--config", str(cfg)], suite)
 
-    from_flag = resolve([flag] if switch else [flag, good])
+    from_flag = resolve([flag] if switch else [flag, good], suite)
     assert from_flag == via_file(good)
-    assert from_flag != resolve([])
+    assert from_flag != resolve([], suite)
     if bad is None:
         return
     with pytest.raises(ConfigError) as from_file:
         via_file(bad)
     if not switch:
         with pytest.raises(ConfigError) as flag_error:
-            resolve([flag, bad])
+            resolve([flag, bad], suite)
         assert str(flag_error.value) == str(from_file.value)
+
+
+# the (suite, option) pairs whose field the suite's declaration does not name
+REFUSED = {
+    ("ortho-poly", "lambda"), ("ortho-poly", "n"),
+    ("rc-identities", "lambda"), ("rc-identities", "n"),
+    ("rc-plancherel", "lambda"), ("rc-plancherel", "n"),
+    ("l2-plancherel", "n"),
+    ("bernstein-sato", "lambda1"), ("bernstein-sato", "lambda2"), ("bernstein-sato", "tol"),
+    ("juhl-plancherel", "lambda1"), ("juhl-plancherel", "lambda2"),
+    ("kernels", "tol"),
+}
+
+
+@pytest.mark.parametrize("key, good, bad", OPTION_TEXTS)
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_suite_accepts_exactly_the_options_it_reads(suite, key, good, bad, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    argv = [flag] if key in ("exact", "csv") else [flag, good]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {good}\n")
+    if (suite, key) not in REFUSED:
+        assert resolve(argv, suite) == resolve(["--config", str(cfg)], suite)
+        return
+    # by flag and by config line alike: exit 2, nothing run, one message
+    for args in (argv, ["--config", str(cfg)]):
+        assert main(["verify", suite, *args]) == 2
+        assert capsys.readouterr() == ("", f"error: suite {suite} does not read {flag}\n")
+
+
+class _ReadLog(SuiteConfig):
+    """A SuiteConfig that adds each field read to `self.log`, once that is set."""
+
+    def __getattribute__(self, name):
+        log = object.__getattribute__(self, "__dict__").get("log")
+        if log is not None:
+            log.add(name)
+        return object.__getattribute__(self, name)
+
+
+def fields_read(suite: str, exact: bool) -> set:
+    """The SuiteConfig fields one run of `suite` at its defaults reads."""
+    cfg = _ReadLog(suite=suite, exact=exact, **SUITE_DEFAULTS[suite])
+    object.__setattr__(cfg, "log", set())
+    run_suite(cfg)
+    return cfg.log & {f.name for f in dataclasses.fields(SuiteConfig)}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_suite_declares_exactly_the_fields_it_reads(suite):
+    # the declaration is the one list of what the suite's runs read, beside
+    # the runner's own exact, seed and suite; rc-identities reads tol in
+    # float mode only, where it compares sampled values
+    read = fields_read(suite, False) | fields_read(suite, True)
+    assert read == {*SUITE_DEFAULTS[suite], "exact", "seed", "suite"}
+
+
+def test_the_read_log_sees_a_field_the_declaration_misses(monkeypatch):
+    def build(cfg, rng):
+        yield holobreak.cli._case("probe", {}, lambda: holobreak.cli._bool_case(cfg.tol, True))
+
+    monkeypatch.setitem(holobreak.cli._SUITE_BUILDERS, "kernels", build)
+    assert fields_read("kernels", False) == {"tol", "exact", "seed", "suite"}
+
+
+def test_kernels_refuses_a_weight_that_is_not_an_integer(capsys):
+    # the zero classes are stated for integer weights; 1/2 used to be dropped
+    for argv in (["--lambda1", "1/2,1", "--lambda2", "1"], ["--lambda2", "2.0"]):
+        assert main(["verify", "kernels", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: kernels zero classification needs integer")
 
 
 def test_negative_values_on_the_command_line(capsys):
@@ -810,13 +894,13 @@ def test_verify_empty_grid_is_config_error(capsys):
     ("lambda1", "2,4/2", "2"), ("lambda2", "2, 3, 2.0", "2.0"), ("n", "3,4,3", "3"),
 ])
 def test_repeated_grid_value_is_config_error(key, text, repeated, tmp_path, capsys):
-    # a flag and a config-file line go through the same reader
+    # a flag and a config-file line go through the same reader; kernels reads all three grids
     want = f"error: {key} grid repeats the value {repeated}\n"
-    assert main(["verify", "rc-plancherel", f"--{key}", text]) == 2
+    assert main(["verify", "kernels", f"--{key}", text]) == 2
     assert capsys.readouterr() == ("", want)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {text}\n")
-    assert main(["verify", "rc-plancherel", "--config", str(cfg)]) == 2
+    assert main(["verify", "kernels", "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", want)
 
 

@@ -21,6 +21,7 @@ from holobreak.juhl import (
     cone_b_const,
     cone_c_ell,
     cone_constants,
+    cone_r_ell,
     cone_density,
     cone_fourier_laplace,
     holographic_integral,
@@ -322,6 +323,13 @@ def test_q_constant_raises_where_the_float_value_is_not_finite():
     assert q_constant(3, 2, 2.5) == 210.0
     assert q_constant(3, 2, 1.5 + 2j) == -185 - 230j
     assert q_constant(3, 400, F(10**300)) > 0  # exact values never overflow
+
+
+@pytest.mark.parametrize("ell", [1.5, True, -1], ids=repr)
+def test_q_constant_checks_its_degree(ell):
+    # 1.5 used to raise TypeError from math.factorial and True to count as 1
+    with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
+        q_constant(3, ell, 2)
 
 
 def test_eigen_identity_exact_sweep():
@@ -1225,6 +1233,32 @@ def test_inverse_rejects_a_bad_level_key(keys, method):
     # a bare TypeError from sorted, and 1.0 and True passed as levels
     with pytest.raises(DomainError, match="ell must be a nonnegative integer"):
         invert_juhl(3, 3.0, dict.fromkeys(keys, lambda t: 1.0), method=method)
+
+
+def test_inverse_refuses_an_option_its_route_does_not_take(monkeypatch):
+    def unreached(p):
+        raise AssertionError("a level was evaluated before the options were checked")
+
+    monkeypatch.setattr(juhl, "cone_c_ell", unreached)
+    h = lambda y: math.exp(-y[0])
+    calls = [
+        dict(method="l2", radius=-5.0, order=0),
+        dict(method="holographic", y_max=-1.0, tol=-1.0),
+        dict(method="l2", n=4),  # the route's own argument
+        dict(method="holographic", zeta=Z3),
+    ]
+    for kwargs in calls:
+        with pytest.raises(TypeError):
+            invert_juhl(3, 3.0, {0: h}, **kwargs)
+
+
+def test_inverse_options_reach_the_route():
+    # without its options the route would run at radius 20 and order 24
+    p = JuhlParams(3, 3.0, 0)
+    g = lambda tau: ((tau[0] + 1j) ** 2 - tau[1] ** 2) ** -3.0
+    got = invert_juhl(3, 3.0, {0: g}, method="holographic", radius=10.0, order=12)(Z3)
+    want = holographic_integral(p, g, Z3, radius=10.0, order=12)
+    assert got == 1.0 / (cone_r_ell(p) * cone_c_ell(p)) * want
 
 
 def test_inverse_empty_and_errors():

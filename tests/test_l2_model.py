@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,13 +304,39 @@ def test_rchat_errors():
         rchat_apply(p, jump, 2.0)
 
 
-@pytest.mark.parametrize("z", [1j, 2 + 0j, complex(2.0, 1e-3), -1.0, math.nan], ids=repr)
+@pytest.mark.parametrize("z", [1j, 2 + 0j, complex(2.0, 1e-3), -1.0, math.nan, math.inf],
+                         ids=repr)
 def test_rchat_rejects_a_point_off_the_half_line(z):
-    # a complex z, even one with a zero imaginary part, is not ordered
+    # a complex z, even one with a zero imaginary part, is not ordered; inf
+    # used to pass and leak RuntimeWarnings from the lift before failing
     p = RCParams(2, 2, 1)
     F = phi_apply(p, ktype_fn(float(p.lam3)))
-    with pytest.raises(DomainError, match="needs a real z > 0"):
-        rchat_apply(p, F, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="needs a real z > 0"):
+            rchat_apply(p, F, z)
+
+
+def _bump(*xs):
+    return np.exp(-sum(xs)) * np.prod(xs, axis=0)
+
+
+COMPLEX_WEIGHT = {
+    "phi_apply": lambda: phi_apply(RCParams(2 + 1j, 2, 0), lambda z: np.exp(-z)),
+    "rchat_apply": lambda: rchat_apply(RCParams(2 + 1j, 2, 0), _bump, 1.0, method="jacobi"),
+    "fourier_laplace": lambda: fourier_laplace(l2fn(_bump, 2 + 1j), 1j),
+    "weighted_norm_sq": lambda: weighted_norm_sq(l2fn(_bump, 2 + 1j)),
+    "weighted_inner": lambda: weighted_inner(l2fn(_bump, 2, 2 + 1j), l2fn(_bump, 2, 2 + 1j)),
+    "halfplane_norm_sq": lambda: halfplane_norm_sq(lambda z: (z + 1j) ** -3, 3 + 1j),
+    "weight_M": lambda: weight_M(RCParams(2, 2 + 1j, 0), 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_WEIGHT)
+def test_a_complex_weight_raises_domain_error(name):
+    # float() of a complex weight used to raise a bare TypeError
+    with pytest.raises(DomainError, match="must be real"):
+        COMPLEX_WEIGHT[name]()
 
 
 def test_invert_single_component_round_trip():

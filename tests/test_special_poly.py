@@ -31,6 +31,7 @@ from holobreak.special_poly import (
     reciprocal_gamma,
     _jacobi_coeffs,
 )
+from holobreak import juhl, rc_transform
 from holobreak.rc_transform import log_b_const, log_r_ell, r_ell
 from holobreak.term_algebra import apply_operator, canonical_form, holo_sum, qqi, term
 
@@ -79,6 +80,33 @@ def test_gamma_poles():
     for z in (0, -3, -3.0, F(-3)):
         with pytest.raises(PoleError):
             complex_gamma(z)
+
+
+# every weight function whose direct route calls complex_gamma or pochhammer
+# first, with the weight in the slot that is not finite
+NON_FINITE_WEIGHT = {
+    "complex_gamma": complex_gamma,
+    "complex_gamma, complex": lambda x: complex_gamma(complex(x, 1.0)),
+    "pochhammer": lambda x: pochhammer(x, 2),
+    "beta": lambda x: beta(x, 1.5),
+    "b_const": lambda x: rc_transform.b_const(x),
+    "c_ell": lambda x: rc_transform.c_ell(x, 2.0, 1),
+    "r_ell": lambda x: r_ell(2.0, x, 1),
+    "jacobi_norm_sq": lambda x: jacobi_norm_sq(2, x, 0.5),
+    "jacobi_norm_sq, ell 0": lambda x: jacobi_norm_sq(0, 0.5, x),
+    "gegenbauer_norm_sq": lambda x: gegenbauer_norm_sq(2, x),
+    "cone_r_ell": lambda x: juhl.cone_r_ell(juhl.JuhlParams(3, x, 1)),
+    "cone_b_const": lambda x: juhl.cone_b_const(3, x),
+    "kernel_normalization": lambda x: juhl.kernel_normalization(3, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("name", NON_FINITE_WEIGHT)
+def test_a_weight_that_is_not_finite_raises_domain_error(name, x):
+    # these used to return nan or inf, or raise a bare ValueError from fsum or math
+    with pytest.raises(DomainError):
+        NON_FINITE_WEIGHT[name](x)
 
 
 @given(
