@@ -22,7 +22,6 @@ so the principal branch is the wrong tool here.  See `_power_positive_cut`.
 from __future__ import annotations
 
 import cmath
-import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -788,30 +787,31 @@ def invert_juhl(n: int, lam, components: dict, L=None, *, method: str, **options
     `holographic_integral`, with weight 1/(r_ell c_ell); method `l2`
     expects cone-model components on the lower cone, lifts each one, and
     runs `cone_fourier_laplace` on the lift, with weight i^ell / c_ell.
-    `options` go to that transform (`radius`, `order`; `y_max`, `tol`,
-    ...); one it does not take raises TypeError before anything is
-    evaluated.  Levels above L are dropped (see `special_poly.levels`).
-    Returns a callable on the n-tube.
+    `options` go to that transform: `radius` and `order` for
+    `holographic`, `y_max` and `tol` for `l2`; any other raises TypeError
+    before anything is evaluated.  Levels above L are dropped (see
+    `special_poly.levels`).  Returns a callable on the n-tube.
     """
     items = levels(components, L)
     if method == "holographic":
         if n != 3:
             raise DomainError("holographic assembly is only available at n = 3")
-        route, fills = holographic_integral, ("params", "g", "zeta")
+        takes = ("radius", "order")
 
         def level(p, comp):
             return (1.0 / (cone_r_ell(p) * cone_c_ell(p)),
                     partial(holographic_integral, p, comp, **options))
     elif method == "l2":
-        route, fills = cone_fourier_laplace, ("F", "zeta", "n")
+        takes = ("y_max", "tol")
 
         def level(p, comp):
             return (i_power(p.ell) / cone_c_ell(p),
                     partial(cone_fourier_laplace, phi_cone_apply(p, comp), n=n, **options))
     else:
         raise DomainError(f"unknown assembly method {method!r}")
-    # the route's own arguments, then the options: an unknown or a repeated name raises
-    inspect.signature(route).bind_partial(**dict.fromkeys(fills), **options)
+    unknown = sorted(set(options) - set(takes))
+    if unknown:
+        raise TypeError(f"invert_juhl method {method!r} takes no option {', '.join(unknown)}")
     plan = [level(JuhlParams(n, lam, ell), comp) for ell, comp in items]
 
     def assembled(zeta):

@@ -1246,6 +1246,9 @@ def test_inverse_refuses_an_option_its_route_does_not_take(monkeypatch):
         dict(method="holographic", y_max=-1.0, tol=-1.0),
         dict(method="l2", n=4),  # the route's own argument
         dict(method="holographic", zeta=Z3),
+        # the transform's other settings are not the assembly's options
+        dict(method="l2", rho_exponent=0.5),
+        dict(method="l2", start_order=4, max_order=8),
     ]
     for kwargs in calls:
         with pytest.raises(TypeError):
